@@ -21,7 +21,7 @@ import numpy as np
 
 from . import disc, frames, linalg, model, rpoly, schatten, witness
 from ._util import canonical_json, resolve_threads
-from .errors import HypothesisNotMet, MatDiscError, WalkStepFailed
+from .errors import HypothesisNotMet, MatDiscError, NotRealRooted, WalkStepFailed
 
 VERIFY_SUITES = ("thm13", "thm15", "prop16", "thm41", "alexandrov", "schatten", "lyapunov")
 
@@ -40,7 +40,6 @@ class RunConfig:
     count: Optional[int] = None
     n: Optional[int] = None
     d: Optional[int] = None
-    p: Optional[float] = None
 
     def __post_init__(self):
         if self.root_tol <= 0 or self.norm_tol <= 0:
@@ -51,7 +50,13 @@ class RunConfig:
 
 def _row(name: str, lhs: float, rhs: float) -> dict:
     lhs, rhs = float(lhs), float(rhs)
-    return {"name": name, "lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "pass": lhs <= rhs}
+    slack = rhs - lhs
+    if math.isfinite(slack):
+        return {"name": name, "lhs": lhs, "rhs": rhs, "slack": slack, "pass": lhs <= rhs}
+    # JSON has no NaN or infinity: non-finite values are written as their
+    # repr ("nan", "inf", "-inf") and the row fails
+    values = [v if math.isfinite(v) else repr(v) for v in (lhs, rhs, slack)]
+    return {"name": name, "lhs": values[0], "rhs": values[1], "slack": values[2], "pass": False}
 
 
 def _flag_row(name: str, ok: bool) -> dict:
@@ -146,7 +151,11 @@ def verify_thm13(seed: int = 0, count: int = 300, threads=None, root_tol: float 
     for i, inst in enumerate(sweep_rank_one(seed, count)):
         sig = model.sigma(inst)
         brute = disc.disc_bruteforce(inst, threads=threads)
-        assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
+        try:
+            assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
+        except NotRealRooted as exc:
+            rows.append(_flag_row(f"i{i}.greedy[{exc}]", False))
+            continue
         rows.append(_row(f"i{i}.brute_le_greedy", brute.value, trace.final_value + 1e-12))
         rows.append(_row(f"i{i}.greedy_le_3sigma", trace.final_value, 3.0 * sig + norm_tol))
         rows.append(_row(f"i{i}.leaf_identity_gap", abs(trace.final_value - trace.leaf_lambda_max), norm_tol))
@@ -169,7 +178,11 @@ def verify_interlacing(seed: int = 0, count: int = 300, root_tol: float = rpoly.
     }
     rows = report["checks"]
     for i, inst in enumerate(sweep_rank_one(seed, count)):
-        _, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
+        try:
+            _, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
+        except NotRealRooted as exc:
+            rows.append(_flag_row(f"i{i}.greedy[{exc}]", False))
+            continue
         rooted = all(
             rpoly.is_real_rooted(np.array(c), tol=1e-6) for lv in trace.levels for c in lv.branch_coeffs
         )
@@ -512,7 +525,7 @@ def report_bytes(report: dict, fmt: str = "json") -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["name", "lhs", "rhs", "slack", "pass"])
     for row in report.get("checks", []):
-        writer.writerow([row["name"], repr(row["lhs"]), repr(row["rhs"]), repr(row["slack"]), row["pass"]])
+        writer.writerow([row["name"], str(row["lhs"]), str(row["rhs"]), str(row["slack"]), row["pass"]])
     return buf.getvalue().encode("utf-8")
 
 
@@ -577,7 +590,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--count", type=int, default=None)
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--d", type=int, default=None)
-        sp.add_argument("--p", type=float, default=None)
 
     sp = sub.add_parser("solve", help="brute force, greedy, and the bound menu on an instance file")
     sp.add_argument("--instance", required=True)
@@ -624,7 +636,6 @@ def main(argv=None) -> int:
             count=ns.count,
             n=ns.n,
             d=ns.d,
-            p=ns.p,
         )
         return run(cfg)
     except (MatDiscError, OSError, ValueError) as exc:

@@ -1,9 +1,15 @@
 """Numerical verification engine for the proof machinery.
 
 Covers the multivariate barrier walk that certifies the largest root of the
-top-level expected polynomial, barrier-function evaluation (analytic and
-finite-difference), mixed discriminants with their padded normalization, and
-the quadratic/bivariate barrier lemmas on generated determinantal families.
+top-level expected polynomial, barrier-function evaluation, mixed
+discriminants with their padded normalization, and the quadratic/bivariate
+barrier lemmas on generated determinantal families.
+
+The transforms Q_k are evaluated from 2^(k-1) determinant pairs per point
+(the sign-pair identity, see :class:`QEvaluator`). Q_k is quadratic in every
+coordinate, so barriers come from the exact unit central difference
+``[Q_k(z+e_j) - Q_k(z-e_j)] / 2``, and the top polynomial is summed exactly
+from the spectra of the 2^(n-1) sign-pair matrices.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from . import linalg, model, rpoly
+from . import disc, linalg, model, rpoly
 from .errors import (
     DimensionMismatch,
+    EnumerationTooLarge,
     HypothesisNotMet,
     InvariantViolation,
     NotAboveRoots,
@@ -33,18 +40,33 @@ PSD_SLACK = 1e-10
 PROBE_POINTS = 16
 PROBE_STEP = 0.25
 
-FD_STEP = 1e-5
-
 _EVAL_BATCH = 1 << 18
 
 
+def _signed_sums(parts: np.ndarray) -> np.ndarray:
+    """All 2^m sums ``sum_i s_i A_i`` over ``s in {-1, 1}^m``, shape (2^m, d, d)."""
+    out = np.zeros((1,) + parts.shape[1:], dtype=parts.dtype)
+    for a in parts:
+        out = np.concatenate([out + a, out - a])
+    return out
+
+
 class QEvaluator:
-    """Evaluator for Q(x, z) = det[xI + sum_i z_i tau_i v_i v_i*]^2 and its
-    partial transforms Q_k = prod_{i<=k} (1 - (1/2) d^2/dz_i^2) Q.
+    """Evaluator for Q(x, z) = det[xI + W(z)]^2, W(z) = sum_i z_i tau_i v_i v_i*,
+    and its partial transforms Q_k = prod_{i<=k} (1 - (1/2) d^2/dz_i^2) Q.
 
     Holds normalized vectors (deviation scale 1) and the per-coordinate
     standard deviations. Construction checks the normalized condition
     ``sum tau_i^2 (v_i v_i*)^2 <= I`` up to 1e-9 unless ``validate=False``.
+
+    Every evaluation goes through the sign-pair identity. The determinant is
+    affine in each z_j, and for f, g affine in z_j
+    ``(1 - (1/2) d^2/dz_j^2)(f g) = [f(z+e_j) g(z-e_j) + f(z-e_j) g(z+e_j)] / 2``,
+    so with ``s -> -s`` folded in
+
+        Q_k(x, z) = 2^(1-k) sum_{s in {-1,1}^k, s_1 = +1} det[xI + W(z+s)] det[xI + W(z-s)]
+
+    for k >= 1: 2^k determinants per point.
     """
 
     def __init__(self, vectors: Sequence, taus: Sequence[float], validate: bool = True):
@@ -70,7 +92,6 @@ class QEvaluator:
             top = linalg.spectral_norm(squared)
             if top > 1.0 + NORMALIZED_TOL:
                 raise InvariantViolation("normalized condition", f"|| sum tau^2 (vv*)^2 || = {top:.6f} > 1")
-        self._grids: dict = {}
 
     @classmethod
     def from_instance(cls, inst: model.RankOneInstance, validate: bool = True) -> "QEvaluator":
@@ -89,64 +110,62 @@ class QEvaluator:
 
     # -- evaluation --------------------------------------------------------
 
-    def _grid(self, k: int):
-        if k not in self._grids:
-            if k == 0:
-                self._grids[k] = (np.zeros((1, 0)), np.ones(1))
-            else:
-                pts = np.stack(
-                    np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * k), indexing="ij"), axis=-1
-                ).reshape(-1, k)
-                weights = np.prod(np.where(pts == 0.0, 2.0, -0.5), axis=1)
-                self._grids[k] = (pts, weights)
-        return self._grids[k]
+    def _pair_shifts(self, k: int, chunk: int):
+        """W(s) for the 2^(k-1) sign vectors s in {-1,1}^k with s_1 = +1
+        (k >= 1), yielded in blocks of at most ``chunk`` matrices."""
+        low = min(k - 1, chunk.bit_length() - 1)
+        block = self._tw[0] + _signed_sums(self._tw[1 : 1 + low])
+        for high in _signed_sums(self._tw[1 + low : k]):
+            yield block + high
 
     def eval_many(self, k: int, xs, zs) -> np.ndarray:
         """Q_k at a batch of points; xs has shape (P,), zs has shape (P, n).
 
-        Each applied variable is removed by the exact three-point rule
-        ``2 f(z) - (f(z+1) + f(z-1)) / 2``, so Q_k at one point is a weighted
-        sum of Q over the shifted grid ``z + {-1,0,1}^k``.
+        One determinant per point for k = 0, else 2^(k-1) sign pairs per
+        point; at most ``_EVAL_BATCH`` matrices go to one determinant call.
         """
         if not 0 <= k <= self.n:
             raise DimensionMismatch(f"k must be in [0, {self.n}]")
         xs = np.asarray(xs, dtype=float).reshape(-1)
         zs = np.asarray(zs, dtype=float).reshape(len(xs), self.n)
-        grid, weights = self._grid(k)
-        g = len(grid)
-        eye = np.eye(self.dim, dtype=complex)
+        base = xs[:, None, None] * np.eye(self.dim, dtype=complex)
         if self.n:
-            shift = np.tensordot(grid, self._tw[:k], axes=(1, 0)) if k else np.zeros((1, self.dim, self.dim), complex)
-        else:
-            shift = np.zeros((1, self.dim, self.dim), complex)
-        out = np.empty(len(xs))
-        step = max(1, _EVAL_BATCH // g)
-        for s in range(0, len(xs), step):
-            xb = xs[s : s + step]
-            zb = zs[s : s + step]
-            base = xb[:, None, None] * eye
-            if self.n:
-                base = base + np.tensordot(zb, self._tw, axes=(1, 0))
-            mats = base[:, None, :, :] + shift[None, :, :, :]
-            dets = np.linalg.det(mats.reshape(-1, self.dim, self.dim)).reshape(len(xb), g)
-            q = dets.real**2 + dets.imag**2
-            out[s : s + step] = q @ weights
-        return out
+            base = base + np.tensordot(zs, self._tw, axes=(1, 0))
+        if k == 0:
+            dets = np.linalg.det(base)
+            return dets.real**2 + dets.imag**2
+        out = np.zeros(len(xs))
+        for shifts in self._pair_shifts(k, _EVAL_BATCH // 2):
+            g = len(shifts)
+            step = max(1, _EVAL_BATCH // (2 * g))
+            for s in range(0, len(xs), step):
+                b = base[s : s + step, None]
+                mats = np.empty((2, len(b), g, self.dim, self.dim), dtype=complex)
+                np.add(b, shifts, out=mats[0])
+                np.subtract(b, shifts, out=mats[1])
+                # each determinant of a Hermitian matrix is real
+                dets = np.linalg.det(mats).real
+                out[s : s + step] += (dets[0] * dets[1]).sum(axis=1)
+        return out * 2.0 ** (1 - k)
 
     def q_eval(self, k: int, x: float, z) -> float:
         """Q_k at a single point (x, z)."""
         return float(self.eval_many(k, [x], [z])[0])
 
     def p_empty(self) -> np.ndarray:
-        """Fully transformed polynomial Q_n(x, 0), interpolated from 2d+1
-        Chebyshev nodes scaled to the coefficient-sum radius."""
-        d = self.dim
-        radius = 1.0 + float(np.sum(self.taus * np.array([np.vdot(v, v).real for v in self.vectors]))) if self.n else 1.0
-        m = 2 * d + 1
-        tnodes = np.cos((2 * np.arange(m) + 1) * np.pi / (2 * m))
-        vals = self.eval_many(self.n, radius * tnodes, np.zeros((m, self.n)))
-        fitted = npp.polyfit(tnodes, vals, 2 * d)
-        return fitted / radius ** np.arange(2 * d + 1)
+        """Fully transformed polynomial Q_n(x, 0), coefficient-exact.
+
+        At z = 0 the sign pair of s is ``det[xI + W(s)] det[xI - W(s)]
+        = prod_j (x^2 - mu_j(s)^2)`` with mu(s) the spectrum of W(s), so
+        ``p = 2^(1-n) sum_{s_1 = +1} prod_j (x^2 - mu_j(s)^2)``, summed from
+        batched eigensolves. Ascending x-space coefficients, degree 2 dim.
+        """
+        if self.n == 0:
+            return np.append(np.zeros(2 * self.dim), 1.0)  # det(xI)^2
+        acc = np.zeros(self.dim + 1)
+        for shifts in self._pair_shifts(self.n, _EVAL_BATCH):
+            acc += disc._ypoly_from_eigs_batch(np.linalg.eigvalsh(shifts)).sum(axis=0)
+        return disc._even_to_x(acc * 2.0 ** (1 - self.n))
 
 
 # ---------------------------------------------------------------------------
@@ -223,33 +242,20 @@ def _barrier_analytic(qe: QEvaluator, x: float, z, i: int) -> float:
     return 2.0 * float(np.trace(np.linalg.solve(m, qe._tw[i])).real)
 
 
-def _barrier_fd_batch(qe: QEvaluator, k: int, x: float, z, dirs: Sequence[int]) -> np.ndarray:
-    """Finite-difference barriers of Q_k at one point, several directions.
+def _barrier_batch(qe: QEvaluator, k: int, x: float, z, dirs: Sequence[int]) -> np.ndarray:
+    """Barriers of Q_k at one point, several directions.
 
-    Central differences with one Richardson level; the step follows
-    ``1e-5 * (1 + |coordinate|)``. Exact up to roundoff since Q_k is
-    quadratic in every coordinate.
+    Q_k is quadratic in every coordinate, so the unit central difference
+    ``[Q_k(z+e_j) - Q_k(z-e_j)] / 2`` is its partial derivative exactly.
     """
     z = np.asarray(z, dtype=float).reshape(qe.n)
-    xs, zs = [x], [z]
-    steps = []
-    for i in dirs:
-        h = FD_STEP * (1.0 + abs(z[i]))
-        steps.append(h)
-        for off in (h, -h, h / 2.0, -h / 2.0):
-            zz = z.copy()
-            zz[i] += off
-            xs.append(x)
-            zs.append(zz)
-    vals = qe.eval_many(k, np.array(xs), np.array(zs))
-    denom = vals[0]
-    out = np.empty(len(dirs))
-    for idx, (i, h) in enumerate(zip(dirs, steps)):
-        fp, fm, fp2, fm2 = vals[1 + 4 * idx : 5 + 4 * idx]
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp2 - fm2) / h
-        out[idx] = (4.0 * d2 - d1) / 3.0 / denom
-    return out
+    dirs = np.asarray(dirs, dtype=int)
+    zs = np.repeat(z[None], 1 + 2 * len(dirs), axis=0)
+    rows = np.arange(len(dirs))
+    zs[1 + 2 * rows, dirs] += 1.0
+    zs[2 + 2 * rows, dirs] -= 1.0
+    vals = qe.eval_many(k, np.full(len(zs), x), zs)
+    return (vals[1::2] - vals[2::2]) / (2.0 * vals[0])
 
 
 def barrier(qe: QEvaluator, k: int, point: Tuple[float, Sequence[float]], i: int, mode: str = "analytic") -> float:
@@ -257,7 +263,8 @@ def barrier(qe: QEvaluator, k: int, point: Tuple[float, Sequence[float]], i: int
 
     ``analytic`` mode applies only to k = 0, where the logarithmic derivative
     reduces to a trace of the resolvent; ``finite_difference`` works for any
-    k. The point is certified above the roots first.
+    k and is exact, since Q_k is quadratic in each coordinate. The point is
+    certified above the roots first.
     """
     x, z = point
     certify_above_roots(qe, k, x, z)
@@ -266,7 +273,7 @@ def barrier(qe: QEvaluator, k: int, point: Tuple[float, Sequence[float]], i: int
             raise ValueError("analytic barrier evaluation is available for k = 0 only")
         return _barrier_analytic(qe, x, z, i)
     if mode == "finite_difference":
-        return float(_barrier_fd_batch(qe, k, x, z, [i])[0])
+        return float(_barrier_batch(qe, k, x, z, [i])[0])
     raise ValueError(f"unknown barrier mode {mode!r}")
 
 
@@ -330,14 +337,17 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
     roots of Q_{k+1}, and that the remaining barriers never increase. The
     first violated inequality raises :class:`WalkStepFailed`; success returns
     the full trace including the largest root of the final polynomial, which
-    must be at most 3 + 1e-9.
+    must be at most 3 + 1e-9. Raises :class:`EnumerationTooLarge` before the
+    first step when the 2^(n-1) sign pairs exceed ``disc.ENUM_CAP``.
     """
     qe = QEvaluator.from_instance(inst, validate=False)
     n = qe.n
     deltas = qe.deltas
+    if n and 2 ** (n - 1) > disc.ENUM_CAP:
+        raise EnumerationTooLarge(2 ** (n - 1), disc.ENUM_CAP)
 
     if n == 0:
-        lam = _lambda_max_of_p_empty(inst)
+        lam = _lambda_max_of_p_empty(qe)
         return BarrierWalkTrace((), (), (), lam, True)
 
     w0 = -deltas.copy()
@@ -367,7 +377,7 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
         dirs = list(range(k + 1, n))
         new = {}
         if dirs:
-            vals = _barrier_fd_batch(qe, k + 1, WALK_ALPHA, w_next, dirs)
+            vals = _barrier_batch(qe, k + 1, WALK_ALPHA, w_next, dirs)
             for j, val in zip(dirs, vals):
                 new[j] = float(val)
                 if val > prev[j] + WALK_MONO_TOL:
@@ -386,7 +396,7 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
         prev.update(new)
         w = w_next
 
-    lam = _lambda_max_of_p_empty(inst)
+    lam = _lambda_max_of_p_empty(qe)
     if lam > WALK_ALPHA + WALK_LAMBDA_TOL:
         raise WalkStepFailed(n - 1, f"largest root {lam:.12f} exceeds {WALK_ALPHA}")
     return BarrierWalkTrace(
@@ -398,13 +408,10 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
     )
 
 
-def _lambda_max_of_p_empty(inst: model.RankOneInstance) -> float:
-    # The coefficient-exact operator route; the node-interpolated q_eval
-    # polynomial carries enough noise near structural zero roots to disturb
-    # a 1e-9 root comparison.
-    from . import disc
-
-    return rpoly.lambda_max(disc.expected_charpoly_operator(inst), tol=1e-6)
+def _lambda_max_of_p_empty(qe: QEvaluator) -> float:
+    # Coefficients must be exact (built from spectra, not fitted to values):
+    # noise near structural zero roots would disturb a 1e-9 root comparison.
+    return rpoly.lambda_max(qe.p_empty(), tol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from matdisc import cli, model
+from matdisc import cli, disc, model
+from matdisc.errors import NotRealRooted
 
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "mb3.json")
@@ -97,6 +98,41 @@ def test_exit_one_on_failing_check(monkeypatch, capsys):
     assert cli.main(["verify", "thm15"]) == 1
     out = capsys.readouterr().out
     assert '"pass": false' in out
+
+
+def test_non_finite_check_fails_and_report_is_written(monkeypatch, tmp_path):
+    nan, inf = float("nan"), float("inf")
+
+    def non_finite(cfg):
+        rows = [cli._row("nan_lhs", nan, 1.0), cli._row("inf_both", inf, inf), cli._row("finite", 0.0, 1.0)]
+        return cli._finish({"command": "verify", "suite": "thm15", "checks": rows})
+
+    monkeypatch.setitem(cli._SUITE_FNS, "thm15", non_finite)
+    out = tmp_path / "nonfinite.json"
+    assert cli.main(["verify", "thm15", "--out", str(out)]) == 1
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert [row["pass"] for row in doc["checks"]] == [False, False, True]
+    assert doc["checks"][0]["lhs"] == "nan" and doc["checks"][0]["slack"] == "nan"
+    assert (doc["checks"][1]["lhs"], doc["checks"][1]["rhs"]) == ("inf", "inf")
+    assert doc["failed"] == 2 and not doc["pass"]
+    csv_out = tmp_path / "nonfinite.csv"
+    assert cli.main(["verify", "thm15", "--format", "csv", "--out", str(csv_out)]) == 1
+    assert csv_out.read_text().splitlines()[1] == "nan_lhs,nan,1.0,nan,False"
+
+
+def test_greedy_failure_becomes_failing_row(monkeypatch):
+    def not_real_rooted(inst, root_tol):
+        raise NotRealRooted("forced")
+
+    monkeypatch.setattr(disc, "greedy_interlacing_solve", not_real_rooted)
+    for report in (cli.verify_thm13(seed=3, count=2), cli.verify_interlacing(seed=3, count=2)):
+        assert [row["name"] for row in report["checks"]] == ["i0.greedy[forced]", "i1.greedy[forced]"]
+        assert report["failed"] == 2 and not report["pass"]
+    assert cli.main(["verify", "thm13", "--count", "2", "--seed", "3", "--out", os.devnull]) == 1
 
 
 def test_env_var_threads(monkeypatch):

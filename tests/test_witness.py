@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from matdisc import disc, model, witness
+from matdisc import cli, disc, model, witness
 from matdisc.errors import (
     DimensionMismatch,
+    EnumerationTooLarge,
     HypothesisNotMet,
     InvariantViolation,
     NotAboveRoots,
@@ -30,6 +31,36 @@ def random_psd(rng, d):
     return g @ g.T / d
 
 
+def grid_q(qe, k, x, z):
+    """Reference Q_k from the per-variable three-point rule
+    ``2 f(z) - (f(z+1) + f(z-1)) / 2``: a weighted sum of Q over the grid
+    ``z + {-1,0,1}^k``. Returns the value and the sum of absolute terms."""
+    grid = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=k))).reshape(3**k, k)
+    weights = np.prod(np.where(grid == 0.0, 2.0, -0.5), axis=1)
+    zs = np.repeat(np.asarray(z, float)[None], len(grid), axis=0)
+    zs[:, :k] += grid
+    dets = np.linalg.det(x * np.eye(qe.dim) + np.tensordot(zs, qe._tw, axes=(1, 0)))
+    terms = weights * np.abs(dets) ** 2
+    return float(terms.sum()), float(np.abs(terms).sum())
+
+
+def sign_pair_sum(qe, k, x, z, fn):
+    """Average over all s in {-1,1}^k (both halves) of fn(M(z+s), M(z-s)),
+    where M(z) = xI + sum_i z_i tau_i v_i v_i*."""
+    total = 0.0
+    for s in itertools.product([-1.0, 1.0], repeat=k):
+        shift = np.zeros(qe.n)
+        shift[:k] = s
+        m_plus = x * np.eye(qe.dim) + np.tensordot(np.asarray(z) + shift, qe._tw, axes=(0, 0))
+        m_minus = x * np.eye(qe.dim) + np.tensordot(np.asarray(z) - shift, qe._tw, axes=(0, 0))
+        total += fn(m_plus, m_minus)
+    return total / 2.0**k
+
+
+def det_pair(m_plus, m_minus):
+    return np.linalg.det(m_plus).real * np.linalg.det(m_minus).real
+
+
 # -- q_eval -----------------------------------------------------------------
 
 
@@ -51,7 +82,21 @@ def test_q_eval_one_variable_transform():
         assert qe.q_eval(1, x, [0.0]) == pytest.approx(x * x - 1.0, rel=1e-12)
 
 
-def test_q_eval_interpolation_matches_operator_route(rng):
+def test_eval_many_matches_grid_oracle():
+    rng = np.random.default_rng(5)
+    for d in range(1, 6):
+        for n in range(1, 7):
+            qe = witness.QEvaluator.from_instance(normalized_instance(rng, d, n))
+            xs = rng.uniform(0.5, 4.0, size=3)
+            zs = rng.normal(size=(3, n))
+            for k in range(n + 1):
+                got = qe.eval_many(k, xs, zs)
+                for x, z, val in zip(xs, zs, got):
+                    want, scale = grid_q(qe, k, x, z)
+                    assert abs(val - want) <= 1e-12 * scale, (d, n, k)
+
+
+def test_p_empty_matches_operator_route(rng):
     inst = normalized_instance(rng, 3, 4)
     qe = witness.QEvaluator.from_instance(inst)
     pa = qe.p_empty()
@@ -80,20 +125,14 @@ def test_q_eval_operator_order_commutes(rng):
 
 
 def test_q_eval_matches_sign_pair_identity(rng):
-    # independent identity: eliminating the first k variables equals the
-    # average over sign vectors eta of det(B - sum eta_i W_i) det(B + ...)
+    # two independent forms of Q_n: the three-point grid and the average
+    # over all sign vectors s of det(M(z+s)) det(M(z-s))
     inst = normalized_instance(rng, 2, 3)
     qe = witness.QEvaluator.from_instance(inst)
-    n, d = qe.n, qe.dim
     x, z = 2.5, np.array([-0.1, 0.2, 0.05][: qe.n])
-    tw = qe.taus[:, None, None] * np.array([np.outer(v, v.conj()) for v in qe.vectors])
-    base = x * np.eye(d) + np.tensordot(z, tw, axes=(0, 0))
-    total = 0.0
-    for eta in itertools.product([-1.0, 1.0], repeat=n):
-        shift = np.tensordot(np.array(eta), tw, axes=(0, 0))
-        total += np.linalg.det(base - shift).real * np.linalg.det(base + shift).real
-    total /= 2.0**n
-    assert qe.q_eval(n, x, z) == pytest.approx(total, rel=1e-10)
+    pairs = sign_pair_sum(qe, qe.n, x, z, det_pair)
+    grid, scale = grid_q(qe, qe.n, x, z)
+    assert abs(pairs - grid) <= 1e-12 * scale
 
 
 def test_qevaluator_validates_normalized_condition():
@@ -132,7 +171,32 @@ def test_barrier_analytic_fd_agreement(rng):
     for i in range(qe.n):
         a = witness.barrier(qe, 0, (3.0, w0), i, mode="analytic")
         b = witness.barrier(qe, 0, (3.0, w0), i, mode="finite_difference")
-        assert b == pytest.approx(a, rel=1e-6, abs=1e-9)
+        assert b == pytest.approx(a, rel=1e-12, abs=0.0)
+
+
+def test_barrier_matches_resolvent_form(rng):
+    # barrier j of Q_k from the sign-pair form: each det factor contributes
+    # its log-derivative tau_j v_j* M^-1 v_j
+    inst = normalized_instance(rng, 3, 4)
+    qe = witness.QEvaluator.from_instance(inst)
+
+    def resolvent(j):
+        v, tau = qe.vectors[j], qe.taus[j]
+
+        def term(mp, mm):
+            log_der = tau * (np.vdot(v, np.linalg.solve(mp, v)) + np.vdot(v, np.linalg.solve(mm, v))).real
+            return det_pair(mp, mm) * log_der
+
+        return term
+
+    for k in range(1, qe.n + 1):
+        # the walk's point after k shifts, which it certifies above the roots
+        z = np.where(np.arange(qe.n) < k, 0.0, -qe.deltas)
+        value = sign_pair_sum(qe, k, 3.0, z, det_pair)
+        for j in range(qe.n):
+            want = sign_pair_sum(qe, k, 3.0, z, resolvent(j)) / value
+            got = witness.barrier(qe, k, (3.0, z), j, mode="finite_difference")
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (k, j)
 
 
 def test_barrier_monotone_along_shifts(rng):
@@ -198,6 +262,52 @@ def test_walk_skips_zero_variance_coordinates(rng):
     )
     trace = witness.replay_barrier_walk(widened)
     assert trace.passed and len(trace.deltas) == 2
+
+
+@pytest.mark.parametrize("seed", [173203225157572076, 2668583880909706694])
+def test_walk_monotonicity_seeds(seed):
+    # finite-difference barrier noise (~1e-7) once broke the 1e-8 check at
+    # step 6 on these criterion 04 seeds
+    assert witness.WALK_MONO_TOL == 1e-8
+    assert cli.verify_thm41(seed=seed, count=1)["pass"]
+
+
+def count_det_matrices(monkeypatch):
+    counter = [0]
+    det = np.linalg.det
+
+    def counting(a):
+        counter[0] += math.prod(np.shape(a)[:-2])
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    return counter
+
+
+def test_walk_determinant_count(monkeypatch):
+    # a return to the 3^k grid (or any extra evaluation) changes this count
+    rng = np.random.default_rng(8)
+    d, n = 4, 8
+    vectors = tuple((rng.normal(size=d) + 1j * rng.normal(size=d)) / math.sqrt(2.0) for _ in range(n))
+    rvs = tuple(model.DiscreteRandomVariable.rademacher() for _ in range(n))
+    inst = model.normalize(model.RankOneInstance(d, vectors, rvs))
+    counter = count_det_matrices(monkeypatch)
+    assert witness.replay_barrier_walk(inst).passed
+    # step k certifies Q_k at 3 nodes per coordinate ray plus the x and
+    # all-ones rays, then takes barriers at 1 + 2m points for the m
+    # remaining directions; each point costs 2^k determinants
+    probes = 3 * n + 2 * witness.PROBE_POINTS
+    expected = sum((probes + (1 + 2 * (n - k) if k < n else 0)) * 2**k for k in range(1, n + 1))
+    assert counter[0] == expected
+
+
+def test_walk_sign_pair_cap(rng, monkeypatch):
+    inst = normalized_instance(rng, 2, 3)
+    monkeypatch.setattr(disc, "ENUM_CAP", 2)
+    counter = count_det_matrices(monkeypatch)
+    with pytest.raises(EnumerationTooLarge):
+        witness.replay_barrier_walk(inst)
+    assert counter[0] == 0
 
 
 def test_walk_trace_serializes(rng):
