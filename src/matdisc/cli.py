@@ -203,18 +203,19 @@ def verify_thm41(seed: int = 0, count: int = 300, norm_tol: float = 1e-9) -> dic
     rows = report["checks"]
     for i, raw in enumerate(sweep_rank_one(seed, count)):
         inst = model.normalize(raw)
-        lam = rpoly.lambda_max(disc.expected_charpoly(inst), tol=1e-6)
-        rows.append(_row(f"i{i}.lambda_p_empty", lam, 3.0 + norm_tol))
         try:
-            trace = witness.replay_barrier_walk(inst)
-            gap = max(
-                (b - d for b, d in zip(trace.initial_barriers, trace.deltas)),
-                default=0.0,
-            )
-            rows.append(_row(f"i{i}.initial_barrier_gap", gap, norm_tol))
-            rows.append(_flag_row(f"i{i}.walk", trace.passed))
+            trace, failure = witness.replay_barrier_walk(inst), None
         except WalkStepFailed as exc:
-            rows.append(_flag_row(f"i{i}.walk[{exc.reason}]", False))
+            trace, failure = None, exc
+        # a finished walk has already computed the top polynomial's root
+        lam = trace.p_empty_lambda_max if trace else rpoly.lambda_max(disc.expected_charpoly(inst), tol=1e-6)
+        rows.append(_row(f"i{i}.lambda_p_empty", lam, 3.0 + norm_tol))
+        if failure:
+            rows.append(_flag_row(f"i{i}.walk[{failure.reason}]", False))
+            continue
+        gap = max((b - d for b, d in zip(trace.initial_barriers, trace.deltas)), default=0.0)
+        rows.append(_row(f"i{i}.initial_barrier_gap", gap, norm_tol))
+        rows.append(_flag_row(f"i{i}.walk", trace.passed))
     return _finish(report)
 
 
@@ -392,7 +393,7 @@ def verify_lyapunov(seed: int = 0, count: int = 100, norm_tol: float = 1e-9) -> 
 
 
 def verify_oracles(seed: int = 0, count: int = 100) -> dict:
-    """Coefficientwise agreement of the enumeration and operator routes."""
+    """Coefficientwise agreement of the subset-sum and operator routes."""
     rng = np.random.default_rng(seed)
     report = {"command": "verify", "suite": "oracles", "seed": seed, "count": count, "checks": []}
     rows = report["checks"]
@@ -440,7 +441,7 @@ _SUITE_FNS = {
 def run_solve(cfg: RunConfig) -> dict:
     inst = model.load_instance(cfg.instance)
     report = {"command": "solve", "instance": cfg.instance, "checks": []}
-    brute = disc.disc_bruteforce(inst, threads=cfg.threads)
+    brute = disc.disc_bruteforce(inst, threads=cfg.threads, norm_tol=cfg.norm_tol)
     report["bruteforce"] = brute.to_doc()
     if isinstance(inst, model.RankOneInstance):
         assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=cfg.root_tol)

@@ -3,9 +3,11 @@
 Four routes live here:
 
 * exhaustive minimization over all sign assignments (the ground-truth oracle),
-* expected characteristic polynomials of partial assignments, computed by
-  enumeration over the remaining supports,
-* the same top-level polynomial through the differential-operator route,
+* expected characteristic polynomials of partial assignments, computed from
+  the variances of the remaining variables by Cauchy-Binet subset sums
+  (polynomial in n for fixed dimension),
+* the same top-level polynomial through the differential-operator route, an
+  independent oracle for small n,
 * the greedy solver that walks the interlacing family by always descending
   into a branch whose polynomial has the smallest largest root.
 
@@ -14,6 +16,7 @@ Plus the menu of named upper bounds and the subset-rounding wrapper.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
@@ -119,13 +122,15 @@ def disc_bruteforce(
     norm_kind: NormKind = "spectral",
     cap: int = ENUM_CAP,
     threads: Optional[int] = None,
+    norm_tol: float = 1e-9,
 ) -> DiscrepancyReport:
     """Exact discrepancy by enumerating every assignment.
 
     Minimizes ``|| sum_j eps_j M_j - sum_j E[xi_j] M_j ||`` over the product
     of the supports; ties resolve to the lexicographically smallest tuple of
     support indices. Chunks reduce with a (value, index) minimum, so the
-    result is independent of the thread schedule.
+    result is independent of the thread schedule. A named bound counts as
+    satisfied when the value is at most the bound plus ``norm_tol``.
     """
     terms, means, sizes, supp, prob = _family(inst)
     strides = _strides(sizes)
@@ -155,7 +160,7 @@ def disc_bruteforce(
     if isinstance(inst, model.RankOneInstance) and norm_kind == "spectral":
         for name, bound in bound_menu(inst).items():
             if bound.applicable:
-                checks[name] = (bound.value, best_val <= bound.value + 1e-9)
+                checks[name] = (bound.value, best_val <= bound.value + norm_tol)
     return DiscrepancyReport(best_val, argmin, sig, norm_kind, checks)
 
 
@@ -171,18 +176,150 @@ def _even_to_x(ycoeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ypoly_from_eigs_batch(lam: np.ndarray) -> np.ndarray:
-    """prod_j (y - lam_j^2) for each row of eigenvalues; ascending coeffs."""
-    b, d = lam.shape
-    r = lam * lam
-    c = np.zeros((b, d + 1))
-    c[:, 0] = 1.0
-    for j in range(d):
-        lower = c[:, : j + 1].copy()
-        c[:, 1 : j + 2] = lower
-        c[:, 0] = 0.0
-        c[:, : j + 1] -= r[:, j : j + 1] * lower
+# Subsets per determinant call and per product block in the Cauchy-Binet engine.
+_SUBSET_CHUNK = 8192
+
+
+@functools.lru_cache(maxsize=16)
+def _colex_tables(m: int, d: int) -> tuple:
+    """The k-subsets of range(m) in colexicographic order, for k = 0..d
+    (read-only; cached, since sweeps repeat sizes).
+
+    Colex order lists the subsets of range(m') before all others for every
+    m' < m, so ``tables[k][:comb(m', k)]`` are the k-subsets of range(m').
+    """
+    tables = [np.zeros((1, 0), dtype=np.intp)]
+    for k in range(1, d + 1):
+        prev = tables[-1]
+        blocks = [
+            np.column_stack([prev[: math.comb(j, k - 1)], np.full(math.comb(j, k - 1), j)])
+            for j in range(k - 1, m)
+        ]
+        tables.append(np.concatenate(blocks) if blocks else np.zeros((0, k), dtype=np.intp))
+    for t in tables:
+        t.flags.writeable = False
+    return tuple(tables)
+
+
+@functools.lru_cache(maxsize=None)
+def _dim_tables(d: int) -> tuple:
+    """Per dimension: the colex row subsets R of range(d) for k = 0..d, their
+    bitmasks, and the 0/1 matrix folding x-coefficient pairs (i, l) of a
+    product onto y = x^2 (odd powers cancel and are dropped); read-only."""
+    rows = _colex_tables(d, d)
+    masks = tuple((1 << t).sum(axis=1) for t in rows)
+    power = np.add.outer(np.arange(d + 1), np.arange(d + 1)).reshape(-1)
+    fold = (power[:, None] == 2 * np.arange(d + 1)[None, :]).astype(float)
+    for a in masks + (fold,):
+        a.flags.writeable = False
+    return rows, masks, fold
+
+
+def _minors(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``det a[..., R, S]`` for R in ``rows``, S in ``cols``: shape (..., |rows|, |cols|).
+
+    1 x 1 minors are the entries; otherwise at most ``_SUBSET_CHUNK``
+    column subsets go to one determinant call.
+    """
+    if rows.shape[1] == 1:
+        return a[..., rows[:, 0], :][..., cols[:, 0]]
+    out = np.empty(a.shape[:-2] + (len(rows), len(cols)), dtype=a.dtype)
+    for start in range(0, len(cols), _SUBSET_CHUNK):
+        chunk = cols[start : start + _SUBSET_CHUNK]
+        out[..., start : start + len(chunk)] = np.linalg.det(a[..., rows[:, None, :, None], chunk[None, :, None, :]])
+    return out
+
+
+def _tail_terms(vectors: np.ndarray, variances, cap: int = ENUM_CAP) -> list:
+    """Per k = 1..min(d, m), the pair of the k x k minors of
+    ``U = [u_1 .. u_m]`` (the rows of ``vectors``, shape (m, d)) and the
+    products ``tau_S^2`` of the variances. Minors have rows R over the
+    k-subsets of range(d) and columns S over the k-subsets of range(m), both
+    in colex order. Index 0 holds nothing.
+
+    The columns are prefix-closed: the terms of the first m' variables are
+    the first ``comb(m', k)`` columns. ``cap`` bounds the minor count,
+    ``sum_k C(m, k) C(d, k)``.
+    """
+    tau2 = np.asarray(variances, dtype=float)
+    m, d = vectors.shape
+    top = min(d, m)
+    _check_cap(sum(math.comb(m, k) * math.comb(d, k) for k in range(1, top + 1)), cap)
+    rows = _dim_tables(d)[0]
+    cols = _colex_tables(m, top)
+    return [None] + [(_minors(vectors.T, rows[k], cols[k]), tau2[cols[k]].prod(axis=1)) for k in range(1, top + 1)]
+
+
+def _complement_polys(lam: np.ndarray) -> np.ndarray:
+    """``prod_{r not in R} (x - s lam_r)`` for every R in range(d), indexed by
+    bitmask, for s = +1 and s = -1: shape (2, B, 2^d, d+1), ascending."""
+    nb, d = lam.shape
+    c = np.zeros((2, nb, 1 << d, d + 1))
+    c[..., 0] = 1.0
+    roots = np.stack([lam, -lam])
+    for r in range(d):
+        # the masks without bit r, as a view
+        out = c.reshape(2, nb, 1 << (d - 1 - r), 2, 1 << r, d + 1)[:, :, :, 0]
+        scaled = roots[:, :, r, None, None, None] * out
+        out[..., 1:] = out[..., :-1].copy()
+        out[..., 0] = 0.0
+        out -= scaled
     return c
+
+
+def _expected_ypolys(fixed, vectors, variances, cap: int = ENUM_CAP, tail=None) -> np.ndarray:
+    """Expected ``det[x^2 I - M_b^2]`` in y = x^2, one row per fixed part.
+
+    ``M_b = F_b + sum_i c_i u_i u_i*`` with ``fixed[b] = F_b`` Hermitian and
+    independent mean-zero ``c_i`` of variance ``variances[i]``. Both factors
+    of ``det[xI - M] det[xI + M]`` are affine in every ``c_i``, so only the
+    variances enter, and with ``F_b = V diag(lam) V*`` and ``W = V* U``
+    Cauchy-Binet gives
+
+        p_b(x) = sum_{|S| <= d} (-1)^|S| tau_S^2 f_S(x) g_S(x),
+        f_S = sum_{|R| = |S|} |det W_{R,S}|^2 prod_{r not in R} (x - lam_r),
+
+    and ``g_S`` the same with ``x + lam_r``. Summing over S first leaves, per
+    size k, the matrix ``H_k[R, R'] = sum_S tau_S^2 |det W_{R,S}|^2
+    |det W_{R',S}|^2`` between complement polynomials. The minors of W are
+    those of U rotated by the k-th compound of V*, ``C_k(W) = C_k(V*) C_k(U)``,
+    so one eigendecomposition and one small product per branch replace the
+    determinants; ``tail`` (from :func:`_tail_terms` of a variable list that
+    starts with this one) may be passed to share them between calls, else
+    they are taken here under ``cap``. Returns ascending y-coefficients,
+    shape (B, d+1).
+    """
+    fixed = np.asarray(fixed, dtype=complex)
+    nb, d = fixed.shape[0], fixed.shape[1]
+    m = len(variances)
+    if tail is None:
+        tail = _tail_terms(np.asarray(vectors, dtype=complex).reshape(m, d), variances, cap)
+    top = min(d, m)
+
+    lam, vecs = np.linalg.eigh(fixed)
+    vh = np.swapaxes(vecs.conj(), 1, 2)
+    comp = _complement_polys(lam)
+    rows, masks, fold = _dim_tables(d)
+    gram = np.zeros((nb, d + 1, d + 1))
+    for k in range(top + 1):
+        if k == 0:
+            h = np.ones((nb, 1, 1))
+        else:
+            rot = _minors(vh, rows[k], rows[k])  # C_k(V*)
+            h = np.zeros((nb, len(rows[k]), len(rows[k])))
+            count = math.comb(m, k)
+            for start in range(0, count, _SUBSET_CHUNK):
+                stop = min(start + _SUBSET_CHUNK, count)
+                w = rot @ tail[k][0][:, start:stop]
+                z = w.real**2 + w.imag**2
+                h += (z * tail[k][1][start:stop]) @ np.swapaxes(z, 1, 2)
+        term = np.swapaxes(comp[0][:, masks[k]], 1, 2) @ h @ comp[1][:, masks[k]]
+        gram += term if k % 2 == 0 else -term
+    return gram.reshape(nb, -1) @ fold
+
+
+def _variances(inst: model.RankOneInstance) -> np.ndarray:
+    return np.array([rv.variance for rv in inst.rvs])
 
 
 def expected_charpoly(
@@ -193,11 +330,10 @@ def expected_charpoly(
     """Expected characteristic polynomial of a partial assignment.
 
     ``prefix`` pins the first ``k`` outcomes by support index. The result is
-    the probability-weighted sum, over the product of the remaining supports,
-    of ``det[x^2 I - M^2]`` where ``M = sum_i (E[xi_i] - eps_i) u_i u_i*``;
-    each term is expanded through the mirror identity
-    ``det[x^2 I - M^2] = det[xI - M] det[xI + M]``, i.e. from the spectrum of
-    M as ``prod_j (x^2 - lam_j^2)``. Degree is exactly ``2 * dim``.
+    the probability-weighted expectation, over the remaining outcomes, of
+    ``det[x^2 I - M^2] = det[xI - M] det[xI + M]`` where
+    ``M = sum_i (E[xi_i] - eps_i) u_i u_i*``, computed from the tail's
+    variances by :func:`_expected_ypolys`. Degree is exactly ``2 * dim``.
     """
     if not isinstance(inst, model.RankOneInstance):
         raise TypeError("expected_charpoly needs a rank-one instance")
@@ -208,44 +344,12 @@ def expected_charpoly(
     for j, i in enumerate(prefix):
         if not 0 <= int(i) < sizes[j]:
             raise InvariantViolation("prefix", f"support index {i} out of range at {j}")
-    d = inst.dim
 
-    prefix_idx = np.array([int(i) for i in prefix], dtype=np.int64)
-    pref_weight = float(np.prod(prob[np.arange(k), prefix_idx])) if k else 1.0
-    fixed = np.zeros((d, d), dtype=complex)
-    if k:
-        c_pref = means[:k] - supp[np.arange(k), prefix_idx]
-        fixed = np.tensordot(c_pref, terms[:k], axes=(0, 0))
-
-    rest_sizes = sizes[k:]
-    total = int(np.prod(rest_sizes.astype(object))) if k < inst.n else 1
-    _check_cap(total, cap)
-
-    acc = np.zeros(d + 1)
-    if k == inst.n:
-        lam = np.linalg.eigvalsh(fixed[None])
-        acc = pref_weight * _ypoly_from_eigs_batch(lam)[0]
-        return _even_to_x(acc)
-
-    rest_strides = _strides(rest_sizes)
-    rest_terms = terms[k:]
-    rest_means = means[k:]
-    rest_supp = supp[k:]
-    rest_prob = prob[k:]
-
-    def scan(start, stop):
-        digits = _digits(np.arange(start, stop, dtype=np.int64), rest_sizes, rest_strides)
-        vals = np.take_along_axis(rest_supp[None, :, :], digits[:, :, None], axis=2)[:, :, 0]
-        ws = np.take_along_axis(rest_prob[None, :, :], digits[:, :, None], axis=2)[:, :, 0]
-        coef = rest_means - vals
-        mats = fixed[None] + np.tensordot(coef, rest_terms, axes=(1, 0))
-        lam = np.linalg.eigvalsh(mats)
-        polys = _ypoly_from_eigs_batch(lam)
-        return (np.prod(ws, axis=1)[:, None] * polys).sum(axis=0)
-
-    for part in map_chunks(scan, total, 1):
-        acc += part
-    return _even_to_x(pref_weight * acc)
+    idx = np.array([int(i) for i in prefix], dtype=np.int64)
+    weight = float(np.prod(prob[np.arange(k), idx]))
+    fixed = np.tensordot(means[:k] - supp[np.arange(k), idx], terms[:k], axes=(0, 0))
+    ypoly = _expected_ypolys(fixed[None], inst.vectors[k:], _variances(inst)[k:], cap)[0]
+    return _even_to_x(weight * ypoly)
 
 
 OPERATOR_MAX_N = 14
@@ -371,42 +475,22 @@ def _lambda_max_y(ycoeffs: np.ndarray, tol: float) -> float:
     return math.sqrt(max(top, 0.0))
 
 
-def _branch_polys(terms, means, sizes, supp, prob, prefix_idx, k, cap) -> np.ndarray:
-    """y-space polynomials of every branch below a fixed prefix, shape (S_k, d+1)."""
-    n = len(sizes)
-    d = terms.shape[1]
-    fixed = np.zeros((d, d), dtype=complex)
-    pref_weight = 1.0
-    if prefix_idx:
-        pi = np.array(prefix_idx, dtype=np.int64)
-        c_pref = means[:k] - supp[np.arange(k), pi]
-        fixed = np.tensordot(c_pref, terms[:k], axes=(0, 0))
-        pref_weight = float(np.prod(prob[np.arange(k), pi]))
+def _branch_polys(terms, vectors, variances, means, sizes, supp, prob, prefix_idx, k, tail_terms) -> np.ndarray:
+    """y-space polynomials of every branch below a fixed prefix, shape (S_k, d+1).
 
-    tail_sizes = sizes[k:]
-    tail_strides = _strides(tail_sizes)
-    total = int(np.prod(tail_sizes.astype(object)))
-    _check_cap(total, cap)
-    block = int(tail_strides[0])
+    The tail goes to the engine last variable first, so it is a prefix of
+    the reversed instance and ``tail_terms`` (of that) serve every level.
+    """
+    pi = np.array(prefix_idx, dtype=np.int64)
+    fixed = np.tensordot(means[:k] - supp[np.arange(k), pi], terms[:k], axes=(0, 0))
+    weights = float(np.prod(prob[np.arange(k), pi])) * prob[k, : sizes[k]]
+    branches = fixed[None] + (means[k] - supp[k, : sizes[k]])[:, None, None] * terms[k][None]
+    tail = slice(None, k, -1)
+    polys = _expected_ypolys(branches, vectors[tail], variances[tail], tail=tail_terms)
+    return weights[:, None] * polys
 
-    out = np.zeros((int(sizes[k]), d + 1))
 
-    def scan(start, stop):
-        digits = _digits(np.arange(start, stop, dtype=np.int64), tail_sizes, tail_strides)
-        vals = np.take_along_axis(supp[k:][None, :, :], digits[:, :, None], axis=2)[:, :, 0]
-        ws = np.take_along_axis(prob[k:][None, :, :], digits[:, :, None], axis=2)[:, :, 0]
-        coef = means[k:] - vals
-        mats = fixed[None] + np.tensordot(coef, terms[k:], axes=(1, 0))
-        lam = np.linalg.eigvalsh(mats)
-        polys = np.prod(ws, axis=1)[:, None] * _ypoly_from_eigs_batch(lam)
-        part = np.zeros_like(out)
-        branch = np.arange(start, stop) // block
-        np.add.at(part, branch, polys)
-        return part
-
-    for part in map_chunks(scan, total, 1):
-        out += part
-    return pref_weight * out
+GREEDY_TIE_RTOL = 1e-12
 
 
 def greedy_interlacing_solve(
@@ -417,26 +501,35 @@ def greedy_interlacing_solve(
     """Descend the interlacing family, minimizing the largest branch root.
 
     At level k every outcome t in the k-th support gets its partial expected
-    polynomial evaluated; the greedy fixes a minimizer of the largest root
-    (ties go to the smallest support index). The final assignment's deviation
-    norm equals the leaf polynomial's largest root, and every level records
-    whether the chosen root stayed below the parent's (violations beyond
-    1e-9 are flagged in the trace, not silently dropped).
+    polynomial evaluated, all branches of a level in one
+    :func:`_expected_ypolys` call (``cap`` bounds the tail minors, which are
+    taken once), and the greedy fixes a minimizer of the largest root.
+    Roots within ``GREEDY_TIE_RTOL`` relative of the minimum count as tied
+    and the smallest support index among them wins, so exactly symmetric
+    levels (Rademacher ones) do not leave the choice to roundoff. The final
+    assignment's deviation norm equals the leaf polynomial's largest root,
+    and every level records whether the chosen root stayed below the
+    parent's (violations beyond 1e-9 are flagged in the trace, not silently
+    dropped).
     """
     if not isinstance(inst, model.RankOneInstance):
         raise TypeError("the greedy solver is rank-one only")
     terms, means, sizes, supp, prob = _family(inst)
+    vectors = np.array(inst.vectors)
+    variances = _variances(inst)
+    tail_terms = _tail_terms(vectors[:0:-1], variances[:0:-1], cap)
     prefix: list = []
     levels = []
     parent_lam = None
     p_empty_lam = None
     for k in range(inst.n):
-        polys = _branch_polys(terms, means, sizes, supp, prob, prefix, k, cap)
+        polys = _branch_polys(terms, vectors, variances, means, sizes, supp, prob, prefix, k, tail_terms)
         if k == 0:
             p_empty_lam = _lambda_max_y(polys.sum(axis=0), root_tol)
             parent_lam = p_empty_lam
         lams = np.array([_lambda_max_y(polys[t], root_tol) for t in range(int(sizes[k]))])
-        t = int(np.argmin(lams))
+        lo = lams.min()
+        t = int(np.flatnonzero(lams <= lo + GREEDY_TIE_RTOL * lo)[0])
         monotone = bool(lams[t] <= parent_lam + GREEDY_MONOTONE_TOL)
         levels.append(
             GreedyLevel(

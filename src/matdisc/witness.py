@@ -8,8 +8,9 @@ barrier lemmas on generated determinantal families.
 The transforms Q_k are evaluated from 2^(k-1) determinant pairs per point
 (the sign-pair identity, see :class:`QEvaluator`). Q_k is quadratic in every
 coordinate, so barriers come from the exact unit central difference
-``[Q_k(z+e_j) - Q_k(z-e_j)] / 2``, and the top polynomial is summed exactly
-from the spectra of the 2^(n-1) sign-pair matrices.
+``[Q_k(z+e_j) - Q_k(z-e_j)] / 2``, and the top polynomial comes
+coefficient-exact from the Cauchy-Binet subset sums of
+:func:`disc._expected_ypolys`.
 """
 
 from __future__ import annotations
@@ -69,13 +70,15 @@ class QEvaluator:
     for k >= 1: 2^k determinants per point.
     """
 
-    def __init__(self, vectors: Sequence, taus: Sequence[float], validate: bool = True):
+    def __init__(self, vectors: Sequence, taus: Sequence[float], validate: bool = True, dim: Optional[int] = None):
         self.vectors = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in vectors)
         self.taus = np.asarray(taus, dtype=float)
         if len(self.vectors) != len(self.taus):
             raise DimensionMismatch("one tau per vector required")
         self.n = len(self.vectors)
-        self.dim = len(self.vectors[0]) if self.n else 1
+        if dim is None:
+            dim = len(self.vectors[0]) if self.n else 1
+        self.dim = int(dim)
         if any(v.shape != (self.dim,) for v in self.vectors):
             raise DimensionMismatch("vectors of mixed dimension")
         if self.n:
@@ -106,7 +109,7 @@ class QEvaluator:
             for v, rv in zip(inst.vectors, inst.rvs)
             if rv.variance > 0.0 and float(np.vdot(v, v).real) > 0.0
         ]
-        return cls([p[0] for p in pairs], [p[1] for p in pairs], validate=validate)
+        return cls([p[0] for p in pairs], [p[1] for p in pairs], validate=validate, dim=inst.dim)
 
     # -- evaluation --------------------------------------------------------
 
@@ -155,17 +158,14 @@ class QEvaluator:
     def p_empty(self) -> np.ndarray:
         """Fully transformed polynomial Q_n(x, 0), coefficient-exact.
 
-        At z = 0 the sign pair of s is ``det[xI + W(s)] det[xI - W(s)]
-        = prod_j (x^2 - mu_j(s)^2)`` with mu(s) the spectrum of W(s), so
-        ``p = 2^(1-n) sum_{s_1 = +1} prod_j (x^2 - mu_j(s)^2)``, summed from
-        batched eigensolves. Ascending x-space coefficients, degree 2 dim.
+        At z = 0 the sign pairs average ``det[xI + W(s)] det[xI - W(s)]``
+        over s, the expected polynomial of independent signs of variance
+        tau_i^2 with no fixed part, which :func:`disc._expected_ypolys` sums
+        over Cauchy-Binet subsets. Ascending x-space coefficients, degree
+        2 dim (``x^(2 dim)`` when no coordinate is left).
         """
-        if self.n == 0:
-            return np.append(np.zeros(2 * self.dim), 1.0)  # det(xI)^2
-        acc = np.zeros(self.dim + 1)
-        for shifts in self._pair_shifts(self.n, _EVAL_BATCH):
-            acc += disc._ypoly_from_eigs_batch(np.linalg.eigvalsh(shifts)).sum(axis=0)
-        return disc._even_to_x(acc * 2.0 ** (1 - self.n))
+        zero = np.zeros((1, self.dim, self.dim), dtype=complex)
+        return disc._even_to_x(disc._expected_ypolys(zero, self.vectors, self.taus**2)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,21 @@ def random_rank_one_instance(rng, d, n, supports=(2, 3)):
     return model.RankOneInstance(d, vectors, tuple(rvs))
 
 
+def count_matrices(monkeypatch, name):
+    """Count the calls to ``numpy.linalg.<name>`` and the matrices they are
+    handed (a stack of shape (..., k, k) counts its leading size)."""
+    counter = {"calls": 0, "matrices": 0}
+    kernel = getattr(np.linalg, name)
+
+    def counting(a, *args, **kwargs):
+        counter["calls"] += 1
+        counter["matrices"] += math.prod(np.shape(a)[:-2])
+        return kernel(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return counter
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -41,7 +41,7 @@ def test_criterion_01_three_sigma_sweep(thm13_report):
 
 
 def test_criterion_02_oracle_equivalence():
-    # enumeration route vs operator route, coefficientwise 1e-8 relative
+    # subset-sum route vs operator route, coefficientwise 1e-8 relative
     report = cli.verify_oracles(seed=SEED, count=100)
     _criterion(2, "expected-polynomial route agreement (100 instances)", report)
 

@@ -1,13 +1,38 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from matdisc import disc, linalg, model, rpoly
-from matdisc.errors import EnumerationTooLarge, PreconditionViolated
+from matdisc.errors import EnumerationTooLarge, NotRealRooted, PreconditionViolated
 
-from conftest import random_rank_one_instance
+from conftest import count_matrices, random_rank_one_instance
 from test_model import mercedes_benz
+
+
+def enum_charpoly(inst, prefix=()):
+    """Reference expected polynomial: enumerate every support assignment of
+    the tail and sum ``prob * prod_j (x^2 - lam_j^2)`` over the spectra of
+    ``M = sum_i (E[xi_i] - eps_i) u_i u_i*``."""
+    terms, means, sizes, supp, prob = disc._family(inst)
+    k = len(prefix)
+    head = np.arange(k)
+    idx = np.array(prefix, dtype=np.int64)
+    weight = float(np.prod(prob[head, idx]))
+    fixed = np.tensordot(means[:k] - supp[head, idx], terms[:k], axes=(0, 0))
+    tails = np.array(list(itertools.product(*[range(s) for s in sizes[k:]])), dtype=np.int64)
+    tails = tails.reshape(len(tails), inst.n - k)
+    rest = np.arange(k, inst.n)
+    coef = means[k:] - supp[rest, tails]
+    ws = np.prod(prob[rest, tails], axis=1)
+    lam = np.linalg.eigvalsh(fixed[None] + np.tensordot(coef, terms[k:], axes=(1, 0)))
+    return disc._even_to_x(weight * (ws @ disc._monic_from_roots_batch(lam * lam)))
+
+
+def assert_close_to_enum(got, inst, prefix, rel=1e-12):
+    want = enum_charpoly(inst, prefix)
+    assert np.abs(np.asarray(got) - want).max() <= rel * max(np.abs(want).max(), 1e-300), prefix
 
 
 def rademacher_instance(vectors):
@@ -76,6 +101,8 @@ def test_expected_charpoly_constant_rvs():
     )
     got = disc.expected_charpoly(inst)
     assert np.allclose(got, [0, 0, 0, 0, 0, 0, 1.0], atol=1e-14)
+    _, trace = disc.greedy_interlacing_solve(inst)
+    assert trace.final_value == 0.0
 
 
 def test_expected_charpoly_prefix_sum_identity(rng):
@@ -124,7 +151,7 @@ def test_operator_route_matches_enumeration(rng):
         d = int(rng.integers(1, 5))
         n = int(rng.integers(1, 7))
         inst = random_rank_one_instance(rng, d, n)
-        pa = disc.expected_charpoly(inst)
+        pa = enum_charpoly(inst)
         pb = disc.expected_charpoly_operator(inst)
         scale = max(np.abs(pa).max(), np.abs(pb).max())
         assert np.abs(pa - pb).max() < 1e-8 * scale
@@ -259,3 +286,138 @@ def test_schatten_norm_kind(rng):
     assert rep.norm_kind == ("schatten", 4.0)
     spectral = disc.disc_bruteforce(inst).value
     assert rep.value >= spectral - 1e-12
+
+
+# -- Cauchy-Binet engine against the enumeration oracle ----------------------
+
+
+def random_prefix(rng, inst, k):
+    return tuple(int(rng.integers(len(rv.support))) for rv in inst.rvs[:k])
+
+
+def test_engine_matches_enumeration_every_prefix(rng):
+    for d in range(1, 6):
+        for n in range(1, 9):
+            # two-atom laws up to n = 8, mixed two- and three-atom up to n = 6
+            supports = (2,) if n > 6 else (2, 3)
+            inst = random_rank_one_instance(rng, d, n, supports=supports)
+            for k in range(n + 1):
+                prefix = random_prefix(rng, inst, k)
+                assert_close_to_enum(disc.expected_charpoly(inst, prefix), inst, prefix)
+
+
+def test_greedy_branches_match_enumeration(rng):
+    for d in range(1, 6):
+        inst = random_rank_one_instance(rng, d, 6)
+        _, trace = disc.greedy_interlacing_solve(inst)
+        chosen = ()
+        for lv in trace.levels:
+            for t, coeffs in enumerate(lv.branch_coeffs):
+                assert_close_to_enum(coeffs, inst, chosen + (t,))
+            chosen += (lv.chosen_index,)
+
+
+def test_engine_degenerate_variables(rng):
+    # zero-variance (constant and one-sided) laws and zero vectors, in the
+    # prefix and in the tail
+    base = random_rank_one_instance(rng, 3, 5)
+    zero = np.zeros(3, dtype=complex)
+    pairs = (
+        (base.vectors[0], base.rvs[0]),
+        (base.vectors[1], model.DiscreteRandomVariable.constant(0.7)),
+        (zero, base.rvs[1]),
+        (base.vectors[2], model.DiscreteRandomVariable.constant(-1.0)),
+        (base.vectors[3], base.rvs[2]),
+        (zero, base.rvs[3]),
+        (base.vectors[4], model.DiscreteRandomVariable.rademacher()),
+    )
+    vectors, rvs = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    inst = model.RankOneInstance(3, vectors, rvs)
+    for k in range(inst.n + 1):
+        prefix = tuple(0 for _ in range(k))
+        assert_close_to_enum(disc.expected_charpoly(inst, prefix), inst, prefix)
+    _, trace = disc.greedy_interlacing_solve(inst)
+    assert all(lv.monotone_ok for lv in trace.levels)
+    assert abs(trace.final_value - trace.leaf_lambda_max) < 1e-9
+
+
+def test_engine_zero_probability_branch(rng):
+    base = random_rank_one_instance(rng, 2, 3)
+    rvs = (base.rvs[0], model.DiscreteRandomVariable((-1.0, 0.5, 1.0), (0.5, 0.0, 0.5)), base.rvs[2])
+    inst = model.RankOneInstance(2, base.vectors, rvs)
+    got = disc.expected_charpoly(inst, (0, 1))
+    assert not got.any()
+    assert_close_to_enum(disc.expected_charpoly(inst, (0, 2)), inst, (0, 2))
+    with pytest.raises(NotRealRooted):
+        disc.greedy_interlacing_solve(inst)
+
+
+def test_engine_small_subset_chunks(rng, monkeypatch):
+    # chunk boundaries inside every subset table: a subset dropped or taken
+    # twice at a boundary shows here
+    monkeypatch.setattr(disc, "_SUBSET_CHUNK", 3)
+    for d in (2, 3, 4):
+        inst = random_rank_one_instance(rng, d, 7, supports=(2,))
+        for k in range(inst.n + 1):
+            prefix = random_prefix(rng, inst, k)
+            assert_close_to_enum(disc.expected_charpoly(inst, prefix), inst, prefix)
+        _, trace = disc.greedy_interlacing_solve(inst)
+        for t, coeffs in enumerate(trace.levels[0].branch_coeffs):
+            assert_close_to_enum(coeffs, inst, (t,))
+
+
+# -- work-count guards and scale ---------------------------------------------
+
+
+def seeded_rademacher(seed, d, n):
+    rng = np.random.default_rng(seed)
+    return rademacher_instance([(rng.normal(size=d) + 1j * rng.normal(size=d)) / math.sqrt(2.0) for _ in range(n)])
+
+
+def test_greedy_work_counts(monkeypatch):
+    d, n = 4, 14
+    inst = seeded_rademacher(14, d, n)
+    eigvalsh = count_matrices(monkeypatch, "eigvalsh")
+    eigh = count_matrices(monkeypatch, "eigh")
+    det = count_matrices(monkeypatch, "det")
+    disc.greedy_interlacing_solve(inst)
+    # no spectrum enumeration: eigvalsh sees only the final deviation, whose
+    # norm is the reported value
+    assert eigvalsh["matrices"] == 1
+    # one eigh call per level, for both branches
+    assert eigh["calls"] == n and eigh["matrices"] == 2 * n
+    # the k x k minors (k >= 2; 1 x 1 minors are entries) of the n - 1 tail
+    # vectors, taken once, plus per level and branch the k-th compound of
+    # the branch eigenbasis
+    tail = sum(math.comb(n - 1, k) * math.comb(d, k) for k in range(2, d + 1))
+    rotations = sum(2 * math.comb(d, k) ** 2 for level in range(n) for k in range(2, min(d, n - 1 - level) + 1))
+    assert det["matrices"] == tail + rotations
+
+
+def test_greedy_large_n_smoke():
+    inst = seeded_rademacher(32, 4, 32)
+    _, trace = disc.greedy_interlacing_solve(inst)
+    assert all(lv.monotone_ok for lv in trace.levels)
+    assert trace.final_value <= 3.0 * model.sigma(inst) + 1e-9
+
+
+def test_greedy_cap_counts_minors():
+    d, n = 4, 10
+    inst = seeded_rademacher(10, d, n)
+    minors = sum(math.comb(n - 1, k) * math.comb(d, k) for k in range(1, d + 1))
+    with pytest.raises(EnumerationTooLarge):
+        disc.greedy_interlacing_solve(inst, cap=minors - 1)
+    disc.greedy_interlacing_solve(inst, cap=minors)
+    with pytest.raises(EnumerationTooLarge):
+        disc.expected_charpoly(inst, cap=sum(math.comb(n, k) * math.comb(d, k) for k in range(1, d + 1)) - 1)
+
+
+def test_greedy_tie_goes_to_smallest_index():
+    # a Rademacher first level is exactly symmetric (M -> -M): both branch
+    # roots agree up to roundoff and index 0 wins
+    for seed in range(6):
+        _, trace = disc.greedy_interlacing_solve(seeded_rademacher(seed, 4, 8))
+        first = trace.levels[0]
+        lo = min(first.branch_lambda_max)
+        assert max(first.branch_lambda_max) <= lo * (1.0 + disc.GREEDY_TIE_RTOL)
+        assert first.chosen_index == 0

@@ -15,7 +15,7 @@ from matdisc.errors import (
     WalkStepFailed,
 )
 
-from conftest import random_rank_one_instance
+from conftest import count_matrices, random_rank_one_instance
 
 
 def unit_evaluator():
@@ -103,6 +103,21 @@ def test_p_empty_matches_operator_route(rng):
     pb = disc.expected_charpoly_operator(inst)
     scale = max(np.abs(pa).max(), np.abs(pb).max())
     assert np.abs(pa - pb).max() < 1e-8 * scale
+
+
+def test_p_empty_with_every_coordinate_dropped():
+    # a constant law and a zero vector leave no coordinate: the top
+    # polynomial is det(xI)^2 in the instance's dimension
+    inst = model.RankOneInstance(
+        3,
+        (np.array([1.0, 0.0, 0.5]), np.zeros(3)),
+        (model.DiscreteRandomVariable.constant(0.2), model.DiscreteRandomVariable.rademacher()),
+    )
+    qe = witness.QEvaluator.from_instance(inst)
+    assert qe.n == 0 and qe.dim == 3
+    assert np.array_equal(qe.p_empty(), [0.0] * 6 + [1.0])
+    trace = witness.replay_barrier_walk(inst)
+    assert trace.passed and trace.p_empty_lambda_max == 0.0
 
 
 def test_q_eval_operator_order_commutes(rng):
@@ -272,18 +287,6 @@ def test_walk_monotonicity_seeds(seed):
     assert cli.verify_thm41(seed=seed, count=1)["pass"]
 
 
-def count_det_matrices(monkeypatch):
-    counter = [0]
-    det = np.linalg.det
-
-    def counting(a):
-        counter[0] += math.prod(np.shape(a)[:-2])
-        return det(a)
-
-    monkeypatch.setattr(np.linalg, "det", counting)
-    return counter
-
-
 def test_walk_determinant_count(monkeypatch):
     # a return to the 3^k grid (or any extra evaluation) changes this count
     rng = np.random.default_rng(8)
@@ -291,23 +294,26 @@ def test_walk_determinant_count(monkeypatch):
     vectors = tuple((rng.normal(size=d) + 1j * rng.normal(size=d)) / math.sqrt(2.0) for _ in range(n))
     rvs = tuple(model.DiscreteRandomVariable.rademacher() for _ in range(n))
     inst = model.normalize(model.RankOneInstance(d, vectors, rvs))
-    counter = count_det_matrices(monkeypatch)
+    counter = count_matrices(monkeypatch, "det")
     assert witness.replay_barrier_walk(inst).passed
     # step k certifies Q_k at 3 nodes per coordinate ray plus the x and
     # all-ones rays, then takes barriers at 1 + 2m points for the m
     # remaining directions; each point costs 2^k determinants
     probes = 3 * n + 2 * witness.PROBE_POINTS
     expected = sum((probes + (1 + 2 * (n - k) if k < n else 0)) * 2**k for k in range(1, n + 1))
-    assert counter[0] == expected
+    # the top polynomial takes the k x k minors (k >= 2) of the n vectors
+    # and the k-th compound of the eigenbasis of its zero fixed part
+    expected += sum(math.comb(n, k) * math.comb(d, k) + math.comb(d, k) ** 2 for k in range(2, d + 1))
+    assert counter["matrices"] == expected
 
 
 def test_walk_sign_pair_cap(rng, monkeypatch):
     inst = normalized_instance(rng, 2, 3)
     monkeypatch.setattr(disc, "ENUM_CAP", 2)
-    counter = count_det_matrices(monkeypatch)
+    counter = count_matrices(monkeypatch, "det")
     with pytest.raises(EnumerationTooLarge):
         witness.replay_barrier_walk(inst)
-    assert counter[0] == 0
+    assert counter["matrices"] == 0
 
 
 def test_walk_trace_serializes(rng):
