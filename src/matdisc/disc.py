@@ -176,8 +176,13 @@ def _even_to_x(ycoeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-# Subsets per determinant call and per product block in the Cauchy-Binet engine.
+# Minors per determinant call, and columns per product block, in the
+# Cauchy-Binet route.
 _SUBSET_CHUNK = 8192
+# Entries of W = V* U per product block of the Cauchy-Binet route.
+_PRODUCT_BLOCK = 1 << 17
+# Matrices per eigensolve call in the sign route.
+_SIGN_BATCH = 1 << 14
 
 
 @functools.lru_cache(maxsize=16)
@@ -218,19 +223,25 @@ def _dim_tables(d: int) -> tuple:
 def _minors(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``det a[..., R, S]`` for R in ``rows``, S in ``cols``: shape (..., |rows|, |cols|).
 
-    1 x 1 minors are the entries; otherwise at most ``_SUBSET_CHUNK``
-    column subsets go to one determinant call.
+    1 x 1 minors are the entries; otherwise one determinant call gets at
+    most ``_SUBSET_CHUNK`` minors, counted over the leading axes too (or
+    one per leading index when those alone exceed it).
     """
     if rows.shape[1] == 1:
         return a[..., rows[:, 0], :][..., cols[:, 0]]
     out = np.empty(a.shape[:-2] + (len(rows), len(cols)), dtype=a.dtype)
-    for start in range(0, len(cols), _SUBSET_CHUNK):
-        chunk = cols[start : start + _SUBSET_CHUNK]
-        out[..., start : start + len(chunk)] = np.linalg.det(a[..., rows[:, None, :, None], chunk[None, :, None, :]])
+    per = max(1, _SUBSET_CHUNK // math.prod(a.shape[:-2]))
+    rstep = min(len(rows), per)
+    cstep = max(1, per // rstep)
+    for r0 in range(0, len(rows), rstep):
+        r = rows[r0 : r0 + rstep, None, :, None]
+        for c0 in range(0, len(cols), cstep):
+            c = cols[c0 : c0 + cstep]
+            out[..., r0 : r0 + len(r), c0 : c0 + len(c)] = np.linalg.det(a[..., r, c[None, :, None, :]])
     return out
 
 
-def _tail_terms(vectors: np.ndarray, variances, cap: int = ENUM_CAP) -> list:
+def _tail_terms(vectors: np.ndarray, variances) -> list:
     """Per k = 1..min(d, m), the pair of the k x k minors of
     ``U = [u_1 .. u_m]`` (the rows of ``vectors``, shape (m, d)) and the
     products ``tau_S^2`` of the variances. Minors have rows R over the
@@ -238,13 +249,11 @@ def _tail_terms(vectors: np.ndarray, variances, cap: int = ENUM_CAP) -> list:
     in colex order. Index 0 holds nothing.
 
     The columns are prefix-closed: the terms of the first m' variables are
-    the first ``comb(m', k)`` columns. ``cap`` bounds the minor count,
-    ``sum_k C(m, k) C(d, k)``.
+    the first ``comb(m', k)`` columns.
     """
     tau2 = np.asarray(variances, dtype=float)
     m, d = vectors.shape
     top = min(d, m)
-    _check_cap(sum(math.comb(m, k) * math.comb(d, k) for k in range(1, top + 1)), cap)
     rows = _dim_tables(d)[0]
     cols = _colex_tables(m, top)
     return [None] + [(_minors(vectors.T, rows[k], cols[k]), tau2[cols[k]].prod(axis=1)) for k in range(1, top + 1)]
@@ -267,14 +276,10 @@ def _complement_polys(lam: np.ndarray) -> np.ndarray:
     return c
 
 
-def _expected_ypolys(fixed, vectors, variances, cap: int = ENUM_CAP, tail=None) -> np.ndarray:
-    """Expected ``det[x^2 I - M_b^2]`` in y = x^2, one row per fixed part.
+def _subset_ypolys(fixed: np.ndarray, vectors, variances, tail=None) -> np.ndarray:
+    """The Cauchy-Binet route of :func:`_expected_ypolys`.
 
-    ``M_b = F_b + sum_i c_i u_i u_i*`` with ``fixed[b] = F_b`` Hermitian and
-    independent mean-zero ``c_i`` of variance ``variances[i]``. Both factors
-    of ``det[xI - M] det[xI + M]`` are affine in every ``c_i``, so only the
-    variances enter, and with ``F_b = V diag(lam) V*`` and ``W = V* U``
-    Cauchy-Binet gives
+    With ``F_b = V diag(lam) V*`` and ``W = V* U`` Cauchy-Binet gives
 
         p_b(x) = sum_{|S| <= d} (-1)^|S| tau_S^2 f_S(x) g_S(x),
         f_S = sum_{|R| = |S|} |det W_{R,S}|^2 prod_{r not in R} (x - lam_r),
@@ -285,15 +290,12 @@ def _expected_ypolys(fixed, vectors, variances, cap: int = ENUM_CAP, tail=None) 
     those of U rotated by the k-th compound of V*, ``C_k(W) = C_k(V*) C_k(U)``,
     so one eigendecomposition and one small product per branch replace the
     determinants; ``tail`` (from :func:`_tail_terms` of a variable list that
-    starts with this one) may be passed to share them between calls, else
-    they are taken here under ``cap``. Returns ascending y-coefficients,
-    shape (B, d+1).
+    starts with this one) may be passed to share them between calls.
     """
-    fixed = np.asarray(fixed, dtype=complex)
     nb, d = fixed.shape[0], fixed.shape[1]
     m = len(variances)
     if tail is None:
-        tail = _tail_terms(np.asarray(vectors, dtype=complex).reshape(m, d), variances, cap)
+        tail = _tail_terms(np.asarray(vectors, dtype=complex).reshape(m, d), variances)
     top = min(d, m)
 
     lam, vecs = np.linalg.eigh(fixed)
@@ -308,14 +310,127 @@ def _expected_ypolys(fixed, vectors, variances, cap: int = ENUM_CAP, tail=None) 
             rot = _minors(vh, rows[k], rows[k])  # C_k(V*)
             h = np.zeros((nb, len(rows[k]), len(rows[k])))
             count = math.comb(m, k)
-            for start in range(0, count, _SUBSET_CHUNK):
-                stop = min(start + _SUBSET_CHUNK, count)
+            step = max(1, min(_SUBSET_CHUNK, _PRODUCT_BLOCK // (nb * len(rows[k]))))
+            for start in range(0, count, step):
+                stop = min(start + step, count)
                 w = rot @ tail[k][0][:, start:stop]
                 z = w.real**2 + w.imag**2
                 h += (z * tail[k][1][start:stop]) @ np.swapaxes(z, 1, 2)
         term = np.swapaxes(comp[0][:, masks[k]], 1, 2) @ h @ comp[1][:, masks[k]]
         gram += term if k % 2 == 0 else -term
     return gram.reshape(nb, -1) @ fold
+
+
+def _signed_sums(parts: np.ndarray) -> np.ndarray:
+    """All 2^m sums ``sum_i s_i A_i`` over ``s in {-1, 1}^m``, shape (2^m, d, d)."""
+    out = np.zeros((1,) + parts.shape[1:], dtype=parts.dtype)
+    for a in parts:
+        out = np.concatenate([out + a, out - a])
+    return out
+
+
+def _sign_ypolys(fixed: np.ndarray, vectors, variances) -> np.ndarray:
+    """The sign route of :func:`_expected_ypolys`.
+
+    Only the variances enter, so every ``c_i`` may be taken as a fair sign
+    times ``tau_i``: the 2^m sign patterns are summed from spectra as
+    ``prod_j (y - mu_j^2)``. When every fixed part is zero, M -> -M leaves
+    the determinant unchanged and the first sign is pinned to +1. At most
+    ``_SIGN_BATCH`` matrices go to one eigensolve call.
+    """
+    nb, d = fixed.shape[0], fixed.shape[1]
+    m = len(variances)
+    u = np.asarray(vectors, dtype=complex).reshape(m, d)
+    tw = np.sqrt(np.asarray(variances, dtype=float))[:, None, None] * (u[:, :, None] * u[:, None, :].conj())
+    head = 1 if m and not fixed.any() else 0
+    free = m - head
+    low = min(free, max(1, _SIGN_BATCH // nb).bit_length() - 1)
+    block = tw[:head].sum(axis=0) + _signed_sums(tw[head : head + low])
+    acc = np.zeros((nb, d + 1))
+    for high in _signed_sums(tw[head + low :]):
+        mu = np.linalg.eigvalsh(fixed[:, None] + (block + high)[None])
+        acc += _monic_from_roots_batch((mu * mu).reshape(-1, d)).reshape(nb, -1, d + 1).sum(axis=1)
+    return acc / 2.0**free
+
+
+# Seconds per unit of work of the two routes, fitted (within about 2x) to
+# timings of single calls at d <= 12 on a 2-core x86 host. The planner only
+# compares the routes' totals, so a route is misjudged only near the
+# crossover, where both cost about the same.
+_SECONDS_SUBSET_CALL = (5e-5, 8e-5)  # per call, per subset size k
+_SECONDS_MINOR = 5e-8  # per k x k minor with k >= 2, times k^2
+_SECONDS_PRODUCT = (1e-8, 1e-10)  # per entry of W, per term of its products
+_SECONDS_COMPLEMENT = 6e-8  # per (mask, root) of the complement polynomials
+_SECONDS_SIGN_CALL = (8e-5, 2.3e-6)  # per call, per dimension
+_SECONDS_SIGN_MATRIX = (1.3e-7, 2.3e-9)  # per eigensolve, times d^2 and d^3
+
+
+def _route_seconds(d: int, m: int, nb: int) -> tuple:
+    """Estimated seconds of one engine call with tail size m and nb fixed
+    parts: (subset route without the tail minors, sign route)."""
+    ks = range(1, min(d, m) + 1)
+    entries = sum(math.comb(d, k) * math.comb(m, k) for k in ks)
+    products = sum(math.comb(d, k) ** 2 * math.comb(m, k) for k in ks)
+    compound = sum(math.comb(d, k) ** 2 * k * k for k in ks if k > 1)
+    subsets = (
+        _SECONDS_SUBSET_CALL[0]
+        + _SECONDS_SUBSET_CALL[1] * len(ks)
+        + nb * (_SECONDS_MINOR * compound + _SECONDS_PRODUCT[0] * entries + _SECONDS_PRODUCT[1] * products)
+        + nb * _SECONDS_COMPLEMENT * (d << d)
+    )
+    signs = (
+        _SECONDS_SIGN_CALL[0]
+        + _SECONDS_SIGN_CALL[1] * d
+        + nb * 2.0**m * (_SECONDS_SIGN_MATRIX[0] * d * d + _SECONDS_SIGN_MATRIX[1] * d**3)
+    )
+    return subsets, signs
+
+
+def _plan_route(d: int, calls: Sequence[Tuple[int, int]], cap: int, symmetric: bool = False) -> str:
+    """Route of a run of engine calls over one tail and its prefixes.
+
+    ``calls`` lists per call the tail size m and the number of fixed parts,
+    the first call with the largest tail. Each route has a count that must
+    fit ``cap``: "subsets" the minors it takes, ``sum_k C(m, k) C(d, k)`` of
+    the tail plus ``C(d, k)^2`` per fixed part; "signs" the 2^m sign
+    patterns per fixed part (2^(m-1) when ``symmetric``, every fixed part
+    zero). Of the routes that fit, the one with the smaller estimated time
+    over all calls is returned; :class:`EnumerationTooLarge` is raised when
+    neither fits.
+    """
+    m, nb = calls[0]
+    ks = range(1, min(d, m) + 1)
+    counts = {
+        "subsets": sum(math.comb(m, k) * math.comb(d, k) + nb * math.comb(d, k) ** 2 for k in ks),
+        "signs": 2 ** (m - 1 if symmetric and m else m),
+    }
+    fits = [route for route in counts if counts[route] <= cap]
+    if not fits:
+        raise EnumerationTooLarge(min(counts.values()), cap)
+    tail = _SECONDS_MINOR * sum(math.comb(m, k) * math.comb(d, k) * k * k for k in ks if k > 1)
+    seconds = dict(zip(("subsets", "signs"), np.sum([_route_seconds(d, mm, b) for mm, b in calls], axis=0)))
+    seconds["subsets"] += tail
+    return min(fits, key=seconds.get)
+
+
+def _expected_ypolys(fixed, vectors, variances, cap: int = ENUM_CAP) -> np.ndarray:
+    """Expected ``det[x^2 I - M_b^2]`` in y = x^2, one row per fixed part.
+
+    ``M_b = F_b + sum_i c_i u_i u_i*`` with ``fixed[b] = F_b`` Hermitian and
+    independent mean-zero ``c_i`` of variance ``variances[i]``. Both factors
+    of ``det[xI - M] det[xI + M]`` are affine in every ``c_i``, so only the
+    variances enter. Two exact routes compute it, Cauchy-Binet subset sums
+    (:func:`_subset_ypolys`, polynomial in m for fixed d) and sign patterns
+    (:func:`_sign_ypolys`, exponential in m, cheap for small m or large d);
+    :func:`_plan_route` picks one under ``cap``. Returns ascending
+    y-coefficients, shape (B, d+1).
+    """
+    fixed = np.asarray(fixed, dtype=complex)
+    symmetric = not fixed.any()
+    route = _plan_route(fixed.shape[1], [(len(variances), fixed.shape[0])], cap, symmetric)
+    if route == "subsets":
+        return _subset_ypolys(fixed, vectors, variances)
+    return _sign_ypolys(fixed, vectors, variances)
 
 
 def _variances(inst: model.RankOneInstance) -> np.ndarray:
@@ -478,6 +593,7 @@ def _lambda_max_y(ycoeffs: np.ndarray, tol: float) -> float:
 def _branch_polys(terms, vectors, variances, means, sizes, supp, prob, prefix_idx, k, tail_terms) -> np.ndarray:
     """y-space polynomials of every branch below a fixed prefix, shape (S_k, d+1).
 
+    With ``tail_terms`` the subset route runs on them, else the sign route.
     The tail goes to the engine last variable first, so it is a prefix of
     the reversed instance and ``tail_terms`` (of that) serve every level.
     """
@@ -486,7 +602,10 @@ def _branch_polys(terms, vectors, variances, means, sizes, supp, prob, prefix_id
     weights = float(np.prod(prob[np.arange(k), pi])) * prob[k, : sizes[k]]
     branches = fixed[None] + (means[k] - supp[k, : sizes[k]])[:, None, None] * terms[k][None]
     tail = slice(None, k, -1)
-    polys = _expected_ypolys(branches, vectors[tail], variances[tail], tail=tail_terms)
+    if tail_terms is None:
+        polys = _sign_ypolys(branches, vectors[tail], variances[tail])
+    else:
+        polys = _subset_ypolys(branches, vectors[tail], variances[tail], tail=tail_terms)
     return weights[:, None] * polys
 
 
@@ -502,8 +621,9 @@ def greedy_interlacing_solve(
 
     At level k every outcome t in the k-th support gets its partial expected
     polynomial evaluated, all branches of a level in one
-    :func:`_expected_ypolys` call (``cap`` bounds the tail minors, which are
-    taken once), and the greedy fixes a minimizer of the largest root.
+    :func:`_expected_ypolys` call, and the greedy fixes a minimizer of the
+    largest root. One route serves every level, planned for the whole descent
+    under ``cap`` (the subset route takes the tail minors once).
     Roots within ``GREEDY_TIE_RTOL`` relative of the minimum count as tied
     and the smallest support index among them wins, so exactly symmetric
     levels (Rademacher ones) do not leave the choice to roundoff. The final
@@ -517,7 +637,10 @@ def greedy_interlacing_solve(
     terms, means, sizes, supp, prob = _family(inst)
     vectors = np.array(inst.vectors)
     variances = _variances(inst)
-    tail_terms = _tail_terms(vectors[:0:-1], variances[:0:-1], cap)
+    calls = [(inst.n - 1 - k, int(sizes[k])) for k in range(inst.n)]
+    tail_terms = None
+    if _plan_route(inst.dim, calls, cap) == "subsets":
+        tail_terms = _tail_terms(vectors[:0:-1], variances[:0:-1])
     prefix: list = []
     levels = []
     parent_lam = None

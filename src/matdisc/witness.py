@@ -44,14 +44,6 @@ PROBE_STEP = 0.25
 _EVAL_BATCH = 1 << 18
 
 
-def _signed_sums(parts: np.ndarray) -> np.ndarray:
-    """All 2^m sums ``sum_i s_i A_i`` over ``s in {-1, 1}^m``, shape (2^m, d, d)."""
-    out = np.zeros((1,) + parts.shape[1:], dtype=parts.dtype)
-    for a in parts:
-        out = np.concatenate([out + a, out - a])
-    return out
-
-
 class QEvaluator:
     """Evaluator for Q(x, z) = det[xI + W(z)]^2, W(z) = sum_i z_i tau_i v_i v_i*,
     and its partial transforms Q_k = prod_{i<=k} (1 - (1/2) d^2/dz_i^2) Q.
@@ -117,8 +109,8 @@ class QEvaluator:
         """W(s) for the 2^(k-1) sign vectors s in {-1,1}^k with s_1 = +1
         (k >= 1), yielded in blocks of at most ``chunk`` matrices."""
         low = min(k - 1, chunk.bit_length() - 1)
-        block = self._tw[0] + _signed_sums(self._tw[1 : 1 + low])
-        for high in _signed_sums(self._tw[1 + low : k]):
+        block = self._tw[0] + disc._signed_sums(self._tw[1 : 1 + low])
+        for high in disc._signed_sums(self._tw[1 + low : k]):
             yield block + high
 
     def eval_many(self, k: int, xs, zs) -> np.ndarray:
@@ -161,11 +153,12 @@ class QEvaluator:
         At z = 0 the sign pairs average ``det[xI + W(s)] det[xI - W(s)]``
         over s, the expected polynomial of independent signs of variance
         tau_i^2 with no fixed part, which :func:`disc._expected_ypolys` sums
-        over Cauchy-Binet subsets. Ascending x-space coefficients, degree
-        2 dim (``x^(2 dim)`` when no coordinate is left).
+        under ``disc.ENUM_CAP`` (by Cauchy-Binet subsets or, when cheaper,
+        over the same 2^(n-1) sign pairs). Ascending x-space coefficients,
+        degree 2 dim (``x^(2 dim)`` when no coordinate is left).
         """
         zero = np.zeros((1, self.dim, self.dim), dtype=complex)
-        return disc._even_to_x(disc._expected_ypolys(zero, self.vectors, self.taus**2)[0])
+        return disc._even_to_x(disc._expected_ypolys(zero, self.vectors, self.taus**2, disc.ENUM_CAP)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +331,8 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
     first violated inequality raises :class:`WalkStepFailed`; success returns
     the full trace including the largest root of the final polynomial, which
     must be at most 3 + 1e-9. Raises :class:`EnumerationTooLarge` before the
-    first step when the 2^(n-1) sign pairs exceed ``disc.ENUM_CAP``.
+    first step when the 2^(n-1) sign pairs exceed ``disc.ENUM_CAP``; the top
+    polynomial always fits then, since its engine may sum the same sign pairs.
     """
     qe = QEvaluator.from_instance(inst, validate=False)
     n = qe.n

@@ -49,14 +49,16 @@ def random_rank_one_instance(rng, d, n, supports=(2, 3)):
 
 
 def count_matrices(monkeypatch, name):
-    """Count the calls to ``numpy.linalg.<name>`` and the matrices they are
-    handed (a stack of shape (..., k, k) counts its leading size)."""
-    counter = {"calls": 0, "matrices": 0}
+    """Count the calls to ``numpy.linalg.<name>``, the matrices they are
+    handed (a stack of shape (..., k, k) counts its leading size) and the
+    most handed to one call."""
+    counter = {"calls": 0, "matrices": 0, "largest": 0}
     kernel = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         counter["calls"] += 1
         counter["matrices"] += math.prod(np.shape(a)[:-2])
+        counter["largest"] = max(counter["largest"], math.prod(np.shape(a)[:-2]))
         return kernel(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counting)

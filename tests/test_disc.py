@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from matdisc import disc, linalg, model, rpoly
+from matdisc import disc, frames, linalg, model, rpoly
 from matdisc.errors import EnumerationTooLarge, NotRealRooted, PreconditionViolated
 
 from conftest import count_matrices, random_rank_one_instance
@@ -295,7 +295,14 @@ def random_prefix(rng, inst, k):
     return tuple(int(rng.integers(len(rv.support))) for rv in inst.rvs[:k])
 
 
-def test_engine_matches_enumeration_every_prefix(rng):
+@pytest.fixture(params=["subsets", "signs"])
+def route(request, monkeypatch):
+    """Pin the engine to one route, whatever the planner would pick."""
+    monkeypatch.setattr(disc, "_plan_route", lambda *args, **kwargs: request.param)
+    return request.param
+
+
+def test_engine_matches_enumeration_every_prefix(rng, route):
     for d in range(1, 6):
         for n in range(1, 9):
             # two-atom laws up to n = 8, mixed two- and three-atom up to n = 6
@@ -306,7 +313,7 @@ def test_engine_matches_enumeration_every_prefix(rng):
                 assert_close_to_enum(disc.expected_charpoly(inst, prefix), inst, prefix)
 
 
-def test_greedy_branches_match_enumeration(rng):
+def test_greedy_branches_match_enumeration(rng, route):
     for d in range(1, 6):
         inst = random_rank_one_instance(rng, d, 6)
         _, trace = disc.greedy_interlacing_solve(inst)
@@ -317,7 +324,7 @@ def test_greedy_branches_match_enumeration(rng):
             chosen += (lv.chosen_index,)
 
 
-def test_engine_degenerate_variables(rng):
+def test_engine_degenerate_variables(rng, route):
     # zero-variance (constant and one-sided) laws and zero vectors, in the
     # prefix and in the tail
     base = random_rank_one_instance(rng, 3, 5)
@@ -341,7 +348,7 @@ def test_engine_degenerate_variables(rng):
     assert abs(trace.final_value - trace.leaf_lambda_max) < 1e-9
 
 
-def test_engine_zero_probability_branch(rng):
+def test_engine_zero_probability_branch(rng, route):
     base = random_rank_one_instance(rng, 2, 3)
     rvs = (base.rvs[0], model.DiscreteRandomVariable((-1.0, 0.5, 1.0), (0.5, 0.0, 0.5)), base.rvs[2])
     inst = model.RankOneInstance(2, base.vectors, rvs)
@@ -352,10 +359,12 @@ def test_engine_zero_probability_branch(rng):
         disc.greedy_interlacing_solve(inst)
 
 
-def test_engine_small_subset_chunks(rng, monkeypatch):
-    # chunk boundaries inside every subset table: a subset dropped or taken
-    # twice at a boundary shows here
+def test_engine_small_chunks(rng, monkeypatch, route):
+    # chunk boundaries inside every subset table (rows and columns) and
+    # every sign block: a term dropped or taken twice at a boundary shows here
     monkeypatch.setattr(disc, "_SUBSET_CHUNK", 3)
+    monkeypatch.setattr(disc, "_SIGN_BATCH", 4)
+    det = count_matrices(monkeypatch, "det")
     for d in (2, 3, 4):
         inst = random_rank_one_instance(rng, d, 7, supports=(2,))
         for k in range(inst.n + 1):
@@ -364,6 +373,9 @@ def test_engine_small_subset_chunks(rng, monkeypatch):
         _, trace = disc.greedy_interlacing_solve(inst)
         for t, coeffs in enumerate(trace.levels[0].branch_coeffs):
             assert_close_to_enum(coeffs, inst, (t,))
+    assert det["largest"] <= 3
+    if route == "signs":
+        assert det["calls"] == 0
 
 
 # -- work-count guards and scale ---------------------------------------------
@@ -401,15 +413,41 @@ def test_greedy_large_n_smoke():
     assert trace.final_value <= 3.0 * model.sigma(inst) + 1e-9
 
 
-def test_greedy_cap_counts_minors():
+def test_engine_cap_counts_both_routes():
     d, n = 4, 10
     inst = seeded_rademacher(10, d, n)
-    minors = sum(math.comb(n - 1, k) * math.comb(d, k) for k in range(1, d + 1))
+    # the greedy's first level: tail minors plus the compounds of 2 branches,
+    # or 2^(n-1) sign patterns per branch
+    compounds = sum(math.comb(d, k) ** 2 for k in range(1, d + 1))
+    subsets = sum(math.comb(n - 1, k) * math.comb(d, k) for k in range(1, d + 1)) + 2 * compounds
+    signs = 2 ** (n - 1)
+    assert signs < subsets
     with pytest.raises(EnumerationTooLarge):
-        disc.greedy_interlacing_solve(inst, cap=minors - 1)
-    disc.greedy_interlacing_solve(inst, cap=minors)
+        disc.greedy_interlacing_solve(inst, cap=signs - 1)
+    disc.greedy_interlacing_solve(inst, cap=signs)
+    assert disc._plan_route(d, [(n - 1, 2)], signs) == "signs"
+    assert disc._plan_route(d, [(n - 1, 2)], subsets) in ("subsets", "signs")
+    # the top polynomial has no fixed part, so its sign patterns halve
     with pytest.raises(EnumerationTooLarge):
-        disc.expected_charpoly(inst, cap=sum(math.comb(n, k) * math.comb(d, k) for k in range(1, d + 1)) - 1)
+        disc.expected_charpoly(inst, cap=2 ** (n - 1) - 1)
+    disc.expected_charpoly(inst, cap=2 ** (n - 1))
+    # a route whose count exceeds the cap is never taken, even if cheaper
+    assert disc._plan_route(4, [(30, 2)], disc.ENUM_CAP) == "subsets"
+    assert disc._plan_route(12, [(13, 2)], disc.ENUM_CAP) == "signs"
+
+
+def test_greedy_dimension_close_to_n(monkeypatch):
+    # d = 9, n = 11: the subset route would take C(19, 9) - 1 = 92,377 tail
+    # minors plus 2 x (C(18, 9) - 1) compound minors of size up to 9 per
+    # level, so the planner takes the 2^10 sign patterns per branch
+    inst = seeded_rademacher(14, 9, 11)
+    det = count_matrices(monkeypatch, "det")
+    _, trace = disc.greedy_interlacing_solve(inst)
+    assert det["matrices"] == 0
+    assert all(lv.monotone_ok for lv in trace.levels)
+    assert abs(trace.final_value - trace.leaf_lambda_max) < 1e-9
+    assert trace.final_value <= 3.0 * model.sigma(inst) + 1e-9
+    assert_close_to_enum(disc.expected_charpoly(inst, (0, 1)), inst, (0, 1))
 
 
 def test_greedy_tie_goes_to_smallest_index():

@@ -295,15 +295,22 @@ def test_walk_determinant_count(monkeypatch):
     rvs = tuple(model.DiscreteRandomVariable.rademacher() for _ in range(n))
     inst = model.normalize(model.RankOneInstance(d, vectors, rvs))
     counter = count_matrices(monkeypatch, "det")
+    eigvalsh = count_matrices(monkeypatch, "eigvalsh")
     assert witness.replay_barrier_walk(inst).passed
     # step k certifies Q_k at 3 nodes per coordinate ray plus the x and
     # all-ones rays, then takes barriers at 1 + 2m points for the m
     # remaining directions; each point costs 2^k determinants
     probes = 3 * n + 2 * witness.PROBE_POINTS
     expected = sum((probes + (1 + 2 * (n - k) if k < n else 0)) * 2**k for k in range(1, n + 1))
-    # the top polynomial takes the k x k minors (k >= 2) of the n vectors
-    # and the k-th compound of the eigenbasis of its zero fixed part
-    expected += sum(math.comb(n, k) * math.comb(d, k) + math.comb(d, k) ** 2 for k in range(2, d + 1))
+    # the top polynomial takes either the k x k minors (k >= 2) of the n
+    # vectors and the k-th compound of the eigenbasis of its zero fixed
+    # part, or the spectra of the 2^(n-1) sign pairs; the start point's
+    # positive-definiteness check takes one spectrum
+    if disc._plan_route(d, [(n, 1)], disc.ENUM_CAP, symmetric=True) == "subsets":
+        expected += sum(math.comb(n, k) * math.comb(d, k) + math.comb(d, k) ** 2 for k in range(2, d + 1))
+        assert eigvalsh["matrices"] == 1
+    else:
+        assert eigvalsh["matrices"] == 1 + 2 ** (n - 1)
     assert counter["matrices"] == expected
 
 
@@ -314,6 +321,20 @@ def test_walk_sign_pair_cap(rng, monkeypatch):
     with pytest.raises(EnumerationTooLarge):
         witness.replay_barrier_walk(inst)
     assert counter["matrices"] == 0
+
+
+def test_walk_top_polynomial_fits_the_sign_pair_cap(rng, monkeypatch):
+    # with the cap at the walk's 2^(n-1) sign pairs, the top polynomial's
+    # minor count is over it, and the engine sums the sign pairs instead
+    d, n = 4, 10
+    inst = normalized_instance(rng, d, n)
+    monkeypatch.setattr(disc, "ENUM_CAP", 2 ** (n - 1))
+    assert sum(math.comb(n, k) * math.comb(d, k) for k in range(1, d + 1)) > disc.ENUM_CAP
+    trace = witness.replay_barrier_walk(inst)
+    assert trace.passed
+    want = disc.expected_charpoly_operator(inst)
+    got = witness.QEvaluator.from_instance(inst).p_empty()
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_walk_trace_serializes(rng):
