@@ -5,7 +5,8 @@ Four routes live here:
 * exhaustive minimization over all sign assignments (the ground-truth oracle),
 * expected characteristic polynomials of partial assignments, computed from
   the variances of the remaining variables by Cauchy-Binet subset sums
-  (polynomial in n for fixed dimension),
+  (polynomial in n for fixed dimension) or, where that is cheaper, over the
+  sign patterns of equal variance,
 * the same top-level polynomial through the differential-operator route, an
   independent oracle for small n,
 * the greedy solver that walks the interlacing family by always descending
@@ -620,10 +621,10 @@ def greedy_interlacing_solve(
     """Descend the interlacing family, minimizing the largest branch root.
 
     At level k every outcome t in the k-th support gets its partial expected
-    polynomial evaluated, all branches of a level in one
-    :func:`_expected_ypolys` call, and the greedy fixes a minimizer of the
-    largest root. One route serves every level, planned for the whole descent
-    under ``cap`` (the subset route takes the tail minors once).
+    polynomial evaluated, all branches of a level in one call of a route of
+    :func:`_expected_ypolys`, and the greedy fixes a minimizer of the largest
+    root. One route serves every level, planned for the whole descent under
+    ``cap`` (the subset route takes the tail minors once).
     Roots within ``GREEDY_TIE_RTOL`` relative of the minimum count as tied
     and the smallest support index among them wins, so exactly symmetric
     levels (Rademacher ones) do not leave the choice to roundoff. The final

@@ -323,18 +323,19 @@ def test_walk_sign_pair_cap(rng, monkeypatch):
     assert counter["matrices"] == 0
 
 
-def test_walk_top_polynomial_fits_the_sign_pair_cap(rng, monkeypatch):
-    # with the cap at the walk's 2^(n-1) sign pairs, the top polynomial's
-    # minor count is over it, and the engine sums the sign pairs instead
-    d, n = 4, 10
-    inst = normalized_instance(rng, d, n)
-    monkeypatch.setattr(disc, "ENUM_CAP", 2 ** (n - 1))
+def test_p_empty_beyond_the_minor_cap():
+    # d = 13, n = 14: the top polynomial's C(27, 13) - 1 minors exceed
+    # ENUM_CAP while the walk's 2^13 sign pairs fit, so the engine sums the
+    # sign pairs; checked against the sum over all 2^14 sign vectors
+    rng = np.random.default_rng(13)
+    d, n = 13, 14
     assert sum(math.comb(n, k) * math.comb(d, k) for k in range(1, d + 1)) > disc.ENUM_CAP
-    trace = witness.replay_barrier_walk(inst)
-    assert trace.passed
-    want = disc.expected_charpoly_operator(inst)
-    got = witness.QEvaluator.from_instance(inst).p_empty()
-    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    qe = witness.QEvaluator.from_instance(normalized_instance(rng, d, n))
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=n)))
+    mu = np.linalg.eigvalsh(np.tensordot(signs, qe._tw, axes=(1, 0)))
+    want = disc._even_to_x(disc._monic_from_roots_batch(mu * mu).mean(axis=0))
+    got = qe.p_empty()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_walk_trace_serializes(rng):
