@@ -165,8 +165,9 @@ def verify_thm13(seed: int = 0, count: int = 300, threads=None, root_tol: float 
 
 
 def verify_interlacing(seed: int = 0, count: int = 300, root_tol: float = rpoly.REAL_ROOT_TOL) -> dict:
-    """Real-rootedness and sampled common interlacing of every branch set
-    along the greedy path of the seeded sweep."""
+    """Real-rootedness and common interlacing (exact, from the sorted roots
+    of the branches) of every branch set along the greedy path of the
+    seeded sweep."""
     report = {
         "command": "verify",
         "suite": "interlacing",
@@ -384,9 +385,9 @@ def verify_lyapunov(seed: int = 0, count: int = 100, norm_tol: float = 1e-9) -> 
         t = rng.uniform(0.0, 1.0, size=n)
         eps = max(float(np.vdot(v, v).real) for v in vectors)
         subset = disc.lyapunov_round(vectors, t)
-        outers = np.array([np.outer(v, v.conj()) for v in vectors])
+        outers = model.outer_products(vectors)
         target = np.tensordot(t, outers, axes=(0, 0))
-        got = outers[list(subset)].sum(axis=0) if subset else np.zeros_like(target)
+        got = outers[list(subset)].sum(axis=0)
         err = linalg.residual_norm(got - target)
         rows.append(_row(f"i{i}.rounding_error", err, 1.5 * math.sqrt(eps) + norm_tol))
     return _finish(report)

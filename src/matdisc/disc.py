@@ -48,7 +48,7 @@ NormKind = Union[str, Tuple[str, float]]
 def _family(inst):
     """Stacked coefficient matrices (n, d, d), means, padded supports/probs."""
     if isinstance(inst, model.RankOneInstance):
-        terms = np.array([np.outer(v, v.conj()) for v in inst.vectors])
+        terms = model.outer_products(inst.vectors)
     else:
         terms = np.array(inst.matrices)
     means = np.array([rv.mean for rv in inst.rvs])
@@ -342,7 +342,7 @@ def _sign_ypolys(fixed: np.ndarray, vectors, variances) -> np.ndarray:
     nb, d = fixed.shape[0], fixed.shape[1]
     m = len(variances)
     u = np.asarray(vectors, dtype=complex).reshape(m, d)
-    tw = np.sqrt(np.asarray(variances, dtype=float))[:, None, None] * (u[:, :, None] * u[:, None, :].conj())
+    tw = np.sqrt(np.asarray(variances, dtype=float))[:, None, None] * model.outer_products(u)
     head = 1 if m and not fixed.any() else 0
     free = m - head
     low = min(free, max(1, _SIGN_BATCH // nb).bit_length() - 1)
@@ -499,8 +499,7 @@ def expected_charpoly_operator(inst: model.RankOneInstance, cap_n: int = OPERATO
         raise EnumerationTooLarge(3**inst.n, 3**cap_n)
     d, n = inst.dim, inst.n
     taus = np.array([math.sqrt(rv.variance) for rv in inst.rvs])
-    w = np.array([np.outer(v, v.conj()) for v in inst.vectors])
-    tw = taus[:, None, None] * w
+    tw = taus[:, None, None] * model.outer_products(inst.vectors)
 
     grid = np.stack(np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * n), indexing="ij"), axis=-1).reshape(-1, n)
     weights = np.prod(np.where(grid == 0.0, 2.0, -0.5), axis=1)
@@ -707,9 +706,7 @@ def bound_menu(inst: model.RankOneInstance) -> dict:
         "four_sigma": Bound(4.0 * sig, True),
     }
     rademacher = all(rv.is_rademacher() for rv in inst.rvs)
-    gram = np.zeros((inst.dim, inst.dim), dtype=complex)
-    for v in inst.vectors:
-        gram += np.outer(v, v.conj())
+    gram = model.outer_products(inst.vectors).sum(axis=0)
     eye = np.eye(inst.dim)
     delta = max(float(np.vdot(v, v).real) for v in inst.vectors)
 
@@ -742,10 +739,8 @@ def lyapunov_round(vectors: Sequence, t: Sequence[float], cap: int = ENUM_CAP) -
     ts = [float(x) for x in t]
     if any(not 0.0 <= x <= 1.0 for x in ts):
         raise PreconditionViolated("t range", "every t_i must lie in [0, 1]")
-    gram = np.zeros((d, d), dtype=complex)
-    for v in vecs:
-        gram += np.outer(v, v.conj())
-    if linalg.residual_norm(gram) > 1.0 + 1e-9:
+    outers = model.outer_products(vecs)
+    if linalg.residual_norm(outers.sum(axis=0)) > 1.0 + 1e-9:
         raise PreconditionViolated("frame operator norm", "|| sum u u* || must be <= 1")
     eps = max(float(np.vdot(v, v).real) for v in vecs)
 
@@ -754,11 +749,8 @@ def lyapunov_round(vectors: Sequence, t: Sequence[float], cap: int = ENUM_CAP) -
     assignment, _ = greedy_interlacing_solve(inst, cap=cap)
     subset = tuple(i for i, val in enumerate(assignment.values) if val == 1.0)
 
-    target = np.tensordot(np.array(ts), np.array([np.outer(v, v.conj()) for v in vecs]), axes=(0, 0))
-    achieved = np.zeros_like(target)
-    for i in subset:
-        achieved += np.outer(vecs[i], vecs[i].conj())
-    err = linalg.residual_norm(achieved - target)
+    target = np.tensordot(np.array(ts), outers, axes=(0, 0))
+    err = linalg.residual_norm(outers[list(subset)].sum(axis=0) - target)
     if err > 1.5 * math.sqrt(eps) + 1e-9:
         raise InvariantViolation("lyapunov bound", f"error {err:.3e} exceeds 1.5 sqrt({eps:.3e})")
     return subset

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg, model
+from . import disc, linalg, model
 from .errors import InvalidShape, PreconditionViolated, TooLarge
 
 TIGHT_TOL = 1e-9
@@ -44,10 +44,7 @@ class Frame:
         return len(self.vectors)
 
     def frame_operator(self) -> np.ndarray:
-        op = np.zeros((self.dim, self.dim), dtype=complex)
-        for v in self.vectors:
-            op += np.outer(v, v.conj())
-        return op
+        return model.outer_products(self.vectors).sum(axis=0)
 
 
 def harmonic_untf(n: int, d: int) -> Frame:
@@ -77,15 +74,13 @@ class FrameAnalysis:
 def analyze_frame(frame: Frame) -> FrameAnalysis:
     """Tightness, frame bound, unit-norm flag, Rademacher sigma^2 and the
     trace lower bound sigma^2 >= C^2 d / n (checked only for tight frames)."""
-    op = frame.frame_operator()
+    outers = model.outer_products(frame.vectors)
+    op = outers.sum(axis=0)
     c = float(np.trace(op).real) / frame.dim
     is_tight = linalg.residual_norm(op - c * np.eye(frame.dim)) <= TIGHT_TOL
     norms = [float(np.vdot(v, v).real) for v in frame.vectors]
     is_unit = all(abs(nv - 1.0) <= UNIT_NORM_TOL for nv in norms)
-    squared = np.zeros((frame.dim, frame.dim), dtype=complex)
-    for v, nv in zip(frame.vectors, norms):
-        squared += nv * np.outer(v, v.conj())
-    sigma_sq = linalg.spectral_norm(squared)
+    sigma_sq = linalg.spectral_norm((np.array(norms)[:, None, None] * outers).sum(axis=0))
     check = None
     if is_tight:
         check = sigma_sq >= c * c * frame.dim / frame.n - 1e-9
@@ -109,9 +104,7 @@ def verify_untf_disc(frame: Frame, cap: int = 2**24) -> dict:
     if 2**n > cap:
         raise PreconditionViolated("enumeration cap", f"2^{n} exceeds {cap}")
 
-    outers = np.array([np.outer(v, v.conj()) for v in frame.vectors])
-    signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * n), indexing="ij")).reshape(n, -1).T
-    mats = np.tensordot(signs, outers, axes=(1, 0))
+    mats = disc._signed_sums(model.outer_products(frame.vectors))
     norms = np.abs(np.linalg.eigvalsh(mats)).max(axis=1)
     target = n / d
     constant = bool(np.abs(norms - target).max() <= PATTERN_TOL)
@@ -132,30 +125,11 @@ def frame_to_instance(frame: Frame) -> model.RankOneInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalFamily:
-    """n diagonal (+1/-1) matrices of size 2^n whose diagonals enumerate all
-    sign vectors: entry (k, k) of matrix i is the i-th coordinate of the k-th
-    vector in the canonical enumeration (bit i of k, with bit 0 -> +1)."""
-
-    n: int
-    matrices: tuple
-
-
 def _sign_vectors(n: int) -> np.ndarray:
     d = 1 << n
     k = np.arange(d)
     bits = (k[:, None] >> np.arange(n)[None, :]) & 1
     return 1 - 2 * bits  # bit 0 -> +1, bit 1 -> -1
-
-
-def hadamard_diagonal_family(n: int) -> DiagonalFamily:
-    """The exact integer family attaining discrepancy n in dimension 2^n."""
-    if not 1 <= n <= DIAGONAL_MAX_N:
-        raise TooLarge(f"n must be in [1, {DIAGONAL_MAX_N}], got {n}")
-    h = _sign_vectors(n)
-    mats = tuple(np.diag(h[:, i]).astype(np.int64) for i in range(n))
-    return DiagonalFamily(n, mats)
 
 
 def verify_lower_bound(n: int) -> dict:

@@ -1,4 +1,4 @@
-"""Dense Hermitian linear algebra: eigenvalues, norms, characteristic polynomials.
+"""Dense Hermitian linear algebra: eigenvalues and norms.
 
 Matrices are plain ``numpy`` arrays. Every public operation validates the
 Hermitian symmetry tolerance and works on the symmetrized input, so callers
@@ -7,18 +7,11 @@ may pass matrices that picked up last-bit asymmetry from serialization.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from .errors import InvalidOrder, NonHermitianInput
 
 HERMITIAN_TOL = 1e-12
-
-# Exact characteristic polynomials are attempted only for small integer
-# matrices, where the coefficients are themselves integers.
-EXACT_CHARPOLY_MAX_DIM = 8
 
 
 def require_hermitian(mat, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -75,86 +68,3 @@ def schatten_norm(mat, p) -> float:
     if top == 0.0:
         return 0.0
     return float(top * np.sum((w / top) ** p) ** (1.0 / p))
-
-
-def charpoly(mat) -> np.ndarray:
-    """Monic characteristic polynomial det(xI - M), coefficients ascending.
-
-    Small matrices whose entries are exactly representable real integers are
-    expanded exactly (integer coefficients); everything else goes through the
-    Hermitian eigensolver. Imaginary residue of the coefficients is checked
-    against 1e-10 and discarded.
-    """
-    m = require_hermitian(mat)
-    d = m.shape[0]
-    if d <= EXACT_CHARPOLY_MAX_DIM and _is_integer_matrix(m):
-        return _charpoly_exact_int(np.real(m).round().astype(object))
-    w = np.linalg.eigvalsh(m)
-    coeffs = npp.polyfromroots(w)
-    scale = max(np.abs(coeffs).max(), 1.0)
-    resid = np.abs(np.imag(coeffs)).max()
-    if resid > 1e-10 * scale:
-        raise NonHermitianInput(f"characteristic polynomial has imaginary residue {resid:.3e}")
-    return np.real(coeffs).astype(float)
-
-
-def _is_integer_matrix(m: np.ndarray) -> bool:
-    if np.abs(np.imag(m)).max(initial=0.0) != 0.0:
-        return False
-    r = np.real(m)
-    return bool(np.all(r == np.round(r)) and np.abs(r).max(initial=0.0) < 2**52)
-
-
-def _det_bareiss(a) -> Fraction:
-    """Exact determinant of a matrix of Fractions (fraction-free elimination)."""
-    n = len(a)
-    a = [row[:] for row in a]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _charpoly_exact_int(m) -> np.ndarray:
-    """Exact det(xI - M) for an integer matrix via interpolation at x = 0..d."""
-    d = m.shape[0]
-    nodes = list(range(d + 1))
-    vals = []
-    for x in nodes:
-        a = [[Fraction(int(x * (i == j)) - int(m[i, j])) for j in range(d)] for i in range(d)]
-        vals.append(_det_bareiss(a))
-    coeffs = _lagrange_coeffs(nodes, vals)
-    return np.array([float(c) for c in coeffs], dtype=float)
-
-
-def _lagrange_coeffs(nodes, vals):
-    n = len(nodes)
-    acc = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] -= c * nodes[j]
-                nxt[k + 1] += c
-            basis = nxt
-            denom *= nodes[i] - nodes[j]
-        w = vals[i] / denom
-        for k, c in enumerate(basis):
-            acc[k] += w * c
-    return acc

@@ -154,12 +154,18 @@ class SignAssignment:
         return SignAssignment(idx, tuple(rvs[j].support[i] for j, i in enumerate(idx)))
 
 
+def outer_products(vectors) -> np.ndarray:
+    """Stacked rank-one terms u_i u_i*, shape (n, d, d)."""
+    u = np.asarray(vectors, dtype=complex)
+    return u[:, :, None] * u[:, None, :].conj()
+
+
 def squared_terms(inst: Instance) -> np.ndarray:
     """Stacked Var[xi_i] * M_i^2 terms, shape (n, d, d)."""
     var = np.array([rv.variance for rv in inst.rvs])
     if isinstance(inst, RankOneInstance):
         # (u u*)^2 = |u|^2 u u*
-        outers = np.array([np.outer(v, v.conj()) for v in inst.vectors])
+        outers = outer_products(inst.vectors)
         sq = np.array([np.vdot(v, v).real for v in inst.vectors])[:, None, None] * outers
     else:
         sq = np.array([m @ m for m in inst.matrices])
@@ -187,8 +193,7 @@ def normalize(inst: RankOneInstance) -> RankOneInstance:
 
 def to_hermitian(inst: RankOneInstance) -> HermitianInstance:
     """Replace each vector by its rank-one outer product."""
-    mats = tuple(np.outer(v, v.conj()) for v in inst.vectors)
-    return HermitianInstance(inst.dim, mats, inst.rvs)
+    return HermitianInstance(inst.dim, tuple(outer_products(inst.vectors)), inst.rvs)
 
 
 # ---------------------------------------------------------------------------

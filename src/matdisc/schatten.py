@@ -56,7 +56,7 @@ class SchattenReport:
 
 def _matrices(inst: model.Instance) -> np.ndarray:
     if isinstance(inst, model.RankOneInstance):
-        return np.array([np.outer(v, v.conj()) for v in inst.vectors])
+        return model.outer_products(inst.vectors)
     return np.array(inst.matrices)
 
 

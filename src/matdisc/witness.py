@@ -74,7 +74,7 @@ class QEvaluator:
         if any(v.shape != (self.dim,) for v in self.vectors):
             raise DimensionMismatch("vectors of mixed dimension")
         if self.n:
-            outer = np.array([np.outer(v, v.conj()) for v in self.vectors])
+            outer = model.outer_products(self.vectors)
         else:
             outer = np.zeros((0, self.dim, self.dim), dtype=complex)
         norms_sq = np.array([float(np.vdot(v, v).real) for v in self.vectors])
@@ -192,38 +192,23 @@ def certify_above_roots(qe: QEvaluator, k: int, x: float, z) -> None:
         return
 
     t = _ray_grid()
-    span = t[-1]
-    xs, zs, tags = [], [], []
-    # three nodes per coordinate ray (Q_k is quadratic in each z_j)
-    nodes = np.array([0.0, span / 2.0, span])
-    for j in range(qe.n):
-        for tv in nodes:
-            zz = z.copy()
-            zz[j] += tv
-            xs.append(x)
-            zs.append(zz)
+    h = t[-1] / 2.0
+    # three nodes per coordinate ray (Q_k is quadratic in each z_j), then
     # raw probes along the x ray and the all-ones ray
-    for tv in t:
-        xs.append(x + tv)
-        zs.append(z)
-    for tv in t:
-        xs.append(x + tv)
-        zs.append(z + tv)
-    vals = qe.eval_many(k, np.array(xs), np.array(zs))
+    coord = np.repeat(z[None], 3 * qe.n, axis=0)
+    rows = np.arange(3 * qe.n)
+    coord[rows, rows // 3] += np.tile([0.0, h, 2.0 * h], qe.n)
+    xs = np.concatenate([np.full(3 * qe.n, x), x + t, x + t])
+    zs = np.concatenate([coord, np.repeat(z[None], PROBE_POINTS, axis=0), z + t[:, None]])
+    vals = qe.eval_many(k, xs, zs)
 
-    pos = 0
-    for j in range(qe.n):
-        f0, f1, f2 = vals[pos : pos + 3]
-        pos += 3
-        h = span / 2.0
-        c1 = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-        c2 = (f0 - 2.0 * f1 + f2) / (2.0 * h * h)
-        ray = f0 + c1 * t + c2 * t * t
-        if ray.min() <= 0.0:
-            raise NotAboveRoots(f"coordinate ray {j} has a nonpositive probe")
-    for name in ("x", "all-ones"):
-        ray = vals[pos : pos + PROBE_POINTS]
-        pos += PROBE_POINTS
+    f0, f1, f2 = vals[: 3 * qe.n].reshape(qe.n, 3).T[:, :, None]
+    c1 = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+    c2 = (f0 - 2.0 * f1 + f2) / (2.0 * h * h)
+    bad = np.flatnonzero((f0 + c1 * t + c2 * t * t).min(axis=1) <= 0.0)
+    if len(bad):
+        raise NotAboveRoots(f"coordinate ray {bad[0]} has a nonpositive probe")
+    for name, ray in zip(("x", "all-ones"), vals[3 * qe.n :].reshape(2, PROBE_POINTS)):
         if ray.min() <= 0.0:
             raise NotAboveRoots(f"{name} ray has a nonpositive probe")
 

@@ -48,7 +48,7 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_interlacing_monotonicity():
     # every greedy level: min branch root <= parent root + 1e-9, branches
-    # real-rooted at 1e-6 and passing the sampled common-interlacing test
+    # real-rooted at 1e-6 and with a common interlacer (root columns interleave)
     report = cli.verify_interlacing(seed=SEED, count=300)
     _criterion(3, "interlacing-family greedy traces (300 instances)", report)
 

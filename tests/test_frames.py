@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -81,28 +80,9 @@ def test_edge_ratio_matches_closed_form():
         assert res["value"] / sigma == pytest.approx(math.sqrt(2.0 - 1.0 / d), abs=1e-9)
 
 
-def test_diagonal_family_smallest():
-    fam = frames.hadamard_diagonal_family(1)
-    assert [m.tolist() for m in fam.matrices] == [[[1, 0], [0, -1]]]
-
-
-def test_diagonal_family_enumeration_order():
-    fam = frames.hadamard_diagonal_family(2)
-    diags = np.stack([np.diag(m) for m in fam.matrices], axis=1)
-    assert diags.tolist() == [[1, 1], [-1, 1], [1, -1], [-1, -1]]
-
-
-def test_diagonal_family_commutes_and_sigma():
-    fam = frames.hadamard_diagonal_family(3)
-    for a, b in itertools.combinations(fam.matrices, 2):
-        assert np.array_equal(a @ b, b @ a)
-    total = sum(m @ m for m in fam.matrices)
-    assert np.array_equal(total, 3 * np.eye(8, dtype=np.int64))
-
-
 def test_diagonal_family_too_large():
     with pytest.raises(TooLarge):
-        frames.hadamard_diagonal_family(6)
+        frames.verify_lower_bound(6)
     with pytest.raises(TooLarge):
         frames.verify_lower_bound(0)
 
@@ -116,10 +96,11 @@ def test_lower_bound_exact(n):
 
 
 def test_lower_bound_agrees_with_float_bruteforce():
-    fam = frames.hadamard_diagonal_family(2)
+    # diagonal i holds coordinate i of every sign vector
+    h = frames._sign_vectors(2)
     inst = model.HermitianInstance(
         4,
-        tuple(m.astype(float) for m in fam.matrices),
+        tuple(np.diag(h[:, i]).astype(float) for i in range(2)),
         tuple(model.DiscreteRandomVariable.rademacher() for _ in range(2)),
     )
     assert disc.disc_bruteforce(inst).value == pytest.approx(2.0, abs=1e-12)

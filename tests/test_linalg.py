@@ -1,5 +1,4 @@
 import numpy as np
-import numpy.polynomial.polynomial as npp
 import pytest
 
 from matdisc import linalg, rpoly
@@ -62,7 +61,7 @@ def test_spectral_norm_examples():
 def test_spectral_norm_equals_max_charpoly_root():
     rng = np.random.default_rng(11)
     m = random_hermitian(rng, 5)
-    roots = rpoly.roots(linalg.charpoly(m))
+    roots = rpoly.roots(faddeev_leverrier(m))
     assert linalg.spectral_norm(m) == pytest.approx(np.abs(np.real(roots)).max(), abs=1e-9 * linalg.spectral_norm(m))
 
 
@@ -98,36 +97,3 @@ def test_schatten_nonincreasing_in_p():
 def test_schatten_invalid_order():
     with pytest.raises(InvalidOrder):
         linalg.schatten_norm(np.eye(2), 0.5)
-
-
-def test_charpoly_examples():
-    assert np.allclose(linalg.charpoly(np.diag([1.0, -1.0])), [-1.0, 0.0, 1.0])
-    assert np.allclose(linalg.charpoly(np.zeros((3, 3))), [0.0, 0.0, 0.0, 1.0])
-
-
-def test_charpoly_against_recurrence_oracle():
-    rng = np.random.default_rng(8)
-    m = random_hermitian(rng, 4)
-    got = linalg.charpoly(m)
-    expect = faddeev_leverrier(m)
-    assert np.abs(got - expect).max() < 1e-9 * max(1.0, np.abs(expect).max())
-
-
-def test_charpoly_exact_integer_path():
-    # integer entries, d <= 8: coefficients must come out as exact integers
-    m = np.diag([1, -1, 1, -1]).astype(float)
-    got = linalg.charpoly(m)
-    assert got.tolist() == [1.0, 0.0, -2.0, 0.0, 1.0]
-    m2 = np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]], dtype=float)
-    got2 = linalg.charpoly(m2)
-    assert got2.tolist() == [float(x) for x in np.round(faddeev_leverrier(m2))]
-    assert all(c == round(c) for c in got2)
-
-
-def test_charpoly_evaluates_to_zero_at_eigenvalues():
-    rng = np.random.default_rng(10)
-    m = random_hermitian(rng, 5)
-    c = linalg.charpoly(m)
-    w = linalg.eigvals_hermitian(m)
-    scale = np.abs(c).max()
-    assert np.abs(npp.polyval(w, c)).max() < 1e-8 * scale

@@ -167,6 +167,21 @@ def test_rank_one_to_hermitian_preserves_disc(rng):
     assert a.argmin.indices == b.argmin.indices
 
 
+def test_outer_products_match_loop(rng):
+    n = 11
+    for d in (1, 2, 4):
+        vs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(n)]
+        loop = [np.outer(v, v.conj()) for v in vs]
+        outers = model.outer_products(vs)
+        assert np.array_equal(outers, loop)
+        gram = np.zeros((d, d), dtype=complex)
+        for a in loop:
+            gram += a
+        # numpy sums a stack of 1x1 matrices pairwise, in another order
+        rtol = n * np.finfo(float).eps if d == 1 else 0.0
+        assert np.allclose(outers.sum(axis=0), gram, rtol=rtol, atol=0.0)
+
+
 def test_instances_are_immutable(rng):
     inst = random_rank_one_instance(rng, 2, 2)
     with pytest.raises(ValueError):

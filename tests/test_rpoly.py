@@ -89,6 +89,67 @@ def test_common_interlacing_examples():
 
 def test_common_interlacing_single_polynomial_trivial():
     assert rpoly.has_common_interlacing([npp.polyfromroots([1.0, 2.0])])
+    assert not rpoly.has_common_interlacing([[1.0, 0.0, 1.0]])
+
+
+def test_common_interlacing_constant_family():
+    assert rpoly.has_common_interlacing([[2.0], [0.5], [3.0, 0.0]])
+    with pytest.raises(DegreeMismatch):
+        rpoly.has_common_interlacing([[2.0], [-1.0, 1.0]])
+
+
+def test_common_interlacing_catches_a_narrow_complex_window():
+    # x(x-1) and 3(x-1-1e-4)(x-2): the middle roots cross by 1e-4, and only
+    # convex weights t p1 + (1-t) p2 with t in about [0.745, 0.755] give
+    # complex roots
+    p1 = npp.polyfromroots([0.0, 1.0])
+    p2 = 3.0 * npp.polyfromroots([1.0 + 1e-4, 2.0])
+    assert not rpoly.has_common_interlacing([p1, p2])
+    assert not rpoly.is_real_rooted(0.75 * p1 + 0.25 * p2)
+
+
+def test_common_interlacing_many_members():
+    rng = np.random.default_rng(18)
+    lows, highs = rng.uniform(0.0, 1.0, size=18), rng.uniform(2.0, 3.0, size=18)
+    family = [npp.polyfromroots([a, b]) for a, b in zip(lows, highs)]
+    assert rpoly.has_common_interlacing(family)
+    family[-1] = npp.polyfromroots([2.9, 3.5])
+    assert not rpoly.has_common_interlacing(family)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def simplex_sequence(m, samples=64):
+    """Deterministic Kronecker (Weyl) points on the (m-1)-simplex, via the
+    sorted gaps of ``(j + 1) sqrt(p)`` mod 1 over the first m - 1 primes."""
+    alphas = np.sqrt(np.array(_PRIMES[: m - 1], dtype=float))
+    u = np.sort(np.mod(np.arange(1, samples + 1)[:, None] * alphas, 1.0), axis=1)
+    cuts = np.concatenate([np.zeros((samples, 1)), u, np.ones((samples, 1))], axis=1)
+    return np.diff(cuts, axis=1)
+
+
+def sampled_common_interlacing(polys, tol=rpoly.REAL_ROOT_TOL):
+    """One-way oracle: a complex convex combination rules out a common
+    interlacer (MSS: with positive leading coefficients, common interlacing
+    iff every convex combination is real-rooted)."""
+    stack = np.array(polys)
+    if not all(rpoly.is_real_rooted(p, tol) for p in stack):
+        return False
+    return all(rpoly.is_real_rooted(mu @ stack, tol) for mu in simplex_sequence(len(stack)))
+
+
+def test_common_interlacing_agrees_with_sampled_oracle():
+    rng = np.random.default_rng(20260810)
+    rejected = 0
+    for _ in range(300):
+        m, deg = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        base = np.sort(rng.uniform(-3.0, 3.0, size=deg))
+        family = [rng.uniform(0.5, 2.0) * npp.polyfromroots(base + rng.normal(scale=0.3, size=deg)) for _ in range(m)]
+        if not sampled_common_interlacing(family):
+            rejected += 1
+            assert not rpoly.has_common_interlacing(family)
+    assert rejected > 20
 
 
 def test_common_interlacing_detects_disjoint_root_intervals():

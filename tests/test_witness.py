@@ -231,6 +231,23 @@ def test_barrier_requires_point_above_roots():
         witness.barrier(qe, 0, (0.5, [-1.0]), 0, mode="analytic")
 
 
+def test_certify_probe_points_and_first_failure(rng, monkeypatch):
+    qe = witness.QEvaluator.from_instance(normalized_instance(rng, 2, 3))
+    x, z = 3.0, -qe.deltas
+    t = witness.PROBE_STEP * np.arange(witness.PROBE_POINTS)
+    nodes = (0.0, t[-1] / 2.0, t[-1])
+    want_xs = [x] * (3 * qe.n) + list(x + t) * 2
+    want_zs = [z + tv * np.eye(qe.n)[j] for j in range(qe.n) for tv in nodes] + [z] * len(t) + [z + tv for tv in t]
+    seen = []
+    evaluate = qe.eval_many
+    monkeypatch.setattr(qe, "eval_many", lambda k, xs, zs: seen.append((xs, zs)) or evaluate(k, xs, zs))
+    witness.certify_above_roots(qe, 2, x, z)
+    assert np.array_equal(seen[0][0], want_xs) and np.array_equal(seen[0][1], want_zs)
+    # Q_1 = (x + z)^2 - 1 is negative at (0.5, 0): the coordinate ray fails first
+    with pytest.raises(NotAboveRoots, match="coordinate ray 0"):
+        witness.certify_above_roots(unit_evaluator(), 1, 0.5, [0.0])
+
+
 def test_analytic_mode_restricted_to_base():
     qe = unit_evaluator()
     with pytest.raises(ValueError):
