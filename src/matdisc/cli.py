@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -445,12 +444,16 @@ def run_solve(cfg: RunConfig) -> dict:
     brute = disc.disc_bruteforce(inst, threads=cfg.threads, norm_tol=cfg.norm_tol)
     report["bruteforce"] = brute.to_doc()
     if isinstance(inst, model.RankOneInstance):
-        assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=cfg.root_tol)
-        report["greedy"] = {
-            "assignment": {"indices": list(assignment.indices), "values": list(assignment.values)},
-            "trace": trace.to_doc(),
-        }
-        report["checks"].append(_row("brute_le_greedy", brute.value, trace.final_value + 1e-12))
+        try:
+            assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=cfg.root_tol)
+        except NotRealRooted as exc:
+            report["checks"].append(_flag_row(f"greedy[{exc}]", False))
+        else:
+            report["greedy"] = {
+                "assignment": {"indices": list(assignment.indices), "values": list(assignment.values)},
+                "trace": trace.to_doc(),
+            }
+            report["checks"].append(_row("brute_le_greedy", brute.value, trace.final_value + 1e-12))
         for name, (bound, ok) in brute.bound_checks.items():
             report["checks"].append(_row(f"disc_le_{name}", brute.value, bound + cfg.norm_tol))
     return _finish(report)
@@ -470,6 +473,10 @@ def run_replay(cfg: RunConfig) -> dict:
     except WalkStepFailed as exc:
         report["trace"] = {"failed_step": exc.step, "reason": exc.reason}
         report["checks"].append(_flag_row(f"walk[{exc.reason}]", False))
+    except NotRealRooted as exc:
+        # the walk finished; the top polynomial's roots did not come out real
+        report["trace"] = {"reason": str(exc)}
+        report["checks"].append(_flag_row(f"lambda_p_empty[{exc}]", False))
     return _finish(report)
 
 
@@ -496,25 +503,6 @@ def run_frames_gen(cfg: RunConfig) -> dict:
     return _finish(report)
 
 
-def run_bench(cfg: RunConfig) -> list:
-    """Timing table rows; wall times are not part of the determinism contract."""
-    rows = []
-    rng = np.random.default_rng(cfg.seed)
-    for n in (4, 6, 8):
-        inst = random_rank_one(rng, 4, n)
-        t0 = time.perf_counter()
-        disc.disc_bruteforce(inst, threads=cfg.threads)
-        t1 = time.perf_counter()
-        disc.greedy_interlacing_solve(inst)
-        t2 = time.perf_counter()
-        witness.replay_barrier_walk(model.normalize(inst))
-        t3 = time.perf_counter()
-        rows.append({"task": "bruteforce", "n": n, "d": 4, "seconds": t1 - t0})
-        rows.append({"task": "greedy", "n": n, "d": 4, "seconds": t2 - t1})
-        rows.append({"task": "barrier_walk", "n": n, "d": 4, "seconds": t3 - t2})
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -528,15 +516,6 @@ def report_bytes(report: dict, fmt: str = "json") -> bytes:
     writer.writerow(["name", "lhs", "rhs", "slack", "pass"])
     for row in report.get("checks", []):
         writer.writerow([row["name"], str(row["lhs"]), str(row["rhs"]), str(row["slack"]), row["pass"]])
-    return buf.getvalue().encode("utf-8")
-
-
-def bench_bytes(rows: list) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["task", "n", "d", "seconds"])
-    for row in rows:
-        writer.writerow([row["task"], row["n"], row["d"], f"{row['seconds']:.6f}"])
     return buf.getvalue().encode("utf-8")
 
 
@@ -557,15 +536,6 @@ def run(cfg: RunConfig) -> int:
         report = run_frames_gen(cfg)
         sys.stdout.write(report_bytes(report, cfg.fmt).decode("utf-8"))
         return 0 if report["pass"] else 1
-    elif cfg.command == "bench":
-        rows = run_bench(cfg)
-        payload = bench_bytes(rows)
-        if cfg.out:
-            with open(cfg.out, "wb") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload.decode("utf-8"))
-        return 0
     else:
         raise ValueError(f"unknown command {cfg.command!r}")
 
@@ -607,9 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("frames", help="frame constructions")
     sp.add_argument("action", choices=("gen",))
-    common(sp)
-
-    sp = sub.add_parser("bench", help="timing table (CSV)")
     common(sp)
 
     return parser

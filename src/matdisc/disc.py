@@ -277,6 +277,18 @@ def _complement_polys(lam: np.ndarray) -> np.ndarray:
     return c
 
 
+def _squared_minors(rot: np.ndarray, minors: np.ndarray, count: int, lead: int):
+    """``|det W_{R,S}|^2`` with ``C_k(W) = rot @ minors``, over the first
+    ``count`` columns S of ``minors``: yields (column slice, block), each
+    block at most ``_PRODUCT_BLOCK`` entries for ``lead`` leading rows and at
+    most ``_SUBSET_CHUNK`` columns wide."""
+    step = max(1, min(_SUBSET_CHUNK, _PRODUCT_BLOCK // max(1, lead * rot.shape[-2])))
+    for start in range(0, count, step):
+        cols = slice(start, min(start + step, count))
+        w = rot @ minors[:, cols]
+        yield cols, w.real**2 + w.imag**2
+
+
 def _subset_ypolys(fixed: np.ndarray, vectors, variances, tail=None) -> np.ndarray:
     """The Cauchy-Binet route of :func:`_expected_ypolys`.
 
@@ -310,13 +322,8 @@ def _subset_ypolys(fixed: np.ndarray, vectors, variances, tail=None) -> np.ndarr
         else:
             rot = _minors(vh, rows[k], rows[k])  # C_k(V*)
             h = np.zeros((nb, len(rows[k]), len(rows[k])))
-            count = math.comb(m, k)
-            step = max(1, min(_SUBSET_CHUNK, _PRODUCT_BLOCK // (nb * len(rows[k]))))
-            for start in range(0, count, step):
-                stop = min(start + step, count)
-                w = rot @ tail[k][0][:, start:stop]
-                z = w.real**2 + w.imag**2
-                h += (z * tail[k][1][start:stop]) @ np.swapaxes(z, 1, 2)
+            for cols, z in _squared_minors(rot, tail[k][0], math.comb(m, k), nb):
+                h += (z * tail[k][1][cols]) @ np.swapaxes(z, 1, 2)
         term = np.swapaxes(comp[0][:, masks[k]], 1, 2) @ h @ comp[1][:, masks[k]]
         gram += term if k % 2 == 0 else -term
     return gram.reshape(nb, -1) @ fold
@@ -414,7 +421,7 @@ def _plan_route(d: int, calls: Sequence[Tuple[int, int]], cap: int, symmetric: b
     return min(fits, key=seconds.get)
 
 
-def _expected_ypolys(fixed, vectors, variances, cap: int = ENUM_CAP) -> np.ndarray:
+def _expected_ypolys(fixed, vectors, variances, cap: int = ENUM_CAP, tail=None) -> np.ndarray:
     """Expected ``det[x^2 I - M_b^2]`` in y = x^2, one row per fixed part.
 
     ``M_b = F_b + sum_i c_i u_i u_i*`` with ``fixed[b] = F_b`` Hermitian and
@@ -423,14 +430,15 @@ def _expected_ypolys(fixed, vectors, variances, cap: int = ENUM_CAP) -> np.ndarr
     variances enter. Two exact routes compute it, Cauchy-Binet subset sums
     (:func:`_subset_ypolys`, polynomial in m for fixed d) and sign patterns
     (:func:`_sign_ypolys`, exponential in m, cheap for small m or large d);
-    :func:`_plan_route` picks one under ``cap``. Returns ascending
-    y-coefficients, shape (B, d+1).
+    :func:`_plan_route` picks one under ``cap``; ``tail``, the
+    :func:`_tail_terms` of these variables if already taken, serves the
+    subset route. Returns ascending y-coefficients, shape (B, d+1).
     """
     fixed = np.asarray(fixed, dtype=complex)
     symmetric = not fixed.any()
     route = _plan_route(fixed.shape[1], [(len(variances), fixed.shape[0])], cap, symmetric)
     if route == "subsets":
-        return _subset_ypolys(fixed, vectors, variances)
+        return _subset_ypolys(fixed, vectors, variances, tail=tail)
     return _sign_ypolys(fixed, vectors, variances)
 
 
@@ -572,10 +580,9 @@ GREEDY_MONOTONE_TOL = 1e-9
 
 def _lambda_max_y(ycoeffs: np.ndarray, tol: float) -> float:
     """Largest root of the even polynomial q(x^2), from its y-space roots."""
-    c = rpoly.trim(ycoeffs)
-    if len(c) < 2 and c[0] == 0.0:
+    c, nzero = rpoly.deflate_zero_roots(ycoeffs)
+    if len(c) + nzero < 2 and c[0] == 0.0:
         raise NotRealRooted("degenerate partial polynomial (zero-probability branch?)")
-    c, nzero = rpoly.deflate_zero_roots(c)
     if len(c) < 2:
         return 0.0
     r = npp.polyroots(c)

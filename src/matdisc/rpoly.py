@@ -84,10 +84,13 @@ def real_roots(coeffs, tol: float = REAL_ROOT_TOL) -> np.ndarray:
 
     Deflated origin roots are reported as exact zeros.
     """
-    c = trim(coeffs)
-    if len(c) < 2:
+    return _real_roots(*deflate_zero_roots(coeffs), tol)
+
+
+def _real_roots(c: np.ndarray, nzero: int, tol: float) -> np.ndarray:
+    """:func:`real_roots` of the output of :func:`deflate_zero_roots`."""
+    if len(c) + nzero < 2:
         raise DegreeZero("cannot extract roots of a constant polynomial")
-    c, nzero = deflate_zero_roots(c)
     if len(c) < 2:
         return np.zeros(nzero)
     r = npp.polyroots(c)
@@ -110,11 +113,12 @@ def interlaces(g, p, tol: float = REAL_ROOT_TOL) -> bool:
     roots b of p and a of g must satisfy b1 <= a1 <= b2 <= ... <= bn, with
     ``tol``-scaled slack on each comparison.
     """
-    gt, pt = trim(g), trim(p)
-    if len(gt) != len(pt) - 1:
-        raise DegreeMismatch(f"need deg g = deg p - 1, got {len(gt) - 1} and {len(pt) - 1}")
-    a = real_roots(gt, tol)
-    b = real_roots(pt, tol)
+    gd, pd = deflate_zero_roots(g), deflate_zero_roots(p)
+    dg, dp = len(gd[0]) + gd[1] - 1, len(pd[0]) + pd[1] - 1
+    if dg != dp - 1:
+        raise DegreeMismatch(f"need deg g = deg p - 1, got {dg} and {dp}")
+    a = _real_roots(*gd, tol)
+    b = _real_roots(*pd, tol)
     slack = tol * (1.0 + max(np.abs(a).max(), np.abs(b).max()))
     for i, ai in enumerate(a):
         if not (b[i] - slack <= ai <= b[i + 1] + slack):
@@ -132,14 +136,14 @@ def has_common_interlacing(polys: Sequence, tol: float = REAL_ROOT_TOL) -> bool:
     of :func:`interlaces`. Returns False if any member is not real-rooted;
     constant families and single members pass.
     """
-    ps = [trim(p) for p in polys]
-    degs = {len(p) - 1 for p in ps}
+    parts = [deflate_zero_roots(p) for p in polys]
+    degs = {len(c) + nzero - 1 for c, nzero in parts}
     if len(degs) != 1:
         raise DegreeMismatch(f"mixed degrees {sorted(degs)}")
     if degs == {0}:
         return True
     try:
-        r = np.array([real_roots(p, tol) for p in ps])
+        r = np.array([_real_roots(c, nzero, tol) for c, nzero in parts])
     except NotRealRooted:
         return False
     slack = tol * (1.0 + np.abs(r).max())

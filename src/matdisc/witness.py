@@ -5,12 +5,12 @@ top-level expected polynomial, barrier-function evaluation, mixed
 discriminants with their padded normalization, and the quadratic/bivariate
 barrier lemmas on generated determinantal families.
 
-The transforms Q_k are evaluated from 2^(k-1) determinant pairs per point
-(the sign-pair identity, see :class:`QEvaluator`). Q_k is quadratic in every
-coordinate, so barriers come from the exact unit central difference
-``[Q_k(z+e_j) - Q_k(z-e_j)] / 2``, and the top polynomial comes
-coefficient-exact from the Cauchy-Binet subset sums of
-:func:`disc._expected_ypolys`.
+The transforms Q_k are evaluated by Cauchy-Binet subset sums (polynomial in
+k for fixed dimension) or, where that is cheaper, from 2^(k-1) determinant
+pairs per point (the sign-pair identity); see :class:`QEvaluator`. Q_k is
+quadratic in every coordinate, so barriers come from the exact unit central
+difference ``[Q_k(z+e_j) - Q_k(z-e_j)] / 2``, and the top polynomial comes
+coefficient-exact from :func:`disc._expected_ypolys`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy.polynomial.polynomial as npp
 from . import disc, linalg, model, rpoly
 from .errors import (
     DimensionMismatch,
-    EnumerationTooLarge,
     HypothesisNotMet,
     InvariantViolation,
     NotAboveRoots,
@@ -41,7 +40,7 @@ PSD_SLACK = 1e-10
 PROBE_POINTS = 16
 PROBE_STEP = 0.25
 
-_EVAL_BATCH = 1 << 18
+_EVAL_BATCH = 1 << 16
 
 
 class QEvaluator:
@@ -52,14 +51,24 @@ class QEvaluator:
     standard deviations. Construction checks the normalized condition
     ``sum tau_i^2 (v_i v_i*)^2 <= I`` up to 1e-9 unless ``validate=False``.
 
-    Every evaluation goes through the sign-pair identity. The determinant is
-    affine in each z_j, and for f, g affine in z_j
+    Two exact routes evaluate Q_k for k >= 1. The determinant is affine in
+    each z_j, and for f, g affine in z_j
     ``(1 - (1/2) d^2/dz_j^2)(f g) = [f(z+e_j) g(z-e_j) + f(z-e_j) g(z+e_j)] / 2``,
-    so with ``s -> -s`` folded in
+    so with ``s -> -s`` folded in the sign pairs give
 
-        Q_k(x, z) = 2^(1-k) sum_{s in {-1,1}^k, s_1 = +1} det[xI + W(z+s)] det[xI + W(z-s)]
+        Q_k(x, z) = 2^(1-k) sum_{s in {-1,1}^k, s_1 = +1} det[xI + W(z+s)] det[xI + W(z-s)],
 
-    for k >= 1: 2^k determinants per point.
+    2^k determinants per point. With ``xI + W(z) = V diag(lam) V*`` and
+    ``W = V* U`` for U = [v_1 .. v_n], Cauchy-Binet expands the determinant
+    at z + t as ``sum_S t^S tau^S a_S`` with
+    ``a_S = sum_{|R| = |S|} |det W_{R,S}|^2 prod_{r not in R} lam_r``, and the
+    transform keeps the squares of the coefficients:
+
+        Q_k(x, z) = sum_{S in [k], |S| <= dim} (-1)^|S| tau_S^2 a_S^2,
+
+    the subset sums, polynomial in k for fixed dimension. The minors of W
+    are those of U rotated by the compounds of V*, as in
+    :func:`disc._subset_ypolys`.
     """
 
     def __init__(self, vectors: Sequence, taus: Sequence[float], validate: bool = True, dim: Optional[int] = None):
@@ -79,6 +88,7 @@ class QEvaluator:
             outer = np.zeros((0, self.dim, self.dim), dtype=complex)
         norms_sq = np.array([float(np.vdot(v, v).real) for v in self.vectors])
         self._tw = self.taus[:, None, None] * outer
+        self._tail = None  # minors of U, taken by the first subset-route call
         self.deltas = self.taus * norms_sq
         if validate and self.n:
             # (v v*)^2 = |v|^2 v v*, so the normalized condition reduces to
@@ -116,24 +126,34 @@ class QEvaluator:
     def eval_many(self, k: int, xs, zs) -> np.ndarray:
         """Q_k at a batch of points; xs has shape (P,), zs has shape (P, n).
 
-        One determinant per point for k = 0, else 2^(k-1) sign pairs per
-        point; at most ``_EVAL_BATCH`` matrices go to one determinant call.
+        One determinant per point for k = 0. For k >= 1 the route comes from
+        :func:`disc._plan_route` for k variables and P points: the sign
+        pairs or the subset sums, whichever is estimated cheaper among those
+        whose count fits ``disc.ENUM_CAP`` (:class:`EnumerationTooLarge`
+        when neither does).
         """
         if not 0 <= k <= self.n:
             raise DimensionMismatch(f"k must be in [0, {self.n}]")
         xs = np.asarray(xs, dtype=float).reshape(-1)
         zs = np.asarray(zs, dtype=float).reshape(len(xs), self.n)
+        if k and disc._plan_route(self.dim, [(k, len(xs))], disc.ENUM_CAP, symmetric=True) == "subsets":
+            return self._subset_sums(k, xs, zs)
         base = xs[:, None, None] * np.eye(self.dim, dtype=complex)
         if self.n:
             base = base + np.tensordot(zs, self._tw, axes=(1, 0))
         if k == 0:
             dets = np.linalg.det(base)
             return dets.real**2 + dets.imag**2
-        out = np.zeros(len(xs))
+        return self._sign_pairs(k, base)
+
+    def _sign_pairs(self, k: int, base: np.ndarray) -> np.ndarray:
+        """Q_k at the points ``base = xI + W(z)`` from their 2^(k-1) sign
+        pairs; at most ``_EVAL_BATCH`` matrices go to one determinant call."""
+        out = np.zeros(len(base))
         for shifts in self._pair_shifts(k, _EVAL_BATCH // 2):
             g = len(shifts)
             step = max(1, _EVAL_BATCH // (2 * g))
-            for s in range(0, len(xs), step):
+            for s in range(0, len(base), step):
                 b = base[s : s + step, None]
                 mats = np.empty((2, len(b), g, self.dim, self.dim), dtype=complex)
                 np.add(b, shifts, out=mats[0])
@@ -142,6 +162,42 @@ class QEvaluator:
                 dets = np.linalg.det(mats).real
                 out[s : s + step] += (dets[0] * dets[1]).sum(axis=1)
         return out * 2.0 ** (1 - k)
+
+    def _subset_sums(self, k: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Q_k at a batch of points from the Cauchy-Binet subset sums (k >= 1).
+
+        The minors of U = [v_1 .. v_n] are taken once per evaluator; the
+        signed coordinates are the first k, so their subsets are a colex
+        prefix of the columns. Points with the same z share one eigenbasis
+        of W(z).
+        """
+        if self._tail is None:
+            self._tail = disc._tail_terms(np.array(self.vectors).reshape(self.n, self.dim), self.taus**2)
+        seen: dict = {}
+        owner = np.fromiter((seen.setdefault(z.tobytes(), i) for i, z in enumerate(zs)), np.intp, len(zs))
+        first, inv = np.unique(owner, return_inverse=True)
+        mu, vecs = np.linalg.eigh(np.tensordot(zs[first], self._tw, axes=(1, 0)))
+        comp = _complement_products(xs[:, None] + mu[inv])
+        vh = np.swapaxes(vecs.conj(), 1, 2)
+        masks = disc._dim_tables(self.dim)[1]
+        rots = _unitary_compounds(vh, min(self.dim, k))
+        out = comp[:, 0] ** 2
+        for j in range(1, min(self.dim, k) + 1):
+            minors, tau2 = self._tail[j]
+            count = math.comb(k, j)
+            if j == self.dim:
+                # C_d(V*) = det V* has modulus 1 and R is all of range(d), so
+                # a_S = |det U_S|^2 at every point
+                sq = minors[0, :count].real ** 2 + minors[0, :count].imag ** 2
+                acc = (sq * sq) @ tau2[:count]
+            else:
+                lam = comp[:, masks[j]]
+                acc = np.zeros(len(xs))
+                for cols, sq in disc._squared_minors(rots[j], minors, count, len(xs)):
+                    a = np.einsum("pr,prs->ps", lam, sq[inv])
+                    acc += (a * a) @ tau2[cols]
+            out += -acc if j % 2 else acc
+        return out
 
     def q_eval(self, k: int, x: float, z) -> float:
         """Q_k at a single point (x, z)."""
@@ -154,11 +210,48 @@ class QEvaluator:
         over s, the expected polynomial of independent signs of variance
         tau_i^2 with no fixed part, which :func:`disc._expected_ypolys` sums
         under ``disc.ENUM_CAP`` (by Cauchy-Binet subsets or, when cheaper,
-        over the same 2^(n-1) sign pairs). Ascending x-space coefficients,
+        over the same 2^(n-1) sign pairs), sharing the minors of U when
+        :meth:`eval_many` has taken them. Ascending x-space coefficients,
         degree 2 dim (``x^(2 dim)`` when no coordinate is left).
         """
         zero = np.zeros((1, self.dim, self.dim), dtype=complex)
-        return disc._even_to_x(disc._expected_ypolys(zero, self.vectors, self.taus**2, disc.ENUM_CAP)[0])
+        ypoly = disc._expected_ypolys(zero, self.vectors, self.taus**2, disc.ENUM_CAP, tail=self._tail)
+        return disc._even_to_x(ypoly[0])
+
+
+def _unitary_compounds(vh: np.ndarray, top: int) -> list:
+    """The compounds C_j(A) of a stack of unitary d x d matrices A for
+    j = 1..min(top, d - 1) (index 0 holds nothing), each up to a unit factor
+    per row, which ``|C_j(A) C_j(U)|`` does not see.
+
+    Only j <= d/2 takes minors, 2 x 2 ones in closed form. Beyond, Jacobi's
+    complementary minors of a unitary A give ``det A_{R,R'} = det(A)
+    (-1)^(sum R^c + sum R'^c) conj(det A_{R^c,R'^c})``, and colex order lists
+    the complements in reverse.
+    """
+    d = vh.shape[-1]
+    rows = disc._dim_tables(d)[0]
+    out = [None] * (min(top, d - 1) + 1)
+    for j in range(1, len(out)):
+        if 2 * j > d:
+            out[j] = out[d - j][:, ::-1, ::-1].conj() * (-1.0) ** rows[j].sum(axis=1)
+        elif j == 2:
+            r, c = rows[2][:, 0], rows[2][:, 1]
+            out[j] = vh[:, r[:, None], r] * vh[:, c[:, None], c] - vh[:, r[:, None], c] * vh[:, c[:, None], r]
+        else:
+            out[j] = disc._minors(vh, rows[j], rows[j])
+    return out
+
+
+def _complement_products(lam: np.ndarray) -> np.ndarray:
+    """``prod_{r not in R} lam_r`` for every R in range(d), indexed by
+    bitmask: shape (P, 2^d) for ``lam`` of shape (P, d)."""
+    p, d = lam.shape
+    c = np.ones((p, 1 << d))
+    for r in range(d):
+        # the masks without bit r, as a view
+        c.reshape(p, 1 << (d - 1 - r), 2, 1 << r)[:, :, 0] *= lam[:, r, None, None]
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +329,6 @@ def _barrier_batch(qe: QEvaluator, k: int, x: float, z, dirs: Sequence[int]) -> 
     return (vals[1::2] - vals[2::2]) / (2.0 * vals[0])
 
 
-def barrier(qe: QEvaluator, k: int, point: Tuple[float, Sequence[float]], i: int, mode: str = "analytic") -> float:
-    """Barrier function of Q_k in direction i at (x, z).
-
-    ``analytic`` mode applies only to k = 0, where the logarithmic derivative
-    reduces to a trace of the resolvent; ``finite_difference`` works for any
-    k and is exact, since Q_k is quadratic in each coordinate. The point is
-    certified above the roots first.
-    """
-    x, z = point
-    certify_above_roots(qe, k, x, z)
-    if mode == "analytic":
-        if k != 0:
-            raise ValueError("analytic barrier evaluation is available for k = 0 only")
-        return _barrier_analytic(qe, x, z, i)
-    if mode == "finite_difference":
-        return float(_barrier_batch(qe, k, x, z, [i])[0])
-    raise ValueError(f"unknown barrier mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Barrier walk replay
 # ---------------------------------------------------------------------------
@@ -316,14 +390,16 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
     first violated inequality raises :class:`WalkStepFailed`; success returns
     the full trace including the largest root of the final polynomial, which
     must be at most 3 + 1e-9. Raises :class:`EnumerationTooLarge` before the
-    first step when the 2^(n-1) sign pairs exceed ``disc.ENUM_CAP``; the top
-    polynomial always fits then, since its engine may sum the same sign pairs.
+    first step when neither route of :meth:`QEvaluator.eval_many` fits
+    ``disc.ENUM_CAP`` for the walk's largest call, the last certification
+    (k = n at 3n + 32 points). Both routes' counts grow with k and with the
+    points, so every other call fits then, and so does the top polynomial.
     """
     qe = QEvaluator.from_instance(inst, validate=False)
     n = qe.n
     deltas = qe.deltas
-    if n and 2 ** (n - 1) > disc.ENUM_CAP:
-        raise EnumerationTooLarge(2 ** (n - 1), disc.ENUM_CAP)
+    if n:
+        disc._plan_route(qe.dim, [(n, 3 * n + 2 * PROBE_POINTS)], disc.ENUM_CAP, symmetric=True)
 
     if n == 0:
         lam = _lambda_max_of_p_empty(qe)

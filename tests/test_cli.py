@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from matdisc import cli, disc, model
+from matdisc import cli, disc, model, witness
 from matdisc.errors import NotRealRooted
 
 
@@ -63,14 +63,6 @@ def test_frames_gen_writes_loadable_instance(tmp_path, capsys):
     capsys.readouterr()
     inst = model.load_instance(out)
     assert inst.n == 5 and inst.dim == 3
-
-
-def test_bench_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert cli.main(["bench", "--seed", "1", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "task,n,d,seconds"
-    assert len(lines) > 1
 
 
 def test_csv_format_for_verify(tmp_path):
@@ -150,3 +142,34 @@ def test_runconfig_rejects_bad_tolerances():
         cli.RunConfig(command="verify", suite="thm15", root_tol=-1.0)
     with pytest.raises(ValueError):
         cli.RunConfig(command="verify", suite="thm15", seed=2**64)
+
+
+def test_numerical_failures_in_solve_and_replay_become_failing_rows(tmp_path, capsys, monkeypatch):
+    # the greedy's first level on this frame has a 10-fold y-root that the
+    # companion roots spread into a complex circle; solve reports that as a
+    # failing row and exits 1, and still writes the brute-force section
+    frame = tmp_path / "frame.json"
+    assert cli.main(["frames", "gen", "--n", "14", "--d", "12", "--out", str(frame)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "solve.json"
+    assert cli.main(["solve", "--instance", str(frame), "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["bruteforce"]["value"] == pytest.approx(7.0 / 6.0, abs=1e-9) and "greedy" not in doc
+    first = doc["checks"][0]
+    assert first["name"] == "greedy[partial polynomial has complex y-roots beyond tol 1.0e-07]" and not first["pass"]
+    assert doc["failed"] == 1 and [row["name"] for row in doc["checks"][1:]] == [
+        "disc_le_three_sigma",
+        "disc_le_four_sigma",
+        "disc_le_tight_frame",
+    ]
+
+    # a top polynomial that is not real-rooted fails replay's row, exit 1
+    def not_real_rooted(qe):
+        raise NotRealRooted("forced")
+
+    monkeypatch.setattr(witness, "_lambda_max_of_p_empty", not_real_rooted)
+    out = tmp_path / "replay.json"
+    assert cli.main(["replay", "--instance", FIXTURE, "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["trace"] == {"reason": "forced"}
+    assert [row["name"] for row in doc["checks"]] == ["lambda_p_empty[forced]"] and doc["failed"] == 1

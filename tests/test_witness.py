@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -82,18 +83,41 @@ def test_q_eval_one_variable_transform():
         assert qe.q_eval(1, x, [0.0]) == pytest.approx(x * x - 1.0, rel=1e-12)
 
 
-def test_eval_many_matches_grid_oracle():
-    rng = np.random.default_rng(5)
-    for d in range(1, 6):
-        for n in range(1, 7):
-            qe = witness.QEvaluator.from_instance(normalized_instance(rng, d, n))
-            xs = rng.uniform(0.5, 4.0, size=3)
-            zs = rng.normal(size=(3, n))
-            for k in range(n + 1):
-                got = qe.eval_many(k, xs, zs)
-                for x, z, val in zip(xs, zs, got):
-                    want, scale = grid_q(qe, k, x, z)
-                    assert abs(val - want) <= 1e-12 * scale, (d, n, k)
+ROUTES = ("signs", "subsets")
+
+
+def pin_route(monkeypatch, route):
+    """Pin eval_many (and the engine) to one route, whatever the planner
+    would pick."""
+    monkeypatch.setattr(disc, "_plan_route", lambda *args, **kwargs: route)
+
+
+def test_eval_many_matches_grid_oracle(monkeypatch):
+    # both routes at every k <= n, so k > d is covered for d < 6
+    for route in ROUTES:
+        pin_route(monkeypatch, route)
+        rng = np.random.default_rng(5)
+        for d in range(1, 6):
+            for n in range(1, 7):
+                qe = witness.QEvaluator.from_instance(normalized_instance(rng, d, n))
+                xs = rng.uniform(0.5, 4.0, size=3)
+                zs = rng.normal(size=(3, n))
+                for k in range(n + 1):
+                    got = qe.eval_many(k, xs, zs)
+                    for x, z, val in zip(xs, zs, got):
+                        want, scale = grid_q(qe, k, x, z)
+                        assert abs(val - want) <= 1e-12 * scale, (route, d, n, k)
+
+
+def test_eval_many_at_origin_is_the_top_polynomial():
+    # Q_n(x, 0) is the top polynomial; d = 4, n = 20 is far past the sign
+    # pairs' reach in a test, so the planner takes the subset sums
+    rng = np.random.default_rng(20)
+    qe = witness.QEvaluator.from_instance(normalized_instance(rng, 4, 20))
+    coeffs = qe.p_empty()
+    for x in (2.0, 3.0, 4.5):
+        got = qe.eval_many(qe.n, [x], [np.zeros(qe.n)])[0]
+        assert got == pytest.approx(np.polynomial.polynomial.polyval(x, coeffs), rel=1e-12, abs=0.0)
 
 
 def test_p_empty_matches_operator_route(rng):
@@ -174,24 +198,24 @@ def test_initial_barriers_bounded_by_deltas(rng):
         inst = normalized_instance(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
         qe = witness.QEvaluator.from_instance(inst)
         w0 = -qe.deltas
+        witness.certify_above_roots(qe, 0, 3.0, w0)
         for i in range(qe.n):
-            val = witness.barrier(qe, 0, (3.0, w0), i, mode="analytic")
-            assert val <= qe.deltas[i] + 1e-9
+            assert witness._barrier_analytic(qe, 3.0, w0, i) <= qe.deltas[i] + 1e-9
 
 
 def test_barrier_analytic_fd_agreement(rng):
     inst = normalized_instance(rng, 3, 3)
     qe = witness.QEvaluator.from_instance(inst)
     w0 = -qe.deltas
+    witness.certify_above_roots(qe, 0, 3.0, w0)
+    central = witness._barrier_batch(qe, 0, 3.0, w0, range(qe.n))
     for i in range(qe.n):
-        a = witness.barrier(qe, 0, (3.0, w0), i, mode="analytic")
-        b = witness.barrier(qe, 0, (3.0, w0), i, mode="finite_difference")
-        assert b == pytest.approx(a, rel=1e-12, abs=0.0)
+        assert central[i] == pytest.approx(witness._barrier_analytic(qe, 3.0, w0, i), rel=1e-12, abs=0.0)
 
 
-def test_barrier_matches_resolvent_form(rng):
-    # barrier j of Q_k from the sign-pair form: each det factor contributes
-    # its log-derivative tau_j v_j* M^-1 v_j
+def test_barrier_matches_resolvent_form(rng, monkeypatch):
+    # barrier j of Q_k from the sign-pair form, on both routes: each det
+    # factor contributes its log-derivative tau_j v_j* M^-1 v_j
     inst = normalized_instance(rng, 3, 4)
     qe = witness.QEvaluator.from_instance(inst)
 
@@ -208,10 +232,13 @@ def test_barrier_matches_resolvent_form(rng):
         # the walk's point after k shifts, which it certifies above the roots
         z = np.where(np.arange(qe.n) < k, 0.0, -qe.deltas)
         value = sign_pair_sum(qe, k, 3.0, z, det_pair)
-        for j in range(qe.n):
-            want = sign_pair_sum(qe, k, 3.0, z, resolvent(j)) / value
-            got = witness.barrier(qe, k, (3.0, z), j, mode="finite_difference")
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (k, j)
+        want = [sign_pair_sum(qe, k, 3.0, z, resolvent(j)) / value for j in range(qe.n)]
+        for route in ROUTES:
+            pin_route(monkeypatch, route)
+            witness.certify_above_roots(qe, k, 3.0, z)
+            got = witness._barrier_batch(qe, k, 3.0, z, range(qe.n))
+            for j in range(qe.n):
+                assert got[j] == pytest.approx(want[j], rel=1e-12, abs=0.0), (route, k, j)
 
 
 def test_barrier_monotone_along_shifts(rng):
@@ -219,16 +246,14 @@ def test_barrier_monotone_along_shifts(rng):
     qe = witness.QEvaluator.from_instance(inst)
     w0 = -qe.deltas
     for t in (0.1, 1.0, 10.0):
+        witness.certify_above_roots(qe, 0, 3.0 + t, w0)
         for i in range(qe.n):
-            assert witness.barrier(qe, 0, (3.0 + t, w0), i, mode="analytic") <= witness.barrier(
-                qe, 0, (3.0, w0), i, mode="analytic"
-            ) + 1e-12
+            assert witness._barrier_analytic(qe, 3.0 + t, w0, i) <= witness._barrier_analytic(qe, 3.0, w0, i) + 1e-12
 
 
 def test_barrier_requires_point_above_roots():
-    qe = unit_evaluator()
     with pytest.raises(NotAboveRoots):
-        witness.barrier(qe, 0, (0.5, [-1.0]), 0, mode="analytic")
+        witness.certify_above_roots(unit_evaluator(), 0, 0.5, [-1.0])
 
 
 def test_certify_probe_points_and_first_failure(rng, monkeypatch):
@@ -246,12 +271,6 @@ def test_certify_probe_points_and_first_failure(rng, monkeypatch):
     # Q_1 = (x + z)^2 - 1 is negative at (0.5, 0): the coordinate ray fails first
     with pytest.raises(NotAboveRoots, match="coordinate ray 0"):
         witness.certify_above_roots(unit_evaluator(), 1, 0.5, [0.0])
-
-
-def test_analytic_mode_restricted_to_base():
-    qe = unit_evaluator()
-    with pytest.raises(ValueError):
-        witness.barrier(qe, 1, (3.0, [0.0]), 0, mode="analytic")
 
 
 # -- barrier walk -----------------------------------------------------------
@@ -305,30 +324,42 @@ def test_walk_monotonicity_seeds(seed):
 
 
 def test_walk_determinant_count(monkeypatch):
-    # a return to the 3^k grid (or any extra evaluation) changes this count
+    # exact work of a walk on each route: a return to the 3^k grid (or any
+    # extra evaluation) changes these counts
     rng = np.random.default_rng(8)
     d, n = 4, 8
     vectors = tuple((rng.normal(size=d) + 1j * rng.normal(size=d)) / math.sqrt(2.0) for _ in range(n))
     rvs = tuple(model.DiscreteRandomVariable.rademacher() for _ in range(n))
     inst = model.normalize(model.RankOneInstance(d, vectors, rvs))
-    counter = count_matrices(monkeypatch, "det")
-    eigvalsh = count_matrices(monkeypatch, "eigvalsh")
-    assert witness.replay_barrier_walk(inst).passed
     # step k certifies Q_k at 3 nodes per coordinate ray plus the x and
     # all-ones rays, then takes barriers at 1 + 2m points for the m
-    # remaining directions; each point costs 2^k determinants
+    # remaining directions
     probes = 3 * n + 2 * witness.PROBE_POINTS
-    expected = sum((probes + (1 + 2 * (n - k) if k < n else 0)) * 2**k for k in range(1, n + 1))
-    # the top polynomial takes either the k x k minors (k >= 2) of the n
-    # vectors and the k-th compound of the eigenbasis of its zero fixed
-    # part, or the spectra of the 2^(n-1) sign pairs; the start point's
-    # positive-definiteness check takes one spectrum
-    if disc._plan_route(d, [(n, 1)], disc.ENUM_CAP, symmetric=True) == "subsets":
-        expected += sum(math.comb(n, k) * math.comb(d, k) + math.comb(d, k) ** 2 for k in range(2, d + 1))
-        assert eigvalsh["matrices"] == 1
-    else:
-        assert eigvalsh["matrices"] == 1 + 2 ** (n - 1)
-    assert counter["matrices"] == expected
+    barriers = [1 + 2 * (n - k) if k < n else 0 for k in range(n + 1)]
+    for route in ROUTES:
+        pin_route(monkeypatch, route)
+        dets = count_matrices(monkeypatch, "det")
+        eigvalsh = count_matrices(monkeypatch, "eigvalsh")
+        eigh = count_matrices(monkeypatch, "eigh")
+        assert witness.replay_barrier_walk(inst).passed
+        if route == "signs":
+            # each point costs 2^k determinants; the top polynomial takes
+            # the spectra of the 2^(n-1) sign pairs, and the start point's
+            # positive-definiteness check one spectrum
+            assert dets["matrices"] == sum((probes + barriers[k]) * 2**k for k in range(1, n + 1))
+            assert eigvalsh["matrices"] == 1 + 2 ** (n - 1)
+            assert eigh["matrices"] == 0
+        else:
+            # the k x k minors (k >= 2) of the n vectors, once, and the
+            # compounds of the top polynomial's eigenbasis; at d = 4 a point
+            # takes no determinant (2 x 2 compounds in closed form, the 3 x 3
+            # ones by complementary minors). A certification has 2n + 16
+            # distinct z (the x ray's share one), each with one eigenbasis,
+            # as have the barrier points and the top polynomial's zero part.
+            ks = range(2, d + 1)
+            assert dets["matrices"] == sum(math.comb(n, k) * math.comb(d, k) + math.comb(d, k) ** 2 for k in ks)
+            assert eigvalsh["matrices"] == 1
+            assert eigh["matrices"] == sum(2 * n + 16 + barriers[k] for k in range(1, n + 1)) + 1
 
 
 def test_walk_sign_pair_cap(rng, monkeypatch):
@@ -338,6 +369,38 @@ def test_walk_sign_pair_cap(rng, monkeypatch):
     with pytest.raises(EnumerationTooLarge):
         witness.replay_barrier_walk(inst)
     assert counter["matrices"] == 0
+
+
+def test_walk_beyond_the_sign_pair_cap(tmp_path):
+    # d = 4, n = 26: the last steps' 2^25 sign pairs exceed ENUM_CAP, and
+    # the subset sums carry the walk; `matdisc replay` passes on it too
+    rng = np.random.default_rng(26)
+    d, n = 4, 26
+    assert 2 ** (n - 1) > disc.ENUM_CAP
+    vectors = tuple((rng.normal(size=d) + 1j * rng.normal(size=d)) / math.sqrt(2.0) for _ in range(n))
+    rvs = tuple(model.DiscreteRandomVariable.rademacher() for _ in range(n))
+    path = tmp_path / "walk26.json"
+    model.save_instance(model.RankOneInstance(d, vectors, rvs), path)
+    out = tmp_path / "replay.json"
+    assert cli.main(["replay", "--instance", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["trace"]["passed"] and len(doc["trace"]["steps"]) == n
+
+
+def test_walk_determinant_batch_cap(monkeypatch):
+    # no determinant call of a d = 4, n = 24 walk gets more than
+    # _EVAL_BATCH matrices; on the sign pairs alone an n = 11 walk fills
+    # its batches exactly (2 x 32 points x 2^10 pairs at k = 11)
+    rng = np.random.default_rng(24)
+    for n, route in ((24, None), (11, "signs")):
+        if route:
+            pin_route(monkeypatch, route)
+        vectors = tuple(rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(n))
+        rvs = tuple(model.DiscreteRandomVariable.rademacher() for _ in range(n))
+        dets = count_matrices(monkeypatch, "det")
+        assert witness.replay_barrier_walk(model.normalize(model.RankOneInstance(4, vectors, rvs))).passed
+        assert 0 < dets["largest"] <= witness._EVAL_BATCH == 1 << 16
+    assert dets["largest"] == witness._EVAL_BATCH
 
 
 def test_p_empty_beyond_the_minor_cap():
