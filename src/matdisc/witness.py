@@ -173,9 +173,12 @@ class QEvaluator:
         """
         if self._tail is None:
             self._tail = disc._tail_terms(np.array(self.vectors).reshape(self.n, self.dim), self.taus**2)
-        seen: dict = {}
-        owner = np.fromiter((seen.setdefault(z.tobytes(), i) for i, z in enumerate(zs)), np.intp, len(zs))
-        first, inv = np.unique(owner, return_inverse=True)
+        order = np.lexsort(zs.T)
+        new = np.ones(len(zs), dtype=bool)
+        new[1:] = (zs[order[1:]] != zs[order[:-1]]).any(axis=1)
+        inv = np.empty(len(zs), dtype=np.intp)
+        inv[order] = np.cumsum(new) - 1
+        first = order[new]
         mu, vecs = np.linalg.eigh(np.tensordot(zs[first], self._tw, axes=(1, 0)))
         comp = _complement_products(xs[:, None] + mu[inv])
         vh = np.swapaxes(vecs.conj(), 1, 2)
