@@ -283,9 +283,11 @@ def _squared_minors(rot: np.ndarray, minors: np.ndarray, count: int, lead: int):
     block at most ``_PRODUCT_BLOCK`` entries for ``lead`` leading rows and at
     most ``_SUBSET_CHUNK`` columns wide."""
     step = max(1, min(_SUBSET_CHUNK, _PRODUCT_BLOCK // max(1, lead * rot.shape[-2])))
+    # one 2-D product for the whole stack, not one per leading index
+    flat = rot.reshape(-1, rot.shape[-1])
     for start in range(0, count, step):
         cols = slice(start, min(start + step, count))
-        w = rot @ minors[:, cols]
+        w = (flat @ minors[:, cols]).reshape(rot.shape[:-1] + (-1,))
         yield cols, w.real**2 + w.imag**2
 
 
