@@ -207,6 +207,9 @@ def verify_thm41(seed: int = 0, count: int = 300, norm_tol: float = 1e-9) -> dic
             trace, failure = witness.replay_barrier_walk(inst), None
         except WalkStepFailed as exc:
             trace, failure = None, exc
+        except NotRealRooted as exc:
+            rows.append(_flag_row(f"i{i}.lambda_p_empty[{exc}]", False))
+            continue
         # a finished walk has already computed the top polynomial's root
         lam = trace.p_empty_lambda_max if trace else rpoly.lambda_max(disc.expected_charpoly(inst), tol=1e-6)
         rows.append(_row(f"i{i}.lambda_p_empty", lam, 3.0 + norm_tol))

@@ -163,7 +163,8 @@ def test_numerical_failures_in_solve_and_replay_become_failing_rows(tmp_path, ca
         "disc_le_tight_frame",
     ]
 
-    # a top polynomial that is not real-rooted fails replay's row, exit 1
+    # a top polynomial that is not real-rooted fails a row of replay and of
+    # verify thm41, exit 1
     def not_real_rooted(qe):
         raise NotRealRooted("forced")
 
@@ -173,3 +174,6 @@ def test_numerical_failures_in_solve_and_replay_become_failing_rows(tmp_path, ca
     doc = json.loads(out.read_text())
     assert doc["trace"] == {"reason": "forced"}
     assert [row["name"] for row in doc["checks"]] == ["lambda_p_empty[forced]"] and doc["failed"] == 1
+    report = cli.verify_thm41(seed=3, count=2)
+    assert [row["name"] for row in report["checks"]] == ["i0.lambda_p_empty[forced]", "i1.lambda_p_empty[forced]"]
+    assert cli.main(["verify", "thm41", "--count", "2", "--seed", "3", "--out", os.devnull]) == 1
