@@ -283,11 +283,9 @@ def _squared_minors(rot: np.ndarray, minors: np.ndarray, count: int, lead: int):
     block at most ``_PRODUCT_BLOCK`` entries for ``lead`` leading rows and at
     most ``_SUBSET_CHUNK`` columns wide."""
     step = max(1, min(_SUBSET_CHUNK, _PRODUCT_BLOCK // max(1, lead * rot.shape[-2])))
-    # one 2-D product for the whole stack, not one per leading index
-    flat = rot.reshape(-1, rot.shape[-1])
     for start in range(0, count, step):
         cols = slice(start, min(start + step, count))
-        w = (flat @ minors[:, cols]).reshape(rot.shape[:-1] + (-1,))
+        w = rot @ minors[:, cols]
         yield cols, w.real**2 + w.imag**2
 
 
@@ -406,8 +404,14 @@ def _plan_route(d: int, calls: Sequence[Tuple[int, int]], cap: int, symmetric: b
     patterns per fixed part (2^(m-1) when ``symmetric``, every fixed part
     zero). Of the routes that fit, the one with the smaller estimated time
     over all calls is returned; :class:`EnumerationTooLarge` is raised when
-    neither fits.
+    neither fits. Plans are cached: the barrier walk plans every batch of
+    points it evaluates.
     """
+    return _cached_plan(d, tuple(calls), cap, symmetric)
+
+
+@functools.lru_cache(maxsize=4096)
+def _cached_plan(d: int, calls: tuple, cap: int, symmetric: bool) -> str:
     m, nb = calls[0]
     ks = range(1, min(d, m) + 1)
     counts = {
