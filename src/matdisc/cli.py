@@ -552,35 +552,40 @@ def run(cfg: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes ``--out``, ``--format`` and the flags it reads.
+
+    Abbreviated flags are refused, or a flag a command does not read could
+    pass as a prefix of one it does (``--n`` of ``--norm-tol``).
+    """
     parser = argparse.ArgumentParser(prog="matdisc", description="matrix discrepancy laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
+    settings = {
+        "--instance": {"required": True},
+        "--out": {"default": None},
+        "--format": {"dest": "fmt", "choices": ("json", "csv"), "default": "json"},
+        "--seed": {"type": int, "default": 0},
+        "--root-tol": {"dest": "root_tol", "type": float, "default": rpoly.REAL_ROOT_TOL},
+        "--norm-tol": {"dest": "norm_tol", "type": float, "default": 1e-9},
+        "--threads": {"type": int, "default": None},
+        "--count": {"type": int, "default": None},
+        "--n": {"type": int, "default": None},
+        "--d": {"type": int, "default": None},
+    }
 
-    def common(sp):
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--root-tol", dest="root_tol", type=float, default=rpoly.REAL_ROOT_TOL)
-        sp.add_argument("--norm-tol", dest="norm_tol", type=float, default=1e-9)
-        sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--count", type=int, default=None)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--d", type=int, default=None)
+    def command(name, summary, *flags):
+        sp = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in ("--out", "--format") + flags:
+            sp.add_argument(flag, **settings[flag])
+        return sp
 
-    sp = sub.add_parser("solve", help="brute force, greedy, and the bound menu on an instance file")
-    sp.add_argument("--instance", required=True)
-    common(sp)
-
-    sp = sub.add_parser("verify", help="seeded verification suites")
-    sp.add_argument("suite", choices=VERIFY_SUITES)
-    common(sp)
-
-    sp = sub.add_parser("replay", help="barrier walk trace for a normalized instance")
-    sp.add_argument("--instance", required=True)
-    common(sp)
-
-    sp = sub.add_parser("frames", help="frame constructions")
-    sp.add_argument("action", choices=("gen",))
-    common(sp)
+    command(
+        "solve", "brute force, greedy, and the bound menu on an instance file", "--instance", "--root-tol", "--norm-tol", "--threads"
+    )
+    command(
+        "verify", "seeded verification suites", "--seed", "--root-tol", "--norm-tol", "--threads", "--count", "--n"
+    ).add_argument("suite", choices=VERIFY_SUITES)
+    command("replay", "barrier walk trace for a normalized instance", "--instance", "--norm-tol")
+    command("frames", "frame constructions", "--n", "--d").add_argument("action", choices=("gen",))
 
     return parser
 
@@ -592,24 +597,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        command = ns.command
+        fields = vars(ns)
+        command = fields.pop("command")
         if command == "frames":
-            command = f"frames {ns.action}"
-        cfg = RunConfig(
-            command=command,
-            suite=getattr(ns, "suite", None),
-            instance=getattr(ns, "instance", None),
-            out=ns.out,
-            fmt=ns.fmt,
-            seed=ns.seed,
-            root_tol=ns.root_tol,
-            norm_tol=ns.norm_tol,
-            threads=ns.threads,
-            count=ns.count,
-            n=ns.n,
-            d=ns.d,
-        )
-        return run(cfg)
+            command = f"frames {fields.pop('action')}"
+        return run(RunConfig(command=command, **fields))
     except (MatDiscError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

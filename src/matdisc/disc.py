@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from . import linalg, model, rpoly
 from ._util import map_chunks, resolve_threads
@@ -242,6 +241,32 @@ def _minors(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unitary_compounds(vh: np.ndarray, top: int) -> list:
+    """The compounds C_j(A) of a stack of unitary d x d matrices A for
+    j = 1..min(top, d) (index 0 holds nothing), each up to a unit factor per
+    row, which ``|C_j(A) C_j(U)|`` does not see; C_d(A) = det A is taken as 1.
+
+    Only j <= d/2 takes minors, 2 x 2 ones in closed form. Beyond, Jacobi's
+    complementary minors of a unitary A give ``det A_{R,R'} = det(A)
+    (-1)^(sum R^c + sum R'^c) conj(det A_{R^c,R'^c})``, and colex order lists
+    the complements in reverse.
+    """
+    d = vh.shape[-1]
+    rows = _dim_tables(d)[0]
+    out = [None] * (min(top, d) + 1)
+    for j in range(1, len(out)):
+        if j == d:
+            out[j] = np.ones((len(vh), 1, 1))
+        elif 2 * j > d:
+            out[j] = out[d - j][:, ::-1, ::-1].conj() * (-1.0) ** rows[j].sum(axis=1)
+        elif j == 2:
+            r, c = rows[2][:, 0], rows[2][:, 1]
+            out[j] = vh[:, r[:, None], r] * vh[:, c[:, None], c] - vh[:, r[:, None], c] * vh[:, c[:, None], r]
+        else:
+            out[j] = _minors(vh, rows[j], rows[j])
+    return out
+
+
 def _tail_terms(vectors: np.ndarray, variances) -> list:
     """Per k = 1..min(d, m), the pair of the k x k minors of
     ``U = [u_1 .. u_m]`` (the rows of ``vectors``, shape (m, d)) and the
@@ -300,10 +325,11 @@ def _subset_ypolys(fixed: np.ndarray, vectors, variances, tail=None) -> np.ndarr
     and ``g_S`` the same with ``x + lam_r``. Summing over S first leaves, per
     size k, the matrix ``H_k[R, R'] = sum_S tau_S^2 |det W_{R,S}|^2
     |det W_{R',S}|^2`` between complement polynomials. The minors of W are
-    those of U rotated by the k-th compound of V*, ``C_k(W) = C_k(V*) C_k(U)``,
-    so one eigendecomposition and one small product per branch replace the
-    determinants; ``tail`` (from :func:`_tail_terms` of a variable list that
-    starts with this one) may be passed to share them between calls.
+    those of U rotated by the k-th compound of V*, ``C_k(W) = C_k(V*) C_k(U)``
+    (:func:`_unitary_compounds`), so one eigendecomposition and one small
+    product per branch replace the determinants; ``tail`` (from
+    :func:`_tail_terms` of a variable list that starts with this one) may be
+    passed to share them between calls.
     """
     nb, d = fixed.shape[0], fixed.shape[1]
     m = len(variances)
@@ -315,14 +341,14 @@ def _subset_ypolys(fixed: np.ndarray, vectors, variances, tail=None) -> np.ndarr
     vh = np.swapaxes(vecs.conj(), 1, 2)
     comp = _complement_polys(lam)
     rows, masks, fold = _dim_tables(d)
+    rots = _unitary_compounds(vh, top)
     gram = np.zeros((nb, d + 1, d + 1))
     for k in range(top + 1):
         if k == 0:
             h = np.ones((nb, 1, 1))
         else:
-            rot = _minors(vh, rows[k], rows[k])  # C_k(V*)
             h = np.zeros((nb, len(rows[k]), len(rows[k])))
-            for cols, z in _squared_minors(rot, tail[k][0], math.comb(m, k), nb):
+            for cols, z in _squared_minors(rots[k], tail[k][0], math.comb(m, k), nb):
                 h += (z * tail[k][1][cols]) @ np.swapaxes(z, 1, 2)
         term = np.swapaxes(comp[0][:, masks[k]], 1, 2) @ h @ comp[1][:, masks[k]]
         gram += term if k % 2 == 0 else -term
@@ -335,6 +361,16 @@ def _signed_sums(parts: np.ndarray) -> np.ndarray:
     for a in parts:
         out = np.concatenate([out + a, out - a])
     return out
+
+
+def _sign_blocks(parts: np.ndarray, head: int, chunk: int):
+    """The sums ``sum_{i < head} A_i + sum_{i >= head} s_i A_i`` of ``parts``
+    over every sign vector s, yielded in blocks of at most ``max(1, chunk)``
+    matrices (the first ``head`` signs are pinned to +1)."""
+    low = min(len(parts) - head, max(1, chunk).bit_length() - 1)
+    block = parts[:head].sum(axis=0) + _signed_sums(parts[head : head + low])
+    for high in _signed_sums(parts[head + low :]):
+        yield block + high
 
 
 def _sign_ypolys(fixed: np.ndarray, vectors, variances) -> np.ndarray:
@@ -351,14 +387,11 @@ def _sign_ypolys(fixed: np.ndarray, vectors, variances) -> np.ndarray:
     u = np.asarray(vectors, dtype=complex).reshape(m, d)
     tw = np.sqrt(np.asarray(variances, dtype=float))[:, None, None] * model.outer_products(u)
     head = 1 if m and not fixed.any() else 0
-    free = m - head
-    low = min(free, max(1, _SIGN_BATCH // nb).bit_length() - 1)
-    block = tw[:head].sum(axis=0) + _signed_sums(tw[head : head + low])
     acc = np.zeros((nb, d + 1))
-    for high in _signed_sums(tw[head + low :]):
-        mu = np.linalg.eigvalsh(fixed[:, None] + (block + high)[None])
+    for shifts in _sign_blocks(tw, head, _SIGN_BATCH // nb):
+        mu = np.linalg.eigvalsh(fixed[:, None] + shifts[None])
         acc += _monic_from_roots_batch((mu * mu).reshape(-1, d)).reshape(nb, -1, d + 1).sum(axis=1)
-    return acc / 2.0**free
+    return acc / 2.0 ** (m - head)
 
 
 # Seconds per unit of work of the two routes, fitted (within about 2x) to
@@ -587,20 +620,12 @@ GREEDY_MONOTONE_TOL = 1e-9
 def _lambda_max_y(ycoeffs: np.ndarray, tol: float) -> float:
     """Largest root of the even polynomial q(x^2), from its y-space roots."""
     c, nzero = rpoly.deflate_zero_roots(ycoeffs)
-    if len(c) + nzero < 2 and c[0] == 0.0:
+    if len(c) + nzero < 2:
         raise NotRealRooted("degenerate partial polynomial (zero-probability branch?)")
-    if len(c) < 2:
-        return 0.0
-    r = npp.polyroots(c)
-    scale = 1.0 + np.abs(np.real(r)).max()
-    if np.abs(np.imag(r)).max() > tol * scale:
-        raise NotRealRooted(f"partial polynomial has complex y-roots beyond tol {tol:.1e}")
-    top = float(np.real(r).max())
-    if nzero:
-        top = max(top, 0.0)
-    if top < -tol * scale:
+    r = rpoly._real_roots(c, nzero, tol)
+    if r[-1] < -tol * (1.0 + np.abs(r).max()):
         raise NotRealRooted("partial polynomial has a negative leading y-root")
-    return math.sqrt(max(top, 0.0))
+    return math.sqrt(max(r[-1], 0.0))
 
 
 def _branch_polys(terms, vectors, variances, means, sizes, supp, prob, prefix_idx, k, tail_terms) -> np.ndarray:

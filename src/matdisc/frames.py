@@ -43,9 +43,6 @@ class Frame:
     def n(self) -> int:
         return len(self.vectors)
 
-    def frame_operator(self) -> np.ndarray:
-        return model.outer_products(self.vectors).sum(axis=0)
-
 
 def harmonic_untf(n: int, d: int) -> Frame:
     """Unit-norm tight frame from the first d rows of the n-point DFT.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidOrder, NonHermitianInput
+from .errors import NonHermitianInput
 
 HERMITIAN_TOL = 1e-12
 
@@ -51,20 +51,3 @@ def spectral_norm(mat) -> float:
     """Largest absolute eigenvalue."""
     w = eigvals_hermitian(mat)
     return float(np.abs(w).max())
-
-
-def schatten_norm(mat, p) -> float:
-    """Schatten p-norm ``(sum s_i^p)^(1/p)``; ``p = inf`` is the spectral norm.
-
-    Raises :class:`InvalidOrder` for ``p < 1``.
-    """
-    if p != np.inf and p < 1:
-        raise InvalidOrder(f"Schatten order must be >= 1 or inf, got {p}")
-    w = np.abs(eigvals_hermitian(mat))
-    if p == np.inf:
-        return float(w.max())
-    # Scale out the largest singular value so w**p cannot overflow.
-    top = w.max()
-    if top == 0.0:
-        return 0.0
-    return float(top * np.sum((w / top) ** p) ** (1.0 / p))

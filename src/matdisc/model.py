@@ -191,11 +191,6 @@ def normalize(inst: RankOneInstance) -> RankOneInstance:
     return RankOneInstance(inst.dim, tuple(factor * v for v in inst.vectors), inst.rvs)
 
 
-def to_hermitian(inst: RankOneInstance) -> HermitianInstance:
-    """Replace each vector by its rank-one outer product."""
-    return HermitianInstance(inst.dim, tuple(outer_products(inst.vectors)), inst.rvs)
-
-
 # ---------------------------------------------------------------------------
 # JSON persistence.
 #

@@ -17,32 +17,19 @@ from .errors import DegreeMismatch, DegreeZero, NotRealRooted
 # O(sqrt(machine eps)) imaginary noise, hence the loose default.
 REAL_ROOT_TOL = 1e-7
 
-TRIM_REL = 1e-14
-
 
 def trim(coeffs) -> np.ndarray:
-    """Drop trailing coefficients below ``1e-14 * max|coeff|``."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    scale = np.abs(c).max()
-    if scale == 0.0:
-        return np.zeros(1)
-    keep = np.nonzero(np.abs(c) > TRIM_REL * scale)[0]
-    return c[: keep[-1] + 1].copy()
+    """Drop trailing zero coefficients (one zero is kept for the zero polynomial).
 
-
-def degree(coeffs) -> int:
-    return len(trim(coeffs)) - 1
-
-
-def roots(coeffs) -> np.ndarray:
-    """All complex roots via companion-matrix eigenvalues.
-
-    Raises :class:`DegreeZero` on constant polynomials.
+    Only exact zeros go: a relative threshold would drop a genuine leading
+    coefficient when the constant term is large (a monic polynomial with
+    constant term beyond 1e14).
     """
-    c = trim(coeffs)
-    if len(c) < 2:
-        raise DegreeZero("cannot extract roots of a constant polynomial")
-    return npp.polyroots(c)
+    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    keep = np.flatnonzero(c)
+    if len(keep) == 0:
+        return np.zeros(1)
+    return c[: keep[-1] + 1].copy()
 
 
 DEFLATE_REL = 1e-12
@@ -68,15 +55,16 @@ def deflate_zero_roots(coeffs, rel: float = DEFLATE_REL):
 def is_real_rooted(coeffs, tol: float = REAL_ROOT_TOL) -> bool:
     """True iff every root has ``|imag| <= tol * (1 + max |real part|)``.
 
-    Roots at the origin are deflated exactly first (see
-    :func:`deflate_zero_roots`); they count as real.
+    The test of :func:`real_roots`: roots at the origin are deflated exactly
+    first (see :func:`deflate_zero_roots`) and count as real; constants pass.
     """
-    c, _ = deflate_zero_roots(coeffs)
-    if len(c) < 2:
-        return True
-    r = npp.polyroots(c)
-    scale = 1.0 + np.abs(np.real(r)).max()
-    return bool(np.abs(np.imag(r)).max() <= tol * scale)
+    try:
+        _real_roots(*deflate_zero_roots(coeffs), tol)
+    except NotRealRooted:
+        return False
+    except DegreeZero:
+        pass
+    return True
 
 
 def real_roots(coeffs, tol: float = REAL_ROOT_TOL) -> np.ndarray:
@@ -88,7 +76,11 @@ def real_roots(coeffs, tol: float = REAL_ROOT_TOL) -> np.ndarray:
 
 
 def _real_roots(c: np.ndarray, nzero: int, tol: float) -> np.ndarray:
-    """:func:`real_roots` of the output of :func:`deflate_zero_roots`."""
+    """:func:`real_roots` of the output of :func:`deflate_zero_roots`.
+
+    The one root extraction of the package: companion-matrix eigenvalues,
+    accepted when every ``|imag| <= tol * (1 + max |real part|)``.
+    """
     if len(c) + nzero < 2:
         raise DegreeZero("cannot extract roots of a constant polynomial")
     if len(c) < 2:

@@ -67,8 +67,9 @@ class QEvaluator:
         Q_k(x, z) = sum_{S in [k], |S| <= dim} (-1)^|S| tau_S^2 a_S^2,
 
     the subset sums, polynomial in k for fixed dimension. The minors of W
-    are those of U rotated by the compounds of V*, as in
-    :func:`disc._subset_ypolys`.
+    are those of U rotated by the compounds of V* from
+    :func:`disc._unitary_compounds`, as in :func:`disc._subset_ypolys`; the
+    sign pairs come in blocks from :func:`disc._sign_blocks`.
     """
 
     def __init__(self, vectors: Sequence, taus: Sequence[float], validate: bool = True, dim: Optional[int] = None):
@@ -115,14 +116,6 @@ class QEvaluator:
 
     # -- evaluation --------------------------------------------------------
 
-    def _pair_shifts(self, k: int, chunk: int):
-        """W(s) for the 2^(k-1) sign vectors s in {-1,1}^k with s_1 = +1
-        (k >= 1), yielded in blocks of at most ``chunk`` matrices."""
-        low = min(k - 1, chunk.bit_length() - 1)
-        block = self._tw[0] + disc._signed_sums(self._tw[1 : 1 + low])
-        for high in disc._signed_sums(self._tw[1 + low : k]):
-            yield block + high
-
     def eval_many(self, k: int, xs, zs) -> np.ndarray:
         """Q_k at a batch of points; xs has shape (P,), zs has shape (P, n).
 
@@ -148,9 +141,10 @@ class QEvaluator:
 
     def _sign_pairs(self, k: int, base: np.ndarray) -> np.ndarray:
         """Q_k at the points ``base = xI + W(z)`` from their 2^(k-1) sign
-        pairs; at most ``_EVAL_BATCH`` matrices go to one determinant call."""
+        pairs ``W(s)``, s in {-1,1}^k with s_1 = +1; at most ``_EVAL_BATCH``
+        matrices go to one determinant call."""
         out = np.zeros(len(base))
-        for shifts in self._pair_shifts(k, _EVAL_BATCH // 2):
+        for shifts in disc._sign_blocks(self._tw[:k], 1, _EVAL_BATCH // 2):
             g = len(shifts)
             step = max(1, _EVAL_BATCH // (2 * g))
             for s in range(0, len(base), step):
@@ -183,7 +177,7 @@ class QEvaluator:
         comp = _complement_products(xs[:, None] + mu[inv])
         vh = np.swapaxes(vecs.conj(), 1, 2)
         masks = disc._dim_tables(self.dim)[1]
-        rots = _unitary_compounds(vh, min(self.dim, k))
+        rots = disc._unitary_compounds(vh, min(self.dim, k))
         out = comp[:, 0] ** 2
         for j in range(1, min(self.dim, k) + 1):
             minors, tau2 = self._tail[j]
@@ -202,10 +196,6 @@ class QEvaluator:
             out += -acc if j % 2 else acc
         return out
 
-    def q_eval(self, k: int, x: float, z) -> float:
-        """Q_k at a single point (x, z)."""
-        return float(self.eval_many(k, [x], [z])[0])
-
     def p_empty(self) -> np.ndarray:
         """Fully transformed polynomial Q_n(x, 0), coefficient-exact.
 
@@ -220,30 +210,6 @@ class QEvaluator:
         zero = np.zeros((1, self.dim, self.dim), dtype=complex)
         ypoly = disc._expected_ypolys(zero, self.vectors, self.taus**2, disc.ENUM_CAP, tail=self._tail)
         return disc._even_to_x(ypoly[0])
-
-
-def _unitary_compounds(vh: np.ndarray, top: int) -> list:
-    """The compounds C_j(A) of a stack of unitary d x d matrices A for
-    j = 1..min(top, d - 1) (index 0 holds nothing), each up to a unit factor
-    per row, which ``|C_j(A) C_j(U)|`` does not see.
-
-    Only j <= d/2 takes minors, 2 x 2 ones in closed form. Beyond, Jacobi's
-    complementary minors of a unitary A give ``det A_{R,R'} = det(A)
-    (-1)^(sum R^c + sum R'^c) conj(det A_{R^c,R'^c})``, and colex order lists
-    the complements in reverse.
-    """
-    d = vh.shape[-1]
-    rows = disc._dim_tables(d)[0]
-    out = [None] * (min(top, d - 1) + 1)
-    for j in range(1, len(out)):
-        if 2 * j > d:
-            out[j] = out[d - j][:, ::-1, ::-1].conj() * (-1.0) ** rows[j].sum(axis=1)
-        elif j == 2:
-            r, c = rows[2][:, 0], rows[2][:, 1]
-            out[j] = vh[:, r[:, None], r] * vh[:, c[:, None], c] - vh[:, r[:, None], c] * vh[:, c[:, None], r]
-        else:
-            out[j] = disc._minors(vh, rows[j], rows[j])
-    return out
 
 
 def _complement_products(lam: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from matdisc import model
+from matdisc import disc, model
 
 
 def faddeev_leverrier(mat):
@@ -27,6 +27,11 @@ def faddeev_leverrier(mat):
 def random_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (g + g.conj().T) / 2.0
+
+
+def schatten_norm(mat, p):
+    """Schatten p-norm of a Hermitian matrix, by the brute force's norm kind."""
+    return float(disc._norm_fn(("schatten", p))(np.linalg.eigvalsh(mat)))
 
 
 def random_unitary(rng, d):

@@ -82,6 +82,19 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     assert cli.main(["solve", "--instance", str(bad)]) == 2
 
 
+def test_flags_a_command_does_not_read_exit_two(capsys):
+    dead = {
+        ("solve", "--instance", FIXTURE): ("--seed", "--count", "--n", "--d"),
+        ("verify", "thm15"): ("--d",),
+        ("replay", "--instance", FIXTURE): ("--seed", "--root-tol", "--threads", "--count", "--n", "--d"),
+        ("frames", "gen"): ("--seed", "--root-tol", "--norm-tol", "--threads", "--count"),
+    }
+    for command, flags in dead.items():
+        for flag in flags:
+            assert cli.main(list(command) + [flag, "1"]) == 2, (command, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_exit_one_on_failing_check(monkeypatch, capsys):
     def failing(cfg):
         return cli._finish({"command": "verify", "suite": "thm15", "checks": [cli._row("forced", 2.0, 1.0)]})
@@ -156,7 +169,7 @@ def test_numerical_failures_in_solve_and_replay_become_failing_rows(tmp_path, ca
     doc = json.loads(out.read_text())
     assert doc["bruteforce"]["value"] == pytest.approx(7.0 / 6.0, abs=1e-9) and "greedy" not in doc
     first = doc["checks"][0]
-    assert first["name"] == "greedy[partial polynomial has complex y-roots beyond tol 1.0e-07]" and not first["pass"]
+    assert first["name"] == "greedy[root imaginary part 1.061e-01 exceeds 1.0e-07 * 2.475e+00]" and not first["pass"]
     assert doc["failed"] == 1 and [row["name"] for row in doc["checks"][1:]] == [
         "disc_le_three_sigma",
         "disc_le_four_sigma",

@@ -7,7 +7,7 @@ import pytest
 from matdisc import disc, frames, linalg, model, rpoly
 from matdisc.errors import EnumerationTooLarge, NotRealRooted, PreconditionViolated
 
-from conftest import count_matrices, random_rank_one_instance
+from conftest import count_matrices, random_rank_one_instance, random_unitary
 from test_model import mercedes_benz
 
 
@@ -399,11 +399,43 @@ def test_greedy_work_counts(monkeypatch):
     # one eigh call per level, for both branches
     assert eigh["calls"] == n and eigh["matrices"] == 2 * n
     # the k x k minors (k >= 2; 1 x 1 minors are entries) of the n - 1 tail
-    # vectors, taken once, plus per level and branch the k-th compound of
-    # the branch eigenbasis
-    tail = sum(math.comb(n - 1, k) * math.comb(d, k) for k in range(2, d + 1))
-    rotations = sum(2 * math.comb(d, k) ** 2 for level in range(n) for k in range(2, min(d, n - 1 - level) + 1))
-    assert det["matrices"] == tail + rotations
+    # vectors, taken once; at d = 4 no compound of a branch eigenbasis takes
+    # a determinant (2 x 2 compounds in closed form, 3 x 3 ones by
+    # complementary minors, the 4 x 4 one a unit)
+    assert det["matrices"] == sum(math.comb(n - 1, k) * math.comb(d, k) for k in range(2, d + 1))
+
+
+def test_greedy_large_constant_term():
+    # d = 10, n = 13: a first-level y-polynomial is monic with a constant
+    # term beyond 1e14, whose leading coefficient a relative trim dropped
+    inst = seeded_rademacher(10, 10, 13)
+    brute = disc.disc_bruteforce(inst)
+    _, trace = disc.greedy_interlacing_solve(inst)
+    assert max(np.abs(c).max() for c in trace.levels[0].branch_coeffs) > 1e14
+    assert brute.value <= trace.final_value + 1e-12
+    assert trace.final_value <= 3.0 * model.sigma(inst) + 1e-9
+    assert all(lv.monotone_ok for lv in trace.levels)
+    assert abs(trace.final_value - trace.leaf_lambda_max) < 1e-9
+
+
+def test_unitary_compounds_match_minors():
+    # every branch of the compounds (entries, closed-form 2 x 2, minors at
+    # 3 <= j <= d/2, complementary minors beyond d/2, the unit at j = d)
+    # of unitary stacks V against plain minors, up to a unit factor per row
+    rng = np.random.default_rng(7)
+    for d in range(1, 8):
+        rows = disc._dim_tables(d)[0]
+        vh = np.array([random_unitary(rng, d) for _ in range(3)])
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rots = disc._unitary_compounds(vh, d)
+        assert len(rots) == d + 1 and rots[0] is None
+        for j in range(1, d + 1):
+            want = disc._minors(vh, rows[j], rows[j])
+            assert np.allclose(np.abs(rots[j]), np.abs(want), rtol=0.0, atol=1e-12), (d, j)
+            # |C_j(V) C_j(A)| = |C_j(V A)|, by Cauchy-Binet
+            got = rots[j] @ disc._minors(a, rows[j], rows[j])
+            want = disc._minors(vh @ a, rows[j], rows[j])
+            assert np.allclose(np.abs(got), np.abs(want), rtol=1e-10, atol=1e-10 * np.abs(want).max()), (d, j)
 
 
 def test_greedy_large_n_smoke():

@@ -162,7 +162,7 @@ def test_sign_assignment_membership():
 def test_rank_one_to_hermitian_preserves_disc(rng):
     inst = random_rank_one_instance(rng, 2, 3)
     a = disc.disc_bruteforce(inst)
-    b = disc.disc_bruteforce(model.to_hermitian(inst))
+    b = disc.disc_bruteforce(model.HermitianInstance(inst.dim, tuple(model.outer_products(inst.vectors)), inst.rvs))
     assert a.value == b.value
     assert a.argmin.indices == b.argmin.indices
 

@@ -7,22 +7,22 @@ from matdisc.errors import DegreeMismatch, DegreeZero, NotRealRooted
 
 
 def test_roots_examples():
-    assert sorted(np.real(rpoly.roots([-1.0, 0.0, 1.0]))) == pytest.approx([-1.0, 1.0])
-    assert np.allclose(rpoly.roots([0.0, 0.0, 0.0, 1.0]), 0.0)
+    assert rpoly.real_roots([-1.0, 0.0, 1.0]) == pytest.approx([-1.0, 1.0])
+    assert np.array_equal(rpoly.real_roots([0.0, 0.0, 0.0, 1.0]), np.zeros(3))
     expanded = npp.polyfromroots([1.0, 2.0, 3.0])
-    assert sorted(np.real(rpoly.roots(expanded))) == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
+    assert rpoly.real_roots(expanded) == pytest.approx([1.0, 2.0, 3.0], abs=1e-10)
 
 
 def test_roots_degree_zero():
     with pytest.raises(DegreeZero):
-        rpoly.roots([4.0])
+        rpoly.real_roots([4.0])
 
 
 def test_roots_expand_round_trip():
     rng = np.random.default_rng(1)
     for _ in range(20):
         rts = np.sort(rng.uniform(-3, 3, size=6))
-        got = np.sort(np.real(rpoly.roots(npp.polyfromroots(rts))))
+        got = rpoly.real_roots(npp.polyfromroots(rts))
         assert np.abs(got - rts).max() < 1e-8
 
 
@@ -161,6 +161,11 @@ def test_common_interlacing_detects_disjoint_root_intervals():
 
 
 def test_trim_threshold():
-    c = rpoly.trim([1.0, 2.0, 1e-20])
-    assert len(c) == 2
-    assert rpoly.degree([0.0]) == 0
+    # only exact trailing zeros go: a tiny leading coefficient is genuine
+    assert np.array_equal(rpoly.trim([1.0, 2.0, 1e-20, 0.0, 0.0]), [1.0, 2.0, 1e-20])
+    assert np.array_equal(rpoly.trim([0.0, 0.0]), [0.0])
+    # a monic polynomial whose constant term exceeds 1e14 keeps its degree
+    c = npp.polyfromroots([-3.0e3, -1.0e4, -2.0e4, -5.0e5])
+    assert c[-1] == 1.0 and c[0] > 1e14
+    assert len(rpoly.trim(c)) == 5
+    assert rpoly.lambda_max(c) == pytest.approx(-3.0e3, rel=1e-12)

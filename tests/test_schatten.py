@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from matdisc import disc, linalg, model, schatten
+from matdisc import disc, model, schatten
 from matdisc.errors import InvalidOrder, PreconditionViolated
 
-from conftest import random_hermitian
+from conftest import random_hermitian, schatten_norm
 
 
 def rademacher_hermitian(rng, d, n):
@@ -113,14 +113,14 @@ def test_assignment_norm_nonincreasing_in_p(rng):
     signs = [1.0, -1.0, 1.0]
     dev = sum(s * m for s, m in zip(signs, inst.matrices))
     ps = [2.0, 3.0, 4.0, 8.0, np.inf]
-    vals = [linalg.schatten_norm(dev, p) for p in ps]
+    vals = [schatten_norm(dev, p) for p in ps]
     assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
 
 
 def test_norm_sandwich_for_signed_sums(rng):
     inst = rademacher_hermitian(rng, 4, 3)
     dev = sum(m for m in inst.matrices)
-    spec = linalg.schatten_norm(dev, np.inf)
+    spec = schatten_norm(dev, np.inf)
     for p in (2.0, 4.0, 6.0):
-        sp = linalg.schatten_norm(dev, p)
+        sp = schatten_norm(dev, p)
         assert spec - 1e-12 <= sp <= 4 ** (1.0 / p) * spec + 1e-12

@@ -62,25 +62,25 @@ def det_pair(m_plus, m_minus):
     return np.linalg.det(m_plus).real * np.linalg.det(m_minus).real
 
 
-# -- q_eval -----------------------------------------------------------------
+# -- Q_k at one point -------------------------------------------------------
 
 
 def test_q_eval_base_case():
     qe = unit_evaluator()
-    assert qe.q_eval(0, 2.0, [0.0]) == pytest.approx(4.0, abs=1e-14)
+    assert qe.eval_many(0, [2.0], [[0.0]])[0] == pytest.approx(4.0, abs=1e-14)
 
 
 def test_q_eval_zero_shift_is_power():
     rng = np.random.default_rng(0)
     inst = normalized_instance(rng, 3, 2)
     qe = witness.QEvaluator.from_instance(inst)
-    assert qe.q_eval(0, 1.7, np.zeros(qe.n)) == pytest.approx(1.7 ** (2 * 3), rel=1e-12)
+    assert qe.eval_many(0, [1.7], [np.zeros(qe.n)])[0] == pytest.approx(1.7 ** (2 * 3), rel=1e-12)
 
 
 def test_q_eval_one_variable_transform():
     qe = unit_evaluator()
     for x in (1.5, 2.0, 3.0):
-        assert qe.q_eval(1, x, [0.0]) == pytest.approx(x * x - 1.0, rel=1e-12)
+        assert qe.eval_many(1, [x], [[0.0]])[0] == pytest.approx(x * x - 1.0, rel=1e-12)
 
 
 ROUTES = ("signs", "subsets")
@@ -156,11 +156,11 @@ def test_q_eval_operator_order_commutes(rng):
         lo[i] -= 1.0
         return 2.0 * f(at) - (f(hi) + f(lo)) / 2.0
 
-    f0 = lambda zz: qe.q_eval(0, x, zz)
+    f0 = lambda zz: qe.eval_many(0, [x], [zz])[0]
     f_01 = rule(lambda a: rule(f0, 0, a), 1, z)
     f_10 = rule(lambda a: rule(f0, 1, a), 0, z)
     assert f_01 == pytest.approx(f_10, rel=1e-12)
-    assert qe.q_eval(2, x, z) == pytest.approx(f_01, rel=1e-11)
+    assert qe.eval_many(2, [x], [z])[0] == pytest.approx(f_01, rel=1e-11)
 
 
 def test_q_eval_matches_sign_pair_identity(rng):
@@ -350,14 +350,15 @@ def test_walk_determinant_count(monkeypatch):
             assert eigvalsh["matrices"] == 1 + 2 ** (n - 1)
             assert eigh["matrices"] == 0
         else:
-            # the k x k minors (k >= 2) of the n vectors, once, and the
-            # compounds of the top polynomial's eigenbasis; at d = 4 a point
-            # takes no determinant (2 x 2 compounds in closed form, the 3 x 3
-            # ones by complementary minors). A certification has 2n + 16
-            # distinct z (the x ray's share one), each with one eigenbasis,
-            # as have the barrier points and the top polynomial's zero part.
+            # the k x k minors (k >= 2) of the n vectors, once; at d = 4 no
+            # compound of an eigenbasis takes a determinant, at a walk point
+            # or in the top polynomial (2 x 2 compounds in closed form, the
+            # 3 x 3 ones by complementary minors, the 4 x 4 one a unit). A
+            # certification has 2n + 16 distinct z (the x ray's share one),
+            # each with one eigenbasis, as have the barrier points and the
+            # top polynomial's zero part.
             ks = range(2, d + 1)
-            assert dets["matrices"] == sum(math.comb(n, k) * math.comb(d, k) + math.comb(d, k) ** 2 for k in ks)
+            assert dets["matrices"] == sum(math.comb(n, k) * math.comb(d, k) for k in ks)
             assert eigvalsh["matrices"] == 1
             assert eigh["matrices"] == sum(2 * n + 16 + barriers[k] for k in range(1, n + 1)) + 1
 
