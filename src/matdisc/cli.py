@@ -10,41 +10,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import disc, frames, linalg, model, rpoly, schatten, witness
-from ._util import canonical_json, resolve_threads
+from ._util import canonical_json
 from .errors import HypothesisNotMet, MatDiscError, NotRealRooted, WalkStepFailed
-
-VERIFY_SUITES = ("thm13", "thm15", "prop16", "thm41", "alexandrov", "schatten", "lyapunov")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    suite: Optional[str] = None
-    instance: Optional[str] = None
-    out: Optional[str] = None
-    fmt: str = "json"
-    seed: int = 0
-    root_tol: float = rpoly.REAL_ROOT_TOL
-    norm_tol: float = 1e-9
-    threads: Optional[int] = None
-    count: Optional[int] = None
-    n: Optional[int] = None
-    d: Optional[int] = None
-
-    def __post_init__(self):
-        if self.root_tol <= 0 or self.norm_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit value")
 
 
 def _row(name: str, lhs: float, rhs: float) -> dict:
@@ -75,10 +51,12 @@ def _finish(report: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def random_rv(rng, size: int, low: float = -2.0, high: float = 2.0, min_gap: float = 0.1) -> model.DiscreteRandomVariable:
-    vals = np.sort(rng.uniform(low, high, size=size))
-    while size > 1 and float(np.diff(vals).min()) < min_gap:
-        vals = np.sort(rng.uniform(low, high, size=size))
+def random_rv(rng, size: int) -> model.DiscreteRandomVariable:
+    """``size`` atoms in [-2, 2], at least 0.1 apart, with Dirichlet
+    probabilities clipped below at 0.05 and renormalized."""
+    vals = np.sort(rng.uniform(-2.0, 2.0, size=size))
+    while size > 1 and float(np.diff(vals).min()) < 0.1:
+        vals = np.sort(rng.uniform(-2.0, 2.0, size=size))
     probs = rng.dirichlet(np.full(size, 2.0))
     probs = np.clip(probs, 0.05, None)
     probs = probs / probs.sum()
@@ -91,13 +69,14 @@ def random_rank_one(rng, d: int, n: int) -> model.RankOneInstance:
     return model.RankOneInstance(d, vectors, rvs)
 
 
-def sweep_rank_one(seed: int, count: int, d_range=(2, 5), n_range=(2, 8)):
-    """The seeded rank-one family used by the three-sigma and walk sweeps."""
+def sweep_rank_one(seed: int, count: int):
+    """The seeded rank-one family used by the three-sigma and walk sweeps:
+    d in 2..5, n in 2..8."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        d = int(rng.integers(d_range[0], d_range[1] + 1))
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(2, 9))
         out.append(random_rank_one(rng, d, n))
     return out
 
@@ -163,7 +142,7 @@ def verify_thm13(seed: int = 0, count: int = 300, threads=None, root_tol: float 
     return _finish(report)
 
 
-def verify_interlacing(seed: int = 0, count: int = 300, root_tol: float = rpoly.REAL_ROOT_TOL) -> dict:
+def verify_interlacing(seed: int = 0, count: int = 300) -> dict:
     """Real-rootedness and common interlacing (exact, from the sorted roots
     of the branches) of every branch set along the greedy path of the
     seeded sweep."""
@@ -172,14 +151,14 @@ def verify_interlacing(seed: int = 0, count: int = 300, root_tol: float = rpoly.
         "suite": "interlacing",
         "seed": seed,
         "count": count,
-        "root_tol": root_tol,
+        "root_tol": rpoly.REAL_ROOT_TOL,
         "real_rooted_tol": 1e-6,
         "checks": [],
     }
     rows = report["checks"]
     for i, inst in enumerate(sweep_rank_one(seed, count)):
         try:
-            _, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
+            _, trace = disc.greedy_interlacing_solve(inst)
         except NotRealRooted as exc:
             rows.append(_flag_row(f"i{i}.greedy[{exc}]", False))
             continue
@@ -365,10 +344,10 @@ def verify_schatten(seed: int = 0, count: int = 200, threads=None) -> dict:
         d = int(rng.integers(2, 5))
         n = int(rng.integers(2, 7))
         inst = random_hermitian_instance(rng, d, n, rademacher=False)
-        rep2 = schatten.khintchine_bounds(inst, 2.0, threads=threads)
-        rows.append(_row(f"gen{i}.frobenius", rep2.disc_p, rep2.bounds["frobenius_closed_form"] + 1e-9))
+        frobenius = schatten.disc_p(inst, 2.0, threads=threads)
+        rows.append(_row(f"gen{i}.frobenius", frobenius, schatten.frobenius_bound(inst) + 1e-9))
         p = (2.0, 4.0, 6.0)[i % 3]
-        rep = rep2 if p == 2.0 else schatten.khintchine_bounds(inst, p, threads=threads)
+        rep = schatten.khintchine_bounds(inst, p, threads=threads)
         est, se = rep.bounds["general_khintchine"]
         rows.append(_row(f"gen{i}.p{int(p)}.mc", rep.disc_p, est + 3.0 * se))
     return _finish(report)
@@ -411,29 +390,22 @@ def verify_oracles(seed: int = 0, count: int = 100) -> dict:
     return _finish(report)
 
 
-def _verify_alexandrov_full(cfg: "RunConfig") -> dict:
-    """Mixed discriminants plus the barrier lemma sweeps, one report."""
-    a = verify_alexandrov(cfg.seed, cfg.count or 500)
-    b = verify_barrier_lemmas(cfg.seed, min(cfg.count or 200, 200))
+def _verify_alexandrov_full(seed: int = 0, count: Optional[int] = None) -> dict:
+    """Mixed discriminants plus the barrier lemma sweeps, one report. ``count``
+    sizes the pair sweep and, up to 200, the lemma sweeps; without it each
+    sweep takes its own default."""
+    if count is None:
+        a, b = verify_alexandrov(seed), verify_barrier_lemmas(seed)
+    else:
+        a, b = verify_alexandrov(seed, count), verify_barrier_lemmas(seed, min(count, 200))
     merged = {
         "command": "verify",
         "suite": "alexandrov",
-        "seed": cfg.seed,
+        "seed": seed,
         "checks": a["checks"] + b["checks"],
         "bivariate_skipped": b["bivariate_skipped"],
     }
     return _finish(merged)
-
-
-_SUITE_FNS = {
-    "thm13": lambda cfg: verify_thm13(cfg.seed, cfg.count or 300, cfg.threads, cfg.root_tol, cfg.norm_tol),
-    "thm15": lambda cfg: verify_thm15(cfg.norm_tol),
-    "prop16": lambda cfg: verify_prop16(cfg.n),
-    "thm41": lambda cfg: verify_thm41(cfg.seed, cfg.count or 300, cfg.norm_tol),
-    "alexandrov": _verify_alexandrov_full,
-    "schatten": lambda cfg: verify_schatten(cfg.seed, cfg.count or 200, cfg.threads),
-    "lyapunov": lambda cfg: verify_lyapunov(cfg.seed, cfg.count or 100, cfg.norm_tol),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +413,16 @@ _SUITE_FNS = {
 # ---------------------------------------------------------------------------
 
 
-def run_solve(cfg: RunConfig) -> dict:
-    inst = model.load_instance(cfg.instance)
-    report = {"command": "solve", "instance": cfg.instance, "checks": []}
-    brute = disc.disc_bruteforce(inst, threads=cfg.threads, norm_tol=cfg.norm_tol)
+def run_solve(
+    instance: str, root_tol: float = rpoly.REAL_ROOT_TOL, norm_tol: float = 1e-9, threads: Optional[int] = None
+) -> dict:
+    inst = model.load_instance(instance)
+    report = {"command": "solve", "instance": instance, "checks": []}
+    brute = disc.disc_bruteforce(inst, threads=threads, norm_tol=norm_tol)
     report["bruteforce"] = brute.to_doc()
     if isinstance(inst, model.RankOneInstance):
         try:
-            assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=cfg.root_tol)
+            assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
         except NotRealRooted as exc:
             report["checks"].append(_flag_row(f"greedy[{exc}]", False))
         else:
@@ -458,21 +432,21 @@ def run_solve(cfg: RunConfig) -> dict:
             }
             report["checks"].append(_row("brute_le_greedy", brute.value, trace.final_value + 1e-12))
         for name, (bound, ok) in brute.bound_checks.items():
-            report["checks"].append(_row(f"disc_le_{name}", brute.value, bound + cfg.norm_tol))
+            report["checks"].append(_row(f"disc_le_{name}", brute.value, bound + norm_tol))
     return _finish(report)
 
 
-def run_replay(cfg: RunConfig) -> dict:
-    inst = model.load_instance(cfg.instance)
+def run_replay(instance: str, norm_tol: float = 1e-9) -> dict:
+    inst = model.load_instance(instance)
     if not isinstance(inst, model.RankOneInstance):
         raise MatDiscError("replay needs a rank-one instance")
     normalized = model.normalize(inst)
-    report = {"command": "replay", "instance": cfg.instance, "checks": []}
+    report = {"command": "replay", "instance": instance, "checks": []}
     try:
         trace = witness.replay_barrier_walk(normalized)
         report["trace"] = trace.to_doc()
         report["checks"].append(_flag_row("walk", trace.passed))
-        report["checks"].append(_row("lambda_p_empty", trace.p_empty_lambda_max, 3.0 + cfg.norm_tol))
+        report["checks"].append(_row("lambda_p_empty", trace.p_empty_lambda_max, 3.0 + norm_tol))
     except WalkStepFailed as exc:
         report["trace"] = {"failed_step": exc.step, "reason": exc.reason}
         report["checks"].append(_flag_row(f"walk[{exc.reason}]", False))
@@ -483,19 +457,17 @@ def run_replay(cfg: RunConfig) -> dict:
     return _finish(report)
 
 
-def run_frames_gen(cfg: RunConfig) -> dict:
-    n = cfg.n or 3
-    d = cfg.d or 2
+def run_frames_gen(n: int = 3, d: int = 2, out: Optional[str] = None) -> dict:
     frame = frames.harmonic_untf(n, d)
     inst = frames.frame_to_instance(frame)
-    if cfg.out:
-        model.save_instance(inst, cfg.out)
+    if out:
+        model.save_instance(inst, out)
     analysis = frames.analyze_frame(frame)
     report = {
         "command": "frames gen",
         "n": n,
         "d": d,
-        "out": cfg.out,
+        "out": out,
         "frame_bound": analysis.frame_bound,
         "sigma_sq": analysis.sigma_sq,
         "checks": [
@@ -511,6 +483,72 @@ def run_frames_gen(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# Every command: the function that makes its report, a summary, and the flags
+# the function reads. Each command also accepts --out and --format, which
+# place the report unless the command reads --out itself (``frames gen``
+# writes the instance there and the report to stdout), and every verify suite
+# accepts --threads, which the suites that do not read it check and ignore.
+# A flag that is not given is not passed, so each default is the one in the
+# function's signature.
+COMMANDS = {
+    "solve": (
+        run_solve,
+        "brute force, greedy, and the bound menu on an instance file",
+        ("--instance", "--root-tol", "--norm-tol", "--threads"),
+    ),
+    "replay": (run_replay, "barrier walk trace for a normalized instance", ("--instance", "--norm-tol")),
+    "frames gen": (run_frames_gen, "harmonic tight frame as an instance file", ("--n", "--d", "--out")),
+    "verify thm13": (
+        verify_thm13,
+        "three-sigma greedy sweep",
+        ("--seed", "--count", "--threads", "--root-tol", "--norm-tol"),
+    ),
+    "verify thm15": (verify_thm15, "tight-frame exact values", ("--norm-tol",)),
+    "verify prop16": (verify_prop16, "diagonal integer lower bound", ("--n",)),
+    "verify thm41": (verify_thm41, "barrier-walk replays", ("--seed", "--count", "--norm-tol")),
+    "verify alexandrov": (_verify_alexandrov_full, "mixed discriminants and barrier lemmas", ("--seed", "--count")),
+    "verify schatten": (verify_schatten, "Schatten moment bounds", ("--seed", "--count", "--threads")),
+    "verify lyapunov": (verify_lyapunov, "subset rounding", ("--seed", "--count", "--norm-tol")),
+}
+
+_GROUPS = {"verify": "seeded verification suites", "frames": "frame constructions"}
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
+_FLAGS = {
+    "--out": {},
+    "--format": {"dest": "fmt", "choices": ("json", "csv")},
+    "--instance": {"required": True},
+    "--seed": {"type": _seed},
+    "--root-tol": {"type": _tolerance},
+    "--norm-tol": {"type": _tolerance},
+    "--threads": {"type": _positive},
+    "--count": {"type": _positive},
+    "--n": {"type": _positive},
+    "--d": {"type": _positive},
+}
+
+
 def report_bytes(report: dict, fmt: str = "json") -> bytes:
     if fmt == "json":
         return canonical_json(report).encode("utf-8")
@@ -522,86 +560,54 @@ def report_bytes(report: dict, fmt: str = "json") -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    if cfg.threads is not None:
-        resolve_threads(cfg.threads)
-    if cfg.command == "verify":
-        if cfg.suite not in _SUITE_FNS:
-            raise ValueError(f"unknown suite {cfg.suite!r}")
-        report = _SUITE_FNS[cfg.suite](cfg)
-    elif cfg.command == "solve":
-        report = run_solve(cfg)
-    elif cfg.command == "replay":
-        report = run_replay(cfg)
-    elif cfg.command == "frames gen":
-        # --out names the generated instance file; the report goes to stdout.
-        report = run_frames_gen(cfg)
-        sys.stdout.write(report_bytes(report, cfg.fmt).decode("utf-8"))
-        return 0 if report["pass"] else 1
-    else:
-        raise ValueError(f"unknown command {cfg.command!r}")
-
-    payload = report_bytes(report, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "wb") as fh:
+def _write(report: dict, out: Optional[str] = None, fmt: str = "json") -> int:
+    """Write the report to ``out`` or stdout; returns the exit code."""
+    payload = report_bytes(report, fmt)
+    if out:
+        with open(out, "wb") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload.decode("utf-8"))
     return 0 if report["pass"] else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes ``--out``, ``--format`` and the flags it reads.
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :data:`COMMANDS`, built once per process.
 
-    Abbreviated flags are refused, or a flag a command does not read could
-    pass as a prefix of one it does (``--n`` of ``--norm-tol``).
+    Flag values are checked here, before any work starts. Abbreviated flags
+    are refused, or a flag a command does not read could pass as a prefix of
+    one it does (``--n`` of ``--norm-tol``).
     """
     parser = argparse.ArgumentParser(prog="matdisc", description="matrix discrepancy laboratory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    settings = {
-        "--instance": {"required": True},
-        "--out": {"default": None},
-        "--format": {"dest": "fmt", "choices": ("json", "csv"), "default": "json"},
-        "--seed": {"type": int, "default": 0},
-        "--root-tol": {"dest": "root_tol", "type": float, "default": rpoly.REAL_ROOT_TOL},
-        "--norm-tol": {"dest": "norm_tol", "type": float, "default": 1e-9},
-        "--threads": {"type": int, "default": None},
-        "--count": {"type": int, "default": None},
-        "--n": {"type": int, "default": None},
-        "--d": {"type": int, "default": None},
-    }
-
-    def command(name, summary, *flags):
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for command, (_, summary, flags) in COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        sub = top
+        if group:
+            if group not in groups:
+                groups[group] = top.add_parser(group, help=_GROUPS[group]).add_subparsers(dest="action", required=True)
+            sub = groups[group]
         sp = sub.add_parser(name, help=summary, allow_abbrev=False)
-        for flag in ("--out", "--format") + flags:
-            sp.add_argument(flag, **settings[flag])
-        return sp
-
-    command(
-        "solve", "brute force, greedy, and the bound menu on an instance file", "--instance", "--root-tol", "--norm-tol", "--threads"
-    )
-    command(
-        "verify", "seeded verification suites", "--seed", "--root-tol", "--norm-tol", "--threads", "--count", "--n"
-    ).add_argument("suite", choices=VERIFY_SUITES)
-    command("replay", "barrier walk trace for a normalized instance", "--instance", "--norm-tol")
-    command("frames", "frame constructions", "--n", "--d").add_argument("action", choices=("gen",))
-
+        extra = ("--threads",) if group == "verify" else ()
+        for flag in dict.fromkeys(("--out", "--format") + extra + flags):
+            sp.add_argument(flag, default=argparse.SUPPRESS, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = vars(_parser().parse_args(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = " ".join(filter(None, (args.pop("command"), args.pop("action", None))))
+    run, _, flags = COMMANDS[command]
+    read = {flag[2:].replace("-", "_") for flag in flags}
+    output = {key: args[key] for key in ("out", "fmt") if key in args and key not in read}
     try:
-        fields = vars(ns)
-        command = fields.pop("command")
-        if command == "frames":
-            command = f"frames {fields.pop('action')}"
-        return run(RunConfig(command=command, **fields))
+        report = run(**{key: args[key] for key in read if key in args})
+        return _write(report, **output)
     except (MatDiscError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -34,6 +34,7 @@ from .errors import (
     PreconditionViolated,
 )
 
+# Largest enumeration any route takes, read at call time on every path.
 ENUM_CAP = 2**24
 
 NormKind = Union[str, Tuple[str, float]]
@@ -73,9 +74,9 @@ def _digits(linear: np.ndarray, sizes, strides) -> np.ndarray:
     return (linear[:, None] // strides[None, :]) % sizes[None, :]
 
 
-def _check_cap(total: int, cap: int) -> None:
-    if total > cap:
-        raise EnumerationTooLarge(int(total), int(cap))
+def _check_cap(total: int) -> None:
+    if total > ENUM_CAP:
+        raise EnumerationTooLarge(int(total), int(ENUM_CAP))
 
 
 def _norm_fn(norm_kind: NormKind):
@@ -120,14 +121,14 @@ class DiscrepancyReport:
 def disc_bruteforce(
     inst: model.Instance,
     norm_kind: NormKind = "spectral",
-    cap: int = ENUM_CAP,
     threads: Optional[int] = None,
     norm_tol: float = 1e-9,
 ) -> DiscrepancyReport:
     """Exact discrepancy by enumerating every assignment.
 
     Minimizes ``|| sum_j eps_j M_j - sum_j E[xi_j] M_j ||`` over the product
-    of the supports; ties resolve to the lexicographically smallest tuple of
+    of the supports, refusing beyond ``ENUM_CAP`` assignments (read at call
+    time); ties resolve to the lexicographically smallest tuple of
     support indices. Chunks reduce with a (value, index) minimum, so the
     result is independent of the thread schedule. A named bound counts as
     satisfied when the value is at most the bound plus ``norm_tol``.
@@ -135,7 +136,7 @@ def disc_bruteforce(
     terms, means, sizes, supp, prob = _family(inst)
     strides = _strides(sizes)
     total = int(np.prod(sizes.astype(object)))
-    _check_cap(total, cap)
+    _check_cap(total)
     norm = _norm_fn(norm_kind)
     nthreads = resolve_threads(threads)
 
@@ -427,40 +428,41 @@ def _route_seconds(d: int, m: int, nb: int) -> tuple:
     return subsets, signs
 
 
-def _plan_route(d: int, calls: Sequence[Tuple[int, int]], cap: int, symmetric: bool = False) -> str:
+def _plan_route(d: int, calls: Sequence[Tuple[int, int]], symmetric: bool = False) -> str:
     """Route of a run of engine calls over one tail and its prefixes.
 
     ``calls`` lists per call the tail size m and the number of fixed parts,
     the first call with the largest tail. Each route has a count that must
-    fit ``cap``: "subsets" the minors it takes, ``sum_k C(m, k) C(d, k)`` of
-    the tail plus ``C(d, k)^2`` per fixed part; "signs" the 2^m sign
-    patterns per fixed part (2^(m-1) when ``symmetric``, every fixed part
-    zero). Of the routes that fit, the one with the smaller estimated time
-    over all calls is returned; :class:`EnumerationTooLarge` is raised when
-    neither fits. Plans are cached: the barrier walk plans every batch of
+    fit ``ENUM_CAP``, read at call time: "subsets" the minors it takes,
+    ``sum_k C(m, k) C(d, k)`` of the tail plus ``C(d, k)^2`` per fixed part;
+    "signs" the 2^m sign patterns per fixed part (2^(m-1) when
+    ``symmetric``, every fixed part zero). Of the routes that fit, the one
+    with the smaller estimated time over all calls is returned;
+    :class:`EnumerationTooLarge` is raised when neither fits. Plans are
+    cached, keyed by the cap too: the barrier walk plans every batch of
     points it evaluates.
     """
-    return _cached_plan(d, tuple(calls), cap, symmetric)
+    return _cached_plan(d, tuple(calls), ENUM_CAP, symmetric)
 
 
 @functools.lru_cache(maxsize=4096)
-def _cached_plan(d: int, calls: tuple, cap: int, symmetric: bool) -> str:
+def _cached_plan(d: int, calls: tuple, limit: int, symmetric: bool) -> str:
     m, nb = calls[0]
     ks = range(1, min(d, m) + 1)
     counts = {
         "subsets": sum(math.comb(m, k) * math.comb(d, k) + nb * math.comb(d, k) ** 2 for k in ks),
         "signs": 2 ** (m - 1 if symmetric and m else m),
     }
-    fits = [route for route in counts if counts[route] <= cap]
+    fits = [route for route in counts if counts[route] <= limit]
     if not fits:
-        raise EnumerationTooLarge(min(counts.values()), cap)
+        raise EnumerationTooLarge(min(counts.values()), limit)
     tail = _SECONDS_MINOR * sum(math.comb(m, k) * math.comb(d, k) * k * k for k in ks if k > 1)
     seconds = dict(zip(("subsets", "signs"), np.sum([_route_seconds(d, mm, b) for mm, b in calls], axis=0)))
     seconds["subsets"] += tail
     return min(fits, key=seconds.get)
 
 
-def _expected_ypolys(fixed, vectors, variances, cap: int = ENUM_CAP, tail=None) -> np.ndarray:
+def _expected_ypolys(fixed, vectors, variances, tail=None) -> np.ndarray:
     """Expected ``det[x^2 I - M_b^2]`` in y = x^2, one row per fixed part.
 
     ``M_b = F_b + sum_i c_i u_i u_i*`` with ``fixed[b] = F_b`` Hermitian and
@@ -469,13 +471,13 @@ def _expected_ypolys(fixed, vectors, variances, cap: int = ENUM_CAP, tail=None) 
     variances enter. Two exact routes compute it, Cauchy-Binet subset sums
     (:func:`_subset_ypolys`, polynomial in m for fixed d) and sign patterns
     (:func:`_sign_ypolys`, exponential in m, cheap for small m or large d);
-    :func:`_plan_route` picks one under ``cap``; ``tail``, the
+    :func:`_plan_route` picks one under ``ENUM_CAP``; ``tail``, the
     :func:`_tail_terms` of these variables if already taken, serves the
     subset route. Returns ascending y-coefficients, shape (B, d+1).
     """
     fixed = np.asarray(fixed, dtype=complex)
     symmetric = not fixed.any()
-    route = _plan_route(fixed.shape[1], [(len(variances), fixed.shape[0])], cap, symmetric)
+    route = _plan_route(fixed.shape[1], [(len(variances), fixed.shape[0])], symmetric)
     if route == "subsets":
         return _subset_ypolys(fixed, vectors, variances, tail=tail)
     return _sign_ypolys(fixed, vectors, variances)
@@ -488,7 +490,6 @@ def _variances(inst: model.RankOneInstance) -> np.ndarray:
 def expected_charpoly(
     inst: model.RankOneInstance,
     prefix: Sequence[int] = (),
-    cap: int = ENUM_CAP,
 ) -> np.ndarray:
     """Expected characteristic polynomial of a partial assignment.
 
@@ -511,7 +512,7 @@ def expected_charpoly(
     idx = np.array([int(i) for i in prefix], dtype=np.int64)
     weight = float(np.prod(prob[np.arange(k), idx]))
     fixed = np.tensordot(means[:k] - supp[np.arange(k), idx], terms[:k], axes=(0, 0))
-    ypoly = _expected_ypolys(fixed[None], inst.vectors[k:], _variances(inst)[k:], cap)[0]
+    ypoly = _expected_ypolys(fixed[None], inst.vectors[k:], _variances(inst)[k:])[0]
     return _even_to_x(weight * ypoly)
 
 
@@ -531,7 +532,7 @@ def _monic_from_roots_batch(r: np.ndarray) -> np.ndarray:
     return c
 
 
-def expected_charpoly_operator(inst: model.RankOneInstance, cap_n: int = OPERATOR_MAX_N) -> np.ndarray:
+def expected_charpoly_operator(inst: model.RankOneInstance) -> np.ndarray:
     """Top-level expected characteristic polynomial via the operator route.
 
     Applies ``prod_i (1 - (1/2) d^2/dz_i^2)`` at z = 0 to
@@ -540,10 +541,11 @@ def expected_charpoly_operator(inst: model.RankOneInstance, cap_n: int = OPERATO
     three-point rule for quadratics, ``2 f(0) - (f(1) + f(-1)) / 2``; since the
     rule is linear it is applied to polynomial coefficient vectors, giving the
     weighted sum over the grid {-1, 0, 1}^n of ``det[xI + M_delta]^2``, each
-    factor expanded exactly from the spectrum of its grid matrix.
+    factor expanded exactly from the spectrum of its grid matrix. Refuses
+    beyond ``OPERATOR_MAX_N`` variables.
     """
-    if inst.n > cap_n:
-        raise EnumerationTooLarge(3**inst.n, 3**cap_n)
+    if inst.n > OPERATOR_MAX_N:
+        raise EnumerationTooLarge(3**inst.n, 3**OPERATOR_MAX_N)
     d, n = inst.dim, inst.n
     taus = np.array([math.sqrt(rv.variance) for rv in inst.rvs])
     tw = taus[:, None, None] * model.outer_products(inst.vectors)
@@ -653,7 +655,6 @@ GREEDY_TIE_RTOL = 1e-12
 def greedy_interlacing_solve(
     inst: model.RankOneInstance,
     root_tol: float = rpoly.REAL_ROOT_TOL,
-    cap: int = ENUM_CAP,
 ) -> Tuple[model.SignAssignment, GreedyTrace]:
     """Descend the interlacing family, minimizing the largest branch root.
 
@@ -661,7 +662,7 @@ def greedy_interlacing_solve(
     polynomial evaluated, all branches of a level in one call of a route of
     :func:`_expected_ypolys`, and the greedy fixes a minimizer of the largest
     root. One route serves every level, planned for the whole descent under
-    ``cap`` (the subset route takes the tail minors once).
+    ``ENUM_CAP`` (the subset route takes the tail minors once).
     Roots within ``GREEDY_TIE_RTOL`` relative of the minimum count as tied
     and the smallest support index among them wins, so exactly symmetric
     levels (Rademacher ones) do not leave the choice to roundoff. The final
@@ -677,7 +678,7 @@ def greedy_interlacing_solve(
     variances = _variances(inst)
     calls = [(inst.n - 1 - k, int(sizes[k])) for k in range(inst.n)]
     tail_terms = None
-    if _plan_route(inst.dim, calls, cap) == "subsets":
+    if _plan_route(inst.dim, calls) == "subsets":
         tail_terms = _tail_terms(vectors[:0:-1], variances[:0:-1])
     prefix: list = []
     levels = []
@@ -762,7 +763,7 @@ def bound_menu(inst: model.RankOneInstance) -> dict:
     return out
 
 
-def lyapunov_round(vectors: Sequence, t: Sequence[float], cap: int = ENUM_CAP) -> tuple:
+def lyapunov_round(vectors: Sequence, t: Sequence[float]) -> tuple:
     """Round fractional weights t to a vertex subset S.
 
     Requires ``|| sum u_i u_i* || <= 1`` (up to 1e-9) and returns indices S
@@ -784,7 +785,7 @@ def lyapunov_round(vectors: Sequence, t: Sequence[float], cap: int = ENUM_CAP) -
 
     rvs = tuple(model.DiscreteRandomVariable.bernoulli(x) for x in ts)
     inst = model.RankOneInstance(d, tuple(vecs), rvs)
-    assignment, _ = greedy_interlacing_solve(inst, cap=cap)
+    assignment, _ = greedy_interlacing_solve(inst)
     subset = tuple(i for i, val in enumerate(assignment.values) if val == 1.0)
 
     target = np.tensordot(np.array(ts), outers, axes=(0, 0))

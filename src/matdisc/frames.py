@@ -84,9 +84,10 @@ def analyze_frame(frame: Frame) -> FrameAnalysis:
     return FrameAnalysis(is_tight, c, is_unit, float(sigma_sq), check)
 
 
-def verify_untf_disc(frame: Frame, cap: int = 2**24) -> dict:
+def verify_untf_disc(frame: Frame) -> dict:
     """Enumerate all Rademacher sign patterns of a unit-norm tight frame with
-    d <= n <= 2d - 1 and confirm the constant pattern norm n/d.
+    d <= n <= 2d - 1 and confirm the constant pattern norm n/d; 2^n may not
+    exceed ``disc.ENUM_CAP``, read at call time.
 
     Returns ``{"all_patterns_constant": bool, "value": n/d}`` after checking
     every one of the 2^n patterns against n/d (1e-9) and the identity
@@ -98,8 +99,8 @@ def verify_untf_disc(frame: Frame, cap: int = 2**24) -> dict:
         raise PreconditionViolated("unit-norm tight frame", "input frame fails the gate")
     if not (d <= n <= 2 * d - 1):
         raise PreconditionViolated("pattern range", f"need d <= n <= 2d-1, got n={n}, d={d}")
-    if 2**n > cap:
-        raise PreconditionViolated("enumeration cap", f"2^{n} exceeds {cap}")
+    if 2**n > disc.ENUM_CAP:
+        raise PreconditionViolated("enumeration cap", f"2^{n} exceeds {disc.ENUM_CAP}")
 
     mats = disc._signed_sums(model.outer_products(frame.vectors))
     norms = np.abs(np.linalg.eigvalsh(mats)).max(axis=1)

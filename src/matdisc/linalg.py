@@ -14,8 +14,9 @@ from .errors import NonHermitianInput
 HERMITIAN_TOL = 1e-12
 
 
-def require_hermitian(mat, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate Hermitian symmetry within ``tol * max|entry|`` and symmetrize.
+def require_hermitian(mat) -> np.ndarray:
+    """Validate Hermitian symmetry within ``HERMITIAN_TOL * max|entry|`` and
+    symmetrize.
 
     Returns ``(M + M*)/2`` as a fresh complex array. Raises
     :class:`NonHermitianInput` when the asymmetry exceeds the tolerance.
@@ -25,8 +26,8 @@ def require_hermitian(mat, tol: float = HERMITIAN_TOL) -> np.ndarray:
         raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
     scale = max(np.abs(m).max(), 1e-300)
     gap = np.abs(m - m.conj().T).max()
-    if gap > tol * scale:
-        raise NonHermitianInput(f"asymmetry {gap:.3e} exceeds {tol:.1e} * scale {scale:.3e}")
+    if gap > HERMITIAN_TOL * scale:
+        raise NonHermitianInput(f"asymmetry {gap:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale:.3e}")
     return (m + m.conj().T) / 2.0
 
 

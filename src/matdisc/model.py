@@ -68,10 +68,6 @@ class DiscreteRandomVariable:
             return DiscreteRandomVariable((1.0,), (1.0,))
         return DiscreteRandomVariable((0.0, 1.0), (1.0 - t, t))
 
-    @staticmethod
-    def constant(value: float) -> "DiscreteRandomVariable":
-        return DiscreteRandomVariable((float(value),), (1.0,))
-
     def is_rademacher(self) -> bool:
         return self.support == (-1.0, 1.0) and self.probs == (0.5, 0.5)
 

@@ -35,19 +35,20 @@ def trim(coeffs) -> np.ndarray:
 DEFLATE_REL = 1e-12
 
 
-def deflate_zero_roots(coeffs, rel: float = DEFLATE_REL):
+def deflate_zero_roots(coeffs):
     """Split off the roots at the origin: returns (reduced coeffs, count).
 
-    Low-order coefficients below ``rel * max|coeff|`` are numerically exact
-    zeros (rank-deficient families produce them structurally). A root at the
-    origin of multiplicity m otherwise splits under coefficient noise into a
-    complex cluster of radius eps^(1/m), which would wreck any imaginary-part
-    test, so the zeros are removed before root extraction.
+    Low-order coefficients below ``DEFLATE_REL * max|coeff|`` are
+    numerically exact zeros (rank-deficient families produce them
+    structurally). A root at the origin of multiplicity m otherwise splits
+    under coefficient noise into a complex cluster of radius eps^(1/m), which
+    would wreck any imaginary-part test, so the zeros are removed before root
+    extraction.
     """
     c = trim(coeffs)
     scale = np.abs(c).max()
     k = 0
-    while k < len(c) - 1 and abs(c[k]) <= rel * scale:
+    while k < len(c) - 1 and abs(c[k]) <= DEFLATE_REL * scale:
         k += 1
     return c[k:], k
 
@@ -98,35 +99,15 @@ def lambda_max(coeffs, tol: float = REAL_ROOT_TOL) -> float:
     return float(real_roots(coeffs, tol)[-1])
 
 
-def interlaces(g, p, tol: float = REAL_ROOT_TOL) -> bool:
-    """True iff the roots of ``g`` separate the roots of ``p``.
-
-    Requires ``deg g == deg p - 1``; both must be real-rooted. The sorted
-    roots b of p and a of g must satisfy b1 <= a1 <= b2 <= ... <= bn, with
-    ``tol``-scaled slack on each comparison.
-    """
-    gd, pd = deflate_zero_roots(g), deflate_zero_roots(p)
-    dg, dp = len(gd[0]) + gd[1] - 1, len(pd[0]) + pd[1] - 1
-    if dg != dp - 1:
-        raise DegreeMismatch(f"need deg g = deg p - 1, got {dg} and {dp}")
-    a = _real_roots(*gd, tol)
-    b = _real_roots(*pd, tol)
-    slack = tol * (1.0 + max(np.abs(a).max(), np.abs(b).max()))
-    for i, ai in enumerate(a):
-        if not (b[i] - slack <= ai <= b[i + 1] + slack):
-            return False
-    return True
-
-
 def has_common_interlacing(polys: Sequence, tol: float = REAL_ROOT_TOL) -> bool:
     """Exact test of the common-interlacing criterion.
 
     Real-rooted polynomials of one degree have a common interlacer iff their
     sorted roots interleave column by column, ``max_j r_i^(j) <= min_j
     r_(i+1)^(j)`` for every i (Marcus-Spielman-Srivastava, Interlacing
-    Families I; Dedieu 1992). The comparison takes the ``tol``-scaled slack
-    of :func:`interlaces`. Returns False if any member is not real-rooted;
-    constant families and single members pass.
+    Families I; Dedieu 1992). Each comparison has the slack
+    ``tol * (1 + max |root|)``. Returns False if any member is not
+    real-rooted; constant families and single members pass.
     """
     parts = [deflate_zero_roots(p) for p in polys]
     degs = {len(c) + nzero - 1 for c, nzero in parts}

@@ -122,14 +122,14 @@ class QEvaluator:
         One determinant per point for k = 0. For k >= 1 the route comes from
         :func:`disc._plan_route` for k variables and P points: the sign
         pairs or the subset sums, whichever is estimated cheaper among those
-        whose count fits ``disc.ENUM_CAP`` (:class:`EnumerationTooLarge`
-        when neither does).
+        whose count fits ``disc.ENUM_CAP``, read at call time
+        (:class:`EnumerationTooLarge` when neither does).
         """
         if not 0 <= k <= self.n:
             raise DimensionMismatch(f"k must be in [0, {self.n}]")
         xs = np.asarray(xs, dtype=float).reshape(-1)
         zs = np.asarray(zs, dtype=float).reshape(len(xs), self.n)
-        if k and disc._plan_route(self.dim, [(k, len(xs))], disc.ENUM_CAP, symmetric=True) == "subsets":
+        if k and disc._plan_route(self.dim, [(k, len(xs))], symmetric=True) == "subsets":
             return self._subset_sums(k, xs, zs)
         base = xs[:, None, None] * np.eye(self.dim, dtype=complex)
         if self.n:
@@ -202,13 +202,13 @@ class QEvaluator:
         At z = 0 the sign pairs average ``det[xI + W(s)] det[xI - W(s)]``
         over s, the expected polynomial of independent signs of variance
         tau_i^2 with no fixed part, which :func:`disc._expected_ypolys` sums
-        under ``disc.ENUM_CAP`` (by Cauchy-Binet subsets or, when cheaper,
-        over the same 2^(n-1) sign pairs), sharing the minors of U when
-        :meth:`eval_many` has taken them. Ascending x-space coefficients,
+        under ``disc.ENUM_CAP``, read at call time (by Cauchy-Binet subsets
+        or, when cheaper, over the same 2^(n-1) sign pairs), sharing the
+        minors of U when :meth:`eval_many` has taken them. Ascending x-space coefficients,
         degree 2 dim (``x^(2 dim)`` when no coordinate is left).
         """
         zero = np.zeros((1, self.dim, self.dim), dtype=complex)
-        ypoly = disc._expected_ypolys(zero, self.vectors, self.taus**2, disc.ENUM_CAP, tail=self._tail)
+        ypoly = disc._expected_ypolys(zero, self.vectors, self.taus**2, tail=self._tail)
         return disc._even_to_x(ypoly[0])
 
 
@@ -360,15 +360,15 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
     the full trace including the largest root of the final polynomial, which
     must be at most 3 + 1e-9. Raises :class:`EnumerationTooLarge` before the
     first step when neither route of :meth:`QEvaluator.eval_many` fits
-    ``disc.ENUM_CAP`` for the walk's largest call, the last certification
-    (k = n at 3n + 32 points). Both routes' counts grow with k and with the
+    ``disc.ENUM_CAP`` (read at call time) for the walk's largest call, the
+    last certification (k = n at 3n + 32 points). Both routes' counts grow with k and with the
     points, so every other call fits then, and so does the top polynomial.
     """
     qe = QEvaluator.from_instance(inst, validate=False)
     n = qe.n
     deltas = qe.deltas
     if n:
-        disc._plan_route(qe.dim, [(n, 3 * n + 2 * PROBE_POINTS)], disc.ENUM_CAP, symmetric=True)
+        disc._plan_route(qe.dim, [(n, 3 * n + 2 * PROBE_POINTS)], symmetric=True)
 
     if n == 0:
         lam = _lambda_max_of_p_empty(qe)
@@ -493,13 +493,13 @@ def mixed_discriminant_permanental(mats: Sequence) -> float:
     return total
 
 
-def d_tilde(mats: Sequence, dim: Optional[int] = None) -> float:
+def d_tilde(mats: Sequence) -> float:
     """Identity-padded normalized mixed discriminant
     ``D(X_1..X_k, I, ..., I) / (d - k)!``; for k = 1 this equals the trace."""
     xs = _as_real_square(mats)
-    d = xs[0].shape[0] if dim is None else int(dim)
+    d = xs[0].shape[0]
     k = len(xs)
-    if k > d or xs[0].shape[0] != d:
+    if k > d:
         raise DimensionMismatch(f"need at most {d} matrices of size {d}x{d}")
     padded = xs + [np.eye(d)] * (d - k)
     return mixed_discriminant(padded) / math.factorial(d - k)
@@ -540,9 +540,10 @@ def univariate_barrier(coeffs, x: float) -> float:
     return float(npp.polyval(x, npp.polyder(c)) / npp.polyval(x, c))
 
 
-def check_quadratic_barrier(coeffs, probes: Sequence[float], slack: float = 1e-9) -> bool:
-    """Check that ``f(x) = x - 2 / (s'(x)/s(x))`` is nonincreasing above the
-    roots of a real-rooted quadratic s with positive leading coefficient."""
+def check_quadratic_barrier(coeffs, probes: Sequence[float]) -> bool:
+    """Check that ``f(x) = x - 2 / (s'(x)/s(x))`` is nonincreasing (with 1e-9
+    slack) above the roots of a real-rooted quadratic s with positive leading
+    coefficient."""
     c = rpoly.trim(coeffs)
     if len(c) != 3 or c[2] <= 0:
         raise InvariantViolation("quadratic", "need degree 2 with positive leading coefficient")
@@ -551,7 +552,7 @@ def check_quadratic_barrier(coeffs, probes: Sequence[float], slack: float = 1e-9
     if pts[0] <= lam:
         raise NotAboveRoots(f"probe {pts[0]} is not above the largest root {lam}")
     f = [p - 2.0 / univariate_barrier(c, p) for p in pts]
-    return all(f[i + 1] <= f[i] + slack for i in range(len(f) - 1))
+    return all(f[i + 1] <= f[i] + 1e-9 for i in range(len(f) - 1))
 
 
 @dataclass(frozen=True)
@@ -571,12 +572,6 @@ class DeterminantalPolynomial:
         for zi, a in zip(np.asarray(z, float), self.psd_parts):
             m = m + zi * a
         return m
-
-    def value(self, z) -> float:
-        return float(np.linalg.det(self.matrix(z)))
-
-    def is_above_roots(self, z) -> bool:
-        return float(np.linalg.eigvalsh(self.matrix(z)).min()) > 0.0
 
     def barrier(self, i: int, z) -> float:
         m = self.matrix(z)
@@ -603,12 +598,6 @@ class DeterminantalBivariate:
     def matrix(self, x: float, y: float) -> np.ndarray:
         return x * np.asarray(self.a_part, float) + y * np.asarray(self.b_part, float) + np.asarray(self.c_part, float)
 
-    def det_value(self, x: float, y: float) -> float:
-        return float(np.linalg.det(self.matrix(x, y)))
-
-    def value(self, x: float, y: float) -> float:
-        return self.det_value(x, y) ** 2
-
     def is_above_roots(self, x: float, y: float) -> bool:
         return float(np.linalg.eigvalsh((self.matrix(x, y) + self.matrix(x, y).T) / 2).min()) > 0.0
 
@@ -625,7 +614,6 @@ def check_bivariate_quadratic_lemma(
     p: DeterminantalBivariate,
     point: Tuple[float, float],
     delta: float,
-    slack: float = 1e-8,
 ) -> bool:
     """Check the barrier transfer under ``1 - (1/2) d^2/dx^2`` with shift delta.
 
@@ -666,4 +654,4 @@ def check_bivariate_quadratic_lemma(
     gy_minus = g_minus * float(np.trace(np.linalg.solve(m_minus, p.b_part)))
     gy_plus = g_plus * float(np.trace(np.linalg.solve(m_plus, p.b_part)))
     phi_q = (gy_minus * g_plus + g_minus * gy_plus) / (g_minus * g_plus)
-    return phi_q <= p.barrier_y(x0, y0) + slack
+    return phi_q <= p.barrier_y(x0, y0) + 1e-8

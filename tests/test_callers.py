@@ -13,30 +13,38 @@ ALLOWED = {"cli.verify_oracles"}
 
 
 def definitions(tree):
-    """(name, line) of every module-level function and class and every
-    method not named ``__*__``."""
+    """Names of every module-level function and class and every method not
+    named ``__*__``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
-                    yield item.name, item.lineno
+                    yield item.name
+
+
+def references(tree):
+    """Every name that code refers to: ``ast.Name`` ids and ``ast.Attribute``
+    attributes. Docstrings, comments and other strings do not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
 
 
 def test_every_definition_has_a_caller():
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "pyproject.toml"]
-    texts = {path: path.read_text().splitlines() for path in sources}
-    uncalled = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name, line in definitions(ast.parse("\n".join(texts[path]))):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            used = any(
-                word.search(text)
-                for src, lines in texts.items()
-                for i, text in enumerate(lines, 1)
-                if not (src == path and i == line)
-            )
-            if not used and f"{path.stem}.{name}" not in ALLOWED:
-                uncalled.append(f"{path.stem}.{name}")
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    used = {name for tree in trees.values() for name in references(tree)}
+    # entry points named in the package metadata
+    used |= set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
+    uncalled = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name in definitions(tree)
+        if name not in used and f"{path.stem}.{name}" not in ALLOWED
+    ]
     assert uncalled == []

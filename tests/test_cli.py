@@ -29,6 +29,8 @@ def test_verify_prop16_single(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["pass"] and doc["suite"] == "prop16"
+    # every suite accepts --threads, whether or not it reads it
+    assert cli.main(["verify", "prop16", "--threads", "4", "--out", str(out)]) == 0
 
 
 def test_verify_rows_schema(tmp_path):
@@ -85,9 +87,16 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
 def test_flags_a_command_does_not_read_exit_two(capsys):
     dead = {
         ("solve", "--instance", FIXTURE): ("--seed", "--count", "--n", "--d"),
-        ("verify", "thm15"): ("--d",),
         ("replay", "--instance", FIXTURE): ("--seed", "--root-tol", "--threads", "--count", "--n", "--d"),
         ("frames", "gen"): ("--seed", "--root-tol", "--norm-tol", "--threads", "--count"),
+        # the 19 (suite, flag) pairs a suite does not read, and --d
+        ("verify", "thm13"): ("--n",),
+        ("verify", "thm15"): ("--seed", "--root-tol", "--count", "--n", "--d"),
+        ("verify", "prop16"): ("--seed", "--root-tol", "--norm-tol", "--count"),
+        ("verify", "thm41"): ("--root-tol", "--n"),
+        ("verify", "alexandrov"): ("--root-tol", "--norm-tol", "--n"),
+        ("verify", "schatten"): ("--root-tol", "--norm-tol", "--n"),
+        ("verify", "lyapunov"): ("--root-tol", "--n"),
     }
     for command, flags in dead.items():
         for flag in flags:
@@ -95,11 +104,17 @@ def test_flags_a_command_does_not_read_exit_two(capsys):
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def replace_command(monkeypatch, command, run):
+    """Point a command of the table at ``run``, with its summary and flags."""
+    _, summary, flags = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command, (run, summary, flags))
+
+
 def test_exit_one_on_failing_check(monkeypatch, capsys):
-    def failing(cfg):
+    def failing():
         return cli._finish({"command": "verify", "suite": "thm15", "checks": [cli._row("forced", 2.0, 1.0)]})
 
-    monkeypatch.setitem(cli._SUITE_FNS, "thm15", failing)
+    replace_command(monkeypatch, "verify thm15", failing)
     assert cli.main(["verify", "thm15"]) == 1
     out = capsys.readouterr().out
     assert '"pass": false' in out
@@ -108,11 +123,11 @@ def test_exit_one_on_failing_check(monkeypatch, capsys):
 def test_non_finite_check_fails_and_report_is_written(monkeypatch, tmp_path):
     nan, inf = float("nan"), float("inf")
 
-    def non_finite(cfg):
+    def non_finite():
         rows = [cli._row("nan_lhs", nan, 1.0), cli._row("inf_both", inf, inf), cli._row("finite", 0.0, 1.0)]
         return cli._finish({"command": "verify", "suite": "thm15", "checks": rows})
 
-    monkeypatch.setitem(cli._SUITE_FNS, "thm15", non_finite)
+    replace_command(monkeypatch, "verify thm15", non_finite)
     out = tmp_path / "nonfinite.json"
     assert cli.main(["verify", "thm15", "--out", str(out)]) == 1
 
@@ -130,7 +145,7 @@ def test_non_finite_check_fails_and_report_is_written(monkeypatch, tmp_path):
 
 
 def test_greedy_failure_becomes_failing_row(monkeypatch):
-    def not_real_rooted(inst, root_tol):
+    def not_real_rooted(inst, **kwargs):
         raise NotRealRooted("forced")
 
     monkeypatch.setattr(disc, "greedy_interlacing_solve", not_real_rooted)
@@ -150,11 +165,24 @@ def test_env_var_threads(monkeypatch):
     assert resolve_threads(None) == 1
 
 
-def test_runconfig_rejects_bad_tolerances():
-    with pytest.raises(ValueError):
-        cli.RunConfig(command="verify", suite="thm15", root_tol=-1.0)
-    with pytest.raises(ValueError):
-        cli.RunConfig(command="verify", suite="thm15", seed=2**64)
+def test_bad_flag_values_exit_two_before_any_work(monkeypatch, tmp_path, capsys):
+    ran = []
+    for command in ("verify thm13", "verify thm41", "verify prop16", "frames gen"):
+        replace_command(monkeypatch, command, lambda **kwargs: ran.append(kwargs))
+    out = tmp_path / "out.json"
+    bad = (
+        ["verify", "thm13", "--count", "0"],
+        ["verify", "thm13", "--count", "-3"],
+        ["verify", "thm13", "--root-tol", "nan"],
+        ["verify", "thm41", "--norm-tol", "-1"],
+        ["verify", "thm13", "--seed", "18446744073709551616"],
+        ["verify", "prop16", "--threads", "0"],
+        ["frames", "gen", "--n", "0"],
+    )
+    for args in bad:
+        assert cli.main(args + ["--out", str(out)]) == 2, args
+        assert "error: argument" in capsys.readouterr().err, args
+    assert ran == [] and not out.exists()
 
 
 def test_numerical_failures_in_solve_and_replay_become_failing_rows(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from matdisc import disc, frames, linalg, model, rpoly
+from matdisc import disc, frames, linalg, model, rpoly, schatten, witness
 from matdisc.errors import EnumerationTooLarge, NotRealRooted, PreconditionViolated
 
 from conftest import count_matrices, random_rank_one_instance, random_unitary
@@ -82,10 +82,11 @@ def test_bruteforce_thread_determinism(rng):
     assert a.value == b.value and a.argmin.indices == b.argmin.indices
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(monkeypatch):
     inst = rademacher_instance([np.array([1.0, 0.0])] * 30)
+    monkeypatch.setattr(disc, "ENUM_CAP", 2**20)
     with pytest.raises(EnumerationTooLarge):
-        disc.disc_bruteforce(inst, cap=2**20)
+        disc.disc_bruteforce(inst)
 
 
 def test_expected_charpoly_trivial():
@@ -97,7 +98,7 @@ def test_expected_charpoly_constant_rvs():
     inst = model.RankOneInstance(
         3,
         (np.array([1.0, 2.0, 0.5]),),
-        (model.DiscreteRandomVariable.constant(0.4),),
+        (model.DiscreteRandomVariable((0.4,), (1.0,)),),
     )
     got = disc.expected_charpoly(inst)
     assert np.allclose(got, [0, 0, 0, 0, 0, 0, 1.0], atol=1e-14)
@@ -141,7 +142,7 @@ def test_operator_route_trivial():
 
 def test_operator_route_constant_rvs():
     inst = model.RankOneInstance(
-        2, (np.array([1.0, 1.0]),), (model.DiscreteRandomVariable.constant(1.0),)
+        2, (np.array([1.0, 1.0]),), (model.DiscreteRandomVariable((1.0,), (1.0,)),)
     )
     assert np.allclose(disc.expected_charpoly_operator(inst), [0, 0, 0, 0, 1.0], atol=1e-12)
 
@@ -331,9 +332,9 @@ def test_engine_degenerate_variables(rng, route):
     zero = np.zeros(3, dtype=complex)
     pairs = (
         (base.vectors[0], base.rvs[0]),
-        (base.vectors[1], model.DiscreteRandomVariable.constant(0.7)),
+        (base.vectors[1], model.DiscreteRandomVariable((0.7,), (1.0,))),
         (zero, base.rvs[1]),
-        (base.vectors[2], model.DiscreteRandomVariable.constant(-1.0)),
+        (base.vectors[2], model.DiscreteRandomVariable((-1.0,), (1.0,))),
         (base.vectors[3], base.rvs[2]),
         (zero, base.rvs[3]),
         (base.vectors[4], model.DiscreteRandomVariable.rademacher()),
@@ -445,7 +446,7 @@ def test_greedy_large_n_smoke():
     assert trace.final_value <= 3.0 * model.sigma(inst) + 1e-9
 
 
-def test_engine_cap_counts_both_routes():
+def test_engine_cap_counts_both_routes(monkeypatch):
     d, n = 4, 10
     inst = seeded_rademacher(10, d, n)
     # the greedy's first level: tail minors plus the compounds of 2 branches,
@@ -454,18 +455,42 @@ def test_engine_cap_counts_both_routes():
     subsets = sum(math.comb(n - 1, k) * math.comb(d, k) for k in range(1, d + 1)) + 2 * compounds
     signs = 2 ** (n - 1)
     assert signs < subsets
+    monkeypatch.setattr(disc, "ENUM_CAP", signs - 1)
     with pytest.raises(EnumerationTooLarge):
-        disc.greedy_interlacing_solve(inst, cap=signs - 1)
-    disc.greedy_interlacing_solve(inst, cap=signs)
-    assert disc._plan_route(d, [(n - 1, 2)], signs) == "signs"
-    assert disc._plan_route(d, [(n - 1, 2)], subsets) in ("subsets", "signs")
+        disc.greedy_interlacing_solve(inst)
+    monkeypatch.setattr(disc, "ENUM_CAP", signs)
+    disc.greedy_interlacing_solve(inst)
+    assert disc._plan_route(d, [(n - 1, 2)]) == "signs"
+    monkeypatch.setattr(disc, "ENUM_CAP", subsets)
+    assert disc._plan_route(d, [(n - 1, 2)]) in ("subsets", "signs")
     # the top polynomial has no fixed part, so its sign patterns halve
+    monkeypatch.setattr(disc, "ENUM_CAP", 2 ** (n - 1) - 1)
     with pytest.raises(EnumerationTooLarge):
-        disc.expected_charpoly(inst, cap=2 ** (n - 1) - 1)
-    disc.expected_charpoly(inst, cap=2 ** (n - 1))
+        disc.expected_charpoly(inst)
+    monkeypatch.setattr(disc, "ENUM_CAP", 2 ** (n - 1))
+    disc.expected_charpoly(inst)
     # a route whose count exceeds the cap is never taken, even if cheaper
-    assert disc._plan_route(4, [(30, 2)], disc.ENUM_CAP) == "subsets"
-    assert disc._plan_route(12, [(13, 2)], disc.ENUM_CAP) == "signs"
+    monkeypatch.undo()
+    assert disc._plan_route(4, [(30, 2)]) == "subsets"
+    assert disc._plan_route(12, [(13, 2)]) == "signs"
+
+
+def test_one_cap_reaches_every_enumeration(monkeypatch):
+    # a cap of 4 is below every count of an n = 5 (or, for frames and
+    # Schatten, n = 3) Rademacher family, so each path refuses
+    monkeypatch.setattr(disc, "ENUM_CAP", 4)
+    inst = seeded_rademacher(5, 2, 5)
+    for refuse in (disc.disc_bruteforce, disc.greedy_interlacing_solve, disc.expected_charpoly):
+        with pytest.raises(EnumerationTooLarge):
+            refuse(inst)
+    with pytest.raises(EnumerationTooLarge):
+        witness.replay_barrier_walk(model.normalize(inst))
+    mats = tuple(np.diag([1.0, -float(i)]) for i in range(3))
+    herm = model.HermitianInstance(2, mats, tuple(model.DiscreteRandomVariable.rademacher() for _ in mats))
+    with pytest.raises(EnumerationTooLarge):
+        schatten.disc_p(herm, 2.0)
+    with pytest.raises(PreconditionViolated):
+        frames.verify_untf_disc(frames.harmonic_untf(3, 2))
 
 
 def test_greedy_dimension_close_to_n(monkeypatch):

@@ -44,7 +44,7 @@ def test_named_constructors():
     assert b.mean == pytest.approx(0.3) and b.variance == pytest.approx(0.21)
     assert model.DiscreteRandomVariable.bernoulli(0.0).support == (0.0,)
     assert model.DiscreteRandomVariable.bernoulli(1.0).support == (1.0,)
-    assert model.DiscreteRandomVariable.constant(2.5).variance == 0.0
+    assert model.DiscreteRandomVariable((2.5,), (1.0,)).variance == 0.0
 
 
 def test_sigma_single_vector():
@@ -56,7 +56,7 @@ def test_sigma_constant_rvs_is_zero():
     inst = model.RankOneInstance(
         2,
         (np.array([1.0, 2.0]), np.array([0.0, 1.0])),
-        (model.DiscreteRandomVariable.constant(0.3), model.DiscreteRandomVariable.constant(-1.0)),
+        (model.DiscreteRandomVariable((0.3,), (1.0,)), model.DiscreteRandomVariable((-1.0,), (1.0,))),
     )
     assert model.sigma(inst) == 0.0
 
@@ -98,7 +98,7 @@ def test_normalize_idempotent_and_unit(rng):
 
 
 def test_normalize_degenerate():
-    inst = model.RankOneInstance(2, (np.array([1.0, 0.0]),), (model.DiscreteRandomVariable.constant(1.0),))
+    inst = model.RankOneInstance(2, (np.array([1.0, 0.0]),), (model.DiscreteRandomVariable((1.0,), (1.0,)),))
     with pytest.raises(DegenerateSigma):
         model.normalize(inst)
 

@@ -52,24 +52,6 @@ def test_origin_multiplicity_is_deflated():
     assert rpoly.lambda_max(c) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_interlaces_examples():
-    assert rpoly.interlaces([0.0, 1.0], [-1.0, 0.0, 1.0])
-    assert not rpoly.interlaces([-5.0, 1.0], [-1.0, 0.0, 1.0])
-
-
-def test_interlaces_degree_mismatch():
-    with pytest.raises(DegreeMismatch):
-        rpoly.interlaces([0.0, 1.0], [0.0, 0.0, 0.0, 1.0])
-
-
-def test_derivative_interlaces_by_rolle():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        rts = np.sort(rng.uniform(-4, 4, size=5))
-        p = npp.polyfromroots(rts)
-        assert rpoly.interlaces(npp.polyder(p), p)
-
-
 def test_interlacing_bounds_lambda_max():
     rng = np.random.default_rng(3)
     for _ in range(10):

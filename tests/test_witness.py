@@ -135,7 +135,7 @@ def test_p_empty_with_every_coordinate_dropped():
     inst = model.RankOneInstance(
         3,
         (np.array([1.0, 0.0, 0.5]), np.zeros(3)),
-        (model.DiscreteRandomVariable.constant(0.2), model.DiscreteRandomVariable.rademacher()),
+        (model.DiscreteRandomVariable((0.2,), (1.0,)), model.DiscreteRandomVariable.rademacher()),
     )
     qe = witness.QEvaluator.from_instance(inst)
     assert qe.n == 0 and qe.dim == 3
@@ -184,7 +184,7 @@ def test_from_instance_drops_constant_coordinates(rng):
     widened = model.RankOneInstance(
         2,
         inst.vectors + (np.array([1.0, 0.0]),),
-        inst.rvs + (model.DiscreteRandomVariable.constant(0.7),),
+        inst.rvs + (model.DiscreteRandomVariable((0.7,), (1.0,)),),
     )
     qe = witness.QEvaluator.from_instance(widened, validate=False)
     assert qe.n == 2
@@ -309,7 +309,7 @@ def test_walk_skips_zero_variance_coordinates(rng):
     widened = model.RankOneInstance(
         2,
         inst.vectors + (np.array([0.4, 0.1]),),
-        inst.rvs + (model.DiscreteRandomVariable.constant(1.0),),
+        inst.rvs + (model.DiscreteRandomVariable((1.0,), (1.0,)),),
     )
     trace = witness.replay_barrier_walk(widened)
     assert trace.passed and len(trace.deltas) == 2
