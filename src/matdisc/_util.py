@@ -3,35 +3,26 @@
 from __future__ import annotations
 
 import json
-import os
 
 # Fixed chunk size so parallel reductions are independent of worker count.
 CHUNK = 65536
 
-THREADS_ENV = "SPECDISC_THREADS"
-
 
 def resolve_threads(threads=None) -> int:
-    if threads is None:
-        threads = os.environ.get(THREADS_ENV, "1")
-    t = int(threads)
+    t = 1 if threads is None else int(threads)
     if t < 1:
         raise ValueError(f"thread count must be >= 1, got {t}")
     return t
 
 
-def chunk_ranges(total: int, chunk: int = CHUNK):
-    return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-
-
-def map_chunks(fn, total: int, threads: int, chunk: int = CHUNK) -> list:
+def map_chunks(fn, total: int, threads: int) -> list:
     """Apply ``fn(start, stop)`` over fixed chunks, results in chunk order.
 
     Worker count affects scheduling only; both the chunk boundaries and the
     order of the returned list are fixed, so downstream reductions are
     byte-deterministic.
     """
-    ranges = chunk_ranges(total, chunk)
+    ranges = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
     if threads <= 1 or len(ranges) <= 1:
         return [fn(s, e) for s, e in ranges]
     from concurrent.futures import ThreadPoolExecutor

@@ -344,12 +344,12 @@ def verify_schatten(seed: int = 0, count: int = 200, threads=None) -> dict:
         d = int(rng.integers(2, 5))
         n = int(rng.integers(2, 7))
         inst = random_hermitian_instance(rng, d, n, rademacher=False)
-        frobenius = schatten.disc_p(inst, 2.0, threads=threads)
-        rows.append(_row(f"gen{i}.frobenius", frobenius, schatten.frobenius_bound(inst) + 1e-9))
         p = (2.0, 4.0, 6.0)[i % 3]
         rep = schatten.khintchine_bounds(inst, p, threads=threads)
-        est, se = rep.bounds["general_khintchine"]
-        rows.append(_row(f"gen{i}.p{int(p)}.mc", rep.disc_p, est + 3.0 * se))
+        frobenius = rep.disc_p if p == 2.0 else schatten.disc_p(inst, 2.0, threads=threads)
+        rows.append(_row(f"gen{i}.frobenius", frobenius, schatten.frobenius_bound(inst) + 1e-9))
+        est, _ = rep.bounds["general_khintchine"]
+        rows.append(_row(f"gen{i}.p{int(p)}.mc", rep.disc_p, est))
     return _finish(report)
 
 

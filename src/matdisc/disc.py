@@ -47,10 +47,7 @@ NormKind = Union[str, Tuple[str, float]]
 
 def _family(inst):
     """Stacked coefficient matrices (n, d, d), means, padded supports/probs."""
-    if isinstance(inst, model.RankOneInstance):
-        terms = model.outer_products(inst.vectors)
-    else:
-        terms = np.array(inst.matrices)
+    terms = model.terms(inst)
     means = np.array([rv.mean for rv in inst.rvs])
     sizes = np.array([len(rv.support) for rv in inst.rvs], dtype=np.int64)
     width = sizes.max()

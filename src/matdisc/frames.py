@@ -86,8 +86,8 @@ def analyze_frame(frame: Frame) -> FrameAnalysis:
 
 def verify_untf_disc(frame: Frame) -> dict:
     """Enumerate all Rademacher sign patterns of a unit-norm tight frame with
-    d <= n <= 2d - 1 and confirm the constant pattern norm n/d; 2^n may not
-    exceed ``disc.ENUM_CAP``, read at call time.
+    d <= n <= 2d - 1 and confirm the constant pattern norm n/d; 2^n beyond
+    ``disc.ENUM_CAP``, read at call time, raises EnumerationTooLarge.
 
     Returns ``{"all_patterns_constant": bool, "value": n/d}`` after checking
     every one of the 2^n patterns against n/d (1e-9) and the identity
@@ -99,8 +99,7 @@ def verify_untf_disc(frame: Frame) -> dict:
         raise PreconditionViolated("unit-norm tight frame", "input frame fails the gate")
     if not (d <= n <= 2 * d - 1):
         raise PreconditionViolated("pattern range", f"need d <= n <= 2d-1, got n={n}, d={d}")
-    if 2**n > disc.ENUM_CAP:
-        raise PreconditionViolated("enumeration cap", f"2^{n} exceeds {disc.ENUM_CAP}")
+    disc._check_cap(2**n)
 
     mats = disc._signed_sums(model.outer_products(frame.vectors))
     norms = np.abs(np.linalg.eigvalsh(mats)).max(axis=1)

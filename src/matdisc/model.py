@@ -156,6 +156,14 @@ def outer_products(vectors) -> np.ndarray:
     return u[:, :, None] * u[:, None, :].conj()
 
 
+def terms(inst: Instance) -> np.ndarray:
+    """The instance's term stack, shape (n, d, d): the outer products of a
+    rank-one family, the matrices of a Hermitian one."""
+    if isinstance(inst, RankOneInstance):
+        return outer_products(inst.vectors)
+    return np.array(inst.matrices)
+
+
 def squared_terms(inst: Instance) -> np.ndarray:
     """Stacked Var[xi_i] * M_i^2 terms, shape (n, d, d)."""
     var = np.array([rv.variance for rv in inst.rvs])

@@ -1,9 +1,9 @@
 """Schatten p-norm discrepancy and the moment-comparison upper bounds.
 
-The general bound takes an expectation over the random variables with no
-closed form, so it is estimated by seeded Monte Carlo; for Rademacher
-families the integrand is deterministic and the estimate is exact with zero
-standard error. The p = 2 (Frobenius) bound is closed form.
+For even p = 2q the general bound's expectation ``E tr S^q`` is a finite sum
+over words of length q in the squared terms, each weighted by exact moments
+of the finite supports, so the bound is computed exactly. The p = 2
+(Frobenius) bound and the Rademacher bound are closed form.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import disc, model
-from ._util import map_chunks, resolve_threads
 from .errors import InvalidOrder, NotPSD
-
-MC_DEFAULT_SAMPLES = 10_000
-MC_DEFAULT_SEED = 0xD15C
 
 PSD_EIG_FLOOR = -1e-10
 
@@ -28,9 +24,9 @@ PSD_EIG_FLOOR = -1e-10
 class SchattenReport:
     """Discrepancy at order p with every applicable upper bound.
 
-    ``bounds['general_khintchine']`` is an (estimate, stderr) pair and
-    ``bounds['rademacher_closed_form']`` a float; each is None where it does
-    not apply.
+    ``bounds['general_khintchine']`` is an (estimate, stderr) pair, exact
+    with stderr 0.0, and ``bounds['rademacher_closed_form']`` a float; each
+    is None where it does not apply.
     """
 
     p: float
@@ -56,11 +52,7 @@ def _schatten_of_sqrt(mat: np.ndarray, p: float) -> float:
 
 def _squares(inst: model.Instance) -> tuple:
     """The stacked squares A_i^2, shape (n, d, d), and ``sum_i Var[xi_i]^2 A_i^2``."""
-    if isinstance(inst, model.RankOneInstance):
-        mats = model.outer_products(inst.vectors)
-    else:
-        mats = np.array(inst.matrices)
-    sq = np.array([m @ m for m in mats])
+    sq = np.array([m @ m for m in model.terms(inst)])
     variances = np.array([rv.variance for rv in inst.rvs])
     return sq, np.tensordot(variances**2, sq, axes=(0, 0))
 
@@ -80,17 +72,52 @@ def frobenius_bound(inst: model.Instance) -> float:
     return _schatten_of_sqrt(_squares(inst)[1], 2.0)
 
 
+def _moment_trace(inst: model.Instance, sq: np.ndarray, var_sq: np.ndarray, q: int) -> float:
+    """``E tr S^q`` for ``S = var_sq + sum_i a_i A_i^2``, ``a_i = (xi_i - E xi_i)^2``.
+
+    With ``M_0 = var_sq`` and ``M_i = A_i^2`` the expectation is the sum over
+    the words ``w`` in ``{0..n}^q`` of ``tr(M_w1 ... M_wq) * prod_i
+    E[a_i^c_i(w)]``, where ``c_i(w)`` counts the letters i >= 1 of w and the
+    moments are exact over the finite supports. The ``(n+1)^q`` words are
+    refused beyond ``disc.ENUM_CAP`` and multiplied out in blocks of at most
+    ``disc._PRODUCT_BLOCK`` matrix entries. A sum that rounds below zero is 0.
+    """
+    n, d = inst.n, inst.dim
+    mats = np.concatenate([var_sq[None], sq])
+    # moments[i, r] = E[a_i^r] for r = 0..q; row 0 weights M_0, which is fixed
+    moments = np.ones((n + 1, q + 1))
+    for i, rv in enumerate(inst.rvs, start=1):
+        dev_sq = (np.asarray(rv.support) - rv.mean) ** 2
+        moments[i] = dev_sq ** np.arange(q + 1)[:, None] @ np.asarray(rv.probs)
+    total = (n + 1) ** q
+    disc._check_cap(total)
+    block = max(1, disc._PRODUCT_BLOCK // (d * d))
+    acc = 0.0
+    for start in range(0, total, block):
+        words = np.stack(np.unravel_index(np.arange(start, min(start + block, total)), (n + 1,) * q), axis=1)
+        prod = mats[words[:, 0]]
+        for k in range(1, q):
+            prod = prod @ mats[words[:, k]]
+        weights = np.ones(len(words))
+        for k in range(q):
+            # each letter's moment, taken at its first occurrence in the word
+            letter = words[:, k : k + 1]
+            first = ~(words[:, :k] == letter).any(axis=1)
+            count = (words == letter).sum(axis=1)
+            weights *= np.where(first, moments[letter[:, 0], count], 1.0)
+        acc += float(np.trace(prod, axis1=1, axis2=2).real @ weights)
+    return max(acc, 0.0)
+
+
 def khintchine_bounds(inst: model.Instance, p: float, threads: Optional[int] = None) -> SchattenReport:
     """Discrepancy report with the applicable moment-comparison bounds.
 
-    The general bound is ``sqrt((p-1)/2)`` times the p-th root of
-    ``E || (sum_i ((xi_i - E xi_i)^2 A_i^2 + (Var[xi_i] A_i)^2))^(1/2) ||_p^p``,
-    estimated from ``MC_DEFAULT_SAMPLES`` draws seeded with
-    ``MC_DEFAULT_SEED``. For Rademacher variables the integrand collapses to
-    ``2 sum A_i^2`` deterministically (stderr exactly 0) and the specialized
-    bound ``sqrt(p-1) * || (sum A_i^2)^(1/2) ||_p`` also applies. At p = inf
-    the moment bounds are marked inapplicable and only the spectral
-    discrepancy is reported.
+    For even p = 2q the general bound is ``sqrt((p-1)/2) * (E tr S^q)^(1/p)``
+    with ``S = sum_i ((xi_i - E xi_i)^2 A_i^2 + (Var[xi_i] A_i)^2)``, computed
+    exactly by :func:`_moment_trace` (stderr 0.0); at any other order it is
+    None. For Rademacher variables the specialized bound
+    ``sqrt(p-1) * || (sum A_i^2)^(1/2) ||_p`` also applies at every finite p.
+    At p = inf both are None and only the spectral discrepancy is reported.
     """
     if p != np.inf and p < 2:
         raise InvalidOrder(f"need p >= 2 or inf, got {p}")
@@ -100,44 +127,9 @@ def khintchine_bounds(inst: model.Instance, p: float, threads: Optional[int] = N
         return SchattenReport(float(p), value, bounds)
 
     sq, var_sq = _squares(inst)
+    if p % 2 == 0:
+        z = _moment_trace(inst, sq, var_sq, int(p) // 2)
+        bounds["general_khintchine"] = (math.sqrt((p - 1.0) / 2.0) * z ** (1.0 / p), 0.0)
     if all(rv.is_rademacher() for rv in inst.rvs):
-        total = 2.0 * sq.sum(axis=0)
-        z = float(np.sum(_psd_eigs(total) ** (p / 2.0)))
-        est = math.sqrt((p - 1.0) / 2.0) * z ** (1.0 / p)
-        bounds["general_khintchine"] = (est, 0.0)
-        sigma_p = _schatten_of_sqrt(sq.sum(axis=0), p)
-        bounds["rademacher_closed_form"] = math.sqrt(p - 1.0) * sigma_p
-    else:
-        z = _mc_moments(inst, sq, var_sq, p, resolve_threads(threads))
-        est_e = float(z.mean())
-        se_e = float(z.std(ddof=1) / math.sqrt(len(z))) if len(z) > 1 else 0.0
-        factor = math.sqrt((p - 1.0) / 2.0)
-        est = factor * est_e ** (1.0 / p)
-        se = factor * (1.0 / p) * est_e ** (1.0 / p - 1.0) * se_e if est_e > 0 else 0.0
-        bounds["general_khintchine"] = (est, se)
+        bounds["rademacher_closed_form"] = math.sqrt(p - 1.0) * _schatten_of_sqrt(sq.sum(axis=0), p)
     return SchattenReport(float(p), value, bounds)
-
-
-def _mc_moments(inst, sq, var_sq, p, threads) -> np.ndarray:
-    """Samples of || S(xi)^(1/2) ||_p^p with S = sum ((xi-E)^2 A^2 + (Var A)^2).
-
-    All draws come from one generator seeded up front, so the sample set is
-    fixed before any parallel evaluation; chunks only batch the eigensolves.
-    """
-    n, samples = inst.n, MC_DEFAULT_SAMPLES
-    means = np.array([rv.mean for rv in inst.rvs])
-    rng = np.random.default_rng(MC_DEFAULT_SEED)
-    u = rng.random((samples, n))
-    draws = np.empty((samples, n))
-    for j, rv in enumerate(inst.rvs):
-        cum = np.cumsum(rv.probs)
-        idx = np.searchsorted(cum, u[:, j], side="right").clip(0, len(rv.support) - 1)
-        draws[:, j] = np.asarray(rv.support)[idx]
-    dev_sq = (draws - means) ** 2
-
-    def scan(start, stop):
-        s = np.tensordot(dev_sq[start:stop], sq, axes=(1, 0)) + var_sq
-        w = np.clip(np.linalg.eigvalsh(s), 0.0, None)
-        return np.sum(w ** (p / 2.0), axis=1)
-
-    return np.concatenate(map_chunks(scan, samples, threads, chunk=4096))

@@ -1,4 +1,5 @@
-"""Every definition in the package has a caller outside the tests."""
+"""Every definition and every constant in the package has a reader outside
+the tests."""
 
 import ast
 import re
@@ -24,20 +25,35 @@ def definitions(tree):
                     yield item.name
 
 
-def references(tree):
-    """Every name that code refers to: ``ast.Name`` ids and ``ast.Attribute``
-    attributes. Docstrings, comments and other strings do not count."""
+def constants(tree):
+    """Names of module-level ``UPPER_CASE`` assignments (a leading underscore
+    allowed)."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                yield target.id
+
+
+def reads(tree):
+    """Every name that code loads: ``ast.Name`` ids and ``ast.Attribute``
+    attributes in load context, so an assignment is not a read. Docstrings,
+    comments and other strings do not count."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
 
 
-def test_every_definition_has_a_caller():
+def parsed_sources():
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in sources}
-    used = {name for tree in trees.values() for name in references(tree)}
+    return {path: ast.parse(path.read_text()) for path in sources}
+
+
+def test_every_definition_has_a_caller():
+    trees = parsed_sources()
+    used = {name for tree in trees.values() for name in reads(tree)}
     # entry points named in the package metadata
     used |= set(re.findall(r"\w+", (ROOT / "pyproject.toml").read_text()))
     uncalled = [
@@ -48,3 +64,16 @@ def test_every_definition_has_a_caller():
         if name not in used and f"{path.stem}.{name}" not in ALLOWED
     ]
     assert uncalled == []
+
+
+def test_every_constant_is_read():
+    trees = parsed_sources()
+    read = {name for tree in trees.values() for name in reads(tree)}
+    unread = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name in constants(tree)
+        if name not in read
+    ]
+    assert unread == []

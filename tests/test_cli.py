@@ -156,13 +156,13 @@ def test_greedy_failure_becomes_failing_row(monkeypatch):
 
 
 def test_env_var_threads(monkeypatch):
+    # the worker count comes from --threads alone: the variable the package
+    # once read is ignored, and no thread count means one worker
     from matdisc._util import resolve_threads
 
     monkeypatch.setenv("SPECDISC_THREADS", "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(2) == 2
-    monkeypatch.delenv("SPECDISC_THREADS")
     assert resolve_threads(None) == 1
+    assert resolve_threads(2) == 2
 
 
 def test_bad_flag_values_exit_two_before_any_work(monkeypatch, tmp_path, capsys):

@@ -489,8 +489,13 @@ def test_one_cap_reaches_every_enumeration(monkeypatch):
     herm = model.HermitianInstance(2, mats, tuple(model.DiscreteRandomVariable.rademacher() for _ in mats))
     with pytest.raises(EnumerationTooLarge):
         schatten.disc_p(herm, 2.0)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(EnumerationTooLarge):
         frames.verify_untf_disc(frames.harmonic_untf(3, 2))
+    # the 8 sign patterns fit a cap of 10, the 4^3 = 64 words of p = 6 do not
+    monkeypatch.setattr(disc, "ENUM_CAP", 10)
+    assert schatten.disc_p(herm, 6.0) >= 0.0
+    with pytest.raises(EnumerationTooLarge):
+        schatten.khintchine_bounds(herm, 6.0)
 
 
 def test_greedy_dimension_close_to_n(monkeypatch):
