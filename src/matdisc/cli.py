@@ -127,7 +127,6 @@ def verify_thm13(seed: int = 0, count: int = 300, threads=None, root_tol: float 
     }
     rows = report["checks"]
     for i, inst in enumerate(sweep_rank_one(seed, count)):
-        sig = model.sigma(inst)
         brute = disc.disc_bruteforce(inst, threads=threads)
         try:
             assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
@@ -135,7 +134,7 @@ def verify_thm13(seed: int = 0, count: int = 300, threads=None, root_tol: float 
             rows.append(_flag_row(f"i{i}.greedy[{exc}]", False))
             continue
         rows.append(_row(f"i{i}.brute_le_greedy", brute.value, trace.final_value + 1e-12))
-        rows.append(_row(f"i{i}.greedy_le_3sigma", trace.final_value, 3.0 * sig + norm_tol))
+        rows.append(_row(f"i{i}.greedy_le_3sigma", trace.final_value, 3.0 * brute.sigma + norm_tol))
         rows.append(_row(f"i{i}.leaf_identity_gap", abs(trace.final_value - trace.leaf_lambda_max), norm_tol))
         worst = max(lv.chosen_lambda_max - lv.parent_lambda_max for lv in trace.levels)
         rows.append(_row(f"i{i}.level_monotone_gap", worst, norm_tol))

@@ -3,6 +3,8 @@
 Four routes live here:
 
 * exhaustive minimization over all sign assignments (the ground-truth oracle),
+  which skips the eigensolves that row-norm and power-step lower bounds
+  rule out,
 * expected characteristic polynomials of partial assignments, computed from
   the variances of the remaining variables by Cauchy-Binet subset sums
   (polynomial in n for fixed dimension) or, where that is cheaper, over the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -67,10 +70,6 @@ def _strides(sizes: np.ndarray) -> np.ndarray:
     return strides
 
 
-def _digits(linear: np.ndarray, sizes, strides) -> np.ndarray:
-    return (linear[:, None] // strides[None, :]) % sizes[None, :]
-
-
 def _check_cap(total: int) -> None:
     if total > ENUM_CAP:
         raise EnumerationTooLarge(int(total), int(ENUM_CAP))
@@ -115,6 +114,105 @@ class DiscrepancyReport:
         }
 
 
+# Matrices per eigensolve call in the pruned enumeration scan.
+_SCAN_BLOCK = 256
+# Relative slack of the scan's pruning test: far above the rounding of row
+# norms and eigenvalues, so an assignment that ties the best is never pruned.
+_PRUNE_SLACK = 1e-10
+
+
+def _power_bound(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A lower bound on each matrix's spectral norm, at least its largest
+    row norm: ``||M u||`` for the unit vector ``u`` along the column
+    ``v = M e_j`` of the largest row ``j`` (``rows`` holds the squared row
+    norms). For Hermitian ``M``, ``||v||`` is that row norm and
+    ``<e_j, M v> = ||v||^2``, so ``||M v|| >= ||v||^2``."""
+    j = rows.argmax(axis=1)
+    k = np.arange(len(mats))
+    top = np.sqrt(rows[k, j])
+    u = mats[k, :, j] / np.where(top > 0.0, top, 1.0)[:, None]
+    w = np.einsum("kij,kj->ki", mats, u).view(np.float64)
+    return np.sqrt(np.einsum("ki,ki->k", w, w))
+
+
+def _visit(mats, norm, idx, ranked, best):
+    """Solve ``mats[idx]`` in ascending lower bound ``ranked``,
+    ``_SCAN_BLOCK`` per eigensolve, until the next bound exceeds the
+    (value, index) ``best`` by the relative ``_PRUNE_SLACK``."""
+    pos = 0
+    while True:
+        limit = np.searchsorted(ranked, best[0] * (1.0 + _PRUNE_SLACK), side="right")
+        cut = min(pos + _SCAN_BLOCK, limit)
+        if cut <= pos:
+            return best
+        block = idx[pos:cut]
+        vals = norm(np.linalg.eigvalsh(mats[block]))
+        k = np.lexsort((block, vals))[0]
+        best = min(best, (float(vals[k]), int(block[k])))
+        pos = cut
+
+
+def exact_minimum(
+    inst: model.Instance, norm_kind: NormKind = "spectral", threads: Optional[int] = None
+) -> Tuple[float, model.SignAssignment]:
+    """The minimum and argmin of :func:`disc_bruteforce`, without sigma and
+    the bound checks."""
+    terms, means, sizes, supp, _ = _family(inst)
+    strides = _strides(sizes)
+    total = int(np.prod(sizes.astype(object)))
+    _check_cap(total)
+    norm = _norm_fn(norm_kind)
+    nthreads = resolve_threads(threads)
+    # deviation coefficients eps_j - E[xi_j], per variable and support index
+    dev = supp - means[:, None]
+
+    flat = terms.reshape(len(terms), -1)
+    worker = threading.local()
+
+    def scan(start, stop):
+        count = stop - start
+        # Each worker reuses its chunk-sized arrays: fresh ones cost a page
+        # fault per page on every chunk. The terms are complex and the
+        # coefficients' imaginary parts stay zero.
+        if len(getattr(worker, "mats", ())) < count:
+            worker.coef = np.zeros((count, len(sizes)), dtype=flat.dtype)
+            worker.mats = np.empty((count,) + terms.shape[1:], dtype=flat.dtype)
+        # Variable j holds each support index for a run of strides[j]
+        # assignments: fill its column run by run, the chunk's first and
+        # last runs trimmed, with no per-assignment integer division.
+        coef = worker.coef[:count]
+        for j, (stride, size) in enumerate(zip(strides.tolist(), sizes.tolist())):
+            first, last = start // stride, (stop - 1) // stride
+            runs = np.full(last - first + 1, stride)
+            runs[0] -= start - first * stride
+            runs[-1] -= (last + 1) * stride - stop
+            coef.real[:, j] = np.repeat(dev[j][np.arange(first, last + 1) % size], runs)
+        # the product np.tensordot(coef, terms, axes=(1, 0)) computes, on the
+        # same C-ordered complex coefficients, so the matrices match it bit
+        # for bit (the layout matters: at d = 1 the product is matrix-vector)
+        mats = worker.mats[:count]
+        np.dot(coef, flat, out=mats.reshape(count, -1))
+        # largest row norm <= spectral norm <= every served norm (the maximum
+        # runs over columns: numpy reduces a short last axis slowly)
+        pairs = mats.view(np.float64)
+        rows = np.einsum("kij,kij->ki", pairs, pairs)
+        bound = np.sqrt(functools.reduce(np.maximum, rows.T))
+        order = np.argsort(bound)
+        ranked = bound[order]
+        best = _visit(mats, norm, order[:_SCAN_BLOCK], ranked[:_SCAN_BLOCK], (math.inf, -1))
+        rest = order[_SCAN_BLOCK : np.searchsorted(ranked, best[0] * (1.0 + _PRUNE_SLACK), side="right")]
+        if rest.size:
+            # the matrices the row norms leave in, by their power-step bound
+            power = _power_bound(mats[rest], rows[rest])
+            by_power = np.argsort(power)
+            best = _visit(mats, norm, rest[by_power], power[by_power], best)
+        return best[0], start + best[1]
+
+    value, index = min(map_chunks(scan, total, nthreads))
+    digits = [index // stride % size for stride, size in zip(strides.tolist(), sizes.tolist())]
+    return value, model.SignAssignment.from_indices(digits, inst.rvs)
+
+
 def disc_bruteforce(
     inst: model.Instance,
     norm_kind: NormKind = "spectral",
@@ -126,40 +224,31 @@ def disc_bruteforce(
     Minimizes ``|| sum_j eps_j M_j - sum_j E[xi_j] M_j ||`` over the product
     of the supports, refusing beyond ``ENUM_CAP`` assignments (read at call
     time); ties resolve to the lexicographically smallest tuple of
-    support indices. Chunks reduce with a (value, index) minimum, so the
-    result is independent of the thread schedule. A named bound counts as
-    satisfied when the value is at most the bound plus ``norm_tol``.
+    support indices. A named bound counts as satisfied when the value is at
+    most the bound plus ``norm_tol``.
+
+    The scan builds each fixed chunk's deviation matrices and skips the
+    eigensolve of every matrix that provably cannot win: every served norm
+    (spectral, Schatten p >= 1 or inf) is at least the spectral norm, which
+    is at least the largest row norm ``max_j ||M e_j||``. The matrices are
+    visited in ascending bound, ``_SCAN_BLOCK`` per eigensolve, and the
+    chunk stops once the next bound exceeds its best value by the relative
+    slack ``_PRUNE_SLACK`` (1e-10, far above rounding, so exact ties are
+    never pruned). The first block goes by row norm; the matrices its best
+    leaves in go by the tighter power-step bound of :func:`_power_bound`, so
+    an instance whose row norms sit far below its norms prunes as well as
+    any other. The result is exact. Chunks reduce with a (value,
+    index) minimum and each chunk prunes only against its own best, so the
+    value, the argmin and the set of matrices handed to the eigensolver do
+    not depend on the thread count.
     """
-    terms, means, sizes, supp, prob = _family(inst)
-    strides = _strides(sizes)
-    total = int(np.prod(sizes.astype(object)))
-    _check_cap(total)
-    norm = _norm_fn(norm_kind)
-    nthreads = resolve_threads(threads)
-
-    def scan(start, stop):
-        digits = _digits(np.arange(start, stop, dtype=np.int64), sizes, strides)
-        # deviation coefficients eps_j - E[xi_j]
-        coef = np.take_along_axis(supp[None, :, :], digits[:, :, None], axis=2)[:, :, 0] - means
-        mats = np.tensordot(coef, terms, axes=(1, 0))
-        vals = norm(np.linalg.eigvalsh(mats))
-        k = int(np.argmin(vals))
-        return float(vals[k]), start + k
-
-    best_val, best_idx = math.inf, -1
-    for val, idx in map_chunks(scan, total, nthreads):
-        if val < best_val or (val == best_val and idx < best_idx):
-            best_val, best_idx = val, idx
-    digits = _digits(np.array([best_idx], dtype=np.int64), sizes, strides)[0]
-    argmin = model.SignAssignment.from_indices(digits.tolist(), inst.rvs)
-
-    sig = model.sigma(inst)
+    value, argmin = exact_minimum(inst, norm_kind, threads)
     checks: dict = {}
     if isinstance(inst, model.RankOneInstance) and norm_kind == "spectral":
         for name, bound in bound_menu(inst).items():
             if bound.applicable:
-                checks[name] = (bound.value, best_val <= bound.value + norm_tol)
-    return DiscrepancyReport(best_val, argmin, sig, norm_kind, checks)
+                checks[name] = (bound.value, value <= bound.value + norm_tol)
+    return DiscrepancyReport(value, argmin, model.sigma(inst), norm_kind, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def disc_p(inst: model.Instance, p: float, threads: Optional[int] = None) -> flo
     if p != np.inf and p < 2:
         raise InvalidOrder(f"Schatten discrepancy is defined here for p >= 2, got {p}")
     kind = "spectral" if p == np.inf else ("schatten", float(p))
-    return disc.disc_bruteforce(inst, norm_kind=kind, threads=threads).value
+    return disc.exact_minimum(inst, kind, threads)[0]
 
 
 def frobenius_bound(inst: model.Instance) -> float:

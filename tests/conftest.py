@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -59,11 +60,13 @@ def count_matrices(monkeypatch, name):
     most handed to one call."""
     counter = {"calls": 0, "matrices": 0, "largest": 0}
     kernel = getattr(np.linalg, name)
+    lock = threading.Lock()  # kernels may run in worker threads
 
     def counting(a, *args, **kwargs):
-        counter["calls"] += 1
-        counter["matrices"] += math.prod(np.shape(a)[:-2])
-        counter["largest"] = max(counter["largest"], math.prod(np.shape(a)[:-2]))
+        with lock:
+            counter["calls"] += 1
+            counter["matrices"] += math.prod(np.shape(a)[:-2])
+            counter["largest"] = max(counter["largest"], math.prod(np.shape(a)[:-2]))
         return kernel(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counting)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from matdisc import disc, frames, linalg, model, rpoly, schatten, witness
+from matdisc import _util, cli, disc, frames, linalg, model, rpoly, schatten, witness
 from matdisc.errors import EnumerationTooLarge, NotRealRooted, PreconditionViolated
 
 from conftest import count_matrices, random_rank_one_instance, random_unitary
@@ -75,11 +75,17 @@ def test_bruteforce_argmin_reproduces_value(rng):
     assert rep.value == pytest.approx(direct, abs=1e-10)
 
 
-def test_bruteforce_thread_determinism(rng):
-    inst = random_rank_one_instance(rng, 3, 6)
-    a = disc.disc_bruteforce(inst, threads=1)
-    b = disc.disc_bruteforce(inst, threads=4)
-    assert a.value == b.value and a.argmin.indices == b.argmin.indices
+def test_bruteforce_thread_determinism(rng, monkeypatch):
+    # n = 6 is one chunk; 3-atom laws at n = 11 give 177,147 assignments, 3 chunks
+    for inst in (random_rank_one_instance(rng, 3, 6), random_rank_one_instance(rng, 3, 11, supports=(3,))):
+        runs = []
+        for threads in (1, 2, 4):
+            with monkeypatch.context() as patch:
+                eigvalsh = count_matrices(patch, "eigvalsh")
+                rep = disc.disc_bruteforce(inst, threads=threads)
+            runs.append((rep.value, rep.argmin.indices, eigvalsh["matrices"]))
+        assert runs[0] == runs[1] == runs[2]
+    assert 3**11 > 2 * _util.CHUNK
 
 
 def test_bruteforce_cap(monkeypatch):
@@ -87,6 +93,107 @@ def test_bruteforce_cap(monkeypatch):
     monkeypatch.setattr(disc, "ENUM_CAP", 2**20)
     with pytest.raises(EnumerationTooLarge):
         disc.disc_bruteforce(inst)
+
+
+def oracle_minimum(inst, norm_kind):
+    """Independent brute force: every assignment from ``itertools.product``,
+    one eigensolve of every deviation matrix, and the first minimum, which is
+    the lexicographically smallest tuple of support indices."""
+    tuples = list(itertools.product(*(range(len(rv.support)) for rv in inst.rvs)))
+    values = np.array([[rv.support[i] for i, rv in zip(t, inst.rvs)] for t in tuples])
+    coef = values - np.array([rv.mean for rv in inst.rvs])
+    eigs = np.abs(np.linalg.eigvalsh(np.tensordot(coef, model.terms(inst), axes=(1, 0))))
+    p = math.inf if norm_kind == "spectral" else norm_kind[1]
+    norms = eigs.max(axis=1) if p == math.inf else np.sum(eigs**p, axis=1) ** (1.0 / p)
+    k = int(np.argmin(norms))
+    return float(norms[k]), tuples[k]
+
+
+def _three_atom_rvs(rng, n):
+    return random_rank_one_instance(rng, 1, n, supports=(3,)).rvs
+
+
+def _oracle_family(name, rng):
+    d = 3
+    if name == "rademacher":  # eps and -eps tie
+        return seeded_rademacher(3, d, 10)
+    if name == "zero":  # every assignment ties at 0
+        return model.RankOneInstance(d, (np.zeros(d),) * 7, _three_atom_rvs(rng, 7))
+    if name == "parallel":
+        v, w = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+        return model.RankOneInstance(d, (v, v, -2 * v, 1j * v, w, w, 0.5 * w), _three_atom_rvs(rng, 7))
+    if name == "dynamic_range":  # terms from 1e-8 to 1e8
+        vecs = [10.0**k * rng.normal(size=d) for k in np.linspace(-4, 4, 10)]
+        return rademacher_instance(vecs)
+    if name == "d1":  # the row norm is the norm, so ties sit on the bound
+        return rademacher_instance([rng.normal(size=1) for _ in range(4)] * 2)
+    if name == "n1":
+        return random_rank_one_instance(rng, d, 1, supports=(3,))
+    if name == "tight_bound":
+        # +-(u u* - w w*) is off-diagonal, so its row norm is its norm; at this
+        # phase the row norm rounds one ulp above the eigensolver's value, and
+        # the zero vectors give the minimum 2^9 exact ties
+        z = 0.5 * np.exp(2j * np.pi * np.random.default_rng(1).uniform())
+        return rademacher_instance([np.array([1, z]), np.array([1, -z])] + [np.zeros(2)] * 9)
+    if name == "phases":
+        return rademacher_instance([np.exp(2j * np.pi * rng.uniform(size=d)) for _ in range(9)])
+    if name == "three_atom":
+        return random_rank_one_instance(rng, 4, 7, supports=(3,))
+    if name == "hermitian":
+        g = rng.normal(size=(8, d, d)) + 1j * rng.normal(size=(8, d, d))
+        return model.HermitianInstance(d, tuple(g + g.conj().transpose(0, 2, 1)), _three_atom_rvs(rng, 8))
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["rademacher", "zero", "parallel", "dynamic_range", "d1", "n1", "tight_bound", "phases", "three_atom", "hermitian"],
+)
+def test_pruned_scan_matches_the_full_enumeration(family, rng, monkeypatch):
+    inst = _oracle_family(family, rng)
+    for block in (5, disc._SCAN_BLOCK):
+        monkeypatch.setattr(disc, "_SCAN_BLOCK", block)
+        for norm_kind in ("spectral", ("schatten", 2.0), ("schatten", 4.0), ("schatten", 6.0), ("schatten", math.inf)):
+            value, argmin = disc.exact_minimum(inst, norm_kind)
+            want_value, want_argmin = oracle_minimum(inst, norm_kind)
+            assert value == want_value, (block, norm_kind)
+            assert argmin.indices == want_argmin, (block, norm_kind)
+
+
+def test_power_bound_sits_between_row_norm_and_norm(rng):
+    g = rng.normal(size=(200, 3, 3)) + 1j * rng.normal(size=(200, 3, 3))
+    mats = np.concatenate([g + g.conj().transpose(0, 2, 1), np.zeros((1, 3, 3))])
+    rows = np.einsum("kij,kij->ki", mats.conj(), mats).real
+    power = disc._power_bound(mats, rows)
+    spectral = np.abs(np.linalg.eigvalsh(mats)).max(axis=1)
+    assert np.all(np.sqrt(rows.max(axis=1)) <= power * (1 + 1e-12))
+    assert np.all(power <= spectral * (1 + 1e-12))
+    assert power[-1] == 0.0
+
+
+def test_pruned_scan_work_count_small_chunks(monkeypatch):
+    # Each chunk prunes against its own best. On this instance the row norms
+    # of many chunks sit far below their norms (ordered by row norm alone,
+    # the scan hands the eigensolver 2287 matrices); the power-step bound
+    # keeps every chunk near one eigensolve block.
+    rng = np.random.default_rng(6)
+    vectors = tuple((rng.normal(size=3) + 1j * rng.normal(size=3)) / math.sqrt(2.0) for _ in range(9))
+    inst = model.RankOneInstance(3, vectors, tuple(cli.random_rv(rng, 3) for _ in range(9)))
+    want = oracle_minimum(inst, "spectral")
+    monkeypatch.setattr(_util, "CHUNK", 1024)
+    monkeypatch.setattr(disc, "_SCAN_BLOCK", 16)
+    eigvalsh = count_matrices(monkeypatch, "eigvalsh")
+    value, argmin = disc.exact_minimum(inst)
+    assert (value, argmin.indices) == want
+    assert eigvalsh["matrices"] <= 2 * 16 * math.ceil(3**9 / 1024)
+
+
+def test_pruned_scan_work_count(monkeypatch):
+    # the pruning hands the eigensolver a small share of the 2^14 assignments
+    inst = seeded_rademacher(14, 4, 14)
+    eigvalsh = count_matrices(monkeypatch, "eigvalsh")
+    disc.disc_bruteforce(inst)
+    assert eigvalsh["matrices"] <= 2**14 // 8
 
 
 def test_expected_charpoly_trivial():
