@@ -7,8 +7,8 @@ Four routes live here:
   rule out,
 * expected characteristic polynomials of partial assignments, computed from
   the variances of the remaining variables by Cauchy-Binet subset sums
-  (polynomial in n for fixed dimension) or, where that is cheaper, over the
-  sign patterns of equal variance,
+  (polynomial in n for fixed dimension, with compound matrices from Laplace
+  steps) or, where that is cheaper, over the sign patterns of equal variance,
 * the same top-level polynomial through the differential-operator route, an
   independent oracle for small n,
 * the greedy solver that walks the interlacing family by always descending
@@ -243,12 +243,13 @@ def disc_bruteforce(
     not depend on the thread count.
     """
     value, argmin = exact_minimum(inst, norm_kind, threads)
+    sig = model.sigma(inst)
     checks: dict = {}
     if isinstance(inst, model.RankOneInstance) and norm_kind == "spectral":
-        for name, bound in bound_menu(inst).items():
+        for name, bound in bound_menu(inst, sig).items():
             if bound.applicable:
                 checks[name] = (bound.value, value <= bound.value + norm_tol)
-    return DiscrepancyReport(value, argmin, model.sigma(inst), norm_kind, checks)
+    return DiscrepancyReport(value, argmin, sig, norm_kind, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +264,8 @@ def _even_to_x(ycoeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-# Minors per determinant call, and columns per product block, in the
-# Cauchy-Binet route.
-_SUBSET_CHUNK = 8192
 # Entries of W = V* U per product block of the Cauchy-Binet route.
-_PRODUCT_BLOCK = 1 << 17
+_PRODUCT_BLOCK = 1 << 16
 # Matrices per eigensolve call in the sign route.
 _SIGN_BATCH = 1 << 14
 
@@ -307,59 +305,62 @@ def _dim_tables(d: int) -> tuple:
     return rows, masks, fold
 
 
-def _minors(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``det a[..., R, S]`` for R in ``rows``, S in ``cols``: shape (..., |rows|, |cols|).
+def _compounds(a: np.ndarray, top: int) -> list:
+    """The compounds ``C_k(a) = (det a[..., R, S])`` of a stack ``a`` of shape
+    (..., d, m) for k = 0..top, R and S the k-subsets of range(d) and
+    range(m) in colex order.
 
-    1 x 1 minors are the entries; otherwise one determinant call gets at
-    most ``_SUBSET_CHUNK`` minors, counted over the leading axes too (or
-    one per leading index when those alone exceed it).
+    ``C_0 = 1``, ``C_1 = a``, and each further one takes one Laplace step
+    along the last column ``s = max S``, k multiply-adds per entry:
+    ``det a[R, S] = sum_i (-1)^(k-1+i) a[r_i, s] det a[R - {r_i}, S - {s}]``.
+    In colex order the S with the same s form one block, whose S - {s} are
+    the first ``comb(s, k-1)`` (k-1)-subsets in order, and subsets come in
+    ascending bitmask, which ranks R - {r_i}.
     """
-    if rows.shape[1] == 1:
-        return a[..., rows[:, 0], :][..., cols[:, 0]]
-    out = np.empty(a.shape[:-2] + (len(rows), len(cols)), dtype=a.dtype)
-    per = max(1, _SUBSET_CHUNK // math.prod(a.shape[:-2]))
-    rstep = min(len(rows), per)
-    cstep = max(1, per // rstep)
-    for r0 in range(0, len(rows), rstep):
-        r = rows[r0 : r0 + rstep, None, :, None]
-        for c0 in range(0, len(cols), cstep):
-            c = cols[c0 : c0 + cstep]
-            out[..., r0 : r0 + len(r), c0 : c0 + len(c)] = np.linalg.det(a[..., r, c[None, :, None, :]])
+    d, m = a.shape[-2:]
+    rows, masks, _ = _dim_tables(d)
+    cols = _colex_tables(m, top)
+    out = [np.ones(a.shape[:-2] + (1, 1), dtype=a.dtype), np.ascontiguousarray(a)][: top + 1]
+    flat = out[-1].reshape(a.shape[:-2] + (-1,))
+    signed = (flat, -flat)  # the entries times the sign (-1)^(k-1+i)
+    for k in range(2, top + 1):
+        drop = np.searchsorted(masks[k - 1], masks[k][:, None] - (1 << rows[k])) * math.comb(m, k - 1)
+        last = cols[k][:, -1]
+        sub = np.arange(len(last)) - np.searchsorted(last, last)
+        prev = out[-1].reshape(a.shape[:-2] + (-1,))
+        step = 0
+        for i in range(k):
+            term = np.take(signed[(k - 1 + i) % 2], rows[k][:, i, None] * m + last, axis=-1)
+            term *= np.take(prev, drop[:, i, None] + sub, axis=-1)
+            step += term
+        out.append(step)
     return out
 
 
 def _unitary_compounds(vh: np.ndarray, top: int) -> list:
     """The compounds C_j(A) of a stack of unitary d x d matrices A for
     j = 1..min(top, d) (index 0 holds nothing), each up to a unit factor per
-    row, which ``|C_j(A) C_j(U)|`` does not see; C_d(A) = det A is taken as 1.
+    row, which ``|C_j(A) C_j(U)|`` does not see.
 
-    Only j <= d/2 takes minors, 2 x 2 ones in closed form. Beyond, Jacobi's
+    Only j <= d/2 takes Laplace steps (:func:`_compounds`). Beyond, Jacobi's
     complementary minors of a unitary A give ``det A_{R,R'} = det(A)
-    (-1)^(sum R^c + sum R'^c) conj(det A_{R^c,R'^c})``, and colex order lists
-    the complements in reverse.
+    (-1)^(sum R^c + sum R'^c) conj(det A_{R^c,R'^c})``, det A taken as 1 (so
+    C_d(A) comes from C_0), and colex order lists the complements in reverse.
     """
     d = vh.shape[-1]
     rows = _dim_tables(d)[0]
-    out = [None] * (min(top, d) + 1)
-    for j in range(1, len(out)):
-        if j == d:
-            out[j] = np.ones((len(vh), 1, 1))
-        elif 2 * j > d:
-            out[j] = out[d - j][:, ::-1, ::-1].conj() * (-1.0) ** rows[j].sum(axis=1)
-        elif j == 2:
-            r, c = rows[2][:, 0], rows[2][:, 1]
-            out[j] = vh[:, r[:, None], r] * vh[:, c[:, None], c] - vh[:, r[:, None], c] * vh[:, c[:, None], r]
-        else:
-            out[j] = _minors(vh, rows[j], rows[j])
+    out = _compounds(vh, min(top, d // 2))
+    for j in range(len(out), min(top, d) + 1):
+        out.append(out[d - j][:, ::-1, ::-1].conj() * (-1.0) ** rows[j].sum(axis=1))
+    out[0] = None
     return out
 
 
 def _tail_terms(vectors: np.ndarray, variances) -> list:
-    """Per k = 1..min(d, m), the pair of the k x k minors of
-    ``U = [u_1 .. u_m]`` (the rows of ``vectors``, shape (m, d)) and the
-    products ``tau_S^2`` of the variances. Minors have rows R over the
-    k-subsets of range(d) and columns S over the k-subsets of range(m), both
-    in colex order. Index 0 holds nothing.
+    """Per k = 1..min(d, m), the pair of the compound ``C_k(U)`` of
+    ``U = [u_1 .. u_m]`` (the rows of ``vectors``, shape (m, d)), from
+    :func:`_compounds`, and the products ``tau_S^2`` of the variances over
+    its columns S. Index 0 holds nothing.
 
     The columns are prefix-closed: the terms of the first m' variables are
     the first ``comb(m', k)`` columns.
@@ -367,9 +368,8 @@ def _tail_terms(vectors: np.ndarray, variances) -> list:
     tau2 = np.asarray(variances, dtype=float)
     m, d = vectors.shape
     top = min(d, m)
-    rows = _dim_tables(d)[0]
     cols = _colex_tables(m, top)
-    return [None] + [(_minors(vectors.T, rows[k], cols[k]), tau2[cols[k]].prod(axis=1)) for k in range(1, top + 1)]
+    return [None] + [(c, tau2[cols[k]].prod(axis=1)) for k, c in enumerate(_compounds(vectors.T, top)) if k]
 
 
 def _complement_polys(lam: np.ndarray) -> np.ndarray:
@@ -392,9 +392,8 @@ def _complement_polys(lam: np.ndarray) -> np.ndarray:
 def _squared_minors(rot: np.ndarray, minors: np.ndarray, count: int, lead: int):
     """``|det W_{R,S}|^2`` with ``C_k(W) = rot @ minors``, over the first
     ``count`` columns S of ``minors``: yields (column slice, block), each
-    block at most ``_PRODUCT_BLOCK`` entries for ``lead`` leading rows and at
-    most ``_SUBSET_CHUNK`` columns wide."""
-    step = max(1, min(_SUBSET_CHUNK, _PRODUCT_BLOCK // max(1, lead * rot.shape[-2])))
+    block at most ``_PRODUCT_BLOCK`` entries for ``lead`` leading rows."""
+    step = max(1, _PRODUCT_BLOCK // max(1, lead * rot.shape[-2]))
     for start in range(0, count, step):
         cols = slice(start, min(start + step, count))
         w = rot @ minors[:, cols]
@@ -412,11 +411,11 @@ def _subset_ypolys(fixed: np.ndarray, vectors, variances, tail=None) -> np.ndarr
     and ``g_S`` the same with ``x + lam_r``. Summing over S first leaves, per
     size k, the matrix ``H_k[R, R'] = sum_S tau_S^2 |det W_{R,S}|^2
     |det W_{R',S}|^2`` between complement polynomials. The minors of W are
-    those of U rotated by the k-th compound of V*, ``C_k(W) = C_k(V*) C_k(U)``
-    (:func:`_unitary_compounds`), so one eigendecomposition and one small
-    product per branch replace the determinants; ``tail`` (from
-    :func:`_tail_terms` of a variable list that starts with this one) may be
-    passed to share them between calls.
+    those of U rotated by the k-th compound of V*, ``C_k(W) = C_k(V*) C_k(U)``,
+    so each branch takes one eigendecomposition, the Laplace steps of
+    :func:`_unitary_compounds` and one small product, and no determinant;
+    ``tail`` (the compounds of U from :func:`_tail_terms` of a variable list
+    that starts with this one) may be passed to share them between calls.
     """
     nb, d = fixed.shape[0], fixed.shape[1]
     m = len(variances)
@@ -486,30 +485,30 @@ def _sign_ypolys(fixed: np.ndarray, vectors, variances) -> np.ndarray:
 # compares the routes' totals, so a route is misjudged only near the
 # crossover, where both cost about the same.
 _SECONDS_SUBSET_CALL = (5e-5, 8e-5)  # per call, per subset size k
-_SECONDS_MINOR = 5e-8  # per k x k minor with k >= 2, times k^2
-_SECONDS_PRODUCT = (1e-8, 1e-10)  # per entry of W, per term of its products
+_SECONDS_PRODUCT = (1e-8, 1e-10)  # per entry of W or multiply-add of a Laplace step, per term of W's products
 _SECONDS_COMPLEMENT = 6e-8  # per (mask, root) of the complement polynomials
 _SECONDS_SIGN_CALL = (8e-5, 2.3e-6)  # per call, per dimension
 _SECONDS_SIGN_MATRIX = (1.3e-7, 2.3e-9)  # per eigensolve, times d^2 and d^3
 
 
-def _route_seconds(d: int, m: int, nb: int) -> tuple:
+def _route_seconds(d: int, m: int, nb: int, symmetric: bool) -> tuple:
     """Estimated seconds of one engine call with tail size m and nb fixed
-    parts: (subset route without the tail minors, sign route)."""
+    parts: (subset route without the tail compounds, sign route)."""
     ks = range(1, min(d, m) + 1)
     entries = sum(math.comb(d, k) * math.comb(m, k) for k in ks)
     products = sum(math.comb(d, k) ** 2 * math.comb(m, k) for k in ks)
-    compound = sum(math.comb(d, k) ** 2 * k * k for k in ks if k > 1)
+    compound = sum(math.comb(d, k) ** 2 * k for k in ks if 1 < k <= d // 2)
     subsets = (
         _SECONDS_SUBSET_CALL[0]
         + _SECONDS_SUBSET_CALL[1] * len(ks)
-        + nb * (_SECONDS_MINOR * compound + _SECONDS_PRODUCT[0] * entries + _SECONDS_PRODUCT[1] * products)
+        + nb * (_SECONDS_PRODUCT[0] * (compound + entries) + _SECONDS_PRODUCT[1] * products)
         + nb * _SECONDS_COMPLEMENT * (d << d)
     )
+    patterns = 2.0 ** (m - 1 if symmetric and m else m)
     signs = (
         _SECONDS_SIGN_CALL[0]
         + _SECONDS_SIGN_CALL[1] * d
-        + nb * 2.0**m * (_SECONDS_SIGN_MATRIX[0] * d * d + _SECONDS_SIGN_MATRIX[1] * d**3)
+        + nb * patterns * (_SECONDS_SIGN_MATRIX[0] * d * d + _SECONDS_SIGN_MATRIX[1] * d**3)
     )
     return subsets, signs
 
@@ -519,9 +518,9 @@ def _plan_route(d: int, calls: Sequence[Tuple[int, int]], symmetric: bool = Fals
 
     ``calls`` lists per call the tail size m and the number of fixed parts,
     the first call with the largest tail. Each route has a count that must
-    fit ``ENUM_CAP``, read at call time: "subsets" the minors it takes,
-    ``sum_k C(m, k) C(d, k)`` of the tail plus ``C(d, k)^2`` per fixed part;
-    "signs" the 2^m sign patterns per fixed part (2^(m-1) when
+    fit ``ENUM_CAP``, read at call time: "subsets" the compound entries it
+    builds, ``sum_k C(m, k) C(d, k)`` of the tail plus ``C(d, k)^2`` per
+    fixed part; "signs" the 2^m sign patterns per fixed part (2^(m-1) when
     ``symmetric``, every fixed part zero). Of the routes that fit, the one
     with the smaller estimated time over all calls is returned;
     :class:`EnumerationTooLarge` is raised when neither fits. Plans are
@@ -542,8 +541,8 @@ def _cached_plan(d: int, calls: tuple, limit: int, symmetric: bool) -> str:
     fits = [route for route in counts if counts[route] <= limit]
     if not fits:
         raise EnumerationTooLarge(min(counts.values()), limit)
-    tail = _SECONDS_MINOR * sum(math.comb(m, k) * math.comb(d, k) * k * k for k in ks if k > 1)
-    seconds = dict(zip(("subsets", "signs"), np.sum([_route_seconds(d, mm, b) for mm, b in calls], axis=0)))
+    tail = _SECONDS_PRODUCT[0] * sum(math.comb(m, k) * math.comb(d, k) * k for k in ks if k > 1)
+    seconds = dict(zip(("subsets", "signs"), np.sum([_route_seconds(d, mm, b, symmetric) for mm, b in calls], axis=0)))
     seconds["subsets"] += tail
     return min(fits, key=seconds.get)
 
@@ -748,7 +747,7 @@ def greedy_interlacing_solve(
     polynomial evaluated, all branches of a level in one call of a route of
     :func:`_expected_ypolys`, and the greedy fixes a minimizer of the largest
     root. One route serves every level, planned for the whole descent under
-    ``ENUM_CAP`` (the subset route takes the tail minors once).
+    ``ENUM_CAP`` (the subset route builds the tail's compounds once).
     Roots within ``GREEDY_TIE_RTOL`` relative of the minimum count as tied
     and the smallest support index among them wins, so exactly symmetric
     levels (Rademacher ones) do not leave the choice to roundoff. The final
@@ -817,15 +816,14 @@ class Bound:
 FRAME_GATE_TOL = 1e-8
 
 
-def bound_menu(inst: model.RankOneInstance) -> dict:
-    """Named upper bounds with applicability flags.
+def bound_menu(inst: model.RankOneInstance, sig: float) -> dict:
+    """Named upper bounds with applicability flags; ``sig`` is ``model.sigma(inst)``.
 
     ``three_sigma`` and ``four_sigma`` always apply. ``mss`` applies to
     Rademacher families resolving the identity (within 1e-8), with
     delta = max_i ||u_i||^2. ``tight_frame`` applies to Rademacher families
     whose frame operator is a multiple of the identity.
     """
-    sig = model.sigma(inst)
     out = {
         "three_sigma": Bound(3.0 * sig, True),
         "four_sigma": Bound(4.0 * sig, True),

@@ -6,11 +6,11 @@ discriminants with their padded normalization, and the quadratic/bivariate
 barrier lemmas on generated determinantal families.
 
 The transforms Q_k are evaluated by Cauchy-Binet subset sums (polynomial in
-k for fixed dimension) or, where that is cheaper, from 2^(k-1) determinant
-pairs per point (the sign-pair identity); see :class:`QEvaluator`. Q_k is
-quadratic in every coordinate, so barriers come from the exact unit central
-difference ``[Q_k(z+e_j) - Q_k(z-e_j)] / 2``, and the top polynomial comes
-coefficient-exact from :func:`disc._expected_ypolys`.
+k for fixed dimension, no determinant) or, where cheaper, from 2^(k-1)
+determinant pairs per point (the sign-pair identity); see :class:`QEvaluator`.
+Q_k is quadratic in every coordinate, so barriers come from the exact unit
+central difference ``[Q_k(z+e_j) - Q_k(z-e_j)] / 2``, and the top polynomial
+comes coefficient-exact from :func:`disc._expected_ypolys`.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class QEvaluator:
         Q_k(x, z) = sum_{S in [k], |S| <= dim} (-1)^|S| tau_S^2 a_S^2,
 
     the subset sums, polynomial in k for fixed dimension. The minors of W
-    are those of U rotated by the compounds of V* from
-    :func:`disc._unitary_compounds`, as in :func:`disc._subset_ypolys`; the
+    are those of U rotated by the compounds of V*, all built by the Laplace
+    steps of :func:`disc._compounds`, as in :func:`disc._subset_ypolys`; the
     sign pairs come in blocks from :func:`disc._sign_blocks`.
     """
 
@@ -89,7 +89,7 @@ class QEvaluator:
             outer = np.zeros((0, self.dim, self.dim), dtype=complex)
         norms_sq = np.array([float(np.vdot(v, v).real) for v in self.vectors])
         self._tw = self.taus[:, None, None] * outer
-        self._tail = None  # minors of U, taken by the first subset-route call
+        self._tail = None  # compounds of U, built by the first subset-route call
         self.deltas = self.taus * norms_sq
         if validate and self.n:
             # (v v*)^2 = |v|^2 v v*, so the normalized condition reduces to
@@ -160,10 +160,10 @@ class QEvaluator:
     def _subset_sums(self, k: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Q_k at a batch of points from the Cauchy-Binet subset sums (k >= 1).
 
-        The minors of U = [v_1 .. v_n] are taken once per evaluator; the
-        signed coordinates are the first k, so their subsets are a colex
-        prefix of the columns. Points with the same z share one eigenbasis
-        of W(z).
+        The compound matrices of U = [v_1 .. v_n] are built once per
+        evaluator; the signed coordinates are the first k, so their subsets
+        are a colex prefix of the columns. Points with the same z share one
+        eigenbasis of W(z). No determinant is taken.
         """
         if self._tail is None:
             self._tail = disc._tail_terms(np.array(self.vectors).reshape(self.n, self.dim), self.taus**2)
@@ -204,7 +204,7 @@ class QEvaluator:
         tau_i^2 with no fixed part, which :func:`disc._expected_ypolys` sums
         under ``disc.ENUM_CAP``, read at call time (by Cauchy-Binet subsets
         or, when cheaper, over the same 2^(n-1) sign pairs), sharing the
-        minors of U when :meth:`eval_many` has taken them. Ascending x-space coefficients,
+        compounds of U when :meth:`eval_many` has built them. Ascending x-space coefficients,
         degree 2 dim (``x^(2 dim)`` when no coordinate is left).
         """
         zero = np.zeros((1, self.dim, self.dim), dtype=complex)

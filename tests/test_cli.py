@@ -6,6 +6,8 @@ import pytest
 from matdisc import cli, disc, model, witness
 from matdisc.errors import NotRealRooted
 
+from test_disc import count_sigma
+
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "mb3.json")
 
@@ -21,6 +23,12 @@ def test_solve_fixture(tmp_path, capsys):
     assert "disc_le_three_sigma" in names
     for row in doc["checks"]:
         assert set(row) == {"name", "lhs", "rhs", "slack", "pass"}
+
+
+def test_solve_takes_sigma_once(tmp_path, monkeypatch):
+    calls = count_sigma(monkeypatch)
+    assert cli.main(["solve", "--instance", FIXTURE, "--out", str(tmp_path / "solve.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_verify_prop16_single(tmp_path):

@@ -95,6 +95,22 @@ def test_bruteforce_cap(monkeypatch):
         disc.disc_bruteforce(inst)
 
 
+def count_sigma(monkeypatch):
+    """Count the calls to ``model.sigma``."""
+    calls = []
+    sigma = model.sigma
+    monkeypatch.setattr(model, "sigma", lambda inst: calls.append(inst) or sigma(inst))
+    return calls
+
+
+def test_bruteforce_takes_sigma_once(rng, monkeypatch):
+    inst = random_rank_one_instance(rng, 3, 5)
+    calls = count_sigma(monkeypatch)
+    rep = disc.disc_bruteforce(inst)
+    assert len(calls) == 1
+    assert rep.bound_checks["three_sigma"][0] == 3.0 * rep.sigma
+
+
 def oracle_minimum(inst, norm_kind):
     """Independent brute force: every assignment from ``itertools.product``,
     one eigensolve of every deviation matrix, and the first minimum, which is
@@ -314,7 +330,7 @@ def test_greedy_branches_share_interlacing(rng):
 
 def test_bound_menu_basics(rng):
     inst = model.normalize(random_rank_one_instance(rng, 3, 4))
-    menu = disc.bound_menu(inst)
+    menu = disc.bound_menu(inst, model.sigma(inst))
     assert menu["three_sigma"].value == pytest.approx(3.0, abs=1e-9)
     assert menu["four_sigma"].value == pytest.approx(4.0, abs=1e-9)
     assert menu["three_sigma"].applicable and menu["four_sigma"].applicable
@@ -328,14 +344,15 @@ def test_bound_menu_mss_arithmetic():
         vecs.append(np.array([0.5, 0.0]))
         vecs.append(np.array([0.0, 0.5]))
     inst = rademacher_instance(vecs)
-    menu = disc.bound_menu(inst)
+    menu = disc.bound_menu(inst, model.sigma(inst))
     assert menu["mss"].applicable
     assert menu["mss"].value == pytest.approx(2.0 * (math.sqrt(0.5) + 0.25), abs=1e-12)
     assert menu["mss"].value == pytest.approx(1.9142135623730951, abs=1e-12)
 
 
 def test_bound_menu_tight_frame_value():
-    menu = disc.bound_menu(mercedes_benz())
+    inst = mercedes_benz()
+    menu = disc.bound_menu(inst, model.sigma(inst))
     assert menu["tight_frame"].applicable
     assert menu["tight_frame"].value == pytest.approx(1.5, abs=1e-9)
     assert not menu["mss"].applicable
@@ -343,7 +360,7 @@ def test_bound_menu_tight_frame_value():
 
 def test_bound_menu_inapplicable_for_generic(rng):
     inst = random_rank_one_instance(rng, 3, 4)
-    menu = disc.bound_menu(inst)
+    menu = disc.bound_menu(inst, model.sigma(inst))
     assert not menu["mss"].applicable and menu["mss"].value is None
     assert not menu["tight_frame"].applicable
 
@@ -456,6 +473,37 @@ def test_engine_degenerate_variables(rng, route):
     assert abs(trace.final_value - trace.leaf_lambda_max) < 1e-9
 
 
+def degenerate_vectors(rng, family, d, n):
+    """n vectors in dimension d of one degenerate family: parallel (u, 2.5j u
+    and -u, in turn), repeated (two vectors, each used in turn), or pure
+    phase (unit vectors whose entries all have modulus 1/sqrt(d))."""
+    g = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+    if family == "parallel":
+        return [(1.0, 2.5j, -1.0)[i % 3] * g[0] for i in range(n)]
+    if family == "repeated":
+        return [g[i % 2] for i in range(n)]
+    return [np.exp(2j * np.pi * rng.uniform(size=d)) / math.sqrt(d) for _ in range(n)]
+
+
+@pytest.mark.parametrize("family", ["parallel", "repeated", "phase"])
+def test_engine_degenerate_vectors(rng, route, family):
+    # rank-deficient tails: most compound entries vanish, and their
+    # cancellation must hold on both routes
+    for d in (2, 3, 4):
+        laws = random_rank_one_instance(rng, d, 7).rvs
+        vectors = degenerate_vectors(rng, family, d, 7)
+        inst = model.RankOneInstance(d, tuple(vectors), laws)
+        for k in range(inst.n + 1):
+            prefix = random_prefix(rng, inst, k)
+            assert_close_to_enum(disc.expected_charpoly(inst, prefix), inst, prefix)
+        _, trace = disc.greedy_interlacing_solve(inst)
+        chosen = ()
+        for lv in trace.levels:
+            for t, coeffs in enumerate(lv.branch_coeffs):
+                assert_close_to_enum(coeffs, inst, chosen + (t,))
+            chosen += (lv.chosen_index,)
+
+
 def test_engine_zero_probability_branch(rng, route):
     base = random_rank_one_instance(rng, 2, 3)
     rvs = (base.rvs[0], model.DiscreteRandomVariable((-1.0, 0.5, 1.0), (0.5, 0.0, 0.5)), base.rvs[2])
@@ -468,9 +516,9 @@ def test_engine_zero_probability_branch(rng, route):
 
 
 def test_engine_small_chunks(rng, monkeypatch, route):
-    # chunk boundaries inside every subset table (rows and columns) and
+    # block boundaries inside every column table of the subset products and
     # every sign block: a term dropped or taken twice at a boundary shows here
-    monkeypatch.setattr(disc, "_SUBSET_CHUNK", 3)
+    monkeypatch.setattr(disc, "_PRODUCT_BLOCK", 3)
     monkeypatch.setattr(disc, "_SIGN_BATCH", 4)
     det = count_matrices(monkeypatch, "det")
     for d in (2, 3, 4):
@@ -481,9 +529,8 @@ def test_engine_small_chunks(rng, monkeypatch, route):
         _, trace = disc.greedy_interlacing_solve(inst)
         for t, coeffs in enumerate(trace.levels[0].branch_coeffs):
             assert_close_to_enum(coeffs, inst, (t,))
-    assert det["largest"] <= 3
-    if route == "signs":
-        assert det["calls"] == 0
+    # compounds come from Laplace steps, sign patterns from spectra
+    assert det["calls"] == 0
 
 
 # -- work-count guards and scale ---------------------------------------------
@@ -506,11 +553,9 @@ def test_greedy_work_counts(monkeypatch):
     assert eigvalsh["matrices"] == 1
     # one eigh call per level, for both branches
     assert eigh["calls"] == n and eigh["matrices"] == 2 * n
-    # the k x k minors (k >= 2; 1 x 1 minors are entries) of the n - 1 tail
-    # vectors, taken once; at d = 4 no compound of a branch eigenbasis takes
-    # a determinant (2 x 2 compounds in closed form, 3 x 3 ones by
-    # complementary minors, the 4 x 4 one a unit)
-    assert det["matrices"] == sum(math.comb(n - 1, k) * math.comb(d, k) for k in range(2, d + 1))
+    # the compounds of the tail vectors and of every branch eigenbasis come
+    # from Laplace steps (and complementary minors), not determinants
+    assert det["matrices"] == 0
 
 
 def test_greedy_large_constant_term():
@@ -526,9 +571,39 @@ def test_greedy_large_constant_term():
     assert abs(trace.final_value - trace.leaf_lambda_max) < 1e-9
 
 
+def det_minors(a, rows, cols):
+    """``det a[..., R, S]`` for R in ``rows``, S in ``cols``, one determinant
+    per minor: shape (..., |rows|, |cols|)."""
+    sub = a[..., rows[:, None, :, None], cols[None, :, None, :]]
+    return np.linalg.det(sub)
+
+
+def test_compounds_match_determinant_minors():
+    # the Laplace steps against one determinant per minor, signs included,
+    # on stacks with zero, repeated and parallel columns
+    rng = np.random.default_rng(11)
+    for d in range(1, 9):
+        rows = disc._dim_tables(d)[0]
+        for m in range(1, 13):
+            a = rng.normal(size=(2, d, m)) + 1j * rng.normal(size=(2, d, m))
+            # column j = factor * column i: a zero, a repeated and two parallel ones
+            for j, i, factor in ((1, 0, 0.0), (4, 2, 1.0), (6, 5, 2.5j), (7, 5, -1.0)):
+                if j < m:
+                    a[..., j] = factor * a[..., i]
+            top = min(d, m)
+            got = disc._compounds(a, top)
+            cols = disc._colex_tables(m, top)
+            scale = np.abs(a).max() * math.sqrt(d)
+            assert len(got) == top + 1 and np.array_equal(got[0], np.ones((2, 1, 1)))
+            for k in range(1, top + 1):
+                want = det_minors(a, rows[k], cols[k])
+                assert got[k].shape == want.shape
+                assert np.abs(got[k] - want).max() <= 1e-12 * scale**k, (d, m, k)
+
+
 def test_unitary_compounds_match_minors():
-    # every branch of the compounds (entries, closed-form 2 x 2, minors at
-    # 3 <= j <= d/2, complementary minors beyond d/2, the unit at j = d)
+    # every branch of the compounds (entries, Laplace steps at
+    # 2 <= j <= d/2, complementary minors beyond d/2, the unit at j = d)
     # of unitary stacks V against plain minors, up to a unit factor per row
     rng = np.random.default_rng(7)
     for d in range(1, 8):
@@ -538,11 +613,11 @@ def test_unitary_compounds_match_minors():
         rots = disc._unitary_compounds(vh, d)
         assert len(rots) == d + 1 and rots[0] is None
         for j in range(1, d + 1):
-            want = disc._minors(vh, rows[j], rows[j])
+            want = det_minors(vh, rows[j], rows[j])
             assert np.allclose(np.abs(rots[j]), np.abs(want), rtol=0.0, atol=1e-12), (d, j)
             # |C_j(V) C_j(A)| = |C_j(V A)|, by Cauchy-Binet
-            got = rots[j] @ disc._minors(a, rows[j], rows[j])
-            want = disc._minors(vh @ a, rows[j], rows[j])
+            got = rots[j] @ det_minors(a, rows[j], rows[j])
+            want = det_minors(vh @ a, rows[j], rows[j])
             assert np.allclose(np.abs(got), np.abs(want), rtol=1e-10, atol=1e-10 * np.abs(want).max()), (d, j)
 
 

@@ -350,15 +350,13 @@ def test_walk_determinant_count(monkeypatch):
             assert eigvalsh["matrices"] == 1 + 2 ** (n - 1)
             assert eigh["matrices"] == 0
         else:
-            # the k x k minors (k >= 2) of the n vectors, once; at d = 4 no
-            # compound of an eigenbasis takes a determinant, at a walk point
-            # or in the top polynomial (2 x 2 compounds in closed form, the
-            # 3 x 3 ones by complementary minors, the 4 x 4 one a unit). A
+            # the compounds of the n vectors, of every eigenbasis at a walk
+            # point and of the top polynomial's zero part come from Laplace
+            # steps (and complementary minors), not determinants. A
             # certification has 2n + 16 distinct z (the x ray's share one),
             # each with one eigenbasis, as have the barrier points and the
             # top polynomial's zero part.
-            ks = range(2, d + 1)
-            assert dets["matrices"] == sum(math.comb(n, k) * math.comb(d, k) for k in ks)
+            assert dets["matrices"] == 0
             assert eigvalsh["matrices"] == 1
             assert eigh["matrices"] == sum(2 * n + 16 + barriers[k] for k in range(1, n + 1)) + 1
 
