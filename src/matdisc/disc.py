@@ -8,11 +8,14 @@ Four routes live here:
 * expected characteristic polynomials of partial assignments, computed from
   the variances of the remaining variables by Cauchy-Binet subset sums
   (polynomial in n for fixed dimension, with compound matrices from Laplace
-  steps) or, where that is cheaper, over the sign patterns of equal variance,
+  steps) or, where that is cheaper, over the sign patterns of equal variance;
+  :func:`_expected_ypolys` is the one place that plans a route, per call,
+  and runs it,
 * the same top-level polynomial through the differential-operator route, an
   independent oracle for small n,
 * the greedy solver that walks the interlacing family by always descending
-  into a branch whose polynomial has the smallest largest root.
+  into a branch whose polynomial has the smallest largest root, one engine
+  call per level.
 
 Plus the menu of named upper bounds and the subset-rounding wrapper.
 """
@@ -266,7 +269,7 @@ def _even_to_x(ycoeffs: np.ndarray) -> np.ndarray:
 
 # Entries of W = V* U per product block of the Cauchy-Binet route.
 _PRODUCT_BLOCK = 1 << 16
-# Matrices per eigensolve call in the sign route.
+# Matrices per eigensolve call in the sign route and the operator oracle.
 _SIGN_BATCH = 1 << 14
 
 
@@ -400,8 +403,10 @@ def _squared_minors(rot: np.ndarray, minors: np.ndarray, count: int, lead: int):
         yield cols, w.real**2 + w.imag**2
 
 
-def _subset_ypolys(fixed: np.ndarray, vectors, variances, tail=None) -> np.ndarray:
-    """The Cauchy-Binet route of :func:`_expected_ypolys`.
+def _subset_ypolys(fixed: np.ndarray, tail: list, m: int) -> np.ndarray:
+    """The Cauchy-Binet route of :func:`_expected_ypolys`, over the first m
+    variables of ``tail``, the :func:`_tail_terms` of a variable list that
+    starts with them.
 
     With ``F_b = V diag(lam) V*`` and ``W = V* U`` Cauchy-Binet gives
 
@@ -413,14 +418,9 @@ def _subset_ypolys(fixed: np.ndarray, vectors, variances, tail=None) -> np.ndarr
     |det W_{R',S}|^2`` between complement polynomials. The minors of W are
     those of U rotated by the k-th compound of V*, ``C_k(W) = C_k(V*) C_k(U)``,
     so each branch takes one eigendecomposition, the Laplace steps of
-    :func:`_unitary_compounds` and one small product, and no determinant;
-    ``tail`` (the compounds of U from :func:`_tail_terms` of a variable list
-    that starts with this one) may be passed to share them between calls.
+    :func:`_unitary_compounds` and one small product, and no determinant.
     """
     nb, d = fixed.shape[0], fixed.shape[1]
-    m = len(variances)
-    if tail is None:
-        tail = _tail_terms(np.asarray(vectors, dtype=complex).reshape(m, d), variances)
     top = min(d, m)
 
     lam, vecs = np.linalg.eigh(fixed)
@@ -491,63 +491,53 @@ _SECONDS_SIGN_CALL = (8e-5, 2.3e-6)  # per call, per dimension
 _SECONDS_SIGN_MATRIX = (1.3e-7, 2.3e-9)  # per eigensolve, times d^2 and d^3
 
 
-def _route_seconds(d: int, m: int, nb: int, symmetric: bool) -> tuple:
-    """Estimated seconds of one engine call with tail size m and nb fixed
-    parts: (subset route without the tail compounds, sign route)."""
-    ks = range(1, min(d, m) + 1)
-    entries = sum(math.comb(d, k) * math.comb(m, k) for k in ks)
-    products = sum(math.comb(d, k) ** 2 * math.comb(m, k) for k in ks)
-    compound = sum(math.comb(d, k) ** 2 * k for k in ks if 1 < k <= d // 2)
-    subsets = (
-        _SECONDS_SUBSET_CALL[0]
-        + _SECONDS_SUBSET_CALL[1] * len(ks)
-        + nb * (_SECONDS_PRODUCT[0] * (compound + entries) + _SECONDS_PRODUCT[1] * products)
-        + nb * _SECONDS_COMPLEMENT * (d << d)
-    )
-    patterns = 2.0 ** (m - 1 if symmetric and m else m)
-    signs = (
-        _SECONDS_SIGN_CALL[0]
-        + _SECONDS_SIGN_CALL[1] * d
-        + nb * patterns * (_SECONDS_SIGN_MATRIX[0] * d * d + _SECONDS_SIGN_MATRIX[1] * d**3)
-    )
-    return subsets, signs
+def _plan_route(d: int, m: int, nb: int, symmetric: bool = False) -> str:
+    """Route of one engine call with tail size m and nb fixed parts.
 
-
-def _plan_route(d: int, calls: Sequence[Tuple[int, int]], symmetric: bool = False) -> str:
-    """Route of a run of engine calls over one tail and its prefixes.
-
-    ``calls`` lists per call the tail size m and the number of fixed parts,
-    the first call with the largest tail. Each route has a count that must
-    fit ``ENUM_CAP``, read at call time: "subsets" the compound entries it
-    builds, ``sum_k C(m, k) C(d, k)`` of the tail plus ``C(d, k)^2`` per
-    fixed part; "signs" the 2^m sign patterns per fixed part (2^(m-1) when
-    ``symmetric``, every fixed part zero). Of the routes that fit, the one
-    with the smaller estimated time over all calls is returned;
-    :class:`EnumerationTooLarge` is raised when neither fits. Plans are
-    cached, keyed by the cap too: the barrier walk plans every batch of
-    points it evaluates.
+    Each route has a count that must fit ``ENUM_CAP``, read at call time:
+    "subsets" the compound entries it builds, ``sum_k C(m, k) C(d, k)`` of
+    the tail plus ``C(d, k)^2`` per fixed part; "signs" the 2^m sign
+    patterns per fixed part (2^(m-1) when ``symmetric``, every fixed part
+    zero). Of the routes that fit, the one with the smaller estimated time
+    of this call, the tail's compounds included, is returned;
+    :class:`EnumerationTooLarge` is raised when neither fits. A call with no
+    tail variable (m = 0) takes the sign route, whose one pattern is the
+    fixed part's own spectrum. Plans are cached, keyed by the cap too: the
+    barrier walk plans every batch of points it evaluates.
     """
-    return _cached_plan(d, tuple(calls), ENUM_CAP, symmetric)
+    return _cached_plan(d, m, nb, ENUM_CAP, symmetric)
 
 
 @functools.lru_cache(maxsize=4096)
-def _cached_plan(d: int, calls: tuple, limit: int, symmetric: bool) -> str:
-    m, nb = calls[0]
+def _cached_plan(d: int, m: int, nb: int, limit: int, symmetric: bool) -> str:
+    if not m:
+        return "signs"
     ks = range(1, min(d, m) + 1)
     counts = {
         "subsets": sum(math.comb(m, k) * math.comb(d, k) + nb * math.comb(d, k) ** 2 for k in ks),
-        "signs": 2 ** (m - 1 if symmetric and m else m),
+        "signs": 2 ** (m - 1 if symmetric else m),
     }
     fits = [route for route in counts if counts[route] <= limit]
     if not fits:
         raise EnumerationTooLarge(min(counts.values()), limit)
-    tail = _SECONDS_PRODUCT[0] * sum(math.comb(m, k) * math.comb(d, k) * k for k in ks if k > 1)
-    seconds = dict(zip(("subsets", "signs"), np.sum([_route_seconds(d, mm, b, symmetric) for mm, b in calls], axis=0)))
-    seconds["subsets"] += tail
+    entries = sum(math.comb(d, k) * math.comb(m, k) for k in ks)
+    products = sum(math.comb(d, k) ** 2 * math.comb(m, k) for k in ks)
+    compound = sum(math.comb(d, k) ** 2 * k for k in ks if 1 < k <= d // 2)
+    tail = sum(math.comb(m, k) * math.comb(d, k) * k for k in ks if k > 1)  # the tail's Laplace steps
+    seconds = {
+        "subsets": _SECONDS_SUBSET_CALL[0]
+        + _SECONDS_SUBSET_CALL[1] * len(ks)
+        + nb * (_SECONDS_PRODUCT[0] * (compound + entries) + _SECONDS_PRODUCT[1] * products)
+        + nb * _SECONDS_COMPLEMENT * (d << d)
+        + _SECONDS_PRODUCT[0] * tail,
+        "signs": _SECONDS_SIGN_CALL[0]
+        + _SECONDS_SIGN_CALL[1] * d
+        + nb * counts["signs"] * (_SECONDS_SIGN_MATRIX[0] * d * d + _SECONDS_SIGN_MATRIX[1] * d**3),
+    }
     return min(fits, key=seconds.get)
 
 
-def _expected_ypolys(fixed, vectors, variances, tail=None) -> np.ndarray:
+def _expected_ypolys(fixed, vectors, variances, tail=None) -> tuple:
     """Expected ``det[x^2 I - M_b^2]`` in y = x^2, one row per fixed part.
 
     ``M_b = F_b + sum_i c_i u_i u_i*`` with ``fixed[b] = F_b`` Hermitian and
@@ -556,16 +546,23 @@ def _expected_ypolys(fixed, vectors, variances, tail=None) -> np.ndarray:
     variances enter. Two exact routes compute it, Cauchy-Binet subset sums
     (:func:`_subset_ypolys`, polynomial in m for fixed d) and sign patterns
     (:func:`_sign_ypolys`, exponential in m, cheap for small m or large d);
-    :func:`_plan_route` picks one under ``ENUM_CAP``; ``tail``, the
-    :func:`_tail_terms` of these variables if already taken, serves the
-    subset route. Returns ascending y-coefficients, shape (B, d+1).
+    :func:`_plan_route` picks one for this call under ``ENUM_CAP``. This is
+    the only place that picks and runs a route.
+
+    Returns ascending y-coefficients, shape (B, d+1), and the tail: the
+    :func:`_tail_terms` of the variables, built by the first subset-route
+    call. A later call on these variables or on a prefix of them hands it
+    back as ``tail`` and shares the compounds; it stays None (or as passed)
+    on the sign route.
     """
     fixed = np.asarray(fixed, dtype=complex)
-    symmetric = not fixed.any()
-    route = _plan_route(fixed.shape[1], [(len(variances), fixed.shape[0])], symmetric)
-    if route == "subsets":
-        return _subset_ypolys(fixed, vectors, variances, tail=tail)
-    return _sign_ypolys(fixed, vectors, variances)
+    nb, d = fixed.shape[0], fixed.shape[1]
+    m = len(variances)
+    if _plan_route(d, m, nb, not fixed.any()) == "signs":
+        return _sign_ypolys(fixed, vectors, variances), tail
+    if tail is None:
+        tail = _tail_terms(np.asarray(vectors, dtype=complex).reshape(m, d), variances)
+    return _subset_ypolys(fixed, tail, m), tail
 
 
 def _variances(inst: model.RankOneInstance) -> np.ndarray:
@@ -597,8 +594,8 @@ def expected_charpoly(
     idx = np.array([int(i) for i in prefix], dtype=np.int64)
     weight = float(np.prod(prob[np.arange(k), idx]))
     fixed = np.tensordot(means[:k] - supp[np.arange(k), idx], terms[:k], axes=(0, 0))
-    ypoly = _expected_ypolys(fixed[None], inst.vectors[k:], _variances(inst)[k:])[0]
-    return _even_to_x(weight * ypoly)
+    ypolys, _ = _expected_ypolys(fixed[None], inst.vectors[k:], _variances(inst)[k:])
+    return _even_to_x(weight * ypolys[0])
 
 
 OPERATOR_MAX_N = 14
@@ -626,28 +623,29 @@ def expected_charpoly_operator(inst: model.RankOneInstance) -> np.ndarray:
     three-point rule for quadratics, ``2 f(0) - (f(1) + f(-1)) / 2``; since the
     rule is linear it is applied to polynomial coefficient vectors, giving the
     weighted sum over the grid {-1, 0, 1}^n of ``det[xI + M_delta]^2``, each
-    factor expanded exactly from the spectrum of its grid matrix. Refuses
-    beyond ``OPERATOR_MAX_N`` variables.
+    factor expanded exactly from the spectrum of its grid matrix. The grid is
+    built ``_SIGN_BATCH`` points at a time from their linear indices (variable
+    0 slowest, each base-3 digit minus one), so memory does not grow with
+    3^n. Refuses beyond ``OPERATOR_MAX_N`` variables.
     """
     if inst.n > OPERATOR_MAX_N:
         raise EnumerationTooLarge(3**inst.n, 3**OPERATOR_MAX_N)
     d, n = inst.dim, inst.n
     taus = np.array([math.sqrt(rv.variance) for rv in inst.rvs])
     tw = taus[:, None, None] * model.outer_products(inst.vectors)
-
-    grid = np.stack(np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    weights = np.prod(np.where(grid == 0.0, 2.0, -0.5), axis=1)
+    total, powers = 3**n, 3 ** np.arange(n - 1, -1, -1)
 
     acc = np.zeros(2 * d + 1)
-    for start in range(0, len(grid), 16384):
-        g = grid[start : start + 16384]
+    for start in range(0, total, _SIGN_BATCH):
+        g = np.arange(start, min(start + _SIGN_BATCH, total))[:, None] // powers % 3 - 1.0
+        weights = np.prod(np.where(g == 0.0, 2.0, -0.5), axis=1)
         shifts = np.tensordot(g, tw, axes=(1, 0))
         mu = np.linalg.eigvalsh(shifts)
         base = _monic_from_roots_batch(-mu)  # det[xI + M_delta]
         sq = np.zeros((len(g), 2 * d + 1))
         for i in range(d + 1):
             sq[:, i : i + d + 1] += base[:, i : i + 1] * base
-        acc += weights[start : start + 16384] @ sq
+        acc += weights @ sq
     # Even in x exactly; the grid's sign symmetry cancels odd terms.
     acc[1::2] = 0.0
     return acc
@@ -715,25 +713,6 @@ def _lambda_max_y(ycoeffs: np.ndarray, tol: float) -> float:
     return math.sqrt(max(r[-1], 0.0))
 
 
-def _branch_polys(terms, vectors, variances, means, sizes, supp, prob, prefix_idx, k, tail_terms) -> np.ndarray:
-    """y-space polynomials of every branch below a fixed prefix, shape (S_k, d+1).
-
-    With ``tail_terms`` the subset route runs on them, else the sign route.
-    The tail goes to the engine last variable first, so it is a prefix of
-    the reversed instance and ``tail_terms`` (of that) serve every level.
-    """
-    pi = np.array(prefix_idx, dtype=np.int64)
-    fixed = np.tensordot(means[:k] - supp[np.arange(k), pi], terms[:k], axes=(0, 0))
-    weights = float(np.prod(prob[np.arange(k), pi])) * prob[k, : sizes[k]]
-    branches = fixed[None] + (means[k] - supp[k, : sizes[k]])[:, None, None] * terms[k][None]
-    tail = slice(None, k, -1)
-    if tail_terms is None:
-        polys = _sign_ypolys(branches, vectors[tail], variances[tail])
-    else:
-        polys = _subset_ypolys(branches, vectors[tail], variances[tail], tail=tail_terms)
-    return weights[:, None] * polys
-
-
 GREEDY_TIE_RTOL = 1e-12
 
 
@@ -744,10 +723,12 @@ def greedy_interlacing_solve(
     """Descend the interlacing family, minimizing the largest branch root.
 
     At level k every outcome t in the k-th support gets its partial expected
-    polynomial evaluated, all branches of a level in one call of a route of
-    :func:`_expected_ypolys`, and the greedy fixes a minimizer of the largest
-    root. One route serves every level, planned for the whole descent under
-    ``ENUM_CAP`` (the subset route builds the tail's compounds once).
+    polynomial evaluated, all branches of a level in one call of
+    :func:`_expected_ypolys` on their fixed parts, and the greedy fixes a
+    minimizer of the largest root. Each level's call plans its own route
+    under ``ENUM_CAP``. The tail goes to the engine last variable first, so
+    every level's tail is a prefix of the reversed variable list, and the
+    compounds that the first subset-route level builds serve every later one.
     Roots within ``GREEDY_TIE_RTOL`` relative of the minimum count as tied
     and the smallest support index among them wins, so exactly symmetric
     levels (Rademacher ones) do not leave the choice to roundoff. The final
@@ -761,16 +742,18 @@ def greedy_interlacing_solve(
     terms, means, sizes, supp, prob = _family(inst)
     vectors = np.array(inst.vectors)
     variances = _variances(inst)
-    calls = [(inst.n - 1 - k, int(sizes[k])) for k in range(inst.n)]
-    tail_terms = None
-    if _plan_route(inst.dim, calls) == "subsets":
-        tail_terms = _tail_terms(vectors[:0:-1], variances[:0:-1])
+    tail = None
     prefix: list = []
     levels = []
     parent_lam = None
     p_empty_lam = None
     for k in range(inst.n):
-        polys = _branch_polys(terms, vectors, variances, means, sizes, supp, prob, prefix, k, tail_terms)
+        pi = np.array(prefix, dtype=np.int64)
+        fixed = np.tensordot(means[:k] - supp[np.arange(k), pi], terms[:k], axes=(0, 0))
+        weights = float(np.prod(prob[np.arange(k), pi])) * prob[k, : sizes[k]]
+        branches = fixed[None] + (means[k] - supp[k, : sizes[k]])[:, None, None] * terms[k][None]
+        polys, tail = _expected_ypolys(branches, vectors[:k:-1], variances[:k:-1], tail)
+        polys = weights[:, None] * polys
         if k == 0:
             p_empty_lam = _lambda_max_y(polys.sum(axis=0), root_tol)
             parent_lam = p_empty_lam

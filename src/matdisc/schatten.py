@@ -72,6 +72,12 @@ def frobenius_bound(inst: model.Instance) -> float:
     return _schatten_of_sqrt(_squares(inst)[1], 2.0)
 
 
+def rademacher_bound(inst: model.Instance, p: float) -> float:
+    """The closed-form Rademacher bound ``sqrt(p-1) * || (sum_i A_i^2)^(1/2) ||_p``
+    at a finite order p >= 2."""
+    return math.sqrt(p - 1.0) * _schatten_of_sqrt(_squares(inst)[0].sum(axis=0), p)
+
+
 def _moment_trace(inst: model.Instance, sq: np.ndarray, var_sq: np.ndarray, q: int) -> float:
     """``E tr S^q`` for ``S = var_sq + sum_i a_i A_i^2``, ``a_i = (xi_i - E xi_i)^2``.
 
@@ -115,9 +121,9 @@ def khintchine_bounds(inst: model.Instance, p: float, threads: Optional[int] = N
     For even p = 2q the general bound is ``sqrt((p-1)/2) * (E tr S^q)^(1/p)``
     with ``S = sum_i ((xi_i - E xi_i)^2 A_i^2 + (Var[xi_i] A_i)^2)``, computed
     exactly by :func:`_moment_trace` (stderr 0.0); at any other order it is
-    None. For Rademacher variables the specialized bound
-    ``sqrt(p-1) * || (sum A_i^2)^(1/2) ||_p`` also applies at every finite p.
-    At p = inf both are None and only the spectral discrepancy is reported.
+    None. For Rademacher variables the closed form of
+    :func:`rademacher_bound` also applies at every finite p. At p = inf both
+    are None and only the spectral discrepancy is reported.
     """
     if p != np.inf and p < 2:
         raise InvalidOrder(f"need p >= 2 or inf, got {p}")
@@ -131,5 +137,5 @@ def khintchine_bounds(inst: model.Instance, p: float, threads: Optional[int] = N
         z = _moment_trace(inst, sq, var_sq, int(p) // 2)
         bounds["general_khintchine"] = (math.sqrt((p - 1.0) / 2.0) * z ** (1.0 / p), 0.0)
     if all(rv.is_rademacher() for rv in inst.rvs):
-        bounds["rademacher_closed_form"] = math.sqrt(p - 1.0) * _schatten_of_sqrt(sq.sum(axis=0), p)
+        bounds["rademacher_closed_form"] = rademacher_bound(inst, p)
     return SchattenReport(float(p), value, bounds)

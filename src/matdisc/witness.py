@@ -89,7 +89,7 @@ class QEvaluator:
             outer = np.zeros((0, self.dim, self.dim), dtype=complex)
         norms_sq = np.array([float(np.vdot(v, v).real) for v in self.vectors])
         self._tw = self.taus[:, None, None] * outer
-        self._tail = None  # compounds of U, built by the first subset-route call
+        self._tail = None  # compounds of U, built on first use by _subset_sums or p_empty
         self.deltas = self.taus * norms_sq
         if validate and self.n:
             # (v v*)^2 = |v|^2 v v*, so the normalized condition reduces to
@@ -129,7 +129,7 @@ class QEvaluator:
             raise DimensionMismatch(f"k must be in [0, {self.n}]")
         xs = np.asarray(xs, dtype=float).reshape(-1)
         zs = np.asarray(zs, dtype=float).reshape(len(xs), self.n)
-        if k and disc._plan_route(self.dim, [(k, len(xs))], symmetric=True) == "subsets":
+        if k and disc._plan_route(self.dim, k, len(xs), symmetric=True) == "subsets":
             return self._subset_sums(k, xs, zs)
         base = xs[:, None, None] * np.eye(self.dim, dtype=complex)
         if self.n:
@@ -203,13 +203,15 @@ class QEvaluator:
         over s, the expected polynomial of independent signs of variance
         tau_i^2 with no fixed part, which :func:`disc._expected_ypolys` sums
         under ``disc.ENUM_CAP``, read at call time (by Cauchy-Binet subsets
-        or, when cheaper, over the same 2^(n-1) sign pairs), sharing the
-        compounds of U when :meth:`eval_many` has built them. Ascending x-space coefficients,
-        degree 2 dim (``x^(2 dim)`` when no coordinate is left).
+        or, when cheaper, over the same 2^(n-1) sign pairs). The compounds of
+        U are shared both ways: the engine takes those :meth:`eval_many` has
+        built, and the evaluator keeps those the engine builds. Ascending
+        x-space coefficients, degree 2 dim (``x^(2 dim)`` when no coordinate
+        is left).
         """
         zero = np.zeros((1, self.dim, self.dim), dtype=complex)
-        ypoly = disc._expected_ypolys(zero, self.vectors, self.taus**2, tail=self._tail)
-        return disc._even_to_x(ypoly[0])
+        ypolys, self._tail = disc._expected_ypolys(zero, self.vectors, self.taus**2, self._tail)
+        return disc._even_to_x(ypolys[0])
 
 
 def _complement_products(lam: np.ndarray) -> np.ndarray:
@@ -367,8 +369,7 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
     qe = QEvaluator.from_instance(inst, validate=False)
     n = qe.n
     deltas = qe.deltas
-    if n:
-        disc._plan_route(qe.dim, [(n, 3 * n + 2 * PROBE_POINTS)], symmetric=True)
+    disc._plan_route(qe.dim, n, 3 * n + 2 * PROBE_POINTS, symmetric=True)
 
     if n == 0:
         lam = _lambda_max_of_p_empty(qe)

@@ -77,3 +77,30 @@ def test_every_constant_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+def callers(name):
+    """The functions (``module.function`` or ``module.Class.method``) whose
+    bodies call ``name``, as a plain name or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    found.add(".".join(scope))
+            inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            visit(child, inner)
+
+    for path, tree in parsed_sources().items():
+        visit(tree, (path.stem,))
+    return found
+
+
+def test_one_dispatch_site():
+    # the engine is the one place that picks a route and runs it; the
+    # compounds of a tail are built only by the engine and the walk
+    for route in ("_sign_ypolys", "_subset_ypolys"):
+        assert callers(route) == {"disc._expected_ypolys"}, route
+    assert callers("_tail_terms") == {"disc._expected_ypolys", "witness.QEvaluator._subset_sums"}

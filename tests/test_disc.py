@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,23 @@ def test_operator_route_matches_enumeration(rng):
         assert np.abs(pa - pb).max() < 1e-8 * scale
 
 
+def test_operator_route_bounded_memory(rng):
+    # d = 3, n = 11: the 3^11 grid points come a chunk at a time, so the
+    # peak stays far below the grid's own size (a whole grid of floats and
+    # its meshgrid copy take about 30 MiB)
+    inst = random_rank_one_instance(rng, 3, 11)
+    tracemalloc.start()
+    try:
+        got = disc.expected_charpoly_operator(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    want = disc.expected_charpoly(inst)
+    # criterion 02's tolerance
+    assert np.abs(got - want).max() <= 1e-8 * max(np.abs(got).max(), np.abs(want).max())
+
+
 def test_operator_route_cap():
     inst = rademacher_instance([np.array([1.0, 0.0])] * 15)
     with pytest.raises(EnumerationTooLarge):
@@ -548,11 +566,13 @@ def test_greedy_work_counts(monkeypatch):
     eigh = count_matrices(monkeypatch, "eigh")
     det = count_matrices(monkeypatch, "det")
     disc.greedy_interlacing_solve(inst)
-    # no spectrum enumeration: eigvalsh sees only the final deviation, whose
-    # norm is the reported value
-    assert eigvalsh["matrices"] == 1
-    # one eigh call per level, for both branches
-    assert eigh["calls"] == n and eigh["matrices"] == 2 * n
+    # every level plans its own call: tails of m = 13 down to 7 variables
+    # take the subset route, one eigh call for both branches each
+    assert eigh["calls"] == 7 and eigh["matrices"] == 2 * 7
+    # m = 6 down to 0 take the 2^m sign patterns of both branches; beyond
+    # them eigvalsh sees only the final deviation, whose norm is the
+    # reported value
+    assert eigvalsh["matrices"] == 1 + 2 * sum(2**m for m in range(7))
     # the compounds of the tail vectors and of every branch eigenbasis come
     # from Laplace steps (and complementary minors), not determinants
     assert det["matrices"] == 0
@@ -642,9 +662,9 @@ def test_engine_cap_counts_both_routes(monkeypatch):
         disc.greedy_interlacing_solve(inst)
     monkeypatch.setattr(disc, "ENUM_CAP", signs)
     disc.greedy_interlacing_solve(inst)
-    assert disc._plan_route(d, [(n - 1, 2)]) == "signs"
+    assert disc._plan_route(d, n - 1, 2) == "signs"
     monkeypatch.setattr(disc, "ENUM_CAP", subsets)
-    assert disc._plan_route(d, [(n - 1, 2)]) in ("subsets", "signs")
+    assert disc._plan_route(d, n - 1, 2) in ("subsets", "signs")
     # the top polynomial has no fixed part, so its sign patterns halve
     monkeypatch.setattr(disc, "ENUM_CAP", 2 ** (n - 1) - 1)
     with pytest.raises(EnumerationTooLarge):
@@ -653,8 +673,12 @@ def test_engine_cap_counts_both_routes(monkeypatch):
     disc.expected_charpoly(inst)
     # a route whose count exceeds the cap is never taken, even if cheaper
     monkeypatch.undo()
-    assert disc._plan_route(4, [(30, 2)]) == "subsets"
-    assert disc._plan_route(12, [(13, 2)]) == "signs"
+    assert disc._plan_route(4, 30, 2) == "subsets"
+    assert disc._plan_route(12, 13, 2) == "signs"
+    # with no tail variable the one sign pattern is the fixed part's spectrum
+    for d in range(1, 13):
+        for nb in (1, 2, 3):
+            assert disc._plan_route(d, 0, nb) == "signs"
 
 
 def test_one_cap_reaches_every_enumeration(monkeypatch):
@@ -681,9 +705,11 @@ def test_one_cap_reaches_every_enumeration(monkeypatch):
 
 
 def test_greedy_dimension_close_to_n(monkeypatch):
-    # d = 9, n = 11: the subset route would take C(19, 9) - 1 = 92,377 tail
-    # minors plus 2 x (C(18, 9) - 1) compound minors of size up to 9 per
-    # level, so the planner takes the 2^10 sign patterns per branch
+    # d = 9, n = 11: each level plans its own call. Tails of 10 down to 8
+    # variables take the subset route, whose C(19, 9) - 1 = 92,377 tail
+    # compound entries and 2 x (C(18, 9) - 1) branch entries at the first
+    # level all come from Laplace steps; tails of 7 down to 0 take the sign
+    # patterns. Neither route takes a determinant
     inst = seeded_rademacher(14, 9, 11)
     det = count_matrices(monkeypatch, "det")
     _, trace = disc.greedy_interlacing_solve(inst)
