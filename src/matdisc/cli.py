@@ -161,15 +161,14 @@ def verify_interlacing(seed: int = 0, count: int = 300) -> dict:
         except NotRealRooted as exc:
             rows.append(_flag_row(f"i{i}.greedy[{exc}]", False))
             continue
-        rooted = all(
-            rpoly.is_real_rooted(np.array(c), tol=1e-6) for lv in trace.levels for c in lv.branch_coeffs
-        )
+        rooted = common = True
+        for lv in trace.levels:
+            polys = [np.array(c) for c in lv.branch_coeffs]
+            # members with a common interlacer are real-rooted: one root pass
+            interlaced = len(polys) > 1 and rpoly.has_common_interlacing(polys, tol=1e-6)
+            common = common and (interlaced or len(polys) < 2)
+            rooted = rooted and (interlaced or all(rpoly.is_real_rooted(c, tol=1e-6) for c in polys))
         rows.append(_flag_row(f"i{i}.branches_real_rooted", rooted))
-        common = all(
-            rpoly.has_common_interlacing([np.array(c) for c in lv.branch_coeffs], tol=1e-6)
-            for lv in trace.levels
-            if len(lv.branch_coeffs) > 1
-        )
         rows.append(_flag_row(f"i{i}.common_interlacing", common))
     return _finish(report)
 
@@ -386,14 +385,10 @@ def verify_oracles(seed: int = 0, count: int = 100) -> dict:
     return _finish(report)
 
 
-def _verify_alexandrov_full(seed: int = 0, count: Optional[int] = None) -> dict:
+def _verify_alexandrov_full(seed: int = 0, count: int = 500) -> dict:
     """Mixed discriminants plus the barrier lemma sweeps, one report. ``count``
-    sizes the pair sweep and, up to 200, the lemma sweeps; without it each
-    sweep takes its own default."""
-    if count is None:
-        a, b = verify_alexandrov(seed), verify_barrier_lemmas(seed)
-    else:
-        a, b = verify_alexandrov(seed, count), verify_barrier_lemmas(seed, min(count, 200))
+    sizes the pair sweep and, up to 200, the lemma sweeps."""
+    a, b = verify_alexandrov(seed, count), verify_barrier_lemmas(seed, min(count, 200))
     merged = {
         "command": "verify",
         "suite": "alexandrov",

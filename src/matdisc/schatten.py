@@ -43,11 +43,8 @@ def _psd_eigs(mat: np.ndarray) -> np.ndarray:
 
 
 def _schatten_of_sqrt(mat: np.ndarray, p: float) -> float:
-    """|| M^(1/2) ||_p for PSD M, through the eigendecomposition."""
-    w = _psd_eigs(mat)
-    if p == np.inf:
-        return math.sqrt(float(w.max()))
-    return float(np.sum(w ** (p / 2.0)) ** (1.0 / p))
+    """|| M^(1/2) ||_p for PSD M and finite p, through the eigendecomposition."""
+    return float(np.sum(_psd_eigs(mat) ** (p / 2.0)) ** (1.0 / p))
 
 
 def _squares(inst: model.Instance) -> tuple:
@@ -125,8 +122,6 @@ def khintchine_bounds(inst: model.Instance, p: float, threads: Optional[int] = N
     :func:`rademacher_bound` also applies at every finite p. At p = inf both
     are None and only the spectral discrepancy is reported.
     """
-    if p != np.inf and p < 2:
-        raise InvalidOrder(f"need p >= 2 or inf, got {p}")
     value = disc_p(inst, p, threads=threads)
     bounds: dict = {"general_khintchine": None, "rademacher_closed_form": None}
     if p == np.inf:

@@ -8,9 +8,11 @@ barrier lemmas on generated determinantal families.
 The transforms Q_k are evaluated by Cauchy-Binet subset sums (polynomial in
 k for fixed dimension, no determinant) or, where cheaper, from 2^(k-1)
 determinant pairs per point (the sign-pair identity); see :class:`QEvaluator`.
-Q_k is quadratic in every coordinate, so barriers come from the exact unit
-central difference ``[Q_k(z+e_j) - Q_k(z-e_j)] / 2``, and the top polynomial
-comes coefficient-exact from :func:`disc._expected_ypolys`.
+Q_k is quadratic in every coordinate, so the certification above the roots
+fits every coordinate ray exactly from Q_k at z and z +- e_j, and the
+barriers come from the same fit, the unit central difference
+``[Q_k(z+e_j) - Q_k(z-e_j)] / 2``: one evaluation call per walk point. The
+top polynomial comes coefficient-exact from :func:`disc._expected_ypolys`.
 """
 
 from __future__ import annotations
@@ -234,70 +236,52 @@ def _ray_grid() -> np.ndarray:
     return PROBE_STEP * np.arange(PROBE_POINTS)
 
 
-def certify_above_roots(qe: QEvaluator, k: int, x: float, z) -> None:
-    """Certify that (x, z) lies above the roots of Q_k.
+def certify_above_roots(qe: QEvaluator, k: int, x: float, z) -> np.ndarray:
+    """Certify that (x, z) lies above the roots of Q_k and return the
+    barriers ``d/dz_j log Q_k`` there, j = 0 .. n-1.
 
-    For k = 0 the polynomial is a squared determinant, so probing its sign is
-    vacuous; positive definiteness of the determinant argument is used
-    instead, which is exact there. For k >= 1 the certification probes
-    positivity on a deterministic 16-point grid along every coordinate ray
-    and the all-ones ray (coordinate rays are quadratic, so their probe
-    values come from an exact three-node fit). Raises
-    :class:`NotAboveRoots` on failure.
+    One :meth:`QEvaluator.eval_many` call takes Q_k at z and at z +- e_j for
+    every j. Q_k is quadratic in each z_j, so these values give coordinate
+    ray j exactly, ``f0 + c1 t + c2 t^2`` with ``c1 = (f+ - f-) / 2`` and
+    ``c2 = (f+ + f-) / 2 - f0``, and its barrier is c1 / f0. For k = 0 the
+    polynomial is a squared determinant, so probing its sign is vacuous;
+    positive definiteness of the determinant argument is used instead, which
+    is exact there, and the 2n + 1 points take one determinant each. For
+    k >= 1 the call also takes the x ray and the all-ones ray past the
+    centre, 2n + 31 points in all, and positivity is probed on a
+    deterministic 16-point grid along every coordinate ray (from its fit),
+    the x ray and the all-ones ray. Raises :class:`NotAboveRoots` on
+    failure.
     """
-    z = np.asarray(z, dtype=float).reshape(qe.n)
+    n = qe.n
+    z = np.asarray(z, dtype=float).reshape(n)
     if k == 0:
-        eye = np.eye(qe.dim, dtype=complex)
-        m = x * eye
-        if qe.n:
-            m = m + np.tensordot(z, qe._tw, axes=(0, 0))
+        m = x * np.eye(qe.dim) + np.tensordot(z, qe._tw, axes=(0, 0))
         if float(np.linalg.eigvalsh(m).min()) <= 0.0:
             raise NotAboveRoots(f"matrix at (x={x:.6g}) is not positive definite")
-        return
 
     t = _ray_grid()
-    h = t[-1] / 2.0
-    # three nodes per coordinate ray (Q_k is quadratic in each z_j), then
-    # raw probes along the x ray and the all-ones ray
-    coord = np.repeat(z[None], 3 * qe.n, axis=0)
-    rows = np.arange(3 * qe.n)
-    coord[rows, rows // 3] += np.tile([0.0, h, 2.0 * h], qe.n)
-    xs = np.concatenate([np.full(3 * qe.n, x), x + t, x + t])
-    zs = np.concatenate([coord, np.repeat(z[None], PROBE_POINTS, axis=0), z + t[:, None]])
-    vals = qe.eval_many(k, xs, zs)
+    # the centre, both unit steps along every coordinate, then for k >= 1
+    # the x ray and the all-ones ray past the centre
+    xs = [np.full(1 + 2 * n, x)]
+    zs = [z[None], z + np.eye(n), z - np.eye(n)]
+    if k:
+        xs += [x + t[1:], np.full(PROBE_POINTS - 1, x)]
+        zs += [np.repeat(z[None], PROBE_POINTS - 1, axis=0), z + t[1:, None]]
+    vals = qe.eval_many(k, np.concatenate(xs), np.concatenate(zs))
 
-    f0, f1, f2 = vals[: 3 * qe.n].reshape(qe.n, 3).T[:, :, None]
-    c1 = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-    c2 = (f0 - 2.0 * f1 + f2) / (2.0 * h * h)
-    bad = np.flatnonzero((f0 + c1 * t + c2 * t * t).min(axis=1) <= 0.0)
-    if len(bad):
-        raise NotAboveRoots(f"coordinate ray {bad[0]} has a nonpositive probe")
-    for name, ray in zip(("x", "all-ones"), vals[3 * qe.n :].reshape(2, PROBE_POINTS)):
-        if ray.min() <= 0.0:
-            raise NotAboveRoots(f"{name} ray has a nonpositive probe")
-
-
-def _barrier_analytic(qe: QEvaluator, x: float, z, i: int) -> float:
-    """Barrier of Q itself from the trace form of the determinant derivative."""
-    eye = np.eye(qe.dim, dtype=complex)
-    m = x * eye + np.tensordot(np.asarray(z, float), qe._tw, axes=(0, 0))
-    return 2.0 * float(np.trace(np.linalg.solve(m, qe._tw[i])).real)
-
-
-def _barrier_batch(qe: QEvaluator, k: int, x: float, z, dirs: Sequence[int]) -> np.ndarray:
-    """Barriers of Q_k at one point, several directions.
-
-    Q_k is quadratic in every coordinate, so the unit central difference
-    ``[Q_k(z+e_j) - Q_k(z-e_j)] / 2`` is its partial derivative exactly.
-    """
-    z = np.asarray(z, dtype=float).reshape(qe.n)
-    dirs = np.asarray(dirs, dtype=int)
-    zs = np.repeat(z[None], 1 + 2 * len(dirs), axis=0)
-    rows = np.arange(len(dirs))
-    zs[1 + 2 * rows, dirs] += 1.0
-    zs[2 + 2 * rows, dirs] -= 1.0
-    vals = qe.eval_many(k, np.full(len(zs), x), zs)
-    return (vals[1::2] - vals[2::2]) / (2.0 * vals[0])
+    f0, plus, minus = vals[0], vals[1 : 1 + n], vals[1 + n : 1 + 2 * n]
+    c1 = (plus - minus) / 2.0
+    if k:
+        c2 = (plus + minus) / 2.0 - f0
+        bad = np.flatnonzero((f0 + c1[:, None] * t + c2[:, None] * t * t).min(axis=1) <= 0.0)
+        if len(bad):
+            raise NotAboveRoots(f"coordinate ray {bad[0]} has a nonpositive probe")
+        # the centre, the first probe of every ray, passed with the coordinate rays
+        for name, ray in zip(("x", "all-ones"), vals[1 + 2 * n :].reshape(2, PROBE_POINTS - 1)):
+            if ray.min() <= 0.0:
+                raise NotAboveRoots(f"{name} ray has a nonpositive probe")
+    return c1 / f0
 
 
 # ---------------------------------------------------------------------------
@@ -357,56 +341,49 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
     Expects a normalized instance. Step by step it checks that the start
     point (3, -delta) is above the roots of Q with all barriers at most
     delta_i, that each shift of coordinate k keeps the new point above the
-    roots of Q_{k+1}, and that the remaining barriers never increase. The
-    first violated inequality raises :class:`WalkStepFailed`; success returns
-    the full trace including the largest root of the final polynomial, which
-    must be at most 3 + 1e-9. Raises :class:`EnumerationTooLarge` before the
-    first step when neither route of :meth:`QEvaluator.eval_many` fits
-    ``disc.ENUM_CAP`` (read at call time) for the walk's largest call, the
-    last certification (k = n at 3n + 32 points). Both routes' counts grow with k and with the
-    points, so every other call fits then, and so does the top polynomial.
+    roots of Q_{k+1}, and that the remaining barriers never increase. Each
+    point's barriers come from its certification
+    (:func:`certify_above_roots`), one :meth:`QEvaluator.eval_many` call per
+    point. The first violated inequality raises :class:`WalkStepFailed`;
+    success returns the full trace including the largest root of the final
+    polynomial, which must be at most 3 + 1e-9. Raises
+    :class:`EnumerationTooLarge` before the first step when neither route of
+    :meth:`QEvaluator.eval_many` fits ``disc.ENUM_CAP`` (read at call time)
+    for the walk's largest call, the last certification (k = n at 2n + 31
+    points). Both routes' counts grow with k and with the points, so every
+    other call fits then, and so does the top polynomial.
     """
     qe = QEvaluator.from_instance(inst, validate=False)
     n = qe.n
     deltas = qe.deltas
-    disc._plan_route(qe.dim, n, 3 * n + 2 * PROBE_POINTS, symmetric=True)
+    disc._plan_route(qe.dim, n, 2 * n + 2 * PROBE_POINTS - 1, symmetric=True)
 
-    if n == 0:
-        lam = _lambda_max_of_p_empty(qe)
-        return BarrierWalkTrace((), (), (), lam, True)
-
-    w0 = -deltas.copy()
+    w = -deltas
     try:
-        certify_above_roots(qe, 0, WALK_ALPHA, w0)
+        initial = certify_above_roots(qe, 0, WALK_ALPHA, w)
     except NotAboveRoots as exc:
         raise WalkStepFailed(-1, f"initial point not above roots: {exc}") from exc
-
-    initial = np.array([_barrier_analytic(qe, WALK_ALPHA, w0, i) for i in range(n)])
     for i in range(n):
         if initial[i] > deltas[i] + WALK_BARRIER_TOL:
             raise WalkStepFailed(-1, f"initial barrier {i} is {initial[i]:.12f} > delta {deltas[i]:.12f}")
 
-    prev = {i: float(initial[i]) for i in range(n)}
-    w = w0.copy()
+    prev = initial.copy()
     steps = []
     for k in range(n):
-        hyp_val, hyp_bound = prev[k], float(deltas[k])
+        hyp_val, hyp_bound = float(prev[k]), float(deltas[k])
         if hyp_val > hyp_bound + WALK_BARRIER_TOL:
             raise WalkStepFailed(k, f"step hypothesis failed: barrier {hyp_val:.12f} > delta {hyp_bound:.12f}")
         w_next = w.copy()
         w_next[k] = 0.0
         try:
-            certify_above_roots(qe, k + 1, WALK_ALPHA, w_next)
+            barriers = certify_above_roots(qe, k + 1, WALK_ALPHA, w_next)
         except NotAboveRoots as exc:
             raise WalkStepFailed(k, f"shifted point not above roots: {exc}") from exc
-        dirs = list(range(k + 1, n))
         new = {}
-        if dirs:
-            vals = _barrier_batch(qe, k + 1, WALK_ALPHA, w_next, dirs)
-            for j, val in zip(dirs, vals):
-                new[j] = float(val)
-                if val > prev[j] + WALK_MONO_TOL:
-                    raise WalkStepFailed(k, f"barrier {j} increased: {val:.12f} > {prev[j]:.12f}")
+        for j in range(k + 1, n):
+            new[j] = float(barriers[j])
+            if new[j] > prev[j] + WALK_MONO_TOL:
+                raise WalkStepFailed(k, f"barrier {j} increased: {new[j]:.12f} > {prev[j]:.12f}")
         steps.append(
             WalkStep(
                 step=k,
@@ -418,7 +395,7 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
                 monotone_ok=True,
             )
         )
-        prev.update(new)
+        prev[k + 1 :] = barriers[k + 1 :]
         w = w_next
 
     lam = _lambda_max_of_p_empty(qe)

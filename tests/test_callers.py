@@ -104,3 +104,9 @@ def test_one_dispatch_site():
     for route in ("_sign_ypolys", "_subset_ypolys"):
         assert callers(route) == {"disc._expected_ypolys"}, route
     assert callers("_tail_terms") == {"disc._expected_ypolys", "witness.QEvaluator._subset_sums"}
+
+
+def test_one_evaluation_site():
+    # every walk point is evaluated by its certification, which also
+    # returns the barriers there
+    assert callers("eval_many") == {"witness.certify_above_roots"}

@@ -163,6 +163,48 @@ def test_greedy_failure_becomes_failing_row(monkeypatch):
     assert cli.main(["verify", "thm13", "--count", "2", "--seed", "3", "--out", os.devnull]) == 1
 
 
+@pytest.mark.parametrize(
+    "tolerance, value, reason, step",
+    [
+        ("WALK_BARRIER_TOL", -1.0, "initial barrier 0 is", -1),
+        ("WALK_MONO_TOL", -1.0, "barrier 1 increased", 0),
+        # after the last of the fixture's three steps
+        ("WALK_LAMBDA_TOL", -3.0, "largest root", 2),
+    ],
+)
+def test_walk_failures_become_failing_rows(tmp_path, capsys, monkeypatch, tolerance, value, reason, step):
+    # a tolerance no walk can meet forces each of the walk's raises: the
+    # start point's barriers against delta, a barrier that grows at step 0,
+    # and the top polynomial's largest root against 3. verify thm41 and
+    # replay report it as a failing row and exit 1, never 2
+    lam = cli.verify_thm41(seed=3, count=1)["checks"][0]
+    monkeypatch.setattr(witness, tolerance, value)
+    out = tmp_path / "thm41.json"
+    assert cli.main(["verify", "thm41", "--seed", "3", "--count", "1", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["checks"]
+    # the top polynomial's root then comes from the engine, and passes
+    assert rows[0]["name"] == lam["name"] == "i0.lambda_p_empty" and rows[0]["pass"]
+    assert rows[0]["lhs"] == pytest.approx(lam["lhs"], rel=1e-9)
+    assert rows[1]["name"].startswith(f"i0.walk[{reason}") and not rows[1]["pass"] and len(rows) == 2
+
+    out = tmp_path / "replay.json"
+    assert cli.main(["replay", "--instance", FIXTURE, "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["trace"]["failed_step"] == step and doc["trace"]["reason"].startswith(reason)
+    assert [row["name"] for row in doc["checks"]] == [f"walk[{doc['trace']['reason']}]"] and doc["failed"] == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_alexandrov_command(tmp_path):
+    # the pair sweep and the lemma sweeps of one seed, in one report
+    out = tmp_path / "alexandrov.json"
+    assert cli.main(["verify", "alexandrov", "--seed", "5", "--count", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    parts = (cli.verify_alexandrov(5, 3), cli.verify_barrier_lemmas(5, 3))
+    assert doc["checks"] == parts[0]["checks"] + parts[1]["checks"]
+    assert doc["bivariate_skipped"] == parts[1]["bivariate_skipped"] and doc["pass"]
+
+
 def test_env_var_threads(monkeypatch):
     # the worker count comes from --threads alone: the variable the package
     # once read is ignored, and no thread count means one worker

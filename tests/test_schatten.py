@@ -40,6 +40,9 @@ def test_disc_p_requires_p_at_least_two():
     inst = model.HermitianInstance(2, (np.eye(2),), (model.DiscreteRandomVariable.rademacher(),))
     with pytest.raises(InvalidOrder):
         schatten.disc_p(inst, 1.5)
+    # the report refuses the order through the same check
+    with pytest.raises(InvalidOrder):
+        schatten.khintchine_bounds(inst, 1.5)
 
 
 def test_rademacher_p2_closed_form(rng):

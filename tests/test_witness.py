@@ -62,6 +62,14 @@ def det_pair(m_plus, m_minus):
     return np.linalg.det(m_plus).real * np.linalg.det(m_minus).real
 
 
+def trace_form_barriers(qe, x, z):
+    """Barriers of Q = det[xI + W(z)]^2 from the trace form of the
+    determinant's derivative, ``2 tr(M^-1 tau_i v_i v_i*)``: the k = 0
+    oracle."""
+    m = x * np.eye(qe.dim) + np.tensordot(np.asarray(z, float), qe._tw, axes=(0, 0))
+    return np.array([2.0 * np.trace(np.linalg.solve(m, tw)).real for tw in qe._tw])
+
+
 # -- Q_k at one point -------------------------------------------------------
 
 
@@ -197,20 +205,19 @@ def test_initial_barriers_bounded_by_deltas(rng):
     for _ in range(5):
         inst = normalized_instance(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
         qe = witness.QEvaluator.from_instance(inst)
-        w0 = -qe.deltas
-        witness.certify_above_roots(qe, 0, 3.0, w0)
-        for i in range(qe.n):
-            assert witness._barrier_analytic(qe, 3.0, w0, i) <= qe.deltas[i] + 1e-9
+        barriers = witness.certify_above_roots(qe, 0, 3.0, -qe.deltas)
+        assert barriers.shape == (qe.n,)
+        assert np.all(barriers <= qe.deltas + 1e-9)
 
 
 def test_barrier_analytic_fd_agreement(rng):
+    # the certification's central differences at k = 0 against the trace form
     inst = normalized_instance(rng, 3, 3)
     qe = witness.QEvaluator.from_instance(inst)
     w0 = -qe.deltas
-    witness.certify_above_roots(qe, 0, 3.0, w0)
-    central = witness._barrier_batch(qe, 0, 3.0, w0, range(qe.n))
-    for i in range(qe.n):
-        assert central[i] == pytest.approx(witness._barrier_analytic(qe, 3.0, w0, i), rel=1e-12, abs=0.0)
+    central = witness.certify_above_roots(qe, 0, 3.0, w0)
+    for i, want in enumerate(trace_form_barriers(qe, 3.0, w0)):
+        assert central[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_barrier_matches_resolvent_form(rng, monkeypatch):
@@ -235,8 +242,7 @@ def test_barrier_matches_resolvent_form(rng, monkeypatch):
         want = [sign_pair_sum(qe, k, 3.0, z, resolvent(j)) / value for j in range(qe.n)]
         for route in ROUTES:
             pin_route(monkeypatch, route)
-            witness.certify_above_roots(qe, k, 3.0, z)
-            got = witness._barrier_batch(qe, k, 3.0, z, range(qe.n))
+            got = witness.certify_above_roots(qe, k, 3.0, z)
             for j in range(qe.n):
                 assert got[j] == pytest.approx(want[j], rel=1e-12, abs=0.0), (route, k, j)
 
@@ -245,10 +251,9 @@ def test_barrier_monotone_along_shifts(rng):
     inst = normalized_instance(rng, 2, 3)
     qe = witness.QEvaluator.from_instance(inst)
     w0 = -qe.deltas
+    base = witness.certify_above_roots(qe, 0, 3.0, w0)
     for t in (0.1, 1.0, 10.0):
-        witness.certify_above_roots(qe, 0, 3.0 + t, w0)
-        for i in range(qe.n):
-            assert witness._barrier_analytic(qe, 3.0 + t, w0, i) <= witness._barrier_analytic(qe, 3.0, w0, i) + 1e-12
+        assert np.all(witness.certify_above_roots(qe, 0, 3.0 + t, w0) <= base + 1e-12)
 
 
 def test_barrier_requires_point_above_roots():
@@ -259,15 +264,22 @@ def test_barrier_requires_point_above_roots():
 def test_certify_probe_points_and_first_failure(rng, monkeypatch):
     qe = witness.QEvaluator.from_instance(normalized_instance(rng, 2, 3))
     x, z = 3.0, -qe.deltas
-    t = witness.PROBE_STEP * np.arange(witness.PROBE_POINTS)
-    nodes = (0.0, t[-1] / 2.0, t[-1])
-    want_xs = [x] * (3 * qe.n) + list(x + t) * 2
-    want_zs = [z + tv * np.eye(qe.n)[j] for j in range(qe.n) for tv in nodes] + [z] * len(t) + [z + tv for tv in t]
+    t = witness.PROBE_STEP * np.arange(1, witness.PROBE_POINTS)
+    # the centre, z + e_j, z - e_j, then the x ray and the all-ones ray
+    # past the centre: 2n + 31 points in one call
+    want_xs = [x] * (1 + 2 * qe.n) + list(x + t) + [x] * len(t)
+    want_zs = [z] + list(z + np.eye(qe.n)) + list(z - np.eye(qe.n)) + [z] * len(t) + [z + tv for tv in t]
     seen = []
     evaluate = qe.eval_many
-    monkeypatch.setattr(qe, "eval_many", lambda k, xs, zs: seen.append((xs, zs)) or evaluate(k, xs, zs))
+    monkeypatch.setattr(qe, "eval_many", lambda k, xs, zs: seen.append((k, xs, zs)) or evaluate(k, xs, zs))
     witness.certify_above_roots(qe, 2, x, z)
-    assert np.array_equal(seen[0][0], want_xs) and np.array_equal(seen[0][1], want_zs)
+    assert len(seen) == 1 and len(want_xs) == 2 * qe.n + 31
+    assert np.array_equal(seen[0][1], want_xs) and np.array_equal(seen[0][2], want_zs)
+    # at k = 0 positive definiteness certifies, and only the centre and the
+    # unit steps are evaluated, for the barriers
+    witness.certify_above_roots(qe, 0, x, z)
+    assert len(seen) == 2 and seen[1][0] == 0
+    assert np.array_equal(seen[1][1], want_xs[: 1 + 2 * qe.n]) and np.array_equal(seen[1][2], want_zs[: 1 + 2 * qe.n])
     # Q_1 = (x + z)^2 - 1 is negative at (0.5, 0): the coordinate ray fails first
     with pytest.raises(NotAboveRoots, match="coordinate ray 0"):
         witness.certify_above_roots(unit_evaluator(), 1, 0.5, [0.0])
@@ -331,34 +343,41 @@ def test_walk_determinant_count(monkeypatch):
     vectors = tuple((rng.normal(size=d) + 1j * rng.normal(size=d)) / math.sqrt(2.0) for _ in range(n))
     rvs = tuple(model.DiscreteRandomVariable.rademacher() for _ in range(n))
     inst = model.normalize(model.RankOneInstance(d, vectors, rvs))
-    # step k certifies Q_k at 3 nodes per coordinate ray plus the x and
-    # all-ones rays, then takes barriers at 1 + 2m points for the m
-    # remaining directions
-    probes = 3 * n + 2 * witness.PROBE_POINTS
-    barriers = [1 + 2 * (n - k) if k < n else 0 for k in range(n + 1)]
+    # the start point takes Q at its centre and both unit steps of every
+    # coordinate, 2n + 1 points; step k certifies Q_k and takes its barriers
+    # at those points plus the x and all-ones rays past the centre
+    start = 2 * n + 1
+    probes = 2 * n + 2 * witness.PROBE_POINTS - 1
+    calls = []
+    evaluate = witness.QEvaluator.eval_many
+    monkeypatch.setattr(witness.QEvaluator, "eval_many", lambda qe, k, xs, zs: calls.append(k) or evaluate(qe, k, xs, zs))
     for route in ROUTES:
         pin_route(monkeypatch, route)
         dets = count_matrices(monkeypatch, "det")
         eigvalsh = count_matrices(monkeypatch, "eigvalsh")
         eigh = count_matrices(monkeypatch, "eigh")
+        calls.clear()
         assert witness.replay_barrier_walk(inst).passed
+        # one evaluation call at the start point and one per step
+        assert calls == list(range(n + 1))
         if route == "signs":
-            # each point costs 2^k determinants; the top polynomial takes
-            # the spectra of the 2^(n-1) sign pairs, and the start point's
-            # positive-definiteness check one spectrum
-            assert dets["matrices"] == sum((probes + barriers[k]) * 2**k for k in range(1, n + 1))
+            # each point costs 2^k determinants (one at k = 0); the top
+            # polynomial takes the spectra of the 2^(n-1) sign pairs, and
+            # the start point's positive-definiteness check one spectrum
+            assert dets["matrices"] == start + sum(probes * 2**k for k in range(1, n + 1)) == 23987
             assert eigvalsh["matrices"] == 1 + 2 ** (n - 1)
             assert eigh["matrices"] == 0
         else:
             # the compounds of the n vectors, of every eigenbasis at a walk
             # point and of the top polynomial's zero part come from Laplace
-            # steps (and complementary minors), not determinants. A
-            # certification has 2n + 16 distinct z (the x ray's share one),
-            # each with one eigenbasis, as have the barrier points and the
-            # top polynomial's zero part.
-            assert dets["matrices"] == 0
+            # steps (and complementary minors), not determinants; only the
+            # start point's k = 0 values take one determinant each. A
+            # certification at k >= 1 has 2n + 16 distinct z (the x ray's
+            # share the centre's), each with one eigenbasis, as has the top
+            # polynomial's zero part.
+            assert dets["matrices"] == start == 17
             assert eigvalsh["matrices"] == 1
-            assert eigh["matrices"] == sum(2 * n + 16 + barriers[k] for k in range(1, n + 1)) + 1
+            assert eigh["matrices"] == n * (2 * n + 16) + 1 == 257
 
 
 def test_walk_sign_pair_cap(rng, monkeypatch):
