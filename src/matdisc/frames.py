@@ -1,6 +1,7 @@
 """Tight-frame constructions and the exactly-solvable families.
 
-Harmonic unit-norm tight frames supply the family where every Rademacher
+Frames are rank-one instances (:class:`model.RankOneInstance`). Harmonic
+unit-norm tight frames with Rademacher laws supply the family where every
 sign pattern has the same spectral norm n/d; the Hadamard-style diagonal
 family realizes the matching logarithmic lower bound in exact integer
 arithmetic.
@@ -24,28 +25,9 @@ PATTERN_TOL = 1e-9
 DIAGONAL_MAX_N = 5
 
 
-@dataclass(frozen=True)
-class Frame:
-    """A finite family of vectors in C^d."""
-
-    dim: int
-    vectors: tuple
-
-    def __post_init__(self):
-        vecs = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in self.vectors)
-        for v in vecs:
-            v.flags.writeable = False
-        object.__setattr__(self, "vectors", vecs)
-        if any(v.shape != (self.dim,) for v in vecs):
-            raise InvalidShape(f"all vectors must have dimension {self.dim}")
-
-    @property
-    def n(self) -> int:
-        return len(self.vectors)
-
-
-def harmonic_untf(n: int, d: int) -> Frame:
-    """Unit-norm tight frame from the first d rows of the n-point DFT.
+def harmonic_untf(n: int, d: int) -> model.RankOneInstance:
+    """Unit-norm tight frame from the first d rows of the n-point DFT, with
+    Rademacher laws.
 
     The columns of the d x n submatrix of the unitary DFT all have squared
     norm d/n; rescaling them to unit vectors gives a frame operator (n/d) I.
@@ -56,7 +38,8 @@ def harmonic_untf(n: int, d: int) -> Frame:
     k = np.arange(n)
     rows = np.exp(-2j * np.pi * np.outer(np.arange(d), k) / n) / math.sqrt(n)
     cols = rows.T * math.sqrt(n / d)
-    return Frame(d, tuple(cols))
+    rvs = tuple(model.DiscreteRandomVariable.rademacher() for _ in range(n))
+    return model.RankOneInstance(d, tuple(cols), rvs)
 
 
 @dataclass(frozen=True)
@@ -65,43 +48,40 @@ class FrameAnalysis:
     frame_bound: float
     is_unit_norm: bool
     sigma_sq: float
-    lower_bound_check: Optional[bool]
 
 
-def analyze_frame(frame: Frame) -> FrameAnalysis:
-    """Tightness, frame bound, unit-norm flag, Rademacher sigma^2 and the
-    trace lower bound sigma^2 >= C^2 d / n (checked only for tight frames)."""
-    outers = model.outer_products(frame.vectors)
-    op = outers.sum(axis=0)
-    c = float(np.trace(op).real) / frame.dim
-    is_tight = linalg.residual_norm(op - c * np.eye(frame.dim)) <= TIGHT_TOL
-    norms = [float(np.vdot(v, v).real) for v in frame.vectors]
-    is_unit = all(abs(nv - 1.0) <= UNIT_NORM_TOL for nv in norms)
-    sigma_sq = linalg.spectral_norm((np.array(norms)[:, None, None] * outers).sum(axis=0))
-    check = None
-    if is_tight:
-        check = sigma_sq >= c * c * frame.dim / frame.n - 1e-9
-    return FrameAnalysis(is_tight, c, is_unit, float(sigma_sq), check)
+def analyze_frame(inst: model.RankOneInstance) -> FrameAnalysis:
+    """Tightness, frame bound and unit-norm flag of the instance's vectors,
+    and its sigma^2 = || sum_i Var[xi_i] (u_i u_i*)^2 || from
+    :func:`model.squared_terms`."""
+    op = model.outer_products(inst.vectors).sum(axis=0)
+    c = float(np.trace(op).real) / inst.dim
+    is_tight = linalg.residual_norm(op - c * np.eye(inst.dim)) <= TIGHT_TOL
+    is_unit = all(abs(float(np.vdot(v, v).real) - 1.0) <= UNIT_NORM_TOL for v in inst.vectors)
+    sigma_sq = linalg.spectral_norm(model.squared_terms(inst).sum(axis=0))
+    return FrameAnalysis(is_tight, c, is_unit, float(sigma_sq))
 
 
-def verify_untf_disc(frame: Frame) -> dict:
-    """Enumerate all Rademacher sign patterns of a unit-norm tight frame with
-    d <= n <= 2d - 1 and confirm the constant pattern norm n/d; 2^n beyond
-    ``disc.ENUM_CAP``, read at call time, raises EnumerationTooLarge.
+def verify_untf_disc(inst: model.RankOneInstance) -> dict:
+    """Enumerate all sign patterns of a Rademacher unit-norm tight frame
+    with d <= n <= 2d - 1 and confirm the constant pattern norm n/d; 2^n
+    beyond ``disc.ENUM_CAP``, read at call time, raises EnumerationTooLarge.
 
-    Returns ``{"all_patterns_constant": bool, "value": n/d}`` after checking
-    every one of the 2^n patterns against n/d (1e-9) and the identity
+    The gate asks for unit-norm tight vectors and Rademacher laws
+    (:class:`PreconditionViolated` otherwise). Returns
+    ``{"all_patterns_constant": bool, "value": n/d}`` after checking every
+    one of the 2^n patterns against n/d (1e-9) and the identity
     value = sqrt(n/d) * sigma (1e-9).
     """
-    analysis = analyze_frame(frame)
-    n, d = frame.n, frame.dim
-    if not (analysis.is_tight and analysis.is_unit_norm):
-        raise PreconditionViolated("unit-norm tight frame", "input frame fails the gate")
+    analysis = analyze_frame(inst)
+    n, d = inst.n, inst.dim
+    if not (analysis.is_tight and analysis.is_unit_norm and all(rv.is_rademacher() for rv in inst.rvs)):
+        raise PreconditionViolated("Rademacher unit-norm tight frame", "input instance fails the gate")
     if not (d <= n <= 2 * d - 1):
         raise PreconditionViolated("pattern range", f"need d <= n <= 2d-1, got n={n}, d={d}")
     disc._check_cap(2**n)
 
-    mats = disc._signed_sums(model.outer_products(frame.vectors))
+    mats = disc._signed_sums(model.terms(inst))
     norms = np.abs(np.linalg.eigvalsh(mats)).max(axis=1)
     target = n / d
     constant = bool(np.abs(norms - target).max() <= PATTERN_TOL)
@@ -109,12 +89,6 @@ def verify_untf_disc(frame: Frame) -> dict:
     sigma = math.sqrt(analysis.sigma_sq)
     cross = abs(value - math.sqrt(target) * sigma) <= PATTERN_TOL
     return {"all_patterns_constant": constant and cross, "value": value}
-
-
-def frame_to_instance(frame: Frame) -> model.RankOneInstance:
-    """Attach Rademacher variables, producing a solver-ready instance."""
-    rvs = tuple(model.DiscreteRandomVariable.rademacher() for _ in range(frame.n))
-    return model.RankOneInstance(frame.dim, frame.vectors, rvs)
 
 
 # ---------------------------------------------------------------------------

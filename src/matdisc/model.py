@@ -8,6 +8,7 @@ non-writeable so they can be shared across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -33,6 +34,9 @@ class DiscreteRandomVariable:
         probs = tuple(float(p) for p in self.probs)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
+        for field, values in (("support", support), ("probs", probs)):
+            if not all(map(math.isfinite, values)):
+                raise InvariantViolation(field, "non-finite value")
         if len(support) < 1:
             raise InvariantViolation("support", "must be nonempty")
         if len(support) != len(probs):
@@ -95,6 +99,8 @@ class RankOneInstance:
             raise InvariantViolation("vectors", "need at least one vector")
         if any(v.shape != (self.dim,) for v in vecs):
             raise InvariantViolation("vectors", f"all vectors must have dim {self.dim}")
+        if not np.isfinite(vecs).all():
+            raise InvariantViolation("vectors", "non-finite entry")
         if len(self.rvs) != len(vecs):
             raise InvariantViolation("rvs", "one random variable per vector required")
 
@@ -114,7 +120,10 @@ class HermitianInstance:
     def __post_init__(self):
         if self.dim < 1:
             raise InvariantViolation("dim", "must be >= 1")
-        mats = tuple(_freeze(linalg.require_hermitian(m)) for m in self.matrices)
+        mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
+        if not all(np.isfinite(m).all() for m in mats):
+            raise InvariantViolation("matrices", "non-finite entry")
+        mats = tuple(_freeze(linalg.require_hermitian(m)) for m in mats)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "rvs", tuple(self.rvs))
         if len(mats) < 1:
@@ -243,10 +252,31 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
-def _parse_complex(entry, where: str) -> complex:
-    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise ParseError(f"{where}: complex values must be [re, im] pairs")
-    return complex(float(entry[0]), float(entry[1]))
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"field {where!r}: expected a list, got {value!r}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    # JSON numbers only (bool is an int subclass); an integer too large for
+    # a float is refused here rather than overflowing later
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"field {where!r}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"field {where!r}: {value} is out of range") from None
+
+
+def _complex_list(value, where: str) -> list:
+    """A list of [re, im] pairs as complex numbers."""
+    out = []
+    for z in _list(value, where):
+        if not isinstance(z, list) or len(z) != 2:
+            raise ParseError(f"field {where!r}: complex values must be [re, im] pairs")
+        out.append(complex(_number(z[0], where), _number(z[1], where)))
+    return out
 
 
 def _instance_from_doc(doc: dict) -> Instance:
@@ -254,32 +284,23 @@ def _instance_from_doc(doc: dict) -> Instance:
         raise ParseError("top-level JSON value must be an object")
     dim = _require(doc, "dim")
     kind = _require(doc, "kind")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f"field 'dim': expected a positive integer, got {dim!r}")
-    rvs_doc = _require(doc, "rvs")
-    if not isinstance(rvs_doc, list):
-        raise ParseError("field 'rvs': expected a list")
     rvs = []
-    for j, rv in enumerate(rvs_doc):
+    for j, rv in enumerate(_list(_require(doc, "rvs"), "rvs")):
         if not isinstance(rv, dict) or "support" not in rv or "probs" not in rv:
             raise ParseError(f"field 'rvs[{j}]': expected an object with 'support' and 'probs'")
-        rvs.append(DiscreteRandomVariable(tuple(rv["support"]), tuple(rv["probs"])))
+        fields = {key: f"rvs[{j}].{key}" for key in ("support", "probs")}
+        support, probs = (tuple(_number(x, where) for x in _list(rv[key], where)) for key, where in fields.items())
+        rvs.append(DiscreteRandomVariable(support, probs))
     if kind == "rank_one":
-        vecs_doc = _require(doc, "vectors")
-        vectors = [
-            np.array([_parse_complex(z, f"vectors[{i}]") for z in vec], dtype=complex)
-            for i, vec in enumerate(vecs_doc)
-        ]
+        vecs = _list(_require(doc, "vectors"), "vectors")
+        vectors = [np.array(_complex_list(v, f"vectors[{i}]"), dtype=complex) for i, v in enumerate(vecs)]
         return RankOneInstance(dim, tuple(vectors), tuple(rvs))
     if kind == "hermitian":
-        mats_doc = _require(doc, "matrices")
         mats = []
-        for i, m in enumerate(mats_doc):
-            mats.append(
-                np.array(
-                    [[_parse_complex(z, f"matrices[{i}]") for z in row] for row in m],
-                    dtype=complex,
-                )
-            )
+        for i, m in enumerate(_list(_require(doc, "matrices"), "matrices")):
+            rows = [_complex_list(row, f"matrices[{i}][{r}]") for r, row in enumerate(_list(m, f"matrices[{i}]"))]
+            mats.append(np.array(rows, dtype=complex))
         return HermitianInstance(dim, tuple(mats), tuple(rvs))
     raise ParseError(f"field 'kind': expected 'rank_one' or 'hermitian', got {kind!r}")

@@ -5,9 +5,11 @@ top-level expected polynomial, barrier-function evaluation, mixed
 discriminants with their padded normalization, and the quadratic/bivariate
 barrier lemmas on generated determinantal families.
 
-The transforms Q_k are evaluated by Cauchy-Binet subset sums (polynomial in
-k for fixed dimension, no determinant) or, where cheaper, from 2^(k-1)
-determinant pairs per point (the sign-pair identity); see :class:`QEvaluator`.
+The walk's evaluator is built from a normalized rank-one instance, the one
+vector-family type. The transforms Q_k are evaluated by Cauchy-Binet subset
+sums (polynomial in k for fixed dimension, no determinant) or, where
+cheaper, from 2^(k-1) determinant pairs per point (the sign-pair identity);
+see :class:`QEvaluator`.
 Q_k is quadratic in every coordinate, so the certification above the roots
 fits every coordinate ray exactly from Q_k at z and z +- e_j, and the
 barriers come from the same fit, the unit central difference
@@ -20,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from . import disc, linalg, model, rpoly
+from . import disc, model, rpoly
 from .errors import (
     DimensionMismatch,
     HypothesisNotMet,
@@ -35,7 +37,6 @@ from .errors import (
     WalkStepFailed,
 )
 
-NORMALIZED_TOL = 1e-9
 PSD_SLACK = 1e-10
 
 # Deterministic ray probe used by the above-the-roots certification.
@@ -49,9 +50,11 @@ class QEvaluator:
     """Evaluator for Q(x, z) = det[xI + W(z)]^2, W(z) = sum_i z_i tau_i v_i v_i*,
     and its partial transforms Q_k = prod_{i<=k} (1 - (1/2) d^2/dz_i^2) Q.
 
-    Holds normalized vectors (deviation scale 1) and the per-coordinate
-    standard deviations. Construction checks the normalized condition
-    ``sum tau_i^2 (v_i v_i*)^2 <= I`` up to 1e-9 unless ``validate=False``.
+    Built from a rank-one instance that the caller has normalized with
+    :func:`model.normalize`. It keeps the vectors v_i and the standard
+    deviations tau_i of the coordinates with nonzero variance and nonzero
+    vector, since the others contribute nothing to Q and would stall the
+    shift walk at delta_i = 0. The dimension is the instance's.
 
     Two exact routes evaluate Q_k for k >= 1. The determinant is affine in
     each z_j, and for f, g affine in z_j
@@ -74,47 +77,20 @@ class QEvaluator:
     sign pairs come in blocks from :func:`disc._sign_blocks`.
     """
 
-    def __init__(self, vectors: Sequence, taus: Sequence[float], validate: bool = True, dim: Optional[int] = None):
-        self.vectors = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in vectors)
-        self.taus = np.asarray(taus, dtype=float)
-        if len(self.vectors) != len(self.taus):
-            raise DimensionMismatch("one tau per vector required")
-        self.n = len(self.vectors)
-        if dim is None:
-            dim = len(self.vectors[0]) if self.n else 1
-        self.dim = int(dim)
-        if any(v.shape != (self.dim,) for v in self.vectors):
-            raise DimensionMismatch("vectors of mixed dimension")
-        if self.n:
-            outer = model.outer_products(self.vectors)
-        else:
-            outer = np.zeros((0, self.dim, self.dim), dtype=complex)
-        norms_sq = np.array([float(np.vdot(v, v).real) for v in self.vectors])
-        self._tw = self.taus[:, None, None] * outer
-        self._tail = None  # compounds of U, built on first use by _subset_sums or p_empty
-        self.deltas = self.taus * norms_sq
-        if validate and self.n:
-            # (v v*)^2 = |v|^2 v v*, so the normalized condition reduces to
-            # one spectral norm of a weighted frame operator
-            squared = np.tensordot(self.taus**2 * norms_sq, outer, axes=(0, 0))
-            top = linalg.spectral_norm(squared)
-            if top > 1.0 + NORMALIZED_TOL:
-                raise InvariantViolation("normalized condition", f"|| sum tau^2 (vv*)^2 || = {top:.6f} > 1")
-
-    @classmethod
-    def from_instance(cls, inst: model.RankOneInstance, validate: bool = True) -> "QEvaluator":
-        """Build from a normalized rank-one instance.
-
-        Coordinates with zero variance (or zero vectors) contribute nothing
-        to Q and would stall the shift walk at delta_i = 0, so they are
-        dropped here.
-        """
-        pairs = [
+    def __init__(self, inst: model.RankOneInstance):
+        kept = [
             (v, math.sqrt(rv.variance))
             for v, rv in zip(inst.vectors, inst.rvs)
             if rv.variance > 0.0 and float(np.vdot(v, v).real) > 0.0
         ]
-        return cls([p[0] for p in pairs], [p[1] for p in pairs], validate=validate, dim=inst.dim)
+        self.vectors = tuple(v for v, _ in kept)
+        self.taus = np.array([tau for _, tau in kept], dtype=float)
+        self.n = len(kept)
+        self.dim = inst.dim
+        outer = model.outer_products(np.reshape(self.vectors, (self.n, self.dim)))
+        self._tw = self.taus[:, None, None] * outer
+        self._tail = None  # compounds of U, built on first use by _subset_sums or p_empty
+        self.deltas = self.taus * np.array([float(np.vdot(v, v).real) for v in self.vectors])
 
     # -- evaluation --------------------------------------------------------
 
@@ -338,10 +314,11 @@ WALK_LAMBDA_TOL = 1e-9
 def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
     """Replay the shift walk certifying the top polynomial's largest root.
 
-    Expects a normalized instance. Step by step it checks that the start
-    point (3, -delta) is above the roots of Q with all barriers at most
-    delta_i, that each shift of coordinate k keeps the new point above the
-    roots of Q_{k+1}, and that the remaining barriers never increase. Each
+    The caller normalizes the instance with :func:`model.normalize`; the
+    walk builds its :class:`QEvaluator` from it. Step by step it checks that
+    the start point (3, -delta) is above the roots of Q with all barriers at
+    most delta_i, that each shift of coordinate k keeps the new point above
+    the roots of Q_{k+1}, and that the remaining barriers never increase. Each
     point's barriers come from its certification
     (:func:`certify_above_roots`), one :meth:`QEvaluator.eval_many` call per
     point. The first violated inequality raises :class:`WalkStepFailed`;
@@ -353,7 +330,7 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
     points). Both routes' counts grow with k and with the points, so every
     other call fits then, and so does the top polynomial.
     """
-    qe = QEvaluator.from_instance(inst, validate=False)
+    qe = QEvaluator(inst)
     n = qe.n
     deltas = qe.deltas
     disc._plan_route(qe.dim, n, 2 * n + 2 * PROBE_POINTS - 1, symmetric=True)

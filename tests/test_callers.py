@@ -110,3 +110,51 @@ def test_one_evaluation_site():
     # every walk point is evaluated by its certification, which also
     # returns the barriers there
     assert callers("eval_many") == {"witness.certify_above_roots"}
+
+
+def matdisc_chains(tree):
+    """Every dotted name that code reads through an imported ``matdisc``
+    module, as ``(module, attribute chain)`` pairs: ``from matdisc import
+    cli`` makes ``cli.sweep_rank_one`` the pair ``("matdisc.cli",
+    ("sweep_rank_one",))``, and ``from matdisc.errors import X`` makes
+    ``("matdisc.errors", ("X",))``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "matdisc":
+            for alias in node.names:
+                if node.module == "matdisc":
+                    aliases[alias.asname or alias.name] = f"matdisc.{alias.name}"
+                else:
+                    yield node.module, (alias.name,)
+        elif isinstance(node, ast.Import):
+            aliases.update({a.name.split(".")[0]: "matdisc" for a in node.names if a.name.split(".")[0] == "matdisc"})
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in aliases:
+            yield aliases[node.id], tuple(reversed(chain))
+
+
+def test_perfbench_names_resolve():
+    # tier-1 does not run perfbench/tests, so a rename that breaks the
+    # benchmark's layer trace or its workloads fails here
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_layertrace", ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = [name for name, owner, attr, _ in layertrace.TARGETS if not hasattr(owner, attr)]
+    chains = {pair for path in sorted((ROOT / "perfbench").glob("*.py")) for pair in matdisc_chains(ast.parse(path.read_text()))}
+    assert ("matdisc.cli", ("sweep_rank_one",)) in chains
+    assert ("matdisc.model", ("DiscreteRandomVariable", "rademacher")) in chains
+    for module, chain in sorted(chains):
+        obj = importlib.import_module(module)
+        for attr in chain:
+            if not hasattr(obj, attr):
+                missing.append(".".join((module,) + chain))
+                break
+            obj = getattr(obj, attr)
+    assert missing == []

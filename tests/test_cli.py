@@ -268,3 +268,68 @@ def test_numerical_failures_in_solve_and_replay_become_failing_rows(tmp_path, ca
     report = cli.verify_thm41(seed=3, count=2)
     assert [row["name"] for row in report["checks"]] == ["i0.lambda_p_empty[forced]", "i1.lambda_p_empty[forced]"]
     assert cli.main(["verify", "thm41", "--count", "2", "--seed", "3", "--out", os.devnull]) == 1
+
+
+def one_variable_file(tmp_path, name, kind="rank_one", support=(-1.0, 1.0), probs=(0.5, 0.5), entry=(1.0, 0.0), **fields):
+    """A d = 1 instance file with one variable; ``fields`` replace or add
+    top-level fields, written as given (``json.dumps`` writes non-finite
+    floats as NaN and Infinity)."""
+    doc = {"dim": 1, "kind": kind, "rvs": [{"support": list(support), "probs": list(probs)}]}
+    doc["vectors" if kind == "rank_one" else "matrices"] = [[list(entry)]] if kind == "rank_one" else [[[list(entry)]]]
+    doc.update(fields)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_input_error(capsys, path, *words):
+    for command in ("solve", "replay"):
+        assert cli.main([command, "--instance", path]) == 2, (command, path)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (command, captured.err)
+        assert all(word in lines[0] for word in words), (command, lines[0])
+        assert captured.out == ""
+
+
+def test_non_finite_instances_exit_two(tmp_path, capsys):
+    # NaN and Infinity are valid tokens for the JSON reader; the model refuses
+    # them, so no command runs on them (the walk once dropped every NaN
+    # coordinate and passed)
+    nan, inf = float("nan"), float("inf")
+    files = {
+        "probs": one_variable_file(tmp_path, "probs", support=(1.0,), probs=(nan,)),
+        "vectors": one_variable_file(tmp_path, "vector", entry=(nan, 0.0)),
+        "support": one_variable_file(tmp_path, "support", support=(-1.0, inf)),
+        "matrices": one_variable_file(tmp_path, "matrix", kind="hermitian", entry=(nan, 0.0)),
+    }
+    for field, path in files.items():
+        assert_input_error(capsys, path, "non-finite", field)
+
+
+def test_malformed_instance_files_exit_two(tmp_path, capsys):
+    # wrong JSON types are input errors that name the field, not tracebacks
+    cases = [
+        ("vectors", {"vectors": 5}),
+        ("vectors[0]", {"vectors": [5]}),
+        ("matrices", {"kind": "hermitian", "matrices": 7}),
+        ("rvs[0].support", {"rvs": [{"support": 3, "probs": [1.0]}]}),
+        ("rvs[0].support", {"rvs": [{"support": [None], "probs": [1.0]}]}),
+        ("rvs[0].probs", {"rvs": [{"support": [1.0], "probs": [10**400]}]}),
+        ("dim", {"dim": True}),
+    ]
+    for i, (field, fields) in enumerate(cases):
+        assert_input_error(capsys, one_variable_file(tmp_path, f"bad{i}", **fields), f"'{field}'")
+
+
+def test_lyapunov_bound_failure_is_a_failing_row(tmp_path, capsys, monkeypatch):
+    # the suite checks the rounding's bound itself: an error above it is a
+    # failing row of a written report, exit 1
+    rounding = disc.lyapunov_round
+    monkeypatch.setattr(disc, "lyapunov_round", lambda vectors, t: (rounding(vectors, t)[0], 2.0))
+    out = tmp_path / "lyapunov.json"
+    assert cli.main(["verify", "lyapunov", "--count", "3", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert [row["name"] for row in doc["checks"]] == ["i0.rounding_error", "i1.rounding_error", "i2.rounding_error"]
+    assert all(row["lhs"] == 2.0 and not row["pass"] for row in doc["checks"]) and doc["failed"] == 3
+    assert capsys.readouterr().err == ""

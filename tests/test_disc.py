@@ -388,8 +388,9 @@ def test_lyapunov_trivial_weights():
 
     frame = frames.harmonic_untf(5, 3)
     vectors = [math.sqrt(3 / 5) * v for v in frame.vectors]
-    assert disc.lyapunov_round(vectors, [0.0] * 5) == ()
-    assert disc.lyapunov_round(vectors, [1.0] * 5) == tuple(range(5))
+    assert disc.lyapunov_round(vectors, [0.0] * 5) == ((), 0.0)
+    subset, err = disc.lyapunov_round(vectors, [1.0] * 5)
+    assert subset == tuple(range(5)) and err == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lyapunov_half_weights():
@@ -397,12 +398,13 @@ def test_lyapunov_half_weights():
 
     frame = frames.harmonic_untf(8, 4)
     vectors = [math.sqrt(4 / 8) * v for v in frame.vectors]
-    subset = disc.lyapunov_round(vectors, [0.5] * 8)
+    subset, err = disc.lyapunov_round(vectors, [0.5] * 8)
     outers = np.array([np.outer(v, v.conj()) for v in vectors])
     target = 0.5 * outers.sum(axis=0)
     got = outers[list(subset)].sum(axis=0) if subset else np.zeros_like(target)
     eps = max(float(np.vdot(v, v).real) for v in vectors)
-    assert linalg.residual_norm(got - target) <= 1.5 * math.sqrt(eps) + 1e-9
+    assert err == pytest.approx(linalg.residual_norm(got - target), rel=1e-12, abs=1e-15)
+    assert err <= 1.5 * math.sqrt(eps) + 1e-9
 
 
 def test_lyapunov_preconditions():

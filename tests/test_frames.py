@@ -7,6 +7,10 @@ from matdisc import disc, frames, linalg, model
 from matdisc.errors import InvalidShape, PreconditionViolated, TooLarge
 
 
+def rademacher_frame(d, vectors):
+    return model.RankOneInstance(d, tuple(vectors), tuple(model.DiscreteRandomVariable.rademacher() for _ in vectors))
+
+
 def test_harmonic_orthonormal_case():
     f = frames.harmonic_untf(4, 4)
     assert np.abs(model.outer_products(f.vectors).sum(axis=0) - np.eye(4)).max() < 1e-10
@@ -30,21 +34,19 @@ def test_analyze_orthonormal():
     assert a.is_tight and a.is_unit_norm
     assert a.frame_bound == pytest.approx(1.0, abs=1e-12)
     assert a.sigma_sq == pytest.approx(1.0, abs=1e-12)
-    assert a.lower_bound_check
 
 
 def test_analyze_mercedes_benz_values():
     a = frames.analyze_frame(frames.harmonic_untf(3, 2))
     assert a.frame_bound == pytest.approx(1.5, abs=1e-12)
     assert a.sigma_sq == pytest.approx(1.5, abs=1e-12)
-    assert a.lower_bound_check
 
 
 def test_analyze_non_tight_frame_skips_lower_bound(rng):
-    vecs = tuple(rng.normal(size=3) for _ in range(4))
-    a = frames.analyze_frame(frames.Frame(3, vecs))
+    inst = rademacher_frame(3, [rng.normal(size=3) for _ in range(4)])
+    a = frames.analyze_frame(inst)
     assert not a.is_tight
-    assert a.lower_bound_check is None
+    assert a.sigma_sq == pytest.approx(model.sigma(inst) ** 2, rel=1e-12)
 
 
 def test_verify_untf_orthonormal_patterns():
@@ -68,7 +70,16 @@ def test_verify_untf_rejects_out_of_range():
     with pytest.raises(PreconditionViolated):
         frames.verify_untf_disc(frames.harmonic_untf(6, 3))  # n > 2d - 1
     with pytest.raises(PreconditionViolated):
-        frames.verify_untf_disc(frames.Frame(2, (np.array([1.0, 0.0]), np.array([0.7, 0.2]))))
+        frames.verify_untf_disc(rademacher_frame(2, (np.array([1.0, 0.0]), np.array([0.7, 0.2]))))
+
+
+def test_verify_untf_requires_rademacher_laws():
+    # the vectors pass the gate; laws of variance 1 other than Rademacher do not
+    frame = frames.harmonic_untf(3, 2)
+    law = model.DiscreteRandomVariable((-2.0, 0.5), (0.2, 0.8))
+    assert law.variance == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(PreconditionViolated):
+        frames.verify_untf_disc(model.RankOneInstance(2, frame.vectors, (law,) * 3))
 
 
 def test_edge_ratio_matches_closed_form():
@@ -107,10 +118,12 @@ def test_lower_bound_agrees_with_float_bruteforce():
 
 
 def test_frame_to_instance_round_trip():
-    inst = frames.frame_to_instance(frames.harmonic_untf(5, 3))
+    # the frame is the solver's instance, and it survives the file format
+    inst = frames.harmonic_untf(5, 3)
     assert isinstance(inst, model.RankOneInstance)
     assert inst.n == 5 and all(rv.is_rademacher() for rv in inst.rvs)
     assert model.sigma(inst) ** 2 == pytest.approx(5.0 / 3.0, abs=1e-10)
+    assert model.dumps_instance(model.loads_instance(model.dumps_instance(inst))) == model.dumps_instance(inst)
 
 
 def test_general_tight_frame_bound_on_scaled_basis_unions(rng):
@@ -124,9 +137,8 @@ def test_general_tight_frame_bound_on_scaled_basis_unions(rng):
         for s in scales:
             q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
             vectors.extend(s * q[:, j] for j in range(d))
-        frame = frames.Frame(d, tuple(vectors))
-        assert frames.analyze_frame(frame).is_tight
-        inst = frames.frame_to_instance(frame)
+        inst = rademacher_frame(d, vectors)
+        assert frames.analyze_frame(inst).is_tight
         value = disc.disc_bruteforce(inst).value
         n = len(vectors)
         assert value <= math.sqrt(n / d) * model.sigma(inst) + 1e-9

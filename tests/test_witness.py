@@ -20,7 +20,8 @@ from conftest import count_matrices, random_rank_one_instance
 
 
 def unit_evaluator():
-    return witness.QEvaluator([np.array([1.0])], [1.0])
+    inst = model.RankOneInstance(1, (np.array([1.0]),), (model.DiscreteRandomVariable.rademacher(),))
+    return witness.QEvaluator(inst)
 
 
 def normalized_instance(rng, d, n):
@@ -81,7 +82,7 @@ def test_q_eval_base_case():
 def test_q_eval_zero_shift_is_power():
     rng = np.random.default_rng(0)
     inst = normalized_instance(rng, 3, 2)
-    qe = witness.QEvaluator.from_instance(inst)
+    qe = witness.QEvaluator(inst)
     assert qe.eval_many(0, [1.7], [np.zeros(qe.n)])[0] == pytest.approx(1.7 ** (2 * 3), rel=1e-12)
 
 
@@ -107,7 +108,7 @@ def test_eval_many_matches_grid_oracle(monkeypatch):
         rng = np.random.default_rng(5)
         for d in range(1, 6):
             for n in range(1, 7):
-                qe = witness.QEvaluator.from_instance(normalized_instance(rng, d, n))
+                qe = witness.QEvaluator(normalized_instance(rng, d, n))
                 xs = rng.uniform(0.5, 4.0, size=3)
                 zs = rng.normal(size=(3, n))
                 for k in range(n + 1):
@@ -121,7 +122,7 @@ def test_eval_many_at_origin_is_the_top_polynomial():
     # Q_n(x, 0) is the top polynomial; d = 4, n = 20 is far past the sign
     # pairs' reach in a test, so the planner takes the subset sums
     rng = np.random.default_rng(20)
-    qe = witness.QEvaluator.from_instance(normalized_instance(rng, 4, 20))
+    qe = witness.QEvaluator(normalized_instance(rng, 4, 20))
     coeffs = qe.p_empty()
     for x in (2.0, 3.0, 4.5):
         got = qe.eval_many(qe.n, [x], [np.zeros(qe.n)])[0]
@@ -130,7 +131,7 @@ def test_eval_many_at_origin_is_the_top_polynomial():
 
 def test_p_empty_matches_operator_route(rng):
     inst = normalized_instance(rng, 3, 4)
-    qe = witness.QEvaluator.from_instance(inst)
+    qe = witness.QEvaluator(inst)
     pa = qe.p_empty()
     pb = disc.expected_charpoly_operator(inst)
     scale = max(np.abs(pa).max(), np.abs(pb).max())
@@ -145,7 +146,7 @@ def test_p_empty_with_every_coordinate_dropped():
         (np.array([1.0, 0.0, 0.5]), np.zeros(3)),
         (model.DiscreteRandomVariable((0.2,), (1.0,)), model.DiscreteRandomVariable.rademacher()),
     )
-    qe = witness.QEvaluator.from_instance(inst)
+    qe = witness.QEvaluator(inst)
     assert qe.n == 0 and qe.dim == 3
     assert np.array_equal(qe.p_empty(), [0.0] * 6 + [1.0])
     trace = witness.replay_barrier_walk(inst)
@@ -155,7 +156,7 @@ def test_p_empty_with_every_coordinate_dropped():
 def test_q_eval_operator_order_commutes(rng):
     # applying the per-variable rule in either order gives the same value
     inst = normalized_instance(rng, 2, 2)
-    qe = witness.QEvaluator.from_instance(inst)
+    qe = witness.QEvaluator(inst)
     x, z = 3.0, np.array([0.3, -0.2])
 
     def rule(f, i, at):
@@ -175,16 +176,11 @@ def test_q_eval_matches_sign_pair_identity(rng):
     # two independent forms of Q_n: the three-point grid and the average
     # over all sign vectors s of det(M(z+s)) det(M(z-s))
     inst = normalized_instance(rng, 2, 3)
-    qe = witness.QEvaluator.from_instance(inst)
+    qe = witness.QEvaluator(inst)
     x, z = 2.5, np.array([-0.1, 0.2, 0.05][: qe.n])
     pairs = sign_pair_sum(qe, qe.n, x, z, det_pair)
     grid, scale = grid_q(qe, qe.n, x, z)
     assert abs(pairs - grid) <= 1e-12 * scale
-
-
-def test_qevaluator_validates_normalized_condition():
-    with pytest.raises(InvariantViolation):
-        witness.QEvaluator([np.array([math.sqrt(2.0)])], [1.0])
 
 
 def test_from_instance_drops_constant_coordinates(rng):
@@ -194,7 +190,7 @@ def test_from_instance_drops_constant_coordinates(rng):
         inst.vectors + (np.array([1.0, 0.0]),),
         inst.rvs + (model.DiscreteRandomVariable((0.7,), (1.0,)),),
     )
-    qe = witness.QEvaluator.from_instance(widened, validate=False)
+    qe = witness.QEvaluator(widened)
     assert qe.n == 2
 
 
@@ -204,7 +200,7 @@ def test_from_instance_drops_constant_coordinates(rng):
 def test_initial_barriers_bounded_by_deltas(rng):
     for _ in range(5):
         inst = normalized_instance(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
-        qe = witness.QEvaluator.from_instance(inst)
+        qe = witness.QEvaluator(inst)
         barriers = witness.certify_above_roots(qe, 0, 3.0, -qe.deltas)
         assert barriers.shape == (qe.n,)
         assert np.all(barriers <= qe.deltas + 1e-9)
@@ -213,7 +209,7 @@ def test_initial_barriers_bounded_by_deltas(rng):
 def test_barrier_analytic_fd_agreement(rng):
     # the certification's central differences at k = 0 against the trace form
     inst = normalized_instance(rng, 3, 3)
-    qe = witness.QEvaluator.from_instance(inst)
+    qe = witness.QEvaluator(inst)
     w0 = -qe.deltas
     central = witness.certify_above_roots(qe, 0, 3.0, w0)
     for i, want in enumerate(trace_form_barriers(qe, 3.0, w0)):
@@ -224,7 +220,7 @@ def test_barrier_matches_resolvent_form(rng, monkeypatch):
     # barrier j of Q_k from the sign-pair form, on both routes: each det
     # factor contributes its log-derivative tau_j v_j* M^-1 v_j
     inst = normalized_instance(rng, 3, 4)
-    qe = witness.QEvaluator.from_instance(inst)
+    qe = witness.QEvaluator(inst)
 
     def resolvent(j):
         v, tau = qe.vectors[j], qe.taus[j]
@@ -249,7 +245,7 @@ def test_barrier_matches_resolvent_form(rng, monkeypatch):
 
 def test_barrier_monotone_along_shifts(rng):
     inst = normalized_instance(rng, 2, 3)
-    qe = witness.QEvaluator.from_instance(inst)
+    qe = witness.QEvaluator(inst)
     w0 = -qe.deltas
     base = witness.certify_above_roots(qe, 0, 3.0, w0)
     for t in (0.1, 1.0, 10.0):
@@ -262,7 +258,7 @@ def test_barrier_requires_point_above_roots():
 
 
 def test_certify_probe_points_and_first_failure(rng, monkeypatch):
-    qe = witness.QEvaluator.from_instance(normalized_instance(rng, 2, 3))
+    qe = witness.QEvaluator(normalized_instance(rng, 2, 3))
     x, z = 3.0, -qe.deltas
     t = witness.PROBE_STEP * np.arange(1, witness.PROBE_POINTS)
     # the centre, z + e_j, z - e_j, then the x ray and the all-ones ray
@@ -428,7 +424,7 @@ def test_p_empty_beyond_the_minor_cap():
     rng = np.random.default_rng(13)
     d, n = 13, 14
     assert sum(math.comb(n, k) * math.comb(d, k) for k in range(1, d + 1)) > disc.ENUM_CAP
-    qe = witness.QEvaluator.from_instance(normalized_instance(rng, d, n))
+    qe = witness.QEvaluator(normalized_instance(rng, d, n))
     signs = np.array(list(itertools.product([1.0, -1.0], repeat=n)))
     mu = np.linalg.eigvalsh(np.tensordot(signs, qe._tw, axes=(1, 0)))
     want = disc._even_to_x(disc._monic_from_roots_batch(mu * mu).mean(axis=0))
