@@ -83,10 +83,8 @@ def _norm_fn(norm_kind: NormKind):
         return lambda eigs: np.abs(eigs).max(axis=-1)
     if isinstance(norm_kind, tuple) and len(norm_kind) == 2 and norm_kind[0] == "schatten":
         p = float(norm_kind[1])
-        if p == np.inf:
-            return lambda eigs: np.abs(eigs).max(axis=-1)
-        if p < 1:
-            raise InvalidOrder(f"Schatten order must be >= 1, got {p}")
+        if not 1 <= p < np.inf:
+            raise InvalidOrder(f"Schatten order must be finite and >= 1, got {p}")
         return lambda eigs: np.sum(np.abs(eigs) ** p, axis=-1) ** (1.0 / p)
     raise ValueError(f"unknown norm kind {norm_kind!r}")
 
@@ -98,21 +96,20 @@ def _norm_fn(norm_kind: NormKind):
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Exact discrepancy plus the assignment achieving it."""
+    """Exact spectral discrepancy, the assignment achieving it, sigma, and
+    ``{name: (bound, satisfied)}`` for the named bounds that apply."""
 
     value: float
     argmin: model.SignAssignment
     sigma: float
-    norm_kind: NormKind
     bound_checks: dict
 
     def to_doc(self) -> dict:
-        nk = self.norm_kind if self.norm_kind == "spectral" else {"schatten": self.norm_kind[1]}
         return {
             "value": self.value,
             "argmin": {"indices": list(self.argmin.indices), "values": list(self.argmin.values)},
             "sigma": self.sigma,
-            "norm_kind": nk,
+            "norm_kind": "spectral",
             "bound_checks": {k: {"bound": b, "satisfied": s} for k, (b, s) in self.bound_checks.items()},
         }
 
@@ -138,33 +135,33 @@ def _power_bound(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", w, w))
 
 
-def _visit(mats, norm, idx, ranked, best):
+def _visit(mats, norms, idx, ranked, best):
     """Solve ``mats[idx]`` in ascending lower bound ``ranked``,
-    ``_SCAN_BLOCK`` per eigensolve, until the next bound exceeds the
-    (value, index) ``best`` by the relative ``_PRUNE_SLACK``."""
+    ``_SCAN_BLOCK`` per eigensolve, each block under every norm of ``norms``,
+    until the next bound exceeds the largest of the per-norm (value, index)
+    ``best``, which it updates in place, by the relative ``_PRUNE_SLACK``."""
     pos = 0
     while True:
-        limit = np.searchsorted(ranked, best[0] * (1.0 + _PRUNE_SLACK), side="right")
+        limit = np.searchsorted(ranked, max(best)[0] * (1.0 + _PRUNE_SLACK), side="right")
         cut = min(pos + _SCAN_BLOCK, limit)
         if cut <= pos:
             return best
         block = idx[pos:cut]
-        vals = norm(np.linalg.eigvalsh(mats[block]))
-        k = np.lexsort((block, vals))[0]
-        best = min(best, (float(vals[k]), int(block[k])))
+        eigs = np.linalg.eigvalsh(mats[block])
+        for i, vals in enumerate(norm(eigs) for norm in norms):
+            k = np.lexsort((block, vals))[0]
+            best[i] = min(best[i], (float(vals[k]), int(block[k])))
         pos = cut
 
 
-def exact_minimum(
-    inst: model.Instance, norm_kind: NormKind = "spectral", threads: Optional[int] = None
-) -> Tuple[float, model.SignAssignment]:
-    """The minimum and argmin of :func:`disc_bruteforce`, without sigma and
-    the bound checks."""
+def exact_minimum(inst: model.Instance, norm_kinds: Sequence[NormKind], threads: Optional[int] = None) -> list:
+    """One ``(value, argmin)`` of :func:`disc_bruteforce`'s scan per norm of
+    ``norm_kinds`` (spectral, or Schatten of finite order p >= 1)."""
     terms, means, sizes, supp, _ = _family(inst)
     strides = _strides(sizes)
     total = int(np.prod(sizes.astype(object)))
     _check_cap(total)
-    norm = _norm_fn(norm_kind)
+    norms = [_norm_fn(kind) for kind in norm_kinds]
     nthreads = resolve_threads(threads)
     # deviation coefficients eps_j - E[xi_j], per variable and support index
     dev = supp - means[:, None]
@@ -202,27 +199,24 @@ def exact_minimum(
         bound = np.sqrt(functools.reduce(np.maximum, rows.T))
         order = np.argsort(bound)
         ranked = bound[order]
-        best = _visit(mats, norm, order[:_SCAN_BLOCK], ranked[:_SCAN_BLOCK], (math.inf, -1))
-        rest = order[_SCAN_BLOCK : np.searchsorted(ranked, best[0] * (1.0 + _PRUNE_SLACK), side="right")]
+        best = _visit(mats, norms, order[:_SCAN_BLOCK], ranked[:_SCAN_BLOCK], [(math.inf, -1)] * len(norms))
+        rest = order[_SCAN_BLOCK : np.searchsorted(ranked, max(best)[0] * (1.0 + _PRUNE_SLACK), side="right")]
         if rest.size:
             # the matrices the row norms leave in, by their power-step bound
             power = _power_bound(mats[rest], rows[rest])
             by_power = np.argsort(power)
-            best = _visit(mats, norm, rest[by_power], power[by_power], best)
-        return best[0], start + best[1]
+            best = _visit(mats, norms, rest[by_power], power[by_power], best)
+        return [(value, start + index) for value, index in best]
 
-    value, index = min(map_chunks(scan, total, nthreads))
-    digits = [index // stride % size for stride, size in zip(strides.tolist(), sizes.tolist())]
-    return value, model.SignAssignment.from_indices(digits, inst.rvs)
+    out = []
+    for value, index in map(min, zip(*map_chunks(scan, total, nthreads))):
+        digits = [index // stride % size for stride, size in zip(strides.tolist(), sizes.tolist())]
+        out.append((value, model.SignAssignment.from_indices(digits, inst.rvs)))
+    return out
 
 
-def disc_bruteforce(
-    inst: model.Instance,
-    norm_kind: NormKind = "spectral",
-    threads: Optional[int] = None,
-    norm_tol: float = 1e-9,
-) -> DiscrepancyReport:
-    """Exact discrepancy by enumerating every assignment.
+def disc_bruteforce(inst: model.Instance, threads: Optional[int] = None, norm_tol: float = 1e-9) -> DiscrepancyReport:
+    """Exact spectral discrepancy by enumerating every assignment.
 
     Minimizes ``|| sum_j eps_j M_j - sum_j E[xi_j] M_j ||`` over the product
     of the supports, refusing beyond ``ENUM_CAP`` assignments (read at call
@@ -230,29 +224,30 @@ def disc_bruteforce(
     support indices. A named bound counts as satisfied when the value is at
     most the bound plus ``norm_tol``.
 
-    The scan builds each fixed chunk's deviation matrices and skips the
-    eigensolve of every matrix that provably cannot win: every served norm
-    (spectral, Schatten p >= 1 or inf) is at least the spectral norm, which
-    is at least the largest row norm ``max_j ||M e_j||``. The matrices are
-    visited in ascending bound, ``_SCAN_BLOCK`` per eigensolve, and the
-    chunk stops once the next bound exceeds its best value by the relative
-    slack ``_PRUNE_SLACK`` (1e-10, far above rounding, so exact ties are
-    never pruned). The first block goes by row norm; the matrices its best
-    leaves in go by the tighter power-step bound of :func:`_power_bound`, so
-    an instance whose row norms sit far below its norms prunes as well as
-    any other. The result is exact. Chunks reduce with a (value,
-    index) minimum and each chunk prunes only against its own best, so the
-    value, the argmin and the set of matrices handed to the eigensolver do
-    not depend on the thread count.
+    The scan (:func:`exact_minimum`) serves several norms at once, the
+    spectral norm and Schatten norms of finite order p >= 1, evaluating each
+    eigensolved block under every one. It builds each fixed chunk's
+    deviation matrices and skips the eigensolve of every matrix that
+    provably cannot win: every served norm is at least the spectral norm,
+    which is at least the largest row norm ``max_j ||M e_j||``. The matrices
+    are visited in ascending bound, ``_SCAN_BLOCK`` per eigensolve, and the
+    chunk stops once the next bound exceeds the largest of its running
+    bests, one per norm, by the relative slack ``_PRUNE_SLACK`` (1e-10, far
+    above rounding, so exact ties are never pruned). The first block goes by
+    row norm; the matrices its bests leave in go by the tighter power-step
+    bound of :func:`_power_bound`, so an instance whose row norms sit far
+    below its norms prunes as well as any other. Each norm's result is
+    exact. Chunks reduce with a (value, index) minimum per norm and each
+    chunk prunes only against its own bests, so the values, the argmins and
+    the matrices handed to the eigensolver do not depend on the thread count.
     """
-    value, argmin = exact_minimum(inst, norm_kind, threads)
+    [(value, argmin)] = exact_minimum(inst, ["spectral"], threads)
     sig = model.sigma(inst)
     checks: dict = {}
-    if isinstance(inst, model.RankOneInstance) and norm_kind == "spectral":
+    if isinstance(inst, model.RankOneInstance):
         for name, bound in bound_menu(inst, sig).items():
-            if bound.applicable:
-                checks[name] = (bound.value, value <= bound.value + norm_tol)
-    return DiscrepancyReport(value, argmin, sig, norm_kind, checks)
+            checks[name] = (bound, value <= bound + norm_tol)
+    return DiscrepancyReport(value, argmin, sig, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -790,43 +785,31 @@ def greedy_interlacing_solve(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bound:
-    value: Optional[float]
-    applicable: bool
-
-
 FRAME_GATE_TOL = 1e-8
 
 
 def bound_menu(inst: model.RankOneInstance, sig: float) -> dict:
-    """Named upper bounds with applicability flags; ``sig`` is ``model.sigma(inst)``.
+    """``{name: value}`` for the named upper bounds that apply; ``sig`` is
+    ``model.sigma(inst)``.
 
     ``three_sigma`` and ``four_sigma`` always apply. ``mss`` applies to
     Rademacher families resolving the identity (within 1e-8), with
     delta = max_i ||u_i||^2. ``tight_frame`` applies to Rademacher families
     whose frame operator is a multiple of the identity.
     """
-    out = {
-        "three_sigma": Bound(3.0 * sig, True),
-        "four_sigma": Bound(4.0 * sig, True),
-    }
+    out = {"three_sigma": 3.0 * sig, "four_sigma": 4.0 * sig}
     rademacher = all(rv.is_rademacher() for rv in inst.rvs)
     gram = model.outer_products(inst.vectors).sum(axis=0)
     eye = np.eye(inst.dim)
     delta = max(float(np.vdot(v, v).real) for v in inst.vectors)
 
     if rademacher and linalg.residual_norm(gram - eye) <= FRAME_GATE_TOL:
-        out["mss"] = Bound(2.0 * (math.sqrt(2.0 * delta) + delta), True)
-    else:
-        out["mss"] = Bound(None, False)
+        out["mss"] = 2.0 * (math.sqrt(2.0 * delta) + delta)
 
     frame_c = float(np.trace(gram).real) / inst.dim
     tight = linalg.residual_norm(gram - frame_c * eye) <= FRAME_GATE_TOL * max(1.0, frame_c)
     if rademacher and tight:
-        out["tight_frame"] = Bound(math.sqrt(inst.n / inst.dim) * sig, True)
-    else:
-        out["tight_frame"] = Bound(None, False)
+        out["tight_frame"] = math.sqrt(inst.n / inst.dim) * sig
     return out
 
 

@@ -68,10 +68,10 @@ def verify_untf_disc(inst: model.RankOneInstance) -> dict:
     beyond ``disc.ENUM_CAP``, read at call time, raises EnumerationTooLarge.
 
     The gate asks for unit-norm tight vectors and Rademacher laws
-    (:class:`PreconditionViolated` otherwise). Returns
-    ``{"all_patterns_constant": bool, "value": n/d}`` after checking every
-    one of the 2^n patterns against n/d (1e-9) and the identity
-    value = sqrt(n/d) * sigma (1e-9).
+    (:class:`PreconditionViolated` otherwise). Returns ``{"all_patterns_constant":
+    bool, "value": n/d, "sigma_sq"}`` after checking every one of the 2^n
+    patterns against n/d (1e-9) and the identity value = sqrt(n/d) * sigma
+    (1e-9), with the sigma^2 of the gate's :func:`analyze_frame`.
     """
     analysis = analyze_frame(inst)
     n, d = inst.n, inst.dim
@@ -88,7 +88,7 @@ def verify_untf_disc(inst: model.RankOneInstance) -> dict:
     value = float(norms.min())
     sigma = math.sqrt(analysis.sigma_sq)
     cross = abs(value - math.sqrt(target) * sigma) <= PATTERN_TOL
-    return {"all_patterns_constant": constant and cross, "value": value}
+    return {"all_patterns_constant": constant and cross, "value": value, "sigma_sq": analysis.sigma_sq}
 
 
 # ---------------------------------------------------------------------------

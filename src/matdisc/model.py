@@ -47,6 +47,12 @@ class DiscreteRandomVariable:
             raise InvariantViolation("probs", "negative probability")
         if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             raise InvariantViolation("probs", f"sum {sum(probs)!r} != 1")
+        try:
+            finite = math.isfinite(self.variance)  # not finite where the mean is not
+        except OverflowError:  # (s - m) ** 2 on Python floats past the float range
+            finite = False
+        if not finite:
+            raise InvariantViolation("support", "mean or variance is not finite")
 
     @property
     def mean(self) -> float:
@@ -99,8 +105,9 @@ class RankOneInstance:
             raise InvariantViolation("vectors", "need at least one vector")
         if any(v.shape != (self.dim,) for v in vecs):
             raise InvariantViolation("vectors", f"all vectors must have dim {self.dim}")
-        if not np.isfinite(vecs).all():
-            raise InvariantViolation("vectors", "non-finite entry")
+        u = np.array(vecs)  # sum u_i u_i* is finite when its trace sum |u_i|^2 is
+        if not math.isfinite(np.vdot(u, u).real):
+            raise InvariantViolation("vectors", "non-finite entry or sum of squared norms")
         if len(self.rvs) != len(vecs):
             raise InvariantViolation("rvs", "one random variable per vector required")
 
@@ -121,8 +128,9 @@ class HermitianInstance:
         if self.dim < 1:
             raise InvariantViolation("dim", "must be >= 1")
         mats = tuple(np.asarray(m, dtype=complex) for m in self.matrices)
-        if not all(np.isfinite(m).all() for m in mats):
-            raise InvariantViolation("matrices", "non-finite entry")
+        # sum A_i^2 is finite when its trace, sum ||A_i||_F^2, is
+        if not math.isfinite(sum(float(np.vdot(m, m).real) for m in mats)):
+            raise InvariantViolation("matrices", "non-finite entry or sum of squares")
         mats = tuple(_freeze(linalg.require_hermitian(m)) for m in mats)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "rvs", tuple(self.rvs))

@@ -1,16 +1,18 @@
 """Schatten p-norm discrepancy and the moment-comparison upper bounds.
 
-For even p = 2q the general bound's expectation ``E tr S^q`` is a finite sum
-over words of length q in the squared terms, each weighted by exact moments
-of the finite supports, so the bound is computed exactly. The p = 2
-(Frobenius) bound and the Rademacher bound are closed form.
+Every order is an even or other finite p >= 2, and one enumeration serves
+all the orders a caller asks for. For even p = 2q the general bound's
+expectation ``E tr S^q`` is a finite sum over words of length q in the
+squared terms, each weighted by exact moments of the finite supports, so the
+bound is computed exactly. The p = 2 (Frobenius) bound and the Rademacher
+bound are closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,29 +24,24 @@ PSD_EIG_FLOOR = -1e-10
 
 @dataclass(frozen=True)
 class SchattenReport:
-    """Discrepancy at order p with every applicable upper bound.
+    """Discrepancy at one order p with the general moment bound.
 
     ``bounds['general_khintchine']`` is an (estimate, stderr) pair, exact
-    with stderr 0.0, and ``bounds['rademacher_closed_form']`` a float; each
-    is None where it does not apply.
+    with stderr 0.0, at even p and None at any other order.
     """
 
-    p: float
     disc_p: float
     bounds: dict
 
 
-def _psd_eigs(mat: np.ndarray) -> np.ndarray:
+def _sqrt_norms(mat: np.ndarray, orders: Sequence[float]) -> list:
+    """|| M^(1/2) ||_p for PSD M at each finite order p, from one eigensolve."""
     w = np.linalg.eigvalsh(mat)
     scale = max(1.0, float(np.abs(w).max()))
     if float(w.min()) < PSD_EIG_FLOOR * scale:
         raise NotPSD(f"matrix expected PSD has eigenvalue {w.min():.3e}")
-    return np.clip(w, 0.0, None)
-
-
-def _schatten_of_sqrt(mat: np.ndarray, p: float) -> float:
-    """|| M^(1/2) ||_p for PSD M and finite p, through the eigendecomposition."""
-    return float(np.sum(_psd_eigs(mat) ** (p / 2.0)) ** (1.0 / p))
+    w = np.clip(w, 0.0, None)
+    return [float(np.sum(w ** (p / 2.0)) ** (1.0 / p)) for p in orders]
 
 
 def _squares(inst: model.Instance) -> tuple:
@@ -54,25 +51,28 @@ def _squares(inst: model.Instance) -> tuple:
     return sq, np.tensordot(variances**2, sq, axes=(0, 0))
 
 
-def disc_p(inst: model.Instance, p: float, threads: Optional[int] = None) -> float:
-    """Exact Schatten-p discrepancy by enumeration (p >= 2, or inf), under
-    ``disc.ENUM_CAP`` read at call time."""
-    if p != np.inf and p < 2:
-        raise InvalidOrder(f"Schatten discrepancy is defined here for p >= 2, got {p}")
-    kind = "spectral" if p == np.inf else ("schatten", float(p))
-    return disc.exact_minimum(inst, kind, threads)[0]
+def disc_p(inst: model.Instance, orders: Sequence[float], threads: Optional[int] = None) -> list:
+    """Exact Schatten-p discrepancy at each finite order p >= 2 of
+    ``orders``, all from one enumeration under ``disc.ENUM_CAP`` read at
+    call time."""
+    for p in orders:
+        if not p >= 2:
+            raise InvalidOrder(f"Schatten discrepancy is defined here for p >= 2, got {p}")
+    return [value for value, _ in disc.exact_minimum(inst, [("schatten", float(p)) for p in orders], threads)]
 
 
 def frobenius_bound(inst: model.Instance) -> float:
     """The closed-form p = 2 bound for any variables,
     ``|| (sum_i Var[xi_i]^2 A_i^2)^(1/2) ||_2`` (variance inside the square)."""
-    return _schatten_of_sqrt(_squares(inst)[1], 2.0)
+    return _sqrt_norms(_squares(inst)[1], [2.0])[0]
 
 
-def rademacher_bound(inst: model.Instance, p: float) -> float:
+def rademacher_bound(inst: model.Instance, orders: Sequence[float]) -> list:
     """The closed-form Rademacher bound ``sqrt(p-1) * || (sum_i A_i^2)^(1/2) ||_p``
-    at a finite order p >= 2."""
-    return math.sqrt(p - 1.0) * _schatten_of_sqrt(_squares(inst)[0].sum(axis=0), p)
+    at each finite order p >= 2 of ``orders``, from one square stack and one
+    eigensolve."""
+    norms = _sqrt_norms(_squares(inst)[0].sum(axis=0), orders)
+    return [math.sqrt(p - 1.0) * norm for p, norm in zip(orders, norms)]
 
 
 def _moment_trace(inst: model.Instance, sq: np.ndarray, var_sq: np.ndarray, q: int) -> float:
@@ -113,24 +113,16 @@ def _moment_trace(inst: model.Instance, sq: np.ndarray, var_sq: np.ndarray, q: i
 
 
 def khintchine_bounds(inst: model.Instance, p: float, threads: Optional[int] = None) -> SchattenReport:
-    """Discrepancy report with the applicable moment-comparison bounds.
+    """Discrepancy at the finite order p >= 2 with the general moment bound.
 
-    For even p = 2q the general bound is ``sqrt((p-1)/2) * (E tr S^q)^(1/p)``
-    with ``S = sum_i ((xi_i - E xi_i)^2 A_i^2 + (Var[xi_i] A_i)^2)``, computed
+    For even p = 2q the bound is ``sqrt((p-1)/2) * (E tr S^q)^(1/p)`` with
+    ``S = sum_i ((xi_i - E xi_i)^2 A_i^2 + (Var[xi_i] A_i)^2)``, computed
     exactly by :func:`_moment_trace` (stderr 0.0); at any other order it is
-    None. For Rademacher variables the closed form of
-    :func:`rademacher_bound` also applies at every finite p. At p = inf both
-    are None and only the spectral discrepancy is reported.
+    None.
     """
-    value = disc_p(inst, p, threads=threads)
-    bounds: dict = {"general_khintchine": None, "rademacher_closed_form": None}
-    if p == np.inf:
-        return SchattenReport(float(p), value, bounds)
-
-    sq, var_sq = _squares(inst)
+    [value] = disc_p(inst, [p], threads=threads)
+    bound = None
     if p % 2 == 0:
-        z = _moment_trace(inst, sq, var_sq, int(p) // 2)
-        bounds["general_khintchine"] = (math.sqrt((p - 1.0) / 2.0) * z ** (1.0 / p), 0.0)
-    if all(rv.is_rademacher() for rv in inst.rvs):
-        bounds["rademacher_closed_form"] = rademacher_bound(inst, p)
-    return SchattenReport(float(p), value, bounds)
+        z = _moment_trace(inst, *_squares(inst), int(p) // 2)
+        bound = (math.sqrt((p - 1.0) / 2.0) * z ** (1.0 / p), 0.0)
+    return SchattenReport(value, {"general_khintchine": bound})

@@ -31,8 +31,12 @@ def random_hermitian(rng, d):
 
 
 def schatten_norm(mat, p):
-    """Schatten p-norm of a Hermitian matrix, by the brute force's norm kind."""
-    return float(disc._norm_fn(("schatten", p))(np.linalg.eigvalsh(mat)))
+    """Schatten p-norm of a Hermitian matrix, by the brute force's norm kind
+    at finite p and as the largest |eigenvalue| at p = inf."""
+    eigs = np.linalg.eigvalsh(mat)
+    if p == math.inf:
+        return float(np.abs(eigs).max())
+    return float(disc._norm_fn(("schatten", p))(eigs))
 
 
 def random_unitary(rng, d):

@@ -2,7 +2,10 @@
 the tests."""
 
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,15 +140,20 @@ def matdisc_chains(tree):
             yield aliases[node.id], tuple(reversed(chain))
 
 
-def test_perfbench_names_resolve():
-    # tier-1 does not run perfbench/tests, so a rename that breaks the
-    # benchmark's layer trace or its workloads fails here
-    import importlib
-    import importlib.util
+def load_perfbench(name):
+    """The module ``perfbench/<name>.py``, loaded by path: tier-1 does not
+    run perfbench/tests, whose conftest clashes with this directory's."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
-    spec = importlib.util.spec_from_file_location("perfbench_layertrace", ROOT / "perfbench" / "layertrace.py")
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
+
+def test_perfbench_names_resolve():
+    # a rename that breaks the benchmark's layer trace or its workloads
+    # fails here
+    layertrace = load_perfbench("layertrace")
     missing = [name for name, owner, attr, _ in layertrace.TARGETS if not hasattr(owner, attr)]
     chains = {pair for path in sorted((ROOT / "perfbench").glob("*.py")) for pair in matdisc_chains(ast.parse(path.read_text()))}
     assert ("matdisc.cli", ("sweep_rank_one",)) in chains
@@ -158,3 +166,14 @@ def test_perfbench_names_resolve():
                 break
             obj = getattr(obj, attr)
     assert missing == []
+
+
+def test_perfbench_workloads_run_once(tmp_path):
+    # the shapes the benchmark unpacks: one block of items per workload,
+    # its first item and its lowest ladder rung must each come out correct
+    workloads = load_perfbench("workloads")
+    for name, w in workloads.WORKLOADS.items():
+        work_dir = tmp_path / name
+        items, _ = w.make_items(701, 1, work_dir)
+        assert w.run_item(items[0], work_dir) is True, name
+        assert w.run_rung(701, w.ladder_floor) is True, name

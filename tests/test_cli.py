@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from matdisc import cli, disc, model, witness
+from matdisc import cli, disc, frames, model, witness
 from matdisc.errors import NotRealRooted
 
 from test_disc import count_sigma
@@ -307,6 +307,22 @@ def test_non_finite_instances_exit_two(tmp_path, capsys):
         assert_input_error(capsys, path, "non-finite", field)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning is a second stderr line
+def test_overflowing_instances_exit_two(tmp_path, capsys):
+    # finite inputs whose squares leave the float range are refused when the
+    # instance is built, not met as a traceback or a non-finite report value
+    rademacher = {"support": [-1.0, 1.0], "probs": [0.5, 0.5]}
+    cases = [
+        ("support", "variance", one_variable_file(tmp_path, "support", support=(-1e200, 1e200))),
+        ("vectors", "squared norms", one_variable_file(tmp_path, "vector", entry=(1e200, 0.0))),
+        ("matrices", "squares", one_variable_file(tmp_path, "matrix", kind="hermitian", entry=(1e200, 0.0))),
+        # each square is finite, their sum is not
+        ("matrices", "squares", one_variable_file(tmp_path, "sum", kind="hermitian", matrices=[[[[1e154, 0.0]]]] * 4, rvs=[rademacher] * 4)),
+    ]
+    for field, words, path in cases:
+        assert_input_error(capsys, path, "not finite" if field == "support" else "non-finite", words, field)
+
+
 def test_malformed_instance_files_exit_two(tmp_path, capsys):
     # wrong JSON types are input errors that name the field, not tracebacks
     cases = [
@@ -333,3 +349,26 @@ def test_lyapunov_bound_failure_is_a_failing_row(tmp_path, capsys, monkeypatch):
     assert [row["name"] for row in doc["checks"]] == ["i0.rounding_error", "i1.rounding_error", "i2.rounding_error"]
     assert all(row["lhs"] == 2.0 and not row["pass"] for row in doc["checks"]) and doc["failed"] == 3
     assert capsys.readouterr().err == ""
+
+
+def test_verify_schatten_scans_each_rademacher_family_once(monkeypatch):
+    # seed 0, count 1 draws one Rademacher family and one general family at
+    # p = 2: one scan each, the Rademacher one for every order
+    scans = []
+    exact_minimum = disc.exact_minimum
+
+    def counting(inst, kinds, threads):
+        scans.append((inst.rvs[0].is_rademacher(), tuple(kinds)))
+        return exact_minimum(inst, kinds, threads)
+
+    monkeypatch.setattr(disc, "exact_minimum", counting)
+    assert cli.verify_schatten(seed=0, count=1)["pass"]
+    assert scans == [(True, (("schatten", 2.0), ("schatten", 4.0), ("schatten", 6.0))), (False, (("schatten", 2.0),))]
+
+
+def test_verify_thm15_analyzes_each_frame_once(monkeypatch):
+    calls = []
+    analyze_frame = frames.analyze_frame
+    monkeypatch.setattr(frames, "analyze_frame", lambda inst: calls.append(inst) or analyze_frame(inst))
+    assert cli.verify_thm15()["pass"]
+    assert len(calls) == len(cli.THM15_PAIRS)

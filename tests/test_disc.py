@@ -76,6 +76,10 @@ def test_bruteforce_argmin_reproduces_value(rng):
     assert rep.value == pytest.approx(direct, abs=1e-10)
 
 
+# every norm kind the brute-force scan serves, at the suite's orders
+ALL_KINDS = ("spectral", ("schatten", 2.0), ("schatten", 4.0), ("schatten", 6.0))
+
+
 def test_bruteforce_thread_determinism(rng, monkeypatch):
     # n = 6 is one chunk; 3-atom laws at n = 11 give 177,147 assignments, 3 chunks
     for inst in (random_rank_one_instance(rng, 3, 6), random_rank_one_instance(rng, 3, 11, supports=(3,))):
@@ -86,6 +90,14 @@ def test_bruteforce_thread_determinism(rng, monkeypatch):
                 rep = disc.disc_bruteforce(inst, threads=threads)
             runs.append((rep.value, rep.argmin.indices, eigvalsh["matrices"]))
         assert runs[0] == runs[1] == runs[2]
+        # one scan under several norms, pruned against the largest best
+        multi = []
+        for threads in (1, 4):
+            with monkeypatch.context() as patch:
+                eigvalsh = count_matrices(patch, "eigvalsh")
+                found = disc.exact_minimum(inst, ALL_KINDS, threads=threads)
+            multi.append(([(value, argmin.indices) for value, argmin in found], eigvalsh["matrices"]))
+        assert multi[0] == multi[1]
     assert 3**11 > 2 * _util.CHUNK
 
 
@@ -120,8 +132,10 @@ def oracle_minimum(inst, norm_kind):
     values = np.array([[rv.support[i] for i, rv in zip(t, inst.rvs)] for t in tuples])
     coef = values - np.array([rv.mean for rv in inst.rvs])
     eigs = np.abs(np.linalg.eigvalsh(np.tensordot(coef, model.terms(inst), axes=(1, 0))))
-    p = math.inf if norm_kind == "spectral" else norm_kind[1]
-    norms = eigs.max(axis=1) if p == math.inf else np.sum(eigs**p, axis=1) ** (1.0 / p)
+    if norm_kind == "spectral":
+        norms = eigs.max(axis=1)
+    else:
+        norms = np.sum(eigs ** norm_kind[1], axis=1) ** (1.0 / norm_kind[1])
     k = int(np.argmin(norms))
     return float(norms[k]), tuples[k]
 
@@ -168,13 +182,14 @@ def _oracle_family(name, rng):
 )
 def test_pruned_scan_matches_the_full_enumeration(family, rng, monkeypatch):
     inst = _oracle_family(family, rng)
+    want = [oracle_minimum(inst, norm_kind) for norm_kind in ALL_KINDS]
     for block in (5, disc._SCAN_BLOCK):
         monkeypatch.setattr(disc, "_SCAN_BLOCK", block)
-        for norm_kind in ("spectral", ("schatten", 2.0), ("schatten", 4.0), ("schatten", 6.0), ("schatten", math.inf)):
-            value, argmin = disc.exact_minimum(inst, norm_kind)
-            want_value, want_argmin = oracle_minimum(inst, norm_kind)
-            assert value == want_value, (block, norm_kind)
-            assert argmin.indices == want_argmin, (block, norm_kind)
+        # each kind alone, then every kind from one scan
+        found = [disc.exact_minimum(inst, [norm_kind])[0] for norm_kind in ALL_KINDS]
+        found += disc.exact_minimum(inst, ALL_KINDS)
+        for norm_kind, want_kind, (value, argmin) in zip(ALL_KINDS * 2, want * 2, found):
+            assert (value, argmin.indices) == want_kind, (block, norm_kind)
 
 
 def test_power_bound_sits_between_row_norm_and_norm(rng):
@@ -200,7 +215,7 @@ def test_pruned_scan_work_count_small_chunks(monkeypatch):
     monkeypatch.setattr(_util, "CHUNK", 1024)
     monkeypatch.setattr(disc, "_SCAN_BLOCK", 16)
     eigvalsh = count_matrices(monkeypatch, "eigvalsh")
-    value, argmin = disc.exact_minimum(inst)
+    [(value, argmin)] = disc.exact_minimum(inst, ["spectral"])
     assert (value, argmin.indices) == want
     assert eigvalsh["matrices"] <= 2 * 16 * math.ceil(3**9 / 1024)
 
@@ -349,9 +364,8 @@ def test_greedy_branches_share_interlacing(rng):
 def test_bound_menu_basics(rng):
     inst = model.normalize(random_rank_one_instance(rng, 3, 4))
     menu = disc.bound_menu(inst, model.sigma(inst))
-    assert menu["three_sigma"].value == pytest.approx(3.0, abs=1e-9)
-    assert menu["four_sigma"].value == pytest.approx(4.0, abs=1e-9)
-    assert menu["three_sigma"].applicable and menu["four_sigma"].applicable
+    assert menu["three_sigma"] == pytest.approx(3.0, abs=1e-9)
+    assert menu["four_sigma"] == pytest.approx(4.0, abs=1e-9)
 
 
 def test_bound_menu_mss_arithmetic():
@@ -363,24 +377,21 @@ def test_bound_menu_mss_arithmetic():
         vecs.append(np.array([0.0, 0.5]))
     inst = rademacher_instance(vecs)
     menu = disc.bound_menu(inst, model.sigma(inst))
-    assert menu["mss"].applicable
-    assert menu["mss"].value == pytest.approx(2.0 * (math.sqrt(0.5) + 0.25), abs=1e-12)
-    assert menu["mss"].value == pytest.approx(1.9142135623730951, abs=1e-12)
+    assert menu["mss"] == pytest.approx(2.0 * (math.sqrt(0.5) + 0.25), abs=1e-12)
+    assert menu["mss"] == pytest.approx(1.9142135623730951, abs=1e-12)
 
 
 def test_bound_menu_tight_frame_value():
     inst = mercedes_benz()
     menu = disc.bound_menu(inst, model.sigma(inst))
-    assert menu["tight_frame"].applicable
-    assert menu["tight_frame"].value == pytest.approx(1.5, abs=1e-9)
-    assert not menu["mss"].applicable
+    assert menu["tight_frame"] == pytest.approx(1.5, abs=1e-9)
+    assert "mss" not in menu
 
 
 def test_bound_menu_inapplicable_for_generic(rng):
     inst = random_rank_one_instance(rng, 3, 4)
     menu = disc.bound_menu(inst, model.sigma(inst))
-    assert not menu["mss"].applicable and menu["mss"].value is None
-    assert not menu["tight_frame"].applicable
+    assert list(menu) == ["three_sigma", "four_sigma"]
 
 
 def test_lyapunov_trivial_weights():
@@ -423,14 +434,6 @@ def test_greedy_flags_zero_probability_branch():
     inst = model.RankOneInstance(1, (np.array([1.0]),), (rv,))
     with pytest.raises(NotRealRooted):
         disc.greedy_interlacing_solve(inst)
-
-
-def test_schatten_norm_kind(rng):
-    inst = random_rank_one_instance(rng, 2, 3)
-    rep = disc.disc_bruteforce(inst, norm_kind=("schatten", 4.0))
-    assert rep.norm_kind == ("schatten", 4.0)
-    spectral = disc.disc_bruteforce(inst).value
-    assert rep.value >= spectral - 1e-12
 
 
 # -- Cauchy-Binet engine against the enumeration oracle ----------------------
@@ -696,12 +699,12 @@ def test_one_cap_reaches_every_enumeration(monkeypatch):
     mats = tuple(np.diag([1.0, -float(i)]) for i in range(3))
     herm = model.HermitianInstance(2, mats, tuple(model.DiscreteRandomVariable.rademacher() for _ in mats))
     with pytest.raises(EnumerationTooLarge):
-        schatten.disc_p(herm, 2.0)
+        schatten.disc_p(herm, [2.0])
     with pytest.raises(EnumerationTooLarge):
         frames.verify_untf_disc(frames.harmonic_untf(3, 2))
     # the 8 sign patterns fit a cap of 10, the 4^3 = 64 words of p = 6 do not
     monkeypatch.setattr(disc, "ENUM_CAP", 10)
-    assert schatten.disc_p(herm, 6.0) >= 0.0
+    assert schatten.disc_p(herm, [6.0])[0] >= 0.0
     with pytest.raises(EnumerationTooLarge):
         schatten.khintchine_bounds(herm, 6.0)
 

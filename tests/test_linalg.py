@@ -2,7 +2,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 
-from matdisc import linalg
+from matdisc import disc, linalg
 from matdisc.errors import InvalidOrder, NonHermitianInput
 
 from conftest import faddeev_leverrier, random_hermitian, random_unitary, schatten_norm
@@ -98,3 +98,7 @@ def test_schatten_nonincreasing_in_p():
 def test_schatten_invalid_order():
     with pytest.raises(InvalidOrder):
         schatten_norm(np.eye(2), 0.5)
+    # the brute force serves finite orders only; inf would evaluate to 1.0
+    for p in (np.inf, np.nan):
+        with pytest.raises(InvalidOrder):
+            disc._norm_fn(("schatten", p))

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from matdisc import disc, model, schatten
+from matdisc import model, schatten
 from matdisc.errors import InvalidOrder
 
-from conftest import random_hermitian, schatten_norm
+from conftest import count_matrices, random_hermitian, schatten_norm
 
 
 def rademacher_hermitian(rng, d, n):
@@ -17,7 +17,7 @@ def rademacher_hermitian(rng, d, n):
 
 def test_disc_p_single_matrix():
     inst = model.HermitianInstance(2, (np.diag([1.0, -1.0]),), (model.DiscreteRandomVariable.rademacher(),))
-    assert schatten.disc_p(inst, 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert schatten.disc_p(inst, [2.0]) == [pytest.approx(math.sqrt(2.0), abs=1e-12)]
 
 
 def test_disc_p_constant_rvs_zero():
@@ -26,40 +26,54 @@ def test_disc_p_constant_rvs_zero():
         (np.diag([1.0, 2.0]), np.diag([0.5, -0.5])),
         (model.DiscreteRandomVariable((0.2,), (1.0,)), model.DiscreteRandomVariable((-1.0,), (1.0,))),
     )
-    assert schatten.disc_p(inst, 4.0) == pytest.approx(0.0, abs=1e-12)
+    assert schatten.disc_p(inst, [4.0]) == [pytest.approx(0.0, abs=1e-12)]
 
 
 def test_disc_p_golden_seeded_instance():
     # frozen from the 8-pattern enumeration oracle at seed 2024
     rng = np.random.default_rng(2024)
     inst = rademacher_hermitian(rng, 3, 3)
-    assert schatten.disc_p(inst, 4.0) == pytest.approx(3.8731504565143293, abs=1e-10)
+    assert schatten.disc_p(inst, [4.0]) == [pytest.approx(3.8731504565143293, abs=1e-10)]
 
 
 def test_disc_p_requires_p_at_least_two():
     inst = model.HermitianInstance(2, (np.eye(2),), (model.DiscreteRandomVariable.rademacher(),))
-    with pytest.raises(InvalidOrder):
-        schatten.disc_p(inst, 1.5)
+    for orders in ([1.5], [2.0, 1.5], [math.inf], [4.0, math.nan]):
+        with pytest.raises(InvalidOrder):
+            schatten.disc_p(inst, orders)
     # the report refuses the order through the same check
-    with pytest.raises(InvalidOrder):
-        schatten.khintchine_bounds(inst, 1.5)
+    for p in (1.5, math.inf):
+        with pytest.raises(InvalidOrder):
+            schatten.khintchine_bounds(inst, p)
+
+
+def test_one_scan_serves_every_order(rng, monkeypatch):
+    # several orders from one scan equal each order's own scan, and the
+    # Rademacher bound takes one eigensolve for all of them
+    inst = rademacher_hermitian(rng, 3, 5)
+    orders = (2.0, 4.0, 6.0)
+    assert schatten.disc_p(inst, orders) == [schatten.disc_p(inst, [p])[0] for p in orders]
+    singles = [schatten.rademacher_bound(inst, [p])[0] for p in orders]
+    eigvalsh = count_matrices(monkeypatch, "eigvalsh")
+    assert schatten.rademacher_bound(inst, orders) == singles
+    assert eigvalsh["calls"] == 1
 
 
 def test_rademacher_p2_closed_form(rng):
     inst = rademacher_hermitian(rng, 3, 3)
-    rep = schatten.khintchine_bounds(inst, 2.0)
     trace_total = sum(float(np.trace(m @ m).real) for m in inst.matrices)
-    assert rep.bounds["rademacher_closed_form"] == pytest.approx(math.sqrt(trace_total), rel=1e-12)
+    assert schatten.rademacher_bound(inst, [2.0]) == [pytest.approx(math.sqrt(trace_total), rel=1e-12)]
 
 
 def test_rademacher_mc_equals_closed_form_exactly(rng):
     inst = rademacher_hermitian(rng, 3, 4)
-    for p in (2.0, 4.0, 6.0):
+    orders = (2.0, 4.0, 6.0)
+    for p, closed_form in zip(orders, schatten.rademacher_bound(inst, orders)):
         rep = schatten.khintchine_bounds(inst, p)
         est, se = rep.bounds["general_khintchine"]
         assert se == 0.0
-        assert est == pytest.approx(rep.bounds["rademacher_closed_form"], rel=1e-12)
-        assert rep.disc_p <= rep.bounds["rademacher_closed_form"] + 1e-9
+        assert est == pytest.approx(closed_form, rel=1e-12)
+        assert rep.disc_p <= closed_form + 1e-9
 
 
 def test_general_rv_bounds(rng):
@@ -70,7 +84,7 @@ def test_general_rv_bounds(rng):
     est, se = rep.bounds["general_khintchine"]
     assert se == 0.0
     assert rep.disc_p <= est
-    assert schatten.disc_p(inst, 2.0) <= schatten.frobenius_bound(inst) + 1e-9
+    assert schatten.disc_p(inst, [2.0])[0] <= schatten.frobenius_bound(inst) + 1e-9
 
 
 def test_frobenius_closed_form_value(rng):
@@ -81,14 +95,6 @@ def test_frobenius_closed_form_value(rng):
     assert schatten.frobenius_bound(inst) == pytest.approx(
         math.sqrt(float(np.trace(total).real)), rel=1e-10
     )
-
-
-def test_infinite_order_marks_bounds_inapplicable(rng):
-    inst = rademacher_hermitian(rng, 2, 3)
-    rep = schatten.khintchine_bounds(inst, np.inf)
-    assert rep.bounds["general_khintchine"] is None
-    assert rep.bounds["rademacher_closed_form"] is None
-    assert rep.disc_p == pytest.approx(disc.disc_bruteforce(inst).value, abs=1e-12)
 
 
 def test_bounds_determinism_across_threads(rng):
@@ -165,11 +171,12 @@ def test_exact_bound_within_monte_carlo_error():
 def test_odd_order_has_no_general_bound(rng):
     inst = general_family(rng, 2, 3, atoms=2)
     rad = rademacher_hermitian(rng, 2, 3)
-    for p in (3.0, 5.0, 2.5):
+    orders = (3.0, 5.0, 2.5)
+    for p, closed_form in zip(orders, schatten.rademacher_bound(rad, orders)):
         assert schatten.khintchine_bounds(inst, p).bounds["general_khintchine"] is None
         rep = schatten.khintchine_bounds(rad, p)
         assert rep.bounds["general_khintchine"] is None
-        assert rep.disc_p <= rep.bounds["rademacher_closed_form"] + 1e-9
+        assert rep.disc_p <= closed_form + 1e-9
 
 
 def test_assignment_norm_nonincreasing_in_p(rng):
