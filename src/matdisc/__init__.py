@@ -7,14 +7,14 @@ discriminants, tight-frame exact values, diagonal lower bounds, and
 Schatten-p moment bounds.
 """
 
-from . import cli, disc, frames, linalg, model, rpoly, schatten, witness
+# not cli, or ``python -m matdisc.cli`` warns that it was imported already
+from . import disc, frames, linalg, model, rpoly, schatten, witness
 from .errors import MatDiscError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MatDiscError",
-    "cli",
     "disc",
     "frames",
     "linalg",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import math
 import sys
@@ -109,13 +110,55 @@ def random_hermitian_instance(rng, d: int, n: int, rademacher: bool) -> model.He
 
 
 # ---------------------------------------------------------------------------
-# Verification suites
+# Verification suites, and the per-instance checks `solve` and `replay` share
 # ---------------------------------------------------------------------------
+
+
+def _greedy_check(inst: model.RankOneInstance, brute: disc.DiscrepancyReport, prefix: str, root_tol: float, norm_tol: float) -> tuple:
+    """Rows brute <= greedy <= 3 sigma, leaf identity and level monotonicity,
+    named after ``prefix``, and ``(assignment, trace)``; or one failing
+    ``greedy[...]`` row and ``None`` when a level's roots do not come out real."""
+    try:
+        assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
+    except NotRealRooted as exc:
+        return [_flag_row(f"{prefix}greedy[{exc}]", False)], None
+    worst = max(lv.chosen_lambda_max - lv.parent_lambda_max for lv in trace.levels)
+    return [
+        _row(f"{prefix}brute_le_greedy", brute.value, trace.final_value + 1e-12),
+        _row(f"{prefix}greedy_le_3sigma", trace.final_value, 3.0 * brute.sigma + norm_tol),
+        _row(f"{prefix}leaf_identity_gap", abs(trace.final_value - trace.leaf_lambda_max), norm_tol),
+        _row(f"{prefix}level_monotone_gap", worst, norm_tol),
+    ], (assignment, trace)
+
+
+def _walk_check(inst: model.RankOneInstance, prefix: str, norm_tol: float) -> tuple:
+    """Rows for the top polynomial's largest root against 3, then the initial
+    barriers against delta or the failing ``walk[reason]``, named after
+    ``prefix``, on a normalized instance; and the walk's trace, or where and
+    why it failed (``{"failed_step", "reason"}``, or ``{"reason"}``)."""
+    try:
+        trace, failure = witness.replay_barrier_walk(inst), None
+    except WalkStepFailed as exc:
+        trace, failure = None, exc
+    except NotRealRooted as exc:
+        return [_flag_row(f"{prefix}lambda_p_empty[{exc}]", False)], {"reason": str(exc)}
+    try:
+        # a finished walk has already computed the top polynomial's root
+        lam = trace.p_empty_lambda_max if trace else rpoly.lambda_max(disc.expected_charpoly(inst), tol=1e-6)
+        rows = [_row(f"{prefix}lambda_p_empty", lam, 3.0 + norm_tol)]
+    except NotRealRooted as exc:
+        rows = [_flag_row(f"{prefix}lambda_p_empty[{exc}]", False)]
+    if failure:
+        rows.append(_flag_row(f"{prefix}walk[{failure.reason}]", False))
+        return rows, {"failed_step": failure.step, "reason": failure.reason}
+    gap = max((b - d for b, d in zip(trace.initial_barriers, trace.deltas)), default=0.0)
+    rows.append(_row(f"{prefix}initial_barrier_gap", gap, norm_tol))
+    return rows, trace
 
 
 def verify_thm13(seed: int = 0, count: int = 300, threads=None, root_tol: float = rpoly.REAL_ROOT_TOL, norm_tol: float = 1e-9) -> dict:
     """Brute force <= greedy <= 3 sigma on the seeded rank-one sweep, plus the
-    per-level monotonicity and interlacing checks of every greedy trace."""
+    leaf identity and per-level monotonicity of every greedy trace."""
     report = {
         "command": "verify",
         "suite": "thm13",
@@ -125,19 +168,9 @@ def verify_thm13(seed: int = 0, count: int = 300, threads=None, root_tol: float 
         "norm_tol": norm_tol,
         "checks": [],
     }
-    rows = report["checks"]
     for i, inst in enumerate(sweep_rank_one(seed, count)):
         brute = disc.disc_bruteforce(inst, threads=threads)
-        try:
-            assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
-        except NotRealRooted as exc:
-            rows.append(_flag_row(f"i{i}.greedy[{exc}]", False))
-            continue
-        rows.append(_row(f"i{i}.brute_le_greedy", brute.value, trace.final_value + 1e-12))
-        rows.append(_row(f"i{i}.greedy_le_3sigma", trace.final_value, 3.0 * brute.sigma + norm_tol))
-        rows.append(_row(f"i{i}.leaf_identity_gap", abs(trace.final_value - trace.leaf_lambda_max), norm_tol))
-        worst = max(lv.chosen_lambda_max - lv.parent_lambda_max for lv in trace.levels)
-        rows.append(_row(f"i{i}.level_monotone_gap", worst, norm_tol))
+        report["checks"] += _greedy_check(inst, brute, f"i{i}.", root_tol, norm_tol)[0]
     return _finish(report)
 
 
@@ -177,25 +210,8 @@ def verify_thm41(seed: int = 0, count: int = 300, norm_tol: float = 1e-9) -> dic
     """Normalized sweep: largest root of the top polynomial at most 3, and a
     full barrier-walk replay on every instance."""
     report = {"command": "verify", "suite": "thm41", "seed": seed, "count": count, "norm_tol": norm_tol, "checks": []}
-    rows = report["checks"]
-    for i, raw in enumerate(sweep_rank_one(seed, count)):
-        inst = model.normalize(raw)
-        try:
-            trace, failure = witness.replay_barrier_walk(inst), None
-        except WalkStepFailed as exc:
-            trace, failure = None, exc
-        except NotRealRooted as exc:
-            rows.append(_flag_row(f"i{i}.lambda_p_empty[{exc}]", False))
-            continue
-        # a finished walk has already computed the top polynomial's root
-        lam = trace.p_empty_lambda_max if trace else rpoly.lambda_max(disc.expected_charpoly(inst), tol=1e-6)
-        rows.append(_row(f"i{i}.lambda_p_empty", lam, 3.0 + norm_tol))
-        if failure:
-            rows.append(_flag_row(f"i{i}.walk[{failure.reason}]", False))
-            continue
-        gap = max((b - d for b, d in zip(trace.initial_barriers, trace.deltas)), default=0.0)
-        rows.append(_row(f"i{i}.initial_barrier_gap", gap, norm_tol))
-        rows.append(_flag_row(f"i{i}.walk", trace.passed))
+    for i, inst in enumerate(sweep_rank_one(seed, count)):
+        report["checks"] += _walk_check(model.normalize(inst), f"i{i}.", norm_tol)[0]
     return _finish(report)
 
 
@@ -399,45 +415,32 @@ def _verify_alexandrov_full(seed: int = 0, count: int = 500) -> dict:
 def run_solve(
     instance: str, root_tol: float = rpoly.REAL_ROOT_TOL, norm_tol: float = 1e-9, threads: Optional[int] = None
 ) -> dict:
+    """``verify thm13``'s rows on one instance, then one row per menu bound."""
     inst = model.load_instance(instance)
     report = {"command": "solve", "instance": instance, "checks": []}
-    brute = disc.disc_bruteforce(inst, threads=threads, norm_tol=norm_tol)
+    brute = disc.disc_bruteforce(inst, threads=threads)
     report["bruteforce"] = brute.to_doc()
     if isinstance(inst, model.RankOneInstance):
-        try:
-            assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
-        except NotRealRooted as exc:
-            report["checks"].append(_flag_row(f"greedy[{exc}]", False))
-        else:
+        rows, solved = _greedy_check(inst, brute, "", root_tol, norm_tol)
+        if solved:
+            assignment, trace = solved
             report["greedy"] = {
                 "assignment": {"indices": list(assignment.indices), "values": list(assignment.values)},
                 "trace": trace.to_doc(),
             }
-            report["checks"].append(_row("brute_le_greedy", brute.value, trace.final_value + 1e-12))
-        for name, (bound, ok) in brute.bound_checks.items():
-            report["checks"].append(_row(f"disc_le_{name}", brute.value, bound + norm_tol))
+        rows += [_row(f"disc_le_{name}", brute.value, bound + norm_tol) for name, bound in brute.bounds.items()]
+        report["checks"] = rows
     return _finish(report)
 
 
 def run_replay(instance: str, norm_tol: float = 1e-9) -> dict:
+    """``verify thm41``'s rows and the walk's trace on one instance."""
     inst = model.load_instance(instance)
     if not isinstance(inst, model.RankOneInstance):
         raise MatDiscError("replay needs a rank-one instance")
-    normalized = model.normalize(inst)
-    report = {"command": "replay", "instance": instance, "checks": []}
-    try:
-        trace = witness.replay_barrier_walk(normalized)
-        report["trace"] = trace.to_doc()
-        report["checks"].append(_flag_row("walk", trace.passed))
-        report["checks"].append(_row("lambda_p_empty", trace.p_empty_lambda_max, 3.0 + norm_tol))
-    except WalkStepFailed as exc:
-        report["trace"] = {"failed_step": exc.step, "reason": exc.reason}
-        report["checks"].append(_flag_row(f"walk[{exc.reason}]", False))
-    except NotRealRooted as exc:
-        # the walk finished; the top polynomial's roots did not come out real
-        report["trace"] = {"reason": str(exc)}
-        report["checks"].append(_flag_row(f"lambda_p_empty[{exc}]", False))
-    return _finish(report)
+    rows, trace = _walk_check(model.normalize(inst), "", norm_tol)
+    doc = trace if isinstance(trace, dict) else trace.to_doc()
+    return _finish({"command": "replay", "instance": instance, "checks": rows, "trace": doc})
 
 
 def run_frames_gen(n: int = 3, d: int = 2, out: Optional[str] = None) -> dict:
@@ -465,32 +468,24 @@ def run_frames_gen(n: int = 3, d: int = 2, out: Optional[str] = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# Every command: the function that makes its report, a summary, and the flags
-# the function reads. Each command also accepts --out and --format, which
-# place the report unless the command reads --out itself (``frames gen``
-# writes the instance there and the report to stdout), and every verify suite
-# accepts --threads, which the suites that do not read it check and ignore.
-# A flag that is not given is not passed, so each default is the one in the
-# function's signature.
+# Every command: the function that makes its report and a summary. The
+# command's flags are the function's parameters (``root_tol`` is --root-tol).
+# Each command also accepts --out and --format, which place the report unless
+# the function reads --out itself (``frames gen`` writes the instance there
+# and the report to stdout), and every verify suite accepts --threads, which
+# the suites that do not read it check and ignore. A flag that is not given
+# is not passed, so each default is the one in the function's signature.
 COMMANDS = {
-    "solve": (
-        run_solve,
-        "brute force, greedy, and the bound menu on an instance file",
-        ("--instance", "--root-tol", "--norm-tol", "--threads"),
-    ),
-    "replay": (run_replay, "barrier walk trace for a normalized instance", ("--instance", "--norm-tol")),
-    "frames gen": (run_frames_gen, "harmonic tight frame as an instance file", ("--n", "--d", "--out")),
-    "verify thm13": (
-        verify_thm13,
-        "three-sigma greedy sweep",
-        ("--seed", "--count", "--threads", "--root-tol", "--norm-tol"),
-    ),
-    "verify thm15": (verify_thm15, "tight-frame exact values", ("--norm-tol",)),
-    "verify prop16": (verify_prop16, "diagonal integer lower bound", ("--n",)),
-    "verify thm41": (verify_thm41, "barrier-walk replays", ("--seed", "--count", "--norm-tol")),
-    "verify alexandrov": (_verify_alexandrov_full, "mixed discriminants and barrier lemmas", ("--seed", "--count")),
-    "verify schatten": (verify_schatten, "Schatten moment bounds", ("--seed", "--count", "--threads")),
-    "verify lyapunov": (verify_lyapunov, "subset rounding", ("--seed", "--count", "--norm-tol")),
+    "solve": (run_solve, "brute force, greedy, and the bound menu on an instance file"),
+    "replay": (run_replay, "barrier walk trace for a normalized instance"),
+    "frames gen": (run_frames_gen, "harmonic tight frame as an instance file"),
+    "verify thm13": (verify_thm13, "three-sigma greedy sweep"),
+    "verify thm15": (verify_thm15, "tight-frame exact values"),
+    "verify prop16": (verify_prop16, "diagonal integer lower bound"),
+    "verify thm41": (verify_thm41, "barrier-walk replays"),
+    "verify alexandrov": (_verify_alexandrov_full, "mixed discriminants and barrier lemmas"),
+    "verify schatten": (verify_schatten, "Schatten moment bounds"),
+    "verify lyapunov": (verify_lyapunov, "subset rounding"),
 }
 
 _GROUPS = {"verify": "seeded verification suites", "frames": "frame constructions"}
@@ -564,7 +559,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matdisc", description="matrix discrepancy laboratory")
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for command, (_, summary, flags) in COMMANDS.items():
+    for command, (run, summary) in COMMANDS.items():
         group, _, name = command.rpartition(" ")
         sub = top
         if group:
@@ -573,6 +568,7 @@ def _parser() -> argparse.ArgumentParser:
             sub = groups[group]
         sp = sub.add_parser(name, help=summary, allow_abbrev=False)
         extra = ("--threads",) if group == "verify" else ()
+        flags = tuple("--" + param.replace("_", "-") for param in inspect.signature(run).parameters)
         for flag in dict.fromkeys(("--out", "--format") + extra + flags):
             sp.add_argument(flag, default=argparse.SUPPRESS, **_FLAGS[flag])
     return parser
@@ -584,8 +580,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     command = " ".join(filter(None, (args.pop("command"), args.pop("action", None))))
-    run, _, flags = COMMANDS[command]
-    read = {flag[2:].replace("-", "_") for flag in flags}
+    run, _ = COMMANDS[command]
+    read = inspect.signature(run).parameters
     output = {key: args[key] for key in ("out", "fmt") if key in args and key not in read}
     try:
         report = run(**{key: args[key] for key in read if key in args})

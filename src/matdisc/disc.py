@@ -97,20 +97,19 @@ def _norm_fn(norm_kind: NormKind):
 @dataclass(frozen=True)
 class DiscrepancyReport:
     """Exact spectral discrepancy, the assignment achieving it, sigma, and
-    ``{name: (bound, satisfied)}`` for the named bounds that apply."""
+    :func:`bound_menu`'s ``{name: bound}`` (empty for a Hermitian instance)."""
 
     value: float
     argmin: model.SignAssignment
     sigma: float
-    bound_checks: dict
+    bounds: dict
 
     def to_doc(self) -> dict:
         return {
             "value": self.value,
             "argmin": {"indices": list(self.argmin.indices), "values": list(self.argmin.values)},
             "sigma": self.sigma,
-            "norm_kind": "spectral",
-            "bound_checks": {k: {"bound": b, "satisfied": s} for k, (b, s) in self.bound_checks.items()},
+            "bounds": self.bounds,
         }
 
 
@@ -215,14 +214,13 @@ def exact_minimum(inst: model.Instance, norm_kinds: Sequence[NormKind], threads:
     return out
 
 
-def disc_bruteforce(inst: model.Instance, threads: Optional[int] = None, norm_tol: float = 1e-9) -> DiscrepancyReport:
+def disc_bruteforce(inst: model.Instance, threads: Optional[int] = None) -> DiscrepancyReport:
     """Exact spectral discrepancy by enumerating every assignment.
 
     Minimizes ``|| sum_j eps_j M_j - sum_j E[xi_j] M_j ||`` over the product
     of the supports, refusing beyond ``ENUM_CAP`` assignments (read at call
     time); ties resolve to the lexicographically smallest tuple of
-    support indices. A named bound counts as satisfied when the value is at
-    most the bound plus ``norm_tol``.
+    support indices.
 
     The scan (:func:`exact_minimum`) serves several norms at once, the
     spectral norm and Schatten norms of finite order p >= 1, evaluating each
@@ -243,11 +241,8 @@ def disc_bruteforce(inst: model.Instance, threads: Optional[int] = None, norm_to
     """
     [(value, argmin)] = exact_minimum(inst, ["spectral"], threads)
     sig = model.sigma(inst)
-    checks: dict = {}
-    if isinstance(inst, model.RankOneInstance):
-        for name, bound in bound_menu(inst, sig).items():
-            checks[name] = (bound, value <= bound + norm_tol)
-    return DiscrepancyReport(value, argmin, sig, checks)
+    bounds = bound_menu(inst, sig) if isinstance(inst, model.RankOneInstance) else {}
+    return DiscrepancyReport(value, argmin, sig, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from . import linalg
 from .errors import DegenerateSigma, InvariantViolation, ParseError
 
 PROB_SUM_TOL = 1e-12
-SIGMA_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -202,12 +201,12 @@ def sigma(inst: Instance) -> float:
 def normalize(inst: RankOneInstance) -> RankOneInstance:
     """Rescale vectors by 1/sqrt(sigma) so the output has sigma = 1.
 
-    Raises :class:`DegenerateSigma` when sigma is numerically zero.
+    Raises :class:`DegenerateSigma` when sigma is zero, which at any scale
+    needs every ``Var[xi_i] ||u_i||^4`` zero: sigma^2 is at least their sum / d.
     """
     s = sigma(inst)
-    scale = max(1.0, max(float(np.vdot(v, v).real) for v in inst.vectors))
-    if s <= SIGMA_FLOOR * scale:
-        raise DegenerateSigma(f"sigma = {s:.3e} is below the degeneracy floor")
+    if not s > 0.0:
+        raise DegenerateSigma(f"sigma = {s:.3e} is not positive")
     factor = 1.0 / np.sqrt(s)
     return RankOneInstance(inst.dim, tuple(factor * v for v in inst.vectors), inst.rvs)
 

@@ -269,11 +269,9 @@ def certify_above_roots(qe: QEvaluator, k: int, x: float, z) -> np.ndarray:
 class WalkStep:
     step: int
     w: tuple
-    above_roots: bool
     hypothesis_value: float
     hypothesis_bound: float
     barriers: dict  # direction -> barrier value of Q_{k+1} at (alpha, w_{k+1})
-    monotone_ok: bool
 
 
 @dataclass(frozen=True)
@@ -294,11 +292,9 @@ class BarrierWalkTrace:
                 {
                     "step": s.step,
                     "w": list(s.w),
-                    "above_roots": s.above_roots,
                     "hypothesis_value": s.hypothesis_value,
                     "hypothesis_bound": s.hypothesis_bound,
                     "barriers": {str(j): v for j, v in s.barriers.items()},
-                    "monotone_ok": s.monotone_ok,
                 }
                 for s in self.steps
             ],
@@ -365,11 +361,9 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
             WalkStep(
                 step=k,
                 w=tuple(float(v) for v in w_next),
-                above_roots=True,
                 hypothesis_value=hyp_val,
                 hypothesis_bound=hyp_bound,
                 barriers=new,
-                monotone_ok=True,
             )
         )
         prev[k + 1 :] = barriers[k + 1 :]

@@ -115,6 +115,15 @@ def test_one_evaluation_site():
     assert callers("eval_many") == {"witness.certify_above_roots"}
 
 
+def test_one_check_per_solver():
+    # the sweeps and the single-instance commands share one check each
+    def in_cli(name):
+        return {caller for caller in callers(name) if caller.startswith("cli.")}
+
+    assert in_cli("greedy_interlacing_solve") == {"cli._greedy_check", "cli.verify_interlacing"}
+    assert in_cli("replay_barrier_walk") == {"cli._walk_check"}
+
+
 def matdisc_chains(tree):
     """Every dotted name that code reads through an imported ``matdisc``
     module, as ``(module, attribute chain)`` pairs: ``from matdisc import

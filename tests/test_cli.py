@@ -1,9 +1,13 @@
+import functools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from matdisc import cli, disc, frames, model, witness
+import matdisc
+from matdisc import cli, disc, frames, model, rpoly, witness
 from matdisc.errors import NotRealRooted
 
 from test_disc import count_sigma
@@ -18,9 +22,9 @@ def test_solve_fixture(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["bruteforce"]["value"] == pytest.approx(1.5, abs=1e-9)
-    assert doc["bruteforce"]["bound_checks"]["tight_frame"]["satisfied"]
-    names = {c["name"] for c in doc["checks"]}
-    assert "disc_le_three_sigma" in names
+    assert doc["bruteforce"]["bounds"]["tight_frame"] == pytest.approx(1.5, abs=1e-9)
+    rows = {c["name"]: c for c in doc["checks"]}
+    assert rows["disc_le_tight_frame"]["pass"] and "disc_le_three_sigma" in rows
     for row in doc["checks"]:
         assert set(row) == {"name", "lhs", "rhs", "slack", "pass"}
 
@@ -113,9 +117,10 @@ def test_flags_a_command_does_not_read_exit_two(capsys):
 
 
 def replace_command(monkeypatch, command, run):
-    """Point a command of the table at ``run``, with its summary and flags."""
-    _, summary, flags = cli.COMMANDS[command]
-    monkeypatch.setitem(cli.COMMANDS, command, (run, summary, flags))
+    """Point a command of the table at ``run``, with its summary and, through
+    the original's signature, its flags."""
+    original, summary = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command, (functools.wraps(original)(run), summary))
 
 
 def test_exit_one_on_failing_check(monkeypatch, capsys):
@@ -191,8 +196,67 @@ def test_walk_failures_become_failing_rows(tmp_path, capsys, monkeypatch, tolera
     assert cli.main(["replay", "--instance", FIXTURE, "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
     assert doc["trace"]["failed_step"] == step and doc["trace"]["reason"].startswith(reason)
-    assert [row["name"] for row in doc["checks"]] == [f"walk[{doc['trace']['reason']}]"] and doc["failed"] == 1
+    assert [row["name"] for row in doc["checks"]] == ["lambda_p_empty", f"walk[{doc['trace']['reason']}]"]
+    assert doc["checks"][0]["pass"] and doc["failed"] == 1
     assert capsys.readouterr().err == ""
+
+
+def test_walk_and_top_polynomial_failing_together(tmp_path, capsys, monkeypatch):
+    # a barrier that grows at step 0, and a top polynomial whose roots do not
+    # come out real in the engine's fallback: both rows fail, exit 1, never 2
+    def not_real_rooted(coeffs, tol):
+        raise NotRealRooted("forced")
+
+    monkeypatch.setattr(witness, "WALK_MONO_TOL", -1.0)
+    monkeypatch.setattr(rpoly, "lambda_max", not_real_rooted)
+    for args, prefix in ((["verify", "thm41", "--seed", "3", "--count", "1"], "i0."), (["replay", "--instance", FIXTURE], "")):
+        out = tmp_path / "out.json"
+        assert cli.main(args + ["--out", str(out)]) == 1, args
+        rows = json.loads(out.read_text())["checks"]
+        assert rows[0]["name"] == f"{prefix}lambda_p_empty[forced]", args
+        assert rows[1]["name"].startswith(f"{prefix}walk[barrier 1 increased") and len(rows) == 2, args
+        assert not rows[0]["pass"] and not rows[1]["pass"], args
+    assert capsys.readouterr().err == ""
+
+
+def test_solve_and_replay_write_the_suites_rows(tmp_path, capsys):
+    # one check per solver: on a saved sweep instance, solve writes the rows
+    # of verify thm13 and then its bound rows, and replay the rows of verify
+    # thm41, each without the suite's instance prefix
+    path = tmp_path / "sweep.json"
+    model.save_instance(cli.sweep_rank_one(3, 1)[0], path)
+    out = tmp_path / "out.json"
+
+    def unprefixed(report):
+        return [dict(row, name=row["name"].removeprefix("i0.")) for row in report["checks"]]
+
+    assert cli.main(["solve", "--instance", str(path), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["checks"]
+    suite = unprefixed(cli.verify_thm13(seed=3, count=1))
+    assert len(suite) == 4 and rows[: len(suite)] == suite
+    assert [row["name"] for row in rows[len(suite) :]] == ["disc_le_three_sigma", "disc_le_four_sigma"]
+
+    assert cli.main(["replay", "--instance", str(path), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["checks"]
+    assert rows == unprefixed(cli.verify_thm41(seed=3, count=1))
+    assert [row["name"] for row in rows] == ["lambda_p_empty", "initial_barrier_gap"]
+
+
+def test_python_m_cli_writes_only_the_report_and_errors(tmp_path):
+    # run as a module, the tool writes no warning of its own: an input error
+    # is one stderr line, and a passing suite leaves stderr empty
+    src = os.path.dirname(os.path.dirname(matdisc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "matdisc.cli", *args], capture_output=True, text=True, env=env)
+
+    missing = run("solve", "--instance", str(tmp_path / "missing.json"))
+    assert missing.returncode == 2
+    lines = missing.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), missing.stderr
+    passing = run("verify", "prop16", "--n", "1")
+    assert passing.returncode == 0 and passing.stderr == ""
 
 
 def test_verify_alexandrov_command(tmp_path):

@@ -64,7 +64,7 @@ def test_bruteforce_golden_three_vectors():
     assert rep.value == pytest.approx(1.0, abs=1e-12)
     assert rep.argmin.indices == (0, 1, 0)
     assert rep.value <= 3.0 * rep.sigma + 1e-9
-    assert rep.bound_checks["three_sigma"][1]
+    assert rep.bounds == {"three_sigma": 3.0 * rep.sigma, "four_sigma": 4.0 * rep.sigma}
 
 
 def test_bruteforce_argmin_reproduces_value(rng):
@@ -121,7 +121,7 @@ def test_bruteforce_takes_sigma_once(rng, monkeypatch):
     calls = count_sigma(monkeypatch)
     rep = disc.disc_bruteforce(inst)
     assert len(calls) == 1
-    assert rep.bound_checks["three_sigma"][0] == 3.0 * rep.sigma
+    assert rep.bounds["three_sigma"] == 3.0 * rep.sigma
 
 
 def oracle_minimum(inst, norm_kind):
