@@ -21,7 +21,7 @@ import numpy as np
 
 from . import disc, frames, model, rpoly, schatten, witness
 from ._util import canonical_json
-from .errors import HypothesisNotMet, MatDiscError, NotRealRooted, WalkStepFailed
+from .errors import HypothesisNotMet, MatDiscError, NotRealRooted
 
 
 def _row(name: str, lhs: float, rhs: float) -> dict:
@@ -134,25 +134,20 @@ def _greedy_check(inst: model.RankOneInstance, brute: disc.DiscrepancyReport, pr
 def _walk_check(inst: model.RankOneInstance, prefix: str, norm_tol: float) -> tuple:
     """Rows for the top polynomial's largest root against 3, then the initial
     barriers against delta or the failing ``walk[reason]``, named after
-    ``prefix``, on a normalized instance; and the walk's trace, or where and
-    why it failed (``{"failed_step", "reason"}``, or ``{"reason"}``)."""
+    ``prefix``, on a normalized instance; and the walk's trace. The walk runs
+    first, so its refusal of an enumeration past the cap comes before any
+    work."""
+    trace = witness.replay_barrier_walk(inst)
     try:
-        trace, failure = witness.replay_barrier_walk(inst), None
-    except WalkStepFailed as exc:
-        trace, failure = None, exc
-    except NotRealRooted as exc:
-        return [_flag_row(f"{prefix}lambda_p_empty[{exc}]", False)], {"reason": str(exc)}
-    try:
-        # a finished walk has already computed the top polynomial's root
-        lam = trace.p_empty_lambda_max if trace else rpoly.lambda_max(disc.expected_charpoly(inst), tol=1e-6)
+        lam = rpoly.lambda_max(disc.expected_charpoly(inst), tol=1e-6)
         rows = [_row(f"{prefix}lambda_p_empty", lam, 3.0 + norm_tol)]
     except NotRealRooted as exc:
         rows = [_flag_row(f"{prefix}lambda_p_empty[{exc}]", False)]
-    if failure:
-        rows.append(_flag_row(f"{prefix}walk[{failure.reason}]", False))
-        return rows, {"failed_step": failure.step, "reason": failure.reason}
-    gap = max((b - d for b, d in zip(trace.initial_barriers, trace.deltas)), default=0.0)
-    rows.append(_row(f"{prefix}initial_barrier_gap", gap, norm_tol))
+    if trace.passed:
+        gap = max((b - d for b, d in zip(trace.initial_barriers, trace.deltas)), default=0.0)
+        rows.append(_row(f"{prefix}initial_barrier_gap", gap, norm_tol))
+    else:
+        rows.append(_flag_row(f"{prefix}walk[{trace.reason}]", False))
     return rows, trace
 
 
@@ -271,7 +266,7 @@ def verify_alexandrov(seed: int = 0, count: int = 500) -> dict:
     # pairwise inequality
     for i in range(count):
         d = int(rng.integers(2, 7))
-        lhs, rhs, ok = witness.check_alexandrov(random_psd(rng, d), random_psd(rng, d))
+        lhs, rhs = witness.check_alexandrov(random_psd(rng, d), random_psd(rng, d))
         rows.append(_row(f"pair{i}.rhs_minus_lhs", rhs - lhs, 1e-9 * max(1.0, abs(lhs), abs(rhs))))
     return _finish(report)
 
@@ -419,8 +414,10 @@ def run_solve(
     inst = model.load_instance(instance)
     report = {"command": "solve", "instance": instance, "checks": []}
     brute = disc.disc_bruteforce(inst, threads=threads)
-    report["bruteforce"] = brute.to_doc()
-    if isinstance(inst, model.RankOneInstance):
+    rank_one = isinstance(inst, model.RankOneInstance)
+    bounds = disc.bound_menu(inst, brute.sigma) if rank_one else {}
+    report["bruteforce"] = dict(brute.to_doc(), bounds=bounds)
+    if rank_one:
         rows, solved = _greedy_check(inst, brute, "", root_tol, norm_tol)
         if solved:
             assignment, trace = solved
@@ -428,7 +425,7 @@ def run_solve(
                 "assignment": {"indices": list(assignment.indices), "values": list(assignment.values)},
                 "trace": trace.to_doc(),
             }
-        rows += [_row(f"disc_le_{name}", brute.value, bound + norm_tol) for name, bound in brute.bounds.items()]
+        rows += [_row(f"disc_le_{name}", brute.value, bound + norm_tol) for name, bound in bounds.items()]
         report["checks"] = rows
     return _finish(report)
 
@@ -439,8 +436,7 @@ def run_replay(instance: str, norm_tol: float = 1e-9) -> dict:
     if not isinstance(inst, model.RankOneInstance):
         raise MatDiscError("replay needs a rank-one instance")
     rows, trace = _walk_check(model.normalize(inst), "", norm_tol)
-    doc = trace if isinstance(trace, dict) else trace.to_doc()
-    return _finish({"command": "replay", "instance": instance, "checks": rows, "trace": doc})
+    return _finish({"command": "replay", "instance": instance, "checks": rows, "trace": trace.to_doc()})
 
 
 def run_frames_gen(n: int = 3, d: int = 2, out: Optional[str] = None) -> dict:

@@ -33,6 +33,7 @@ import numpy as np
 from . import linalg, model, rpoly
 from ._util import map_chunks, resolve_threads
 from .errors import (
+    DegreeZero,
     EnumerationTooLarge,
     InvalidOrder,
     InvariantViolation,
@@ -96,20 +97,17 @@ def _norm_fn(norm_kind: NormKind):
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Exact spectral discrepancy, the assignment achieving it, sigma, and
-    :func:`bound_menu`'s ``{name: bound}`` (empty for a Hermitian instance)."""
+    """Exact spectral discrepancy, the assignment achieving it, and sigma."""
 
     value: float
     argmin: model.SignAssignment
     sigma: float
-    bounds: dict
 
     def to_doc(self) -> dict:
         return {
             "value": self.value,
             "argmin": {"indices": list(self.argmin.indices), "values": list(self.argmin.values)},
             "sigma": self.sigma,
-            "bounds": self.bounds,
         }
 
 
@@ -240,9 +238,7 @@ def disc_bruteforce(inst: model.Instance, threads: Optional[int] = None) -> Disc
     the matrices handed to the eigensolver do not depend on the thread count.
     """
     [(value, argmin)] = exact_minimum(inst, ["spectral"], threads)
-    sig = model.sigma(inst)
-    bounds = bound_menu(inst, sig) if isinstance(inst, model.RankOneInstance) else {}
-    return DiscrepancyReport(value, argmin, sig, bounds)
+    return DiscrepancyReport(value, argmin, model.sigma(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +555,12 @@ def _variances(inst: model.RankOneInstance) -> np.ndarray:
     return np.array([rv.variance for rv in inst.rvs])
 
 
+def _live(vectors, variances) -> list:
+    """Indices of the variables of nonzero variance and nonzero vector, the
+    only ones that enter an expected polynomial or the walk's Q."""
+    return [i for i, (v, var) in enumerate(zip(vectors, variances)) if var > 0.0 and np.vdot(v, v).real > 0.0]
+
+
 def expected_charpoly(
     inst: model.RankOneInstance,
     prefix: Sequence[int] = (),
@@ -569,7 +571,10 @@ def expected_charpoly(
     the probability-weighted expectation, over the remaining outcomes, of
     ``det[x^2 I - M^2] = det[xI - M] det[xI + M]`` where
     ``M = sum_i (E[xi_i] - eps_i) u_i u_i*``, computed from the tail's
-    variances by :func:`_expected_ypolys`. Degree is exactly ``2 * dim``.
+    variances by :func:`_expected_ypolys`. The tail keeps only its
+    :func:`_live` variables, as the walk's evaluator does, so the top
+    polynomial fits ``ENUM_CAP`` wherever the walk does. Degree is exactly
+    ``2 * dim``.
     """
     if not isinstance(inst, model.RankOneInstance):
         raise TypeError("expected_charpoly needs a rank-one instance")
@@ -584,7 +589,9 @@ def expected_charpoly(
     idx = np.array([int(i) for i in prefix], dtype=np.int64)
     weight = float(np.prod(prob[np.arange(k), idx]))
     fixed = np.tensordot(means[:k] - supp[np.arange(k), idx], terms[:k], axes=(0, 0))
-    ypolys, _ = _expected_ypolys(fixed[None], inst.vectors[k:], _variances(inst)[k:])
+    variances = _variances(inst)[k:]
+    live = _live(inst.vectors[k:], variances)
+    ypolys, _ = _expected_ypolys(fixed[None], [inst.vectors[k + i] for i in live], variances[live])
     return _even_to_x(weight * ypolys[0])
 
 
@@ -657,7 +664,6 @@ class GreedyLevel:
     chosen_value: float
     chosen_lambda_max: float
     parent_lambda_max: float
-    monotone_ok: bool
     branch_coeffs: tuple  # x-space coefficients per branch, for auditing
 
 
@@ -682,22 +688,18 @@ class GreedyTrace:
                     "chosen_value": lv.chosen_value,
                     "chosen_lambda_max": lv.chosen_lambda_max,
                     "parent_lambda_max": lv.parent_lambda_max,
-                    "monotone_ok": lv.monotone_ok,
                 }
                 for lv in self.levels
             ],
         }
 
 
-GREEDY_MONOTONE_TOL = 1e-9
-
-
 def _lambda_max_y(ycoeffs: np.ndarray, tol: float) -> float:
     """Largest root of the even polynomial q(x^2), from its y-space roots."""
-    c, nzero = rpoly.deflate_zero_roots(ycoeffs)
-    if len(c) + nzero < 2:
-        raise NotRealRooted("degenerate partial polynomial (zero-probability branch?)")
-    r = rpoly._real_roots(c, nzero, tol)
+    try:
+        r = rpoly.real_roots(ycoeffs, tol)
+    except DegreeZero as exc:
+        raise NotRealRooted("degenerate partial polynomial (zero-probability branch?)") from exc
     if r[-1] < -tol * (1.0 + np.abs(r).max()):
         raise NotRealRooted("partial polynomial has a negative leading y-root")
     return math.sqrt(max(r[-1], 0.0))
@@ -723,9 +725,8 @@ def greedy_interlacing_solve(
     and the smallest support index among them wins, so exactly symmetric
     levels (Rademacher ones) do not leave the choice to roundoff. The final
     assignment's deviation norm equals the leaf polynomial's largest root,
-    and every level records whether the chosen root stayed below the
-    parent's (violations beyond 1e-9 are flagged in the trace, not silently
-    dropped).
+    and every level records its chosen root and its parent's, whose gap the
+    caller checks.
     """
     if not isinstance(inst, model.RankOneInstance):
         raise TypeError("the greedy solver is rank-one only")
@@ -750,7 +751,6 @@ def greedy_interlacing_solve(
         lams = np.array([_lambda_max_y(polys[t], root_tol) for t in range(int(sizes[k]))])
         lo = lams.min()
         t = int(np.flatnonzero(lams <= lo + GREEDY_TIE_RTOL * lo)[0])
-        monotone = bool(lams[t] <= parent_lam + GREEDY_MONOTONE_TOL)
         levels.append(
             GreedyLevel(
                 level=k + 1,
@@ -760,7 +760,6 @@ def greedy_interlacing_solve(
                 chosen_value=float(supp[k, t]),
                 chosen_lambda_max=float(lams[t]),
                 parent_lambda_max=float(parent_lam),
-                monotone_ok=monotone,
                 branch_coeffs=tuple(tuple(_even_to_x(polys[i])) for i in range(int(sizes[k]))),
             )
         )

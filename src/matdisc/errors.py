@@ -54,24 +54,6 @@ class NotAboveRoots(MatDiscError):
     """Evaluation point failed the above-the-roots certification."""
 
 
-class WalkStepFailed(MatDiscError):
-    """Barrier walk replay hit a violated inequality.
-
-    Attributes
-    ----------
-    step : int
-        Walk step index at which the violation occurred (-1 for the
-        initial-point checks).
-    reason : str
-        Human-readable description of the first violated inequality.
-    """
-
-    def __init__(self, step: int, reason: str):
-        self.step = step
-        self.reason = reason
-        super().__init__(f"walk step {step}: {reason}")
-
-
 class DimensionMismatch(MatDiscError):
     """Matrix tuple has inconsistent or wrong dimensions."""
 

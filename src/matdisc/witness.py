@@ -1,9 +1,10 @@
 """Numerical verification engine for the proof machinery.
 
-Covers the multivariate barrier walk that certifies the largest root of the
-top-level expected polynomial, barrier-function evaluation, mixed
-discriminants with their padded normalization, and the quadratic/bivariate
-barrier lemmas on generated determinantal families.
+Covers the multivariate barrier walk that certifies (3, 0) above the roots
+of Q_n, so that the top-level expected polynomial has its largest root at
+most 3, barrier-function evaluation, mixed discriminants with their padded
+normalization, and the quadratic/bivariate barrier lemmas on generated
+determinantal families.
 
 The walk's evaluator is built from a normalized rank-one instance, the one
 vector-family type. The transforms Q_k are evaluated by Cauchy-Binet subset
@@ -14,7 +15,9 @@ Q_k is quadratic in every coordinate, so the certification above the roots
 fits every coordinate ray exactly from Q_k at z and z +- e_j, and the
 barriers come from the same fit, the unit central difference
 ``[Q_k(z+e_j) - Q_k(z-e_j)] / 2``: one evaluation call per walk point. The
-top polynomial comes coefficient-exact from :func:`disc._expected_ypolys`.
+walk returns its verdict in its trace; the exact check of its conclusion,
+the largest root of :func:`disc.expected_charpoly` against 3, is the
+caller's.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -34,7 +37,6 @@ from .errors import (
     InvariantViolation,
     NotAboveRoots,
     NotPSD,
-    WalkStepFailed,
 )
 
 PSD_SLACK = 1e-10
@@ -52,9 +54,9 @@ class QEvaluator:
 
     Built from a rank-one instance that the caller has normalized with
     :func:`model.normalize`. It keeps the vectors v_i and the standard
-    deviations tau_i of the coordinates with nonzero variance and nonzero
-    vector, since the others contribute nothing to Q and would stall the
-    shift walk at delta_i = 0. The dimension is the instance's.
+    deviations tau_i of the :func:`disc._live` coordinates, nonzero variance
+    and nonzero vector, since the others contribute nothing to Q and would
+    stall the shift walk at delta_i = 0. The dimension is the instance's.
 
     Two exact routes evaluate Q_k for k >= 1. The determinant is affine in
     each z_j, and for f, g affine in z_j
@@ -78,18 +80,15 @@ class QEvaluator:
     """
 
     def __init__(self, inst: model.RankOneInstance):
-        kept = [
-            (v, math.sqrt(rv.variance))
-            for v, rv in zip(inst.vectors, inst.rvs)
-            if rv.variance > 0.0 and float(np.vdot(v, v).real) > 0.0
-        ]
-        self.vectors = tuple(v for v, _ in kept)
-        self.taus = np.array([tau for _, tau in kept], dtype=float)
-        self.n = len(kept)
+        variances = disc._variances(inst)
+        live = disc._live(inst.vectors, variances)
+        self.vectors = tuple(inst.vectors[i] for i in live)
+        self.taus = np.sqrt(variances[live])
+        self.n = len(live)
         self.dim = inst.dim
         outer = model.outer_products(np.reshape(self.vectors, (self.n, self.dim)))
         self._tw = self.taus[:, None, None] * outer
-        self._tail = None  # compounds of U, built on first use by _subset_sums or p_empty
+        self._tail = None  # compounds of U, built on first use by _subset_sums
         self.deltas = self.taus * np.array([float(np.vdot(v, v).real) for v in self.vectors])
 
     # -- evaluation --------------------------------------------------------
@@ -173,23 +172,6 @@ class QEvaluator:
                     acc += (a * a) @ tau2[cols]
             out += -acc if j % 2 else acc
         return out
-
-    def p_empty(self) -> np.ndarray:
-        """Fully transformed polynomial Q_n(x, 0), coefficient-exact.
-
-        At z = 0 the sign pairs average ``det[xI + W(s)] det[xI - W(s)]``
-        over s, the expected polynomial of independent signs of variance
-        tau_i^2 with no fixed part, which :func:`disc._expected_ypolys` sums
-        under ``disc.ENUM_CAP``, read at call time (by Cauchy-Binet subsets
-        or, when cheaper, over the same 2^(n-1) sign pairs). The compounds of
-        U are shared both ways: the engine takes those :meth:`eval_many` has
-        built, and the evaluator keeps those the engine builds. Ascending
-        x-space coefficients, degree 2 dim (``x^(2 dim)`` when no coordinate
-        is left).
-        """
-        zero = np.zeros((1, self.dim, self.dim), dtype=complex)
-        ypolys, self._tail = disc._expected_ypolys(zero, self.vectors, self.taus**2, self._tail)
-        return disc._even_to_x(ypolys[0])
 
 
 def _complement_products(lam: np.ndarray) -> np.ndarray:
@@ -276,18 +258,28 @@ class WalkStep:
 
 @dataclass(frozen=True)
 class BarrierWalkTrace:
+    """The walk's verdict: the steps finished and, on the first violated
+    inequality, its step (-1 for the start point) and the reason, both
+    ``None`` when the walk passes. ``initial_barriers`` is empty when the
+    start point fails its certification."""
+
     deltas: tuple
     initial_barriers: tuple
     steps: tuple
-    p_empty_lambda_max: float
-    passed: bool
+    failed_step: Optional[int] = None
+    reason: Optional[str] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.reason is None
 
     def to_doc(self) -> dict:
         return {
             "deltas": list(self.deltas),
             "initial_barriers": list(self.initial_barriers),
-            "p_empty_lambda_max": self.p_empty_lambda_max,
             "passed": self.passed,
+            "failed_step": self.failed_step,
+            "reason": self.reason,
             "steps": [
                 {
                     "step": s.step,
@@ -304,11 +296,10 @@ class BarrierWalkTrace:
 WALK_ALPHA = 3.0
 WALK_BARRIER_TOL = 1e-9
 WALK_MONO_TOL = 1e-8
-WALK_LAMBDA_TOL = 1e-9
 
 
 def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
-    """Replay the shift walk certifying the top polynomial's largest root.
+    """Replay the shift walk certifying (3, 0) above the roots of Q_n.
 
     The caller normalizes the instance with :func:`model.normalize`; the
     walk builds its :class:`QEvaluator` from it. Step by step it checks that
@@ -317,46 +308,51 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
     the roots of Q_{k+1}, and that the remaining barriers never increase. Each
     point's barriers come from its certification
     (:func:`certify_above_roots`), one :meth:`QEvaluator.eval_many` call per
-    point. The first violated inequality raises :class:`WalkStepFailed`;
-    success returns the full trace including the largest root of the final
-    polynomial, which must be at most 3 + 1e-9. Raises
-    :class:`EnumerationTooLarge` before the first step when neither route of
+    point. The first violated inequality ends the walk, and the trace
+    returned then holds the steps finished before it, the step and the
+    reason; nothing is raised for it. Raises :class:`EnumerationTooLarge`
+    before the first step when neither route of
     :meth:`QEvaluator.eval_many` fits ``disc.ENUM_CAP`` (read at call time)
     for the walk's largest call, the last certification (k = n at 2n + 31
     points). Both routes' counts grow with k and with the points, so every
-    other call fits then, and so does the top polynomial.
+    other call fits then.
     """
     qe = QEvaluator(inst)
     n = qe.n
     deltas = qe.deltas
     disc._plan_route(qe.dim, n, 2 * n + 2 * PROBE_POINTS - 1, symmetric=True)
+    steps = []
+
+    def verdict(initial, failed_step=None, reason=None) -> BarrierWalkTrace:
+        return BarrierWalkTrace(
+            tuple(float(d) for d in deltas), tuple(float(b) for b in initial), tuple(steps), failed_step, reason
+        )
 
     w = -deltas
     try:
         initial = certify_above_roots(qe, 0, WALK_ALPHA, w)
     except NotAboveRoots as exc:
-        raise WalkStepFailed(-1, f"initial point not above roots: {exc}") from exc
+        return verdict((), -1, f"initial point not above roots: {exc}")
     for i in range(n):
         if initial[i] > deltas[i] + WALK_BARRIER_TOL:
-            raise WalkStepFailed(-1, f"initial barrier {i} is {initial[i]:.12f} > delta {deltas[i]:.12f}")
+            return verdict(initial, -1, f"initial barrier {i} is {initial[i]:.12f} > delta {deltas[i]:.12f}")
 
     prev = initial.copy()
-    steps = []
     for k in range(n):
         hyp_val, hyp_bound = float(prev[k]), float(deltas[k])
         if hyp_val > hyp_bound + WALK_BARRIER_TOL:
-            raise WalkStepFailed(k, f"step hypothesis failed: barrier {hyp_val:.12f} > delta {hyp_bound:.12f}")
+            return verdict(initial, k, f"step hypothesis failed: barrier {hyp_val:.12f} > delta {hyp_bound:.12f}")
         w_next = w.copy()
         w_next[k] = 0.0
         try:
             barriers = certify_above_roots(qe, k + 1, WALK_ALPHA, w_next)
         except NotAboveRoots as exc:
-            raise WalkStepFailed(k, f"shifted point not above roots: {exc}") from exc
+            return verdict(initial, k, f"shifted point not above roots: {exc}")
         new = {}
         for j in range(k + 1, n):
             new[j] = float(barriers[j])
             if new[j] > prev[j] + WALK_MONO_TOL:
-                raise WalkStepFailed(k, f"barrier {j} increased: {new[j]:.12f} > {prev[j]:.12f}")
+                return verdict(initial, k, f"barrier {j} increased: {new[j]:.12f} > {prev[j]:.12f}")
         steps.append(
             WalkStep(
                 step=k,
@@ -368,23 +364,7 @@ def replay_barrier_walk(inst: model.RankOneInstance) -> BarrierWalkTrace:
         )
         prev[k + 1 :] = barriers[k + 1 :]
         w = w_next
-
-    lam = _lambda_max_of_p_empty(qe)
-    if lam > WALK_ALPHA + WALK_LAMBDA_TOL:
-        raise WalkStepFailed(n - 1, f"largest root {lam:.12f} exceeds {WALK_ALPHA}")
-    return BarrierWalkTrace(
-        tuple(float(d) for d in deltas),
-        tuple(float(b) for b in initial),
-        tuple(steps),
-        lam,
-        True,
-    )
-
-
-def _lambda_max_of_p_empty(qe: QEvaluator) -> float:
-    # Coefficients must be exact (built from spectra, not fitted to values):
-    # noise near structural zero roots would disturb a 1e-9 root comparison.
-    return rpoly.lambda_max(qe.p_empty(), tol=1e-6)
+    return verdict(initial)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +441,9 @@ def _require_psd(mat: np.ndarray, name: str) -> None:
         raise NotPSD(f"{name} has eigenvalue {w.min():.3e}")
 
 
-def check_alexandrov(x1, x2) -> Tuple[float, float, bool]:
-    """Check ``Dtilde(X1) * Dtilde(X2) >= Dtilde(X1, X2)`` for PSD inputs.
-
-    Returns (lhs, rhs, pass); pass allows 1e-9 * scale slack.
-    """
+def check_alexandrov(x1, x2) -> Tuple[float, float]:
+    """Both sides of ``Dtilde(X1) * Dtilde(X2) >= Dtilde(X1, X2)`` for PSD
+    inputs, (lhs, rhs); the caller compares them."""
     a, b = _as_real_square([x1, x2])
     d = a.shape[0]
     if d < 2:
@@ -473,9 +451,7 @@ def check_alexandrov(x1, x2) -> Tuple[float, float, bool]:
     _require_psd(a, "X1")
     _require_psd(b, "X2")
     lhs = d_tilde([a]) * d_tilde([b])
-    rhs = d_tilde([a, b])
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return lhs, rhs, lhs >= rhs - 1e-9 * scale
+    return lhs, d_tilde([a, b])
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,13 @@ def test_one_evaluation_site():
     assert callers("eval_many") == {"witness.certify_above_roots"}
 
 
+def test_one_root_rule():
+    # only rpoly deflates origin roots and extracts roots, so its rule for
+    # multiple roots is the package's
+    for name in ("_real_roots", "deflate_zero_roots"):
+        assert {caller.split(".")[0] for caller in callers(name)} == {"rpoly"}, name
+
+
 def test_one_check_per_solver():
     # the sweeps and the single-instance commands share one check each
     def in_cli(name):

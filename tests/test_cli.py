@@ -1,9 +1,11 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import matdisc
@@ -31,8 +33,30 @@ def test_solve_fixture(tmp_path, capsys):
 
 def test_solve_takes_sigma_once(tmp_path, monkeypatch):
     calls = count_sigma(monkeypatch)
-    assert cli.main(["solve", "--instance", FIXTURE, "--out", str(tmp_path / "solve.json")]) == 0
+    out = tmp_path / "solve.json"
+    assert cli.main(["solve", "--instance", FIXTURE, "--out", str(out)]) == 0
     assert len(calls) == 1
+    section = json.loads(out.read_text())["bruteforce"]
+    assert section["bounds"]["three_sigma"] == 3.0 * section["sigma"]
+
+
+def test_solve_writes_the_bound_menu_last(tmp_path):
+    # the bruteforce section ends with the menu of the rank-one instance,
+    # computed by solve from brute force's sigma; a Hermitian instance gets {}
+    vectors = (np.array([1.0, 0.0]), np.array([1.0, 1.0]) / math.sqrt(2), np.array([0.0, 1.0]))
+    rvs = tuple(model.DiscreteRandomVariable.rademacher() for _ in vectors)
+    rank_one = model.RankOneInstance(2, vectors, rvs)
+    hermitian = model.HermitianInstance(2, tuple(model.terms(rank_one)), rvs)
+    out = tmp_path / "solve.json"
+    for inst, name in ((rank_one, "rank_one"), (hermitian, "hermitian")):
+        path = tmp_path / f"{name}.json"
+        model.save_instance(inst, path)
+        assert cli.main(["solve", "--instance", str(path), "--out", str(out)]) == 0
+        section = json.loads(out.read_text())["bruteforce"]
+        assert list(section) == ["value", "argmin", "sigma", "bounds"]
+        sigma = section["sigma"]
+        want = {"three_sigma": 3.0 * sigma, "four_sigma": 4.0 * sigma} if name == "rank_one" else {}
+        assert section["bounds"] == want, name
 
 
 def test_verify_prop16_single(tmp_path):
@@ -68,7 +92,8 @@ def test_replay_command(tmp_path):
     assert cli.main(["replay", "--instance", FIXTURE, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["trace"]["passed"]
-    assert doc["trace"]["p_empty_lambda_max"] <= 3.0 + 1e-9
+    lam = doc["checks"][0]
+    assert lam["name"] == "lambda_p_empty" and lam["lhs"] <= 3.0 + 1e-9 and lam["pass"]
 
 
 def test_frames_gen_writes_loadable_instance(tmp_path, capsys):
@@ -173,37 +198,72 @@ def test_greedy_failure_becomes_failing_row(monkeypatch):
     [
         ("WALK_BARRIER_TOL", -1.0, "initial barrier 0 is", -1),
         ("WALK_MONO_TOL", -1.0, "barrier 1 increased", 0),
-        # after the last of the fixture's three steps
-        ("WALK_LAMBDA_TOL", -3.0, "largest root", 2),
     ],
 )
 def test_walk_failures_become_failing_rows(tmp_path, capsys, monkeypatch, tolerance, value, reason, step):
-    # a tolerance no walk can meet forces each of the walk's raises: the
-    # start point's barriers against delta, a barrier that grows at step 0,
-    # and the top polynomial's largest root against 3. verify thm41 and
-    # replay report it as a failing row and exit 1, never 2
+    # a tolerance no walk can meet forces a failed inequality: the start
+    # point's barriers against delta, or a barrier that grows at step 0.
+    # verify thm41 and replay report it as a failing row and exit 1, never
+    # 2, and replay writes the walk's whole trace
     lam = cli.verify_thm41(seed=3, count=1)["checks"][0]
+    passing = cli.run_replay(FIXTURE)["trace"]
     monkeypatch.setattr(witness, tolerance, value)
     out = tmp_path / "thm41.json"
     assert cli.main(["verify", "thm41", "--seed", "3", "--count", "1", "--out", str(out)]) == 1
     rows = json.loads(out.read_text())["checks"]
-    # the top polynomial's root then comes from the engine, and passes
-    assert rows[0]["name"] == lam["name"] == "i0.lambda_p_empty" and rows[0]["pass"]
-    assert rows[0]["lhs"] == pytest.approx(lam["lhs"], rel=1e-9)
+    # the top polynomial's root does not depend on the walk, and passes
+    assert rows[0] == lam and rows[0]["name"] == "i0.lambda_p_empty" and rows[0]["pass"]
     assert rows[1]["name"].startswith(f"i0.walk[{reason}") and not rows[1]["pass"] and len(rows) == 2
 
     out = tmp_path / "replay.json"
     assert cli.main(["replay", "--instance", FIXTURE, "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
-    assert doc["trace"]["failed_step"] == step and doc["trace"]["reason"].startswith(reason)
-    assert [row["name"] for row in doc["checks"]] == ["lambda_p_empty", f"walk[{doc['trace']['reason']}]"]
+    trace = doc["trace"]
+    assert list(trace) == list(passing) == ["deltas", "initial_barriers", "passed", "failed_step", "reason", "steps"]
+    assert trace["failed_step"] == step and trace["reason"].startswith(reason) and trace["passed"] is False
+    assert trace["deltas"] == passing["deltas"] and trace["initial_barriers"] == passing["initial_barriers"]
+    assert trace["steps"] == [] and len(passing["steps"]) == 3
+    assert [row["name"] for row in doc["checks"]] == ["lambda_p_empty", f"walk[{trace['reason']}]"]
     assert doc["checks"][0]["pass"] and doc["failed"] == 1
     assert capsys.readouterr().err == ""
 
 
+def test_top_root_above_three_fails_only_its_row(tmp_path, capsys, monkeypatch):
+    # the walk does not look at the top polynomial's root: a root forced
+    # above 3 fails the lambda_p_empty row alone, and the walk's own row
+    # still passes; two rows per instance, exit 1
+    monkeypatch.setattr(rpoly, "lambda_max", lambda coeffs, tol: 3.5)
+    runs = ((["verify", "thm41", "--seed", "3", "--count", "2"], ("i0.", "i1.")), (["replay", "--instance", FIXTURE], ("",)))
+    for args, prefix in runs:
+        out = tmp_path / "out.json"
+        assert cli.main(args + ["--out", str(out)]) == 1, args
+        doc = json.loads(out.read_text())
+        names = [f"{p}{name}" for p in prefix for name in ("lambda_p_empty", "initial_barrier_gap")]
+        assert [row["name"] for row in doc["checks"]] == names, args
+        assert [row["pass"] for row in doc["checks"]] == [False, True] * len(prefix), args
+        assert doc["checks"][0]["lhs"] == 3.5 and doc["failed"] == len(prefix), args
+    assert doc["trace"]["passed"] and doc["trace"]["reason"] is None
+    assert capsys.readouterr().err == ""
+
+
+def test_top_polynomial_fits_wherever_the_walk_fits(tmp_path, monkeypatch):
+    # three live coordinates and ten of constant law: the walk's evaluator
+    # and the top polynomial both leave the ten out, so the top polynomial
+    # fits a cap that the walk fits (with the ten, its subset route would
+    # count 109 entries against a cap of 100)
+    rng = np.random.default_rng(3)
+    vectors = tuple(rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(13))
+    rvs = (model.DiscreteRandomVariable.rademacher(),) * 3 + (model.DiscreteRandomVariable((0.5,), (1.0,)),) * 10
+    path = tmp_path / "dead.json"
+    model.save_instance(model.RankOneInstance(2, vectors, rvs), path)
+    monkeypatch.setattr(disc, "ENUM_CAP", 100)
+    report = cli.run_replay(str(path))
+    assert [row["name"] for row in report["checks"]] == ["lambda_p_empty", "initial_barrier_gap"] and report["pass"]
+
+
 def test_walk_and_top_polynomial_failing_together(tmp_path, capsys, monkeypatch):
     # a barrier that grows at step 0, and a top polynomial whose roots do not
-    # come out real in the engine's fallback: both rows fail, exit 1, never 2
+    # come out real: both rows fail, exit 1, never 2
     def not_real_rooted(coeffs, tol):
         raise NotRealRooted("forced")
 
@@ -319,18 +379,23 @@ def test_numerical_failures_in_solve_and_replay_become_failing_rows(tmp_path, ca
     ]
 
     # a top polynomial that is not real-rooted fails a row of replay and of
-    # verify thm41, exit 1
-    def not_real_rooted(qe):
+    # verify thm41, exit 1; the walk still runs and passes
+    def not_real_rooted(coeffs, tol):
         raise NotRealRooted("forced")
 
-    monkeypatch.setattr(witness, "_lambda_max_of_p_empty", not_real_rooted)
+    monkeypatch.setattr(rpoly, "lambda_max", not_real_rooted)
     out = tmp_path / "replay.json"
     assert cli.main(["replay", "--instance", FIXTURE, "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
-    assert doc["trace"] == {"reason": "forced"}
-    assert [row["name"] for row in doc["checks"]] == ["lambda_p_empty[forced]"] and doc["failed"] == 1
+    assert doc["trace"]["passed"] and len(doc["trace"]["steps"]) == 3
+    assert [row["name"] for row in doc["checks"]] == ["lambda_p_empty[forced]", "initial_barrier_gap"] and doc["failed"] == 1
     report = cli.verify_thm41(seed=3, count=2)
-    assert [row["name"] for row in report["checks"]] == ["i0.lambda_p_empty[forced]", "i1.lambda_p_empty[forced]"]
+    assert [row["name"] for row in report["checks"]] == [
+        "i0.lambda_p_empty[forced]",
+        "i0.initial_barrier_gap",
+        "i1.lambda_p_empty[forced]",
+        "i1.initial_barrier_gap",
+    ]
     assert cli.main(["verify", "thm41", "--count", "2", "--seed", "3", "--out", os.devnull]) == 1
 
 

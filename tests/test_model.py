@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from matdisc import cli, disc, model, witness
+from matdisc import cli, disc, model
 from matdisc.errors import DegenerateSigma, InvariantViolation, ParseError
 
 from conftest import random_rank_one_instance, random_unitary
@@ -107,13 +107,18 @@ def test_normalize_is_scale_free():
     # sigma vanishes only with every variance or vector: a rescaled copy of an
     # instance, vectors or supports from 1e-30 to 1e30, normalizes and walks
     # as the original does, and the two degenerate instances are refused
+    def top_root(inst):
+        rows, trace = cli._walk_check(model.normalize(inst), "", 1e-9)
+        assert trace.passed and rows[0]["name"] == "lambda_p_empty"
+        return rows[0]["lhs"]
+
     inst = cli.random_rank_one(np.random.default_rng(4), 3, 5)
-    lam = witness.replay_barrier_walk(model.normalize(inst)).p_empty_lambda_max
+    lam = top_root(inst)
     for t in (1e-30, 1e-8, 1e8, 1e30):
         vectors = model.RankOneInstance(3, tuple(t * v for v in inst.vectors), inst.rvs)
         laws = tuple(model.DiscreteRandomVariable(tuple(t * x for x in rv.support), rv.probs) for rv in inst.rvs)
         for scaled in (vectors, model.RankOneInstance(3, inst.vectors, laws)):
-            assert witness.replay_barrier_walk(model.normalize(scaled)).p_empty_lambda_max == pytest.approx(lam, abs=1e-14), t
+            assert top_root(scaled) == pytest.approx(lam, abs=1e-14), t
     zero = model.RankOneInstance(3, tuple(0.0 * v for v in inst.vectors), inst.rvs)
     point_laws = model.RankOneInstance(3, inst.vectors, tuple(model.DiscreteRandomVariable((2.0,), (1.0,)) for _ in inst.rvs))
     for degenerate in (zero, point_laws):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from matdisc import cli, disc, model, witness
+from matdisc import cli, disc, model, rpoly, witness
 from matdisc.errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -13,7 +13,6 @@ from matdisc.errors import (
     InvariantViolation,
     NotAboveRoots,
     NotPSD,
-    WalkStepFailed,
 )
 
 from conftest import count_matrices, random_rank_one_instance
@@ -122,8 +121,9 @@ def test_eval_many_at_origin_is_the_top_polynomial():
     # Q_n(x, 0) is the top polynomial; d = 4, n = 20 is far past the sign
     # pairs' reach in a test, so the planner takes the subset sums
     rng = np.random.default_rng(20)
-    qe = witness.QEvaluator(normalized_instance(rng, 4, 20))
-    coeffs = qe.p_empty()
+    inst = normalized_instance(rng, 4, 20)
+    qe = witness.QEvaluator(inst)
+    coeffs = disc.expected_charpoly(inst)
     for x in (2.0, 3.0, 4.5):
         got = qe.eval_many(qe.n, [x], [np.zeros(qe.n)])[0]
         assert got == pytest.approx(np.polynomial.polynomial.polyval(x, coeffs), rel=1e-12, abs=0.0)
@@ -131,8 +131,7 @@ def test_eval_many_at_origin_is_the_top_polynomial():
 
 def test_p_empty_matches_operator_route(rng):
     inst = normalized_instance(rng, 3, 4)
-    qe = witness.QEvaluator(inst)
-    pa = qe.p_empty()
+    pa = disc.expected_charpoly(inst)
     pb = disc.expected_charpoly_operator(inst)
     scale = max(np.abs(pa).max(), np.abs(pb).max())
     assert np.abs(pa - pb).max() < 1e-8 * scale
@@ -148,9 +147,9 @@ def test_p_empty_with_every_coordinate_dropped():
     )
     qe = witness.QEvaluator(inst)
     assert qe.n == 0 and qe.dim == 3
-    assert np.array_equal(qe.p_empty(), [0.0] * 6 + [1.0])
+    assert np.array_equal(disc.expected_charpoly(inst), [0.0] * 6 + [1.0])
     trace = witness.replay_barrier_walk(inst)
-    assert trace.passed and trace.p_empty_lambda_max == 0.0
+    assert trace.passed and trace.steps == ()
 
 
 def test_q_eval_operator_order_commutes(rng):
@@ -287,8 +286,7 @@ def test_certify_probe_points_and_first_failure(rng, monkeypatch):
 def test_walk_trivial_instance():
     inst = model.RankOneInstance(1, (np.array([1.0]),), (model.DiscreteRandomVariable.rademacher(),))
     trace = witness.replay_barrier_walk(inst)
-    assert trace.passed
-    assert trace.p_empty_lambda_max == pytest.approx(1.0, abs=1e-9)
+    assert trace.passed and trace.failed_step is None and trace.reason is None
     assert trace.deltas == (1.0,)
 
 
@@ -296,8 +294,8 @@ def test_walk_seeded_instances(rng):
     for _ in range(6):
         inst = normalized_instance(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
         trace = witness.replay_barrier_walk(inst)
-        assert trace.passed
-        assert trace.p_empty_lambda_max <= 3.0 + 1e-9
+        assert trace.passed and len(trace.steps) == len(trace.deltas)
+        assert rpoly.lambda_max(disc.expected_charpoly(inst), tol=1e-6) <= 3.0 + 1e-9
         for b, dlt in zip(trace.initial_barriers, trace.deltas):
             assert b <= dlt + 1e-9
         assert all(0.0 < dlt <= 1.0 + 1e-9 for dlt in trace.deltas)
@@ -307,9 +305,38 @@ def test_walk_denormalized_fails_at_initial_point():
     inst = model.RankOneInstance(
         1, (np.array([math.sqrt(2.0)]),), (model.DiscreteRandomVariable.rademacher(),)
     )
-    with pytest.raises(WalkStepFailed) as err:
-        witness.replay_barrier_walk(inst)
-    assert err.value.step == -1
+    trace = witness.replay_barrier_walk(inst)
+    assert not trace.passed and trace.failed_step == -1 and trace.steps == ()
+    assert trace.reason.startswith("initial")
+
+
+def test_walk_returns_its_failure(monkeypatch):
+    # a violated inequality ends the walk, which returns its verdict: the
+    # steps finished before it, the step and the reason; nothing is raised
+    inst = normalized_instance(np.random.default_rng(5), 3, 4)
+    full = witness.replay_barrier_walk(inst)
+    assert full.passed and len(full.steps) == 4
+    monkeypatch.setattr(witness, "WALK_MONO_TOL", -1.0)
+    trace = witness.replay_barrier_walk(inst)
+    assert not trace.passed and trace.failed_step == 0 and trace.steps == ()
+    assert trace.reason.startswith("barrier 1 increased")
+    assert trace.initial_barriers == full.initial_barriers
+    monkeypatch.undo()
+
+    # the shifted point of step 2 fails its certification
+    certify = witness.certify_above_roots
+
+    def fail_at_q3(qe, k, x, z):
+        if k == 3:
+            raise NotAboveRoots("forced")
+        return certify(qe, k, x, z)
+
+    monkeypatch.setattr(witness, "certify_above_roots", fail_at_q3)
+    trace = witness.replay_barrier_walk(inst)
+    assert trace.failed_step == 2 and trace.reason == "shifted point not above roots: forced"
+    assert trace.steps == full.steps[:2]
+    doc = trace.to_doc()
+    assert doc["passed"] is False and doc["failed_step"] == 2 and len(doc["steps"]) == 2
 
 
 def test_walk_skips_zero_variance_coordinates(rng):
@@ -356,24 +383,22 @@ def test_walk_determinant_count(monkeypatch):
         assert witness.replay_barrier_walk(inst).passed
         # one evaluation call at the start point and one per step
         assert calls == list(range(n + 1))
+        # the start point's positive-definiteness check takes one spectrum,
+        # and the walk takes no top polynomial
+        assert eigvalsh["matrices"] == 1
         if route == "signs":
-            # each point costs 2^k determinants (one at k = 0); the top
-            # polynomial takes the spectra of the 2^(n-1) sign pairs, and
-            # the start point's positive-definiteness check one spectrum
+            # each point costs 2^k determinants (one at k = 0)
             assert dets["matrices"] == start + sum(probes * 2**k for k in range(1, n + 1)) == 23987
-            assert eigvalsh["matrices"] == 1 + 2 ** (n - 1)
             assert eigh["matrices"] == 0
         else:
-            # the compounds of the n vectors, of every eigenbasis at a walk
-            # point and of the top polynomial's zero part come from Laplace
-            # steps (and complementary minors), not determinants; only the
-            # start point's k = 0 values take one determinant each. A
-            # certification at k >= 1 has 2n + 16 distinct z (the x ray's
-            # share the centre's), each with one eigenbasis, as has the top
-            # polynomial's zero part.
+            # the compounds of the n vectors and of every eigenbasis at a
+            # walk point come from Laplace steps (and complementary minors),
+            # not determinants; only the start point's k = 0 values take one
+            # determinant each. A certification at k >= 1 has 2n + 16
+            # distinct z (the x ray's share the centre's), each with one
+            # eigenbasis.
             assert dets["matrices"] == start == 17
-            assert eigvalsh["matrices"] == 1
-            assert eigh["matrices"] == n * (2 * n + 16) + 1 == 257
+            assert eigh["matrices"] == n * (2 * n + 16) == 256
 
 
 def test_walk_sign_pair_cap(rng, monkeypatch):
@@ -424,11 +449,12 @@ def test_p_empty_beyond_the_minor_cap():
     rng = np.random.default_rng(13)
     d, n = 13, 14
     assert sum(math.comb(n, k) * math.comb(d, k) for k in range(1, d + 1)) > disc.ENUM_CAP
-    qe = witness.QEvaluator(normalized_instance(rng, d, n))
+    inst = normalized_instance(rng, d, n)
+    qe = witness.QEvaluator(inst)
     signs = np.array(list(itertools.product([1.0, -1.0], repeat=n)))
     mu = np.linalg.eigvalsh(np.tensordot(signs, qe._tw, axes=(1, 0)))
     want = disc._even_to_x(disc._monic_from_roots_batch(mu * mu).mean(axis=0))
-    got = qe.p_empty()
+    got = disc.expected_charpoly(inst)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -436,6 +462,7 @@ def test_walk_trace_serializes(rng):
     inst = normalized_instance(rng, 2, 3)
     doc = witness.replay_barrier_walk(inst).to_doc()
     assert doc["passed"] and len(doc["steps"]) == 3
+    assert doc["failed_step"] is None and doc["reason"] is None
 
 
 # -- mixed discriminants ----------------------------------------------------
@@ -504,10 +531,10 @@ def test_d_tilde_pair_matches_padded_polarization(rng):
 
 
 def test_check_alexandrov_examples():
-    lhs, rhs, ok = witness.check_alexandrov(np.eye(2), np.eye(2))
-    assert (lhs, rhs, ok) == (pytest.approx(4.0), pytest.approx(2.0), True)
-    lhs, rhs, ok = witness.check_alexandrov(np.eye(3), np.zeros((3, 3)))
-    assert rhs == pytest.approx(0.0, abs=1e-12) and ok
+    lhs, rhs = witness.check_alexandrov(np.eye(2), np.eye(2))
+    assert (lhs, rhs) == (pytest.approx(4.0), pytest.approx(2.0))
+    lhs, rhs = witness.check_alexandrov(np.eye(3), np.zeros((3, 3)))
+    assert rhs == pytest.approx(0.0, abs=1e-12) and lhs >= rhs
 
 
 def test_check_alexandrov_rejects_non_psd():
@@ -518,8 +545,8 @@ def test_check_alexandrov_rejects_non_psd():
 def test_check_alexandrov_sweep(rng):
     for _ in range(60):
         d = int(rng.integers(2, 7))
-        _, _, ok = witness.check_alexandrov(random_psd(rng, d), random_psd(rng, d))
-        assert ok
+        lhs, rhs = witness.check_alexandrov(random_psd(rng, d), random_psd(rng, d))
+        assert lhs >= rhs - 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_barrier_equals_normalized_mixed_discriminant(rng):
