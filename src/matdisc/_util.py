@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
-# Fixed chunk size so parallel reductions are independent of worker count.
+# Most assignments per chunk of the brute-force scan. The chunks are fixed
+# by it and the input alone, so parallel reductions do not depend on the
+# worker count.
 CHUNK = 65536
 
 
@@ -15,14 +17,14 @@ def resolve_threads(threads=None) -> int:
     return t
 
 
-def map_chunks(fn, total: int, threads: int) -> list:
-    """Apply ``fn(start, stop)`` over fixed chunks, results in chunk order.
+def map_chunks(fn, ranges: list, threads: int) -> list:
+    """Apply ``fn(start, stop)`` over the fixed ``ranges``, results in their
+    order.
 
-    Worker count affects scheduling only; both the chunk boundaries and the
-    order of the returned list are fixed, so downstream reductions are
+    Worker count affects scheduling only; the caller fixes the ranges and
+    the returned list keeps their order, so downstream reductions are
     byte-deterministic.
     """
-    ranges = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
     if threads <= 1 or len(ranges) <= 1:
         return [fn(s, e) for s, e in ranges]
     from concurrent.futures import ThreadPoolExecutor

@@ -3,7 +3,8 @@
 Four routes live here:
 
 * exhaustive minimization over all sign assignments (the ground-truth oracle),
-  which skips the eigensolves that row-norm and power-step lower bounds
+  which takes row-norm lower bounds from two half-enumerations and builds
+  and eigensolves only the matrices that they and a power-step bound do not
   rule out,
 * expected characteristic polynomials of partial assignments, computed from
   the variances of the remaining variables by Cauchy-Binet subset sums
@@ -24,13 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import linalg, model, rpoly
+from . import _util, linalg, model, rpoly
 from ._util import map_chunks, resolve_threads
 from .errors import (
     DegreeZero,
@@ -64,14 +64,6 @@ def _family(inst):
         supp[j, : sizes[j]] = rv.support
         prob[j, : sizes[j]] = rv.probs
     return terms, means, sizes, supp, prob
-
-
-def _strides(sizes: np.ndarray) -> np.ndarray:
-    n = len(sizes)
-    strides = np.ones(n, dtype=np.int64)
-    for j in range(n - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-    return strides
 
 
 def _check_cap(total: int) -> None:
@@ -132,8 +124,109 @@ def _power_bound(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", w, w))
 
 
-def _visit(mats, norms, idx, ranked, best):
-    """Solve ``mats[idx]`` in ascending lower bound ``ranked``,
+def _coefficients(dev: np.ndarray, sizes: list, idx: np.ndarray) -> np.ndarray:
+    """The complex row of deviation coefficients of each assignment ``idx``
+    of variables with ``sizes`` support points, in mixed-radix order (the
+    first variable slowest); ``dev[j][i]`` is variable j's deviation at its
+    i-th point."""
+    coef = np.zeros((len(idx), len(sizes)), dtype=complex)
+    stride = math.prod(sizes)
+    for j, size in enumerate(sizes):
+        stride //= size
+        coef.real[:, j] = dev[j][idx // stride % size]
+    return coef
+
+
+def _deviations(dev: np.ndarray, sizes: list, flat: np.ndarray, d: int, idx: np.ndarray) -> np.ndarray:
+    """The deviation matrices of the assignments ``idx``, by the product of
+    their coefficient rows with the flat terms. A one-row product takes
+    BLAS's matrix-vector path, which rounds differently from the many-row
+    ones (and ``numpy.tensordot``), so it gets a second row."""
+    coef = _coefficients(dev, sizes, idx if len(idx) > 1 else np.repeat(idx, 2))
+    return np.dot(coef, flat)[: len(idx)].reshape(-1, d, d)
+
+
+class _Halves:
+    """Every assignment's deviation matrix as ``P_a + Q_b``.
+
+    The variables split at ``h``: ``P_a`` sums the leading ones' terms under
+    their a-th of ``count`` assignments, ``Q_b`` the trailing ones' under
+    their b-th of ``width``, and assignment ``a * width + b`` keeps the
+    mixed-radix order. The split makes the larger half as small as it can
+    with ``width`` at most ``_util.CHUNK``, so whole leading rows make a
+    chunk. The trailing sums are built once, the leading ones a chunk's rows
+    at a time, so neither half holds more than a chunk's worth.
+    """
+
+    def __init__(self, dev: np.ndarray, sizes: list, flat: np.ndarray, d: int):
+        fits = [h for h in range(len(sizes) + 1) if math.prod(sizes[h:]) <= _util.CHUNK]
+        h = min(fits, key=lambda h: max(math.prod(sizes[:h]), math.prod(sizes[h:])))
+        self.dev, self.sizes, self.flat, self.d, self.h = dev, sizes, flat, d, h
+        self.count, self.width = math.prod(sizes[:h]), math.prod(sizes[h:])
+        self.tails = self._sums(h, len(sizes), np.arange(self.width))
+        eps = np.finfo(float).eps
+        # ||(P_a + Q_b) e_j||^2 = ||P_a e_j||^2 + ||Q_b e_j||^2
+        # + 2 Re<P_a e_j, Q_b e_j> is one real GEMM per column j, the two
+        # norms as extra columns. Each norm is lowered by alpha times its
+        # matrix's largest: the GEMM's terms add up to at most twice the two
+        # largest, so its rounding and the norms' stay below the two
+        # lowerings and no bound rises above the row norm of P_a + Q_b.
+        self.alpha = 8 * (d + 1) * eps
+        tail_parts, tail_sq = self._columns(self.tails, self.alpha)
+        right = np.concatenate([2.0 * tail_parts, np.ones(tail_sq.shape + (1,)), tail_sq[..., None]], axis=2)
+        self.right = np.ascontiguousarray(right.transpose(0, 2, 1))
+        # P_a + Q_b and the matrix that one product of all n terms builds are
+        # two rounded sums of the same terms: they differ by at most this in
+        # norm, so every bound is lowered by it
+        self.spread = 8 * (len(sizes) + 2) * eps * float(np.abs(dev).max(axis=1) @ np.linalg.norm(flat, axis=1))
+
+    def _sums(self, lo: int, hi: int, idx: np.ndarray) -> np.ndarray:
+        """The sums of the terms of variables ``lo .. hi - 1`` under their
+        assignments ``idx``."""
+        coef = _coefficients(self.dev[lo:hi], self.sizes[lo:hi], idx)
+        return np.dot(coef, self.flat[lo:hi]).reshape(-1, self.d, self.d)
+
+    @staticmethod
+    def _columns(half: np.ndarray, alpha: float) -> tuple:
+        """Per column j of every matrix of ``half``: its real and imaginary
+        parts, shape (d, m, 2d), and its squared norm less ``alpha`` times
+        the matrix's largest, shape (d, m)."""
+        cols = np.moveaxis(half, 2, 0)
+        parts = np.concatenate([cols.real, cols.imag], axis=2)
+        sq = np.einsum("jai,jai->ja", parts, parts)
+        return parts, sq - alpha * sq.max(axis=0)
+
+    def bounds(self, a0: int, a1: int) -> np.ndarray:
+        """A lower bound on the largest row norm of the built matrix of
+        every assignment of the leading rows ``a0 .. a1 - 1``, in index
+        order."""
+        head_parts, head_sq = self._columns(self._sums(0, self.h, np.arange(a0, a1)), self.alpha)
+        lefts = np.concatenate([head_parts, head_sq[..., None], np.ones(head_sq.shape + (1,))], axis=2)
+        sq = np.zeros((a1 - a0, self.width))
+        for left, right in zip(lefts, self.right):
+            np.maximum(sq, left @ right, out=sq)
+        return np.sqrt(sq).ravel() - self.spread
+
+    def powers(self, idx: np.ndarray) -> np.ndarray:
+        """A lower bound on the norm of the built matrix of each assignment
+        of ``idx``: :func:`_power_bound` of ``P_a + Q_b``, lowered."""
+        a, b = np.divmod(idx, self.width)
+        near = self._sums(0, self.h, a) + self.tails[b]
+        pairs = near.view(np.float64)
+        return _power_bound(near, np.einsum("kij,kij->ki", pairs, pairs)) - self.spread
+
+
+def _solve(mats, idx, norms, best) -> None:
+    """Eigensolve ``mats``, the matrices of the assignments ``idx``, and fold
+    each norm's (value, index) minimum into ``best`` in place."""
+    eigs = np.linalg.eigvalsh(mats)
+    for i, vals in enumerate(norm(eigs) for norm in norms):
+        k = np.lexsort((idx, vals))[0]
+        best[i] = min(best[i], (float(vals[k]), int(idx[k])))
+
+
+def _visit(build, norms, idx, ranked, best) -> None:
+    """Solve the matrices ``build(idx)`` in ascending lower bound ``ranked``,
     ``_SCAN_BLOCK`` per eigensolve, each block under every norm of ``norms``,
     until the next bound exceeds the largest of the per-norm (value, index)
     ``best``, which it updates in place, by the relative ``_PRUNE_SLACK``."""
@@ -142,72 +235,67 @@ def _visit(mats, norms, idx, ranked, best):
         limit = np.searchsorted(ranked, max(best)[0] * (1.0 + _PRUNE_SLACK), side="right")
         cut = min(pos + _SCAN_BLOCK, limit)
         if cut <= pos:
-            return best
-        block = idx[pos:cut]
-        eigs = np.linalg.eigvalsh(mats[block])
-        for i, vals in enumerate(norm(eigs) for norm in norms):
-            k = np.lexsort((block, vals))[0]
-            best[i] = min(best[i], (float(vals[k]), int(block[k])))
+            return
+        _solve(build(idx[pos:cut]), idx[pos:cut], norms, best)
         pos = cut
 
 
 def exact_minimum(inst: model.Instance, norm_kinds: Sequence[NormKind], threads: Optional[int] = None) -> list:
     """One ``(value, argmin)`` of :func:`disc_bruteforce`'s scan per norm of
-    ``norm_kinds`` (spectral, or Schatten of finite order p >= 1)."""
+    ``norm_kinds`` (spectral, or Schatten of finite order p >= 1).
+
+    Up to ``_SCAN_BLOCK`` assignments go to one eigensolve with no bounds.
+    Beyond that the deviation matrices are :class:`_Halves`, and the leading
+    rows are cut into chunks of at most ``_util.CHUNK`` assignments. Each
+    chunk takes every assignment's row-norm bound from ``d`` real GEMMs and
+    eigensolves its ``_SCAN_BLOCK`` smallest; those its bests leave in go by
+    their power-step bound to :func:`_visit`. Only the matrices handed to
+    the eigensolver are built.
+    """
     terms, means, sizes, supp, _ = _family(inst)
-    strides = _strides(sizes)
-    total = int(np.prod(sizes.astype(object)))
+    sizes = sizes.tolist()
+    total = math.prod(sizes)
     _check_cap(total)
     norms = [_norm_fn(kind) for kind in norm_kinds]
     nthreads = resolve_threads(threads)
     # deviation coefficients eps_j - E[xi_j], per variable and support index
     dev = supp - means[:, None]
-
     flat = terms.reshape(len(terms), -1)
-    worker = threading.local()
 
-    def scan(start, stop):
-        count = stop - start
-        # Each worker reuses its chunk-sized arrays: fresh ones cost a page
-        # fault per page on every chunk. The terms are complex and the
-        # coefficients' imaginary parts stay zero.
-        if len(getattr(worker, "mats", ())) < count:
-            worker.coef = np.zeros((count, len(sizes)), dtype=flat.dtype)
-            worker.mats = np.empty((count,) + terms.shape[1:], dtype=flat.dtype)
-        # Variable j holds each support index for a run of strides[j]
-        # assignments: fill its column run by run, the chunk's first and
-        # last runs trimmed, with no per-assignment integer division.
-        coef = worker.coef[:count]
-        for j, (stride, size) in enumerate(zip(strides.tolist(), sizes.tolist())):
-            first, last = start // stride, (stop - 1) // stride
-            runs = np.full(last - first + 1, stride)
-            runs[0] -= start - first * stride
-            runs[-1] -= (last + 1) * stride - stop
-            coef.real[:, j] = np.repeat(dev[j][np.arange(first, last + 1) % size], runs)
-        # the product np.tensordot(coef, terms, axes=(1, 0)) computes, on the
-        # same C-ordered complex coefficients, so the matrices match it bit
-        # for bit (the layout matters: at d = 1 the product is matrix-vector)
-        mats = worker.mats[:count]
-        np.dot(coef, flat, out=mats.reshape(count, -1))
-        # largest row norm <= spectral norm <= every served norm (the maximum
-        # runs over columns: numpy reduces a short last axis slowly)
-        pairs = mats.view(np.float64)
-        rows = np.einsum("kij,kij->ki", pairs, pairs)
-        bound = np.sqrt(functools.reduce(np.maximum, rows.T))
-        order = np.argsort(bound)
-        ranked = bound[order]
-        best = _visit(mats, norms, order[:_SCAN_BLOCK], ranked[:_SCAN_BLOCK], [(math.inf, -1)] * len(norms))
-        rest = order[_SCAN_BLOCK : np.searchsorted(ranked, max(best)[0] * (1.0 + _PRUNE_SLACK), side="right")]
-        if rest.size:
-            # the matrices the row norms leave in, by their power-step bound
-            power = _power_bound(mats[rest], rows[rest])
-            by_power = np.argsort(power)
-            best = _visit(mats, norms, rest[by_power], power[by_power], best)
-        return [(value, start + index) for value, index in best]
+    build = functools.partial(_deviations, dev, sizes, flat, inst.dim)
+    if total <= _SCAN_BLOCK:
+        # one eigensolve and no bounds: setting up the halves costs about
+        # 0.1 ms a call, more than the few matrices it could skip
+        idx = np.arange(total)
+        best = [(math.inf, -1)] * len(norms)
+        _solve(build(idx), idx, norms, best)
+        chunk_bests = [best]
+    else:
+        halves = _Halves(dev, sizes, flat, inst.dim)
+
+        def scan(a0, a1):
+            start = a0 * halves.width
+            bound = halves.bounds(a0, a1)
+            first = np.arange(bound.size)
+            if bound.size > _SCAN_BLOCK:
+                first = np.argpartition(bound, _SCAN_BLOCK - 1)[:_SCAN_BLOCK]
+            best = [(math.inf, -1)] * len(norms)
+            _solve(build(start + first), start + first, norms, best)
+            bound[first] = np.inf
+            rest = start + np.flatnonzero(bound <= max(best)[0] * (1.0 + _PRUNE_SLACK))
+            if rest.size:
+                power = halves.powers(rest)
+                by_power = np.argsort(power)
+                _visit(build, norms, rest[by_power], power[by_power], best)
+            return best
+
+        rows = _util.CHUNK // halves.width
+        ranges = [(a, min(a + rows, halves.count)) for a in range(0, halves.count, rows)]
+        chunk_bests = map_chunks(scan, ranges, nthreads)
 
     out = []
-    for value, index in map(min, zip(*map_chunks(scan, total, nthreads))):
-        digits = [index // stride % size for stride, size in zip(strides.tolist(), sizes.tolist())]
+    for value, index in map(min, zip(*chunk_bests)):
+        digits = [int(i) for i in np.unravel_index(index, sizes)]
         out.append((value, model.SignAssignment.from_indices(digits, inst.rvs)))
     return out
 
@@ -222,20 +310,27 @@ def disc_bruteforce(inst: model.Instance, threads: Optional[int] = None) -> Disc
 
     The scan (:func:`exact_minimum`) serves several norms at once, the
     spectral norm and Schatten norms of finite order p >= 1, evaluating each
-    eigensolved block under every one. It builds each fixed chunk's
-    deviation matrices and skips the eigensolve of every matrix that
-    provably cannot win: every served norm is at least the spectral norm,
-    which is at least the largest row norm ``max_j ||M e_j||``. The matrices
-    are visited in ascending bound, ``_SCAN_BLOCK`` per eigensolve, and the
-    chunk stops once the next bound exceeds the largest of its running
-    bests, one per norm, by the relative slack ``_PRUNE_SLACK`` (1e-10, far
-    above rounding, so exact ties are never pruned). The first block goes by
-    row norm; the matrices its bests leave in go by the tighter power-step
-    bound of :func:`_power_bound`, so an instance whose row norms sit far
-    below its norms prunes as well as any other. Each norm's result is
-    exact. Chunks reduce with a (value, index) minimum per norm and each
-    chunk prunes only against its own bests, so the values, the argmins and
-    the matrices handed to the eigensolver do not depend on the thread count.
+    eigensolved block under every one. It builds only the deviation
+    matrices it eigensolves and skips every one that provably cannot win:
+    every served norm is at least the spectral norm, which is at least the
+    largest row norm ``max_j ||M e_j||``. Beyond ``_SCAN_BLOCK`` assignments
+    every deviation is ``P_a + Q_b`` over two half-enumerations
+    (:class:`_Halves`), and each chunk of whole leading rows builds its
+    leading sums and takes its row norms from ``d`` real GEMMs, lowered by
+    a rounding allowance so that no bound exceeds the built matrix's row
+    norm. The matrices are visited in ascending bound, ``_SCAN_BLOCK`` per
+    eigensolve, and the chunk stops once the next bound exceeds the largest
+    of its running bests, one per norm, by the relative slack
+    ``_PRUNE_SLACK`` (1e-10, far above rounding, so exact ties are never
+    pruned). The first block goes by row norm; the
+    assignments its bests leave in go by the tighter power-step bound of
+    :func:`_power_bound`, so an instance whose row norms sit far below its
+    norms prunes as well as any other. Each eigensolved matrix is the one
+    the full enumeration builds, bit for bit, so each norm's result is
+    exact. Chunks reduce with a (value, index) minimum per norm, their
+    boundaries do not depend on the thread count, and each chunk prunes
+    only against its own bests, so the values, the argmins and the matrices
+    handed to the eigensolver do not depend on the thread count.
     """
     [(value, argmin)] = exact_minimum(inst, ["spectral"], threads)
     return DiscrepancyReport(value, argmin, model.sigma(inst))
@@ -578,17 +673,20 @@ def expected_charpoly(
     """
     if not isinstance(inst, model.RankOneInstance):
         raise TypeError("expected_charpoly needs a rank-one instance")
-    terms, means, sizes, supp, prob = _family(inst)
     k = len(prefix)
     if k > inst.n:
         raise InvariantViolation("prefix", "longer than the instance")
-    for j, i in enumerate(prefix):
-        if not 0 <= int(i) < sizes[j]:
-            raise InvariantViolation("prefix", f"support index {i} out of range at {j}")
-
-    idx = np.array([int(i) for i in prefix], dtype=np.int64)
-    weight = float(np.prod(prob[np.arange(k), idx]))
-    fixed = np.tensordot(means[:k] - supp[np.arange(k), idx], terms[:k], axes=(0, 0))
+    # the top polynomial: nothing fixed, weight 1
+    fixed = np.zeros((inst.dim, inst.dim), dtype=complex)
+    weight = 1.0
+    if k:
+        terms, means, sizes, supp, prob = _family(inst)
+        for j, i in enumerate(prefix):
+            if not 0 <= int(i) < sizes[j]:
+                raise InvariantViolation("prefix", f"support index {i} out of range at {j}")
+        idx = np.array([int(i) for i in prefix], dtype=np.int64)
+        weight = float(np.prod(prob[np.arange(k), idx]))
+        fixed = np.tensordot(means[:k] - supp[np.arange(k), idx], terms[:k], axes=(0, 0))
     variances = _variances(inst)[k:]
     live = _live(inst.vectors[k:], variances)
     ypolys, _ = _expected_ypolys(fixed[None], [inst.vectors[k + i] for i in live], variances[live])
@@ -694,15 +792,19 @@ class GreedyTrace:
         }
 
 
-def _lambda_max_y(ycoeffs: np.ndarray, tol: float) -> float:
-    """Largest root of the even polynomial q(x^2), from its y-space roots."""
+def _lambda_max_y(ypolys, tol: float) -> list:
+    """Largest root of each even polynomial q(x^2) of ``ypolys``, from its
+    y-space roots, all from one call of :func:`rpoly.iter_real_roots`; the
+    first member that fails raises."""
+    lams = []
     try:
-        r = rpoly.real_roots(ycoeffs, tol)
+        for r in rpoly.iter_real_roots(ypolys, tol):
+            if r[-1] < -tol * (1.0 + np.abs(r).max()):
+                raise NotRealRooted("partial polynomial has a negative leading y-root")
+            lams.append(math.sqrt(max(r[-1], 0.0)))
     except DegreeZero as exc:
         raise NotRealRooted("degenerate partial polynomial (zero-probability branch?)") from exc
-    if r[-1] < -tol * (1.0 + np.abs(r).max()):
-        raise NotRealRooted("partial polynomial has a negative leading y-root")
-    return math.sqrt(max(r[-1], 0.0))
+    return lams
 
 
 GREEDY_TIE_RTOL = 1e-12
@@ -745,10 +847,11 @@ def greedy_interlacing_solve(
         branches = fixed[None] + (means[k] - supp[k, : sizes[k]])[:, None, None] * terms[k][None]
         polys, tail = _expected_ypolys(branches, vectors[:k:-1], variances[:k:-1], tail)
         polys = weights[:, None] * polys
+        # at level 1 the top polynomial goes first, in the same call
+        lams = _lambda_max_y(([polys.sum(axis=0)] if k == 0 else []) + list(polys), root_tol)
         if k == 0:
-            p_empty_lam = _lambda_max_y(polys.sum(axis=0), root_tol)
-            parent_lam = p_empty_lam
-        lams = np.array([_lambda_max_y(polys[t], root_tol) for t in range(int(sizes[k]))])
+            p_empty_lam = parent_lam = lams.pop(0)
+        lams = np.array(lams)
         lo = lams.min()
         t = int(np.flatnonzero(lams <= lo + GREEDY_TIE_RTOL * lo)[0])
         levels.append(

@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from .errors import DegreeMismatch, DegreeZero, NotRealRooted
 
@@ -60,7 +59,7 @@ def is_real_rooted(coeffs, tol: float = REAL_ROOT_TOL) -> bool:
     first (see :func:`deflate_zero_roots`) and count as real; constants pass.
     """
     try:
-        _real_roots(*deflate_zero_roots(coeffs), tol)
+        real_roots(coeffs, tol)
     except NotRealRooted:
         return False
     except DegreeZero:
@@ -73,25 +72,53 @@ def real_roots(coeffs, tol: float = REAL_ROOT_TOL) -> np.ndarray:
 
     Deflated origin roots are reported as exact zeros.
     """
-    return _real_roots(*deflate_zero_roots(coeffs), tol)
+    return next(iter_real_roots([coeffs], tol))
 
 
-def _real_roots(c: np.ndarray, nzero: int, tol: float) -> np.ndarray:
-    """:func:`real_roots` of the output of :func:`deflate_zero_roots`.
+def iter_real_roots(polys: Sequence, tol: float = REAL_ROOT_TOL):
+    """Yield :func:`real_roots` of each of ``polys`` in turn, from one
+    eigensolve per coefficient length; a member that fails raises when its
+    turn comes."""
+    return _real_roots([deflate_zero_roots(p) for p in polys], tol)
 
-    The one root extraction of the package: companion-matrix eigenvalues,
-    accepted when every ``|imag| <= tol * (1 + max |real part|)``.
+
+def _real_roots(parts: Sequence, tol: float):
+    """:func:`real_roots` of each output of :func:`deflate_zero_roots` in
+    ``parts``, in turn.
+
+    The one root extraction of the package: the eigenvalues of numpy's
+    companion matrices (``numpy.polynomial.polynomial.polyroots``), accepted
+    when every ``|imag| <= tol * (1 + max |real part|)``. Every member with
+    the same number of coefficients goes to one eigensolve, and degree 1
+    takes the closed form. The members are checked in order: the first that
+    is constant raises :class:`DegreeZero` and the first with a complex root
+    :class:`NotRealRooted`, with the roots of the members before it yielded.
     """
-    if len(c) + nzero < 2:
-        raise DegreeZero("cannot extract roots of a constant polynomial")
-    if len(c) < 2:
-        return np.zeros(nzero)
-    r = npp.polyroots(c)
-    scale = 1.0 + np.abs(np.real(r)).max()
-    bad = np.abs(np.imag(r)).max()
-    if bad > tol * scale:
-        raise NotRealRooted(f"root imaginary part {bad:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return np.sort(np.concatenate([np.zeros(nzero), np.real(r)]))
+    stacks = {}
+    for c, _ in parts:
+        if len(c) > 2:
+            stacks.setdefault(len(c), []).append(c)
+    found = {}
+    for m, members in stacks.items():
+        stack = np.array(members)
+        # numpy's companion matrix: ones below the diagonal, and the last
+        # column less the coefficients over the leading one
+        mats = np.zeros((len(stack), m - 1, m - 1))
+        mats.reshape(len(stack), -1)[:, m - 1 :: m] = 1.0
+        mats[:, :, -1] -= stack[:, :-1] / stack[:, -1:]
+        found[m] = iter(np.linalg.eigvals(mats))
+    for c, nzero in parts:
+        if len(c) + nzero < 2:
+            raise DegreeZero("cannot extract roots of a constant polynomial")
+        if len(c) < 2:
+            yield np.zeros(nzero)
+            continue
+        r = next(found[len(c)]) if len(c) > 2 else np.array([-c[0] / c[1]])
+        scale = 1.0 + np.abs(np.real(r)).max()
+        bad = np.abs(np.imag(r)).max()
+        if bad > tol * scale:
+            raise NotRealRooted(f"root imaginary part {bad:.3e} exceeds {tol:.1e} * {scale:.3e}")
+        yield np.sort(np.concatenate([np.zeros(nzero), np.real(r)]))
 
 
 def lambda_max(coeffs, tol: float = REAL_ROOT_TOL) -> float:
@@ -116,7 +143,7 @@ def has_common_interlacing(polys: Sequence, tol: float = REAL_ROOT_TOL) -> bool:
     if degs == {0}:
         return True
     try:
-        r = np.array([_real_roots(c, nzero, tol) for c, nzero in parts])
+        r = np.array(list(_real_roots(parts, tol)))
     except NotRealRooted:
         return False
     slack = tol * (1.0 + np.abs(r).max())

@@ -181,13 +181,52 @@ def _oracle_family(name, rng):
 def test_pruned_scan_matches_the_full_enumeration(family, rng, monkeypatch):
     inst = _oracle_family(family, rng)
     want = [oracle_minimum(inst, norm_kind) for norm_kind in ALL_KINDS]
-    for block in (5, disc._SCAN_BLOCK):
+    # a chunk of 64 spans a few leading rows of the halves, so every family
+    # beyond one block is cut into several chunks; blocks of one matrix take
+    # the padded product
+    for chunk, block in itertools.product((_util.CHUNK, 64), (1, 5, disc._SCAN_BLOCK)):
+        monkeypatch.setattr(_util, "CHUNK", chunk)
         monkeypatch.setattr(disc, "_SCAN_BLOCK", block)
         # each kind alone, then every kind from one scan
         found = [disc.exact_minimum(inst, [norm_kind])[0] for norm_kind in ALL_KINDS]
         found += disc.exact_minimum(inst, ALL_KINDS)
         for norm_kind, want_kind, (value, argmin) in zip(ALL_KINDS * 2, want * 2, found):
-            assert (value, argmin.indices) == want_kind, (block, norm_kind)
+            assert (value, argmin.indices) == want_kind, (chunk, block, norm_kind)
+
+
+@pytest.mark.parametrize("family", ["rademacher", "parallel", "dynamic_range", "tight_bound", "phases", "hermitian"])
+def test_half_bounds_sit_below_the_built_norms(family, rng, monkeypatch):
+    # the halves' row-norm and power-step bounds never exceed the largest
+    # row norm and the norm of the matrix the eigensolver is handed
+    inst = _oracle_family(family, rng)
+    terms, means, sizes, supp, _ = disc._family(inst)
+    monkeypatch.setattr(_util, "CHUNK", 64)
+    dev, flat = supp - means[:, None], terms.reshape(inst.n, -1)
+    halves = disc._Halves(dev, sizes.tolist(), flat, inst.dim)
+    assert 1 < halves.width <= 64
+    idx = np.arange(halves.count * halves.width)
+    mats = disc._deviations(dev, sizes.tolist(), flat, inst.dim, idx)
+    rows = np.einsum("kij,kij->ki", mats.conj(), mats).real
+    spectral = np.abs(np.linalg.eigvalsh(mats)).max(axis=1)
+    assert np.all(halves.bounds(0, halves.count) <= np.sqrt(rows.max(axis=1)))
+    assert np.all(halves.powers(idx) <= spectral * (1 + 1e-12))
+    # a single matrix is built as the many-row product builds it
+    assert np.array_equal(disc._deviations(dev, sizes.tolist(), flat, inst.dim, idx[5:6]), mats[5:6])
+
+
+def test_halves_hold_at_most_a_chunk(rng):
+    # eleven coins and a last variable of 4096 points, 8.4 million
+    # assignments: the split keeps the coins' 2048 leading sums apart from
+    # the 4096 trailing ones, and the scan builds the leading sums a
+    # chunk's rows at a time
+    sizes = [2] * 11 + [4096]
+    dev = rng.standard_normal((len(sizes), max(sizes)))
+    flat = rng.standard_normal((len(sizes), 16)).astype(complex)
+    halves = disc._Halves(dev, sizes, flat, 4)
+    assert (halves.count, halves.width) == (2048, 4096)
+    assert halves.tails.shape == (4096, 4, 4)
+    rows = _util.CHUNK // halves.width
+    assert halves.bounds(0, rows).shape == (_util.CHUNK,)
 
 
 def test_power_bound_sits_between_row_norm_and_norm(rng):

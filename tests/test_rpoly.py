@@ -52,6 +52,42 @@ def test_origin_multiplicity_is_deflated():
     assert rpoly.lambda_max(c) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_batched_roots_match_one_polynomial_at_a_time():
+    # two coefficient lengths (5 and 4), deflated origin roots, degree 1 and
+    # a constant left after deflation: each member's roots are numpy's own
+    # companion eigenvalues, bit for bit
+    rng = np.random.default_rng(9)
+    polys = [
+        npp.polyfromroots(rng.uniform(-2, 2, size=4)),
+        npp.polymul([0.0, 0.0, 1.0], npp.polyfromroots(rng.uniform(-2, 2, size=3))),
+        [3.0, -1.5],
+        [0.0, 0.0, 2.0],
+        2.5 * npp.polyfromroots(rng.uniform(-2, 2, size=4)),
+        npp.polyfromroots(rng.uniform(-2, 2, size=3)),
+    ]
+    got = list(rpoly.iter_real_roots(polys))
+    assert len(got) == len(polys)
+    for p, roots in zip(polys, got):
+        c, nzero = rpoly.deflate_zero_roots(p)
+        want = np.sort(np.concatenate([np.zeros(nzero), np.real(npp.polyroots(c))]))
+        assert roots.tobytes() == want.tobytes()
+        assert roots.tobytes() == rpoly.real_roots(p).tobytes()
+
+
+def test_batched_roots_raise_at_the_first_failing_member():
+    # the second member is complex, the third constant and the fourth
+    # complex with other roots: the second's message is raised, after the
+    # first member's roots
+    polys = [[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [4.0], [2.0, 0.0, 1.0]]
+    with pytest.raises(NotRealRooted) as alone:
+        rpoly.real_roots(polys[1])
+    roots = rpoly.iter_real_roots(polys)
+    assert np.array_equal(next(roots), [-1.0, 1.0])
+    with pytest.raises(NotRealRooted) as batched:
+        next(roots)
+    assert str(batched.value) == str(alone.value)
+
+
 def test_interlacing_bounds_lambda_max():
     rng = np.random.default_rng(3)
     for _ in range(10):
