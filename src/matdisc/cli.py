@@ -113,25 +113,31 @@ def random_hermitian_instance(rng, d: int, n: int, rademacher: bool) -> model.He
 # Verification suites, and the per-instance checks `solve` and `replay` share
 # ---------------------------------------------------------------------------
 
+# The slack of the rows that hold a discrepancy, a largest root or a gap to
+# the paper's bound, and the real-rootedness tolerance of the top polynomial
+# and of the greedy's branch families, looser than ``rpoly.REAL_ROOT_TOL``.
+NORM_TOL = 1e-9
+REAL_ROOTED_TOL = 1e-6
 
-def _greedy_check(inst: model.RankOneInstance, brute: disc.DiscrepancyReport, prefix: str, root_tol: float, norm_tol: float) -> tuple:
+
+def _greedy_check(inst: model.RankOneInstance, brute: disc.DiscrepancyReport, prefix: str) -> tuple:
     """Rows brute <= greedy <= 3 sigma, leaf identity and level monotonicity,
     named after ``prefix``, and ``(assignment, trace)``; or one failing
     ``greedy[...]`` row and ``None`` when a level's roots do not come out real."""
     try:
-        assignment, trace = disc.greedy_interlacing_solve(inst, root_tol=root_tol)
+        assignment, trace = disc.greedy_interlacing_solve(inst)
     except NotRealRooted as exc:
         return [_flag_row(f"{prefix}greedy[{exc}]", False)], None
     worst = max(lv.chosen_lambda_max - lv.parent_lambda_max for lv in trace.levels)
     return [
         _row(f"{prefix}brute_le_greedy", brute.value, trace.final_value + 1e-12),
-        _row(f"{prefix}greedy_le_3sigma", trace.final_value, 3.0 * brute.sigma + norm_tol),
-        _row(f"{prefix}leaf_identity_gap", abs(trace.final_value - trace.leaf_lambda_max), norm_tol),
-        _row(f"{prefix}level_monotone_gap", worst, norm_tol),
+        _row(f"{prefix}greedy_le_3sigma", trace.final_value, 3.0 * brute.sigma + NORM_TOL),
+        _row(f"{prefix}leaf_identity_gap", abs(trace.final_value - trace.leaf_lambda_max), NORM_TOL),
+        _row(f"{prefix}level_monotone_gap", worst, NORM_TOL),
     ], (assignment, trace)
 
 
-def _walk_check(inst: model.RankOneInstance, prefix: str, norm_tol: float) -> tuple:
+def _walk_check(inst: model.RankOneInstance, prefix: str) -> tuple:
     """Rows for the top polynomial's largest root against 3, then the initial
     barriers against delta or the failing ``walk[reason]``, named after
     ``prefix``, on a normalized instance; and the walk's trace. The walk runs
@@ -139,19 +145,19 @@ def _walk_check(inst: model.RankOneInstance, prefix: str, norm_tol: float) -> tu
     work."""
     trace = witness.replay_barrier_walk(inst)
     try:
-        lam = rpoly.lambda_max(disc.expected_charpoly(inst), tol=1e-6)
-        rows = [_row(f"{prefix}lambda_p_empty", lam, 3.0 + norm_tol)]
+        lam = rpoly.lambda_max(disc.expected_charpoly(inst), tol=REAL_ROOTED_TOL)
+        rows = [_row(f"{prefix}lambda_p_empty", lam, 3.0 + NORM_TOL)]
     except NotRealRooted as exc:
         rows = [_flag_row(f"{prefix}lambda_p_empty[{exc}]", False)]
     if trace.passed:
         gap = max((b - d for b, d in zip(trace.initial_barriers, trace.deltas)), default=0.0)
-        rows.append(_row(f"{prefix}initial_barrier_gap", gap, norm_tol))
+        rows.append(_row(f"{prefix}initial_barrier_gap", gap, NORM_TOL))
     else:
         rows.append(_flag_row(f"{prefix}walk[{trace.reason}]", False))
     return rows, trace
 
 
-def verify_thm13(seed: int = 0, count: int = 300, threads=None, root_tol: float = rpoly.REAL_ROOT_TOL, norm_tol: float = 1e-9) -> dict:
+def verify_thm13(seed: int = 0, count: int = 300, threads=None) -> dict:
     """Brute force <= greedy <= 3 sigma on the seeded rank-one sweep, plus the
     leaf identity and per-level monotonicity of every greedy trace."""
     report = {
@@ -159,13 +165,13 @@ def verify_thm13(seed: int = 0, count: int = 300, threads=None, root_tol: float 
         "suite": "thm13",
         "seed": seed,
         "count": count,
-        "root_tol": root_tol,
-        "norm_tol": norm_tol,
+        "root_tol": rpoly.REAL_ROOT_TOL,
+        "norm_tol": NORM_TOL,
         "checks": [],
     }
     for i, inst in enumerate(sweep_rank_one(seed, count)):
         brute = disc.disc_bruteforce(inst, threads=threads)
-        report["checks"] += _greedy_check(inst, brute, f"i{i}.", root_tol, norm_tol)[0]
+        report["checks"] += _greedy_check(inst, brute, f"i{i}.")[0]
     return _finish(report)
 
 
@@ -179,7 +185,7 @@ def verify_interlacing(seed: int = 0, count: int = 300) -> dict:
         "seed": seed,
         "count": count,
         "root_tol": rpoly.REAL_ROOT_TOL,
-        "real_rooted_tol": 1e-6,
+        "real_rooted_tol": REAL_ROOTED_TOL,
         "checks": [],
     }
     rows = report["checks"]
@@ -193,27 +199,27 @@ def verify_interlacing(seed: int = 0, count: int = 300) -> dict:
         for lv in trace.levels:
             polys = [np.array(c) for c in lv.branch_coeffs]
             # members with a common interlacer are real-rooted: one root pass
-            interlaced = len(polys) > 1 and rpoly.has_common_interlacing(polys, tol=1e-6)
+            interlaced = len(polys) > 1 and rpoly.has_common_interlacing(polys, tol=REAL_ROOTED_TOL)
             common = common and (interlaced or len(polys) < 2)
-            rooted = rooted and (interlaced or all(rpoly.is_real_rooted(c, tol=1e-6) for c in polys))
+            rooted = rooted and (interlaced or all(rpoly.is_real_rooted(c, tol=REAL_ROOTED_TOL) for c in polys))
         rows.append(_flag_row(f"i{i}.branches_real_rooted", rooted))
         rows.append(_flag_row(f"i{i}.common_interlacing", common))
     return _finish(report)
 
 
-def verify_thm41(seed: int = 0, count: int = 300, norm_tol: float = 1e-9) -> dict:
+def verify_thm41(seed: int = 0, count: int = 300) -> dict:
     """Normalized sweep: largest root of the top polynomial at most 3, and a
     full barrier-walk replay on every instance."""
-    report = {"command": "verify", "suite": "thm41", "seed": seed, "count": count, "norm_tol": norm_tol, "checks": []}
+    report = {"command": "verify", "suite": "thm41", "seed": seed, "count": count, "norm_tol": NORM_TOL, "checks": []}
     for i, inst in enumerate(sweep_rank_one(seed, count)):
-        report["checks"] += _walk_check(model.normalize(inst), f"i{i}.", norm_tol)[0]
+        report["checks"] += _walk_check(model.normalize(inst), f"i{i}.")[0]
     return _finish(report)
 
 
 THM15_PAIRS = ((2, 3), (3, 4), (3, 5), (4, 7), (5, 9))
 
 
-def verify_thm15(norm_tol: float = 1e-9) -> dict:
+def verify_thm15() -> dict:
     """Exact pattern norms of harmonic unit-norm tight frames."""
     report = {"command": "verify", "suite": "thm15", "pairs": [list(p) for p in THM15_PAIRS], "checks": []}
     rows = report["checks"]
@@ -221,12 +227,12 @@ def verify_thm15(norm_tol: float = 1e-9) -> dict:
         inst = frames.harmonic_untf(n, d)
         res = frames.verify_untf_disc(inst)
         rows.append(_flag_row(f"d{d}n{n}.all_patterns_constant", res["all_patterns_constant"]))
-        rows.append(_row(f"d{d}n{n}.disc_gap", abs(res["value"] - n / d), norm_tol))
+        rows.append(_row(f"d{d}n{n}.disc_gap", abs(res["value"] - n / d), NORM_TOL))
         sigma = math.sqrt(res["sigma_sq"])
-        rows.append(_row(f"d{d}n{n}.sqrt_ratio_gap", abs(res["value"] - math.sqrt(n / d) * sigma), norm_tol))
+        rows.append(_row(f"d{d}n{n}.sqrt_ratio_gap", abs(res["value"] - math.sqrt(n / d) * sigma), NORM_TOL))
         if n == 2 * d - 1:
             ratio = res["value"] / sigma
-            rows.append(_row(f"d{d}n{n}.edge_ratio_gap", abs(ratio - math.sqrt(2.0 - 1.0 / d)), norm_tol))
+            rows.append(_row(f"d{d}n{n}.edge_ratio_gap", abs(ratio - math.sqrt(2.0 - 1.0 / d)), NORM_TOL))
     return _finish(report)
 
 
@@ -355,7 +361,7 @@ def verify_schatten(seed: int = 0, count: int = 200, threads=None) -> dict:
     return _finish(report)
 
 
-def verify_lyapunov(seed: int = 0, count: int = 100, norm_tol: float = 1e-9) -> dict:
+def verify_lyapunov(seed: int = 0, count: int = 100) -> dict:
     """Subset rounding of fractional frame combinations."""
     rng = np.random.default_rng(seed)
     report = {"command": "verify", "suite": "lyapunov", "seed": seed, "count": count, "checks": []}
@@ -368,7 +374,7 @@ def verify_lyapunov(seed: int = 0, count: int = 100, norm_tol: float = 1e-9) -> 
         t = rng.uniform(0.0, 1.0, size=n)
         eps = max(float(np.vdot(v, v).real) for v in vectors)
         _, err = disc.lyapunov_round(vectors, t)
-        rows.append(_row(f"i{i}.rounding_error", err, 1.5 * math.sqrt(eps) + norm_tol))
+        rows.append(_row(f"i{i}.rounding_error", err, 1.5 * math.sqrt(eps) + NORM_TOL))
     return _finish(report)
 
 
@@ -407,9 +413,7 @@ def _verify_alexandrov_full(seed: int = 0, count: int = 500) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_solve(
-    instance: str, root_tol: float = rpoly.REAL_ROOT_TOL, norm_tol: float = 1e-9, threads: Optional[int] = None
-) -> dict:
+def run_solve(instance: str, threads: Optional[int] = None) -> dict:
     """``verify thm13``'s rows on one instance, then one row per menu bound."""
     inst = model.load_instance(instance)
     report = {"command": "solve", "instance": instance, "checks": []}
@@ -418,24 +422,24 @@ def run_solve(
     bounds = disc.bound_menu(inst, brute.sigma) if rank_one else {}
     report["bruteforce"] = dict(brute.to_doc(), bounds=bounds)
     if rank_one:
-        rows, solved = _greedy_check(inst, brute, "", root_tol, norm_tol)
+        rows, solved = _greedy_check(inst, brute, "")
         if solved:
             assignment, trace = solved
             report["greedy"] = {
                 "assignment": {"indices": list(assignment.indices), "values": list(assignment.values)},
                 "trace": trace.to_doc(),
             }
-        rows += [_row(f"disc_le_{name}", brute.value, bound + norm_tol) for name, bound in bounds.items()]
+        rows += [_row(f"disc_le_{name}", brute.value, bound + NORM_TOL) for name, bound in bounds.items()]
         report["checks"] = rows
     return _finish(report)
 
 
-def run_replay(instance: str, norm_tol: float = 1e-9) -> dict:
+def run_replay(instance: str) -> dict:
     """``verify thm41``'s rows and the walk's trace on one instance."""
     inst = model.load_instance(instance)
     if not isinstance(inst, model.RankOneInstance):
         raise MatDiscError("replay needs a rank-one instance")
-    rows, trace = _walk_check(model.normalize(inst), "", norm_tol)
+    rows, trace = _walk_check(model.normalize(inst), "")
     return _finish({"command": "replay", "instance": instance, "checks": rows, "trace": trace.to_doc()})
 
 
@@ -465,7 +469,7 @@ def run_frames_gen(n: int = 3, d: int = 2, out: Optional[str] = None) -> dict:
 
 
 # Every command: the function that makes its report and a summary. The
-# command's flags are the function's parameters (``root_tol`` is --root-tol).
+# command's flags are the function's parameters (``instance`` is --instance).
 # Each command also accepts --out and --format, which place the report unless
 # the function reads --out itself (``frames gen`` writes the instance there
 # and the report to stdout), and every verify suite accepts --threads, which
@@ -501,20 +505,11 @@ def _seed(text: str) -> int:
     return value
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return value
-
-
 _FLAGS = {
     "--out": {},
     "--format": {"dest": "fmt", "choices": ("json", "csv")},
     "--instance": {"required": True},
     "--seed": {"type": _seed},
-    "--root-tol": {"type": _tolerance},
-    "--norm-tol": {"type": _tolerance},
     "--threads": {"type": _positive},
     "--count": {"type": _positive},
     "--n": {"type": _positive},
@@ -549,8 +544,8 @@ def _parser() -> argparse.ArgumentParser:
     """The parser of :data:`COMMANDS`, built once per process.
 
     Flag values are checked here, before any work starts. Abbreviated flags
-    are refused, or a flag a command does not read could pass as a prefix of
-    one it does (``--n`` of ``--norm-tol``).
+    are refused, so each flag has one spelling and a new flag cannot change
+    what an abbreviation means.
     """
     parser = argparse.ArgumentParser(prog="matdisc", description="matrix discrepancy laboratory")
     top = parser.add_subparsers(dest="command", required=True)

@@ -792,11 +792,12 @@ class GreedyTrace:
         }
 
 
-def _lambda_max_y(ypolys, tol: float) -> list:
+def _lambda_max_y(ypolys) -> list:
     """Largest root of each even polynomial q(x^2) of ``ypolys``, from its
     y-space roots, all from one call of :func:`rpoly.iter_real_roots`; the
     first member that fails raises."""
     lams = []
+    tol = rpoly.REAL_ROOT_TOL
     try:
         for r in rpoly.iter_real_roots(ypolys, tol):
             if r[-1] < -tol * (1.0 + np.abs(r).max()):
@@ -810,19 +811,18 @@ def _lambda_max_y(ypolys, tol: float) -> list:
 GREEDY_TIE_RTOL = 1e-12
 
 
-def greedy_interlacing_solve(
-    inst: model.RankOneInstance,
-    root_tol: float = rpoly.REAL_ROOT_TOL,
-) -> Tuple[model.SignAssignment, GreedyTrace]:
+def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAssignment, GreedyTrace]:
     """Descend the interlacing family, minimizing the largest branch root.
 
     At level k every outcome t in the k-th support gets its partial expected
     polynomial evaluated, all branches of a level in one call of
     :func:`_expected_ypolys` on their fixed parts, and the greedy fixes a
     minimizer of the largest root. Each level's call plans its own route
-    under ``ENUM_CAP``. The tail goes to the engine last variable first, so
-    every level's tail is a prefix of the reversed variable list, and the
-    compounds that the first subset-route level builds serve every later one.
+    under ``ENUM_CAP``. The tail keeps only its :func:`_live` variables, as
+    :func:`expected_charpoly` and the walk's evaluator do, and goes to the
+    engine last variable first, so every level's tail is a prefix of the
+    reversed live list, and the compounds that the first subset-route level
+    builds serve every later one.
     Roots within ``GREEDY_TIE_RTOL`` relative of the minimum count as tied
     and the smallest support index among them wins, so exactly symmetric
     levels (Rademacher ones) do not leave the choice to roundoff. The final
@@ -835,6 +835,7 @@ def greedy_interlacing_solve(
     terms, means, sizes, supp, prob = _family(inst)
     vectors = np.array(inst.vectors)
     variances = _variances(inst)
+    live = np.array(_live(inst.vectors, variances)[::-1], dtype=np.int64)
     tail = None
     prefix: list = []
     levels = []
@@ -845,10 +846,11 @@ def greedy_interlacing_solve(
         fixed = np.tensordot(means[:k] - supp[np.arange(k), pi], terms[:k], axes=(0, 0))
         weights = float(np.prod(prob[np.arange(k), pi])) * prob[k, : sizes[k]]
         branches = fixed[None] + (means[k] - supp[k, : sizes[k]])[:, None, None] * terms[k][None]
-        polys, tail = _expected_ypolys(branches, vectors[:k:-1], variances[:k:-1], tail)
+        rest = live[: np.count_nonzero(live > k)]
+        polys, tail = _expected_ypolys(branches, vectors[rest], variances[rest], tail)
         polys = weights[:, None] * polys
         # at level 1 the top polynomial goes first, in the same call
-        lams = _lambda_max_y(([polys.sum(axis=0)] if k == 0 else []) + list(polys), root_tol)
+        lams = _lambda_max_y(([polys.sum(axis=0)] if k == 0 else []) + list(polys))
         if k == 0:
             p_empty_lam = parent_lam = lams.pop(0)
         lams = np.array(lams)

@@ -108,7 +108,7 @@ def test_normalize_is_scale_free():
     # instance, vectors or supports from 1e-30 to 1e30, normalizes and walks
     # as the original does, and the two degenerate instances are refused
     def top_root(inst):
-        rows, trace = cli._walk_check(model.normalize(inst), "", 1e-9)
+        rows, trace = cli._walk_check(model.normalize(inst), "")
         assert trace.passed and rows[0]["name"] == "lambda_p_empty"
         return rows[0]["lhs"]
 
