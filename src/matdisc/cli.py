@@ -195,15 +195,13 @@ def verify_interlacing(seed: int = 0, count: int = 300) -> dict:
         except NotRealRooted as exc:
             rows.append(_flag_row(f"i{i}.greedy[{exc}]", False))
             continue
-        rooted = common = True
-        for lv in trace.levels:
-            polys = [np.array(c) for c in lv.branch_coeffs]
-            # members with a common interlacer are real-rooted: one root pass
-            interlaced = len(polys) > 1 and rpoly.has_common_interlacing(polys, tol=REAL_ROOTED_TOL)
-            common = common and (interlaced or len(polys) < 2)
-            rooted = rooted and (interlaced or all(rpoly.is_real_rooted(c, tol=REAL_ROOTED_TOL) for c in polys))
-        rows.append(_flag_row(f"i{i}.branches_real_rooted", rooted))
-        rows.append(_flag_row(f"i{i}.common_interlacing", common))
+        # every level's branches in one stack, a level's rows contiguous; a
+        # row that is not real-rooted comes back NaN
+        sizes = np.array([len(lv.branch_coeffs) for lv in trace.levels])
+        r = rpoly.real_roots(np.concatenate([lv.branch_coeffs for lv in trace.levels]), REAL_ROOTED_TOL)
+        common = rpoly.common_interlacing_by_group(r, np.cumsum(sizes) - sizes, REAL_ROOTED_TOL) | (sizes < 2)
+        rows.append(_flag_row(f"i{i}.branches_real_rooted", not np.isnan(r).any()))
+        rows.append(_flag_row(f"i{i}.common_interlacing", bool(common.all())))
     return _finish(report)
 
 

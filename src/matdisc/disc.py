@@ -342,9 +342,10 @@ def disc_bruteforce(inst: model.Instance, threads: Optional[int] = None) -> Disc
 
 
 def _even_to_x(ycoeffs: np.ndarray) -> np.ndarray:
-    """Coefficients in y = x^2 to the even polynomial in x."""
-    out = np.zeros(2 * len(ycoeffs) - 1)
-    out[::2] = ycoeffs
+    """Coefficients in y = x^2 to the even polynomial in x, along the last
+    axis."""
+    out = np.zeros(ycoeffs.shape[:-1] + (2 * ycoeffs.shape[-1] - 1,))
+    out[..., ::2] = ycoeffs
     return out
 
 
@@ -389,6 +390,48 @@ def _dim_tables(d: int) -> tuple:
     return rows, masks, fold
 
 
+# Multiply-adds of the Laplace steps of one (d, m, top), sum_k k C(d,k)
+# C(m,k), up to which their gather indices (two per multiply-add) are kept:
+# the square compounds of every walk point and greedy branch and the tails
+# of small instances reuse them, while a long tail's, built once per
+# evaluator, would hold megabytes.
+_LAPLACE_CACHE_ENTRIES = 1 << 10
+
+
+@functools.lru_cache(maxsize=32)
+def _laplace_cached(d: int, m: int, top: int) -> tuple:
+    """:func:`_laplace_gathers` held in tuples (read-only)."""
+    steps = tuple(tuple(step) for step in _laplace_gathers(d, m, top))
+    for step in steps:
+        for index in step:
+            index.flags.writeable = False
+    return steps
+
+
+def _laplace_gathers(d: int, m: int, top: int):
+    """The gathers of the Laplace steps of :func:`_compounds`: per k =
+    2..top, for each i < k in turn, the flat indices of the entries
+    ``a[r_i, s]`` and then those of the minors ``det a[R - {r_i}, S - {s}]``
+    in ``C_(k-1)``, each array made when it is reached.
+
+    In colex order the S with the same s = max S form one block, whose
+    S - {s} are the first ``comb(s, k-1)`` (k-1)-subsets in order, and
+    subsets come in ascending bitmask, which ranks R - {r_i}.
+    """
+    rows, masks, _ = _dim_tables(d)
+    cols = _colex_tables(m, top)
+
+    def step(k):
+        drop = np.searchsorted(masks[k - 1], masks[k][:, None] - (1 << rows[k])) * math.comb(m, k - 1)
+        last = cols[k][:, -1]
+        sub = np.arange(len(last)) - np.searchsorted(last, last)
+        for i in range(k):
+            yield rows[k][:, i, None] * m + last
+            yield drop[:, i, None] + sub
+
+    return (step(k) for k in range(2, top + 1))
+
+
 def _compounds(a: np.ndarray, top: int) -> list:
     """The compounds ``C_k(a) = (det a[..., R, S])`` of a stack ``a`` of shape
     (..., d, m) for k = 0..top, R and S the k-subsets of range(d) and
@@ -396,28 +439,24 @@ def _compounds(a: np.ndarray, top: int) -> list:
 
     ``C_0 = 1``, ``C_1 = a``, and each further one takes one Laplace step
     along the last column ``s = max S``, k multiply-adds per entry:
-    ``det a[R, S] = sum_i (-1)^(k-1+i) a[r_i, s] det a[R - {r_i}, S - {s}]``.
-    In colex order the S with the same s form one block, whose S - {s} are
-    the first ``comb(s, k-1)`` (k-1)-subsets in order, and subsets come in
-    ascending bitmask, which ranks R - {r_i}.
+    ``det a[R, S] = sum_i (-1)^(k-1+i) a[r_i, s] det a[R - {r_i}, S - {s}]``,
+    its gathers from :func:`_laplace_gathers`, cached while they are small.
     """
     d, m = a.shape[-2:]
-    rows, masks, _ = _dim_tables(d)
-    cols = _colex_tables(m, top)
+    small = sum(k * math.comb(d, k) * math.comb(m, k) for k in range(2, top + 1)) <= _LAPLACE_CACHE_ENTRIES
+    steps = (_laplace_cached if small else _laplace_gathers)(d, m, top)
     out = [np.ones(a.shape[:-2] + (1, 1), dtype=a.dtype), np.ascontiguousarray(a)][: top + 1]
     flat = out[-1].reshape(a.shape[:-2] + (-1,))
     signed = (flat, -flat)  # the entries times the sign (-1)^(k-1+i)
-    for k in range(2, top + 1):
-        drop = np.searchsorted(masks[k - 1], masks[k][:, None] - (1 << rows[k])) * math.comb(m, k - 1)
-        last = cols[k][:, -1]
-        sub = np.arange(len(last)) - np.searchsorted(last, last)
+    for k, step in enumerate(steps, start=2):
         prev = out[-1].reshape(a.shape[:-2] + (-1,))
-        step = 0
+        indices = iter(step)  # taken one at a time, so an uncached one is freed after use
+        acc = 0
         for i in range(k):
-            term = np.take(signed[(k - 1 + i) % 2], rows[k][:, i, None] * m + last, axis=-1)
-            term *= np.take(prev, drop[:, i, None] + sub, axis=-1)
-            step += term
-        out.append(step)
+            term = np.take(signed[(k - 1 + i) % 2], next(indices), axis=-1)
+            term *= np.take(prev, next(indices), axis=-1)
+            acc += term
+        out.append(acc)
     return out
 
 
@@ -792,20 +831,24 @@ class GreedyTrace:
         }
 
 
-def _lambda_max_y(ypolys) -> list:
-    """Largest root of each even polynomial q(x^2) of ``ypolys``, from its
-    y-space roots, all from one call of :func:`rpoly.iter_real_roots`; the
-    first member that fails raises."""
-    lams = []
+def _lambda_max_y(ypolys: np.ndarray) -> np.ndarray:
+    """Largest root of each even polynomial q(x^2), a row of ``ypolys``, from
+    its y-space roots, all from one call of :func:`rpoly.real_roots`; the
+    first row that fails (a complex root, a constant, or a negative top
+    y-root) raises."""
     tol = rpoly.REAL_ROOT_TOL
-    try:
-        for r in rpoly.iter_real_roots(ypolys, tol):
-            if r[-1] < -tol * (1.0 + np.abs(r).max()):
-                raise NotRealRooted("partial polynomial has a negative leading y-root")
-            lams.append(math.sqrt(max(r[-1], 0.0)))
-    except DegreeZero as exc:
-        raise NotRealRooted("degenerate partial polynomial (zero-probability branch?)") from exc
-    return lams
+    r = rpoly.real_roots(ypolys, tol)
+    top = r[:, -1]
+    fails = np.isnan(top) | (top < -tol * (1.0 + np.abs(r).max(axis=1)))
+    if fails.any():
+        i = int(fails.argmax())
+        if np.isnan(top[i]):
+            try:
+                rpoly.real_roots(ypolys[i], tol)  # raises the row's own exception
+            except DegreeZero as exc:
+                raise NotRealRooted("degenerate partial polynomial (zero-probability branch?)") from exc
+        raise NotRealRooted("partial polynomial has a negative leading y-root")
+    return np.sqrt(np.where(top < 0.0, 0.0, top))
 
 
 GREEDY_TIE_RTOL = 1e-12
@@ -841,31 +884,34 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     levels = []
     parent_lam = None
     p_empty_lam = None
+    dev = means[:, None] - supp
+    flat = terms.reshape(inst.n, -1)
     for k in range(inst.n):
-        pi = np.array(prefix, dtype=np.int64)
-        fixed = np.tensordot(means[:k] - supp[np.arange(k), pi], terms[:k], axes=(0, 0))
-        weights = float(np.prod(prob[np.arange(k), pi])) * prob[k, : sizes[k]]
-        branches = fixed[None] + (means[k] - supp[k, : sizes[k]])[:, None, None] * terms[k][None]
+        chosen = (np.arange(k), prefix)
+        # np.tensordot(dev[chosen], terms[:k], axes=(0, 0)), less its overhead
+        fixed = np.dot(dev[chosen][None], flat[:k]).reshape(terms.shape[1:])
+        weights = float(np.prod(prob[chosen])) * prob[k, : sizes[k]]
+        branches = fixed[None] + dev[k, : sizes[k], None, None] * terms[k][None]
         rest = live[: np.count_nonzero(live > k)]
         polys, tail = _expected_ypolys(branches, vectors[rest], variances[rest], tail)
         polys = weights[:, None] * polys
         # at level 1 the top polynomial goes first, in the same call
-        lams = _lambda_max_y(([polys.sum(axis=0)] if k == 0 else []) + list(polys))
+        lams = _lambda_max_y(np.concatenate([polys.sum(axis=0)[None], polys]) if k == 0 else polys)
         if k == 0:
-            p_empty_lam = parent_lam = lams.pop(0)
-        lams = np.array(lams)
+            p_empty_lam = parent_lam = float(lams[0])
+            lams = lams[1:]
         lo = lams.min()
         t = int(np.flatnonzero(lams <= lo + GREEDY_TIE_RTOL * lo)[0])
         levels.append(
             GreedyLevel(
                 level=k + 1,
-                branch_values=tuple(float(supp[k, i]) for i in range(int(sizes[k]))),
-                branch_lambda_max=tuple(float(x) for x in lams),
+                branch_values=tuple(supp[k, : sizes[k]].tolist()),
+                branch_lambda_max=tuple(lams.tolist()),
                 chosen_index=t,
                 chosen_value=float(supp[k, t]),
                 chosen_lambda_max=float(lams[t]),
                 parent_lambda_max=float(parent_lam),
-                branch_coeffs=tuple(tuple(_even_to_x(polys[i])) for i in range(int(sizes[k]))),
+                branch_coeffs=tuple(map(tuple, _even_to_x(polys).tolist())),
             )
         )
         prefix.append(t)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -27,15 +27,18 @@ class DiscreteRandomVariable:
 
     support: tuple
     probs: tuple
+    # computed once from support and probs
+    mean: float = field(init=False, repr=False, compare=False)
+    variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = tuple(float(s) for s in self.support)
         probs = tuple(float(p) for p in self.probs)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
-        for field, values in (("support", support), ("probs", probs)):
+        for name, values in (("support", support), ("probs", probs)):
             if not all(map(math.isfinite, values)):
-                raise InvariantViolation(field, "non-finite value")
+                raise InvariantViolation(name, "non-finite value")
         if len(support) < 1:
             raise InvariantViolation("support", "must be nonempty")
         if len(support) != len(probs):
@@ -46,21 +49,15 @@ class DiscreteRandomVariable:
             raise InvariantViolation("probs", "negative probability")
         if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             raise InvariantViolation("probs", f"sum {sum(probs)!r} != 1")
+        mean = float(sum(p * s for p, s in zip(probs, support)))
         try:
-            finite = math.isfinite(self.variance)  # not finite where the mean is not
+            variance = float(sum(p * (s - mean) ** 2 for p, s in zip(probs, support)))
         except OverflowError:  # (s - m) ** 2 on Python floats past the float range
-            finite = False
-        if not finite:
+            variance = math.inf
+        if not math.isfinite(variance):  # not finite where the mean is not
             raise InvariantViolation("support", "mean or variance is not finite")
-
-    @property
-    def mean(self) -> float:
-        return float(sum(p * s for p, s in zip(self.probs, self.support)))
-
-    @property
-    def variance(self) -> float:
-        m = self.mean
-        return float(sum(p * (s - m) ** 2 for p, s in zip(self.probs, self.support)))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", variance)
 
     @staticmethod
     def rademacher() -> "DiscreteRandomVariable":

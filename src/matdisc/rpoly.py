@@ -1,11 +1,13 @@
 """Real-coefficient univariate polynomials: roots, real-rootedness, interlacing.
 
 Polynomials are 1-D float arrays of coefficients in ascending degree order
-(``p[k]`` multiplies ``x**k``), the convention of ``numpy.polynomial``.
+(``p[k]`` multiplies ``x**k``), the convention of ``numpy.polynomial``. A
+2-D array is a stack of polynomials, one per row.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -34,22 +36,20 @@ def trim(coeffs) -> np.ndarray:
 DEFLATE_REL = 1e-12
 
 
-def deflate_zero_roots(coeffs):
-    """Split off the roots at the origin: returns (reduced coeffs, count).
+def deflate_zero_roots(stack: np.ndarray) -> np.ndarray:
+    """The number of roots at the origin of each row of a 2-D stack whose
+    rows end in their leading coefficient.
 
-    Low-order coefficients below ``DEFLATE_REL * max|coeff|`` are
-    numerically exact zeros (rank-deficient families produce them
-    structurally). A root at the origin of multiplicity m otherwise splits
-    under coefficient noise into a complex cluster of radius eps^(1/m), which
-    would wreck any imaginary-part test, so the zeros are removed before root
-    extraction.
+    Low-order coefficients below ``DEFLATE_REL * max|coeff|`` of their row
+    are numerically exact zeros (rank-deficient families produce them
+    structurally); the count stops at the first larger one, which the
+    largest coefficient is. A root at the origin of multiplicity m otherwise
+    splits under coefficient noise into a complex cluster of radius
+    eps^(1/m), which would wreck any imaginary-part test, so the zeros are
+    removed before root extraction.
     """
-    c = trim(coeffs)
-    scale = np.abs(c).max()
-    k = 0
-    while k < len(c) - 1 and abs(c[k]) <= DEFLATE_REL * scale:
-        k += 1
-    return c[k:], k
+    a = np.abs(stack)
+    return (a > DEFLATE_REL * a.max(axis=1, keepdims=True)).argmax(axis=1)
 
 
 def is_real_rooted(coeffs, tol: float = REAL_ROOT_TOL) -> bool:
@@ -68,57 +68,74 @@ def is_real_rooted(coeffs, tol: float = REAL_ROOT_TOL) -> bool:
 
 
 def real_roots(coeffs, tol: float = REAL_ROOT_TOL) -> np.ndarray:
-    """Sorted real parts of the roots; raises :class:`NotRealRooted` if complex.
-
+    """Sorted real parts of the roots; raises :class:`NotRealRooted` if a
+    root is complex and :class:`DegreeZero` if the polynomial is constant.
     Deflated origin roots are reported as exact zeros.
+
+    A 2-D ``coeffs`` is a stack whose rows are polynomials of degree
+    ``shape[1] - 1``, or constants: the result holds their sorted roots row
+    by row, and a row that fails (a complex root, or constant) is all NaN;
+    :func:`real_roots` of that row alone raises its exception.
     """
-    return next(iter_real_roots([coeffs], tol))
+    stack = np.asarray(coeffs, dtype=float)
+    if stack.ndim == 2:
+        return _real_roots(stack, tol)[0]
+    roots, fault = _real_roots(trim(stack)[None], tol)
+    if fault is not None:
+        raise fault
+    return roots[0]
 
 
-def iter_real_roots(polys: Sequence, tol: float = REAL_ROOT_TOL):
-    """Yield :func:`real_roots` of each of ``polys`` in turn, from one
-    eigensolve per coefficient length; a member that fails raises when its
-    turn comes."""
-    return _real_roots([deflate_zero_roots(p) for p in polys], tol)
-
-
-def _real_roots(parts: Sequence, tol: float):
-    """:func:`real_roots` of each output of :func:`deflate_zero_roots` in
-    ``parts``, in turn.
+def _real_roots(stack: np.ndarray, tol: float) -> tuple:
+    """The sorted roots of the rows of a 2-D stack as :func:`real_roots`
+    returns them, and the exception of the first row that fails (None when
+    every row passes).
 
     The one root extraction of the package: the eigenvalues of numpy's
-    companion matrices (``numpy.polynomial.polynomial.polyroots``), accepted
-    when every ``|imag| <= tol * (1 + max |real part|)``. Every member with
-    the same number of coefficients goes to one eigensolve, and degree 1
-    takes the closed form. The members are checked in order: the first that
-    is constant raises :class:`DegreeZero` and the first with a complex root
-    :class:`NotRealRooted`, with the roots of the members before it yielded.
+    companion matrices (``numpy.polynomial.polynomial.polyroots``) of each
+    row less its origin roots (:func:`deflate_zero_roots`), accepted when
+    every ``|imag| <= tol * (1 + max |real part|)``. The rows of one reduced
+    length go to one eigensolve, and reduced degree 1 takes the closed form.
+    A row whose leading coefficient is zero and that is not constant has
+    another degree than its stack: :class:`DegreeMismatch`.
     """
-    stacks = {}
-    for c, _ in parts:
-        if len(c) > 2:
-            stacks.setdefault(len(c), []).append(c)
-    found = {}
-    for m, members in stacks.items():
-        stack = np.array(members)
-        # numpy's companion matrix: ones below the diagonal, and the last
-        # column less the coefficients over the leading one
-        mats = np.zeros((len(stack), m - 1, m - 1))
-        mats.reshape(len(stack), -1)[:, m - 1 :: m] = 1.0
-        mats[:, :, -1] -= stack[:, :-1] / stack[:, -1:]
-        found[m] = iter(np.linalg.eigvals(mats))
-    for c, nzero in parts:
-        if len(c) + nzero < 2:
-            raise DegreeZero("cannot extract roots of a constant polynomial")
-        if len(c) < 2:
-            yield np.zeros(nzero)
-            continue
-        r = next(found[len(c)]) if len(c) > 2 else np.array([-c[0] / c[1]])
-        scale = 1.0 + np.abs(np.real(r)).max()
-        bad = np.abs(np.imag(r)).max()
-        if bad > tol * scale:
-            raise NotRealRooted(f"root imaginary part {bad:.3e} exceeds {tol:.1e} * {scale:.3e}")
-        yield np.sort(np.concatenate([np.zeros(nzero), np.real(r)]))
+    count, width = stack.shape
+    # a row with a zero leading coefficient must be a constant
+    const = stack[:, -1] == 0.0 if width > 1 else np.ones(count, dtype=bool)
+    if const.any() and stack[const, 1:].any():
+        raise DegreeMismatch(f"rows of degree below {width - 1} in a stack")
+    # the coefficients left per row; a constant has no root to extract
+    length = np.where(const, 1, width - deflate_zero_roots(stack))
+    roots = np.zeros((count, width - 1))
+    bad = np.zeros(count)
+    for m in sorted(set(length.tolist()) - {1}):
+        rows = np.flatnonzero(length == m)
+        if len(rows) == count:
+            rows = slice(None)  # every row: basic indexing is cheaper
+        c = stack[rows, width - m :]
+        if m == 2:
+            r = -c[:, :1] / c[:, 1:]
+        else:
+            # numpy's companion matrix: ones below the diagonal, and the
+            # last column less the coefficients over the leading one
+            mats = np.zeros((len(c), m - 1, m - 1))
+            mats.reshape(len(c), -1)[:, m - 1 :: m] = 1.0
+            mats[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            r = np.linalg.eigvals(mats)
+        roots[rows, width - m :] = r.real
+        if np.iscomplexobj(r):
+            bad[rows] = np.abs(r.imag).max(axis=1)
+    # the origin roots are zeros, which leave the largest |real part| as it is
+    scale = 1.0 + np.abs(roots).max(axis=1, initial=0.0)
+    fails = const | (bad > tol * scale)
+    roots.sort(axis=1)
+    if not fails.any():
+        return roots, None
+    roots[fails] = np.nan
+    i = int(fails.argmax())
+    if const[i]:
+        return roots, DegreeZero("cannot extract roots of a constant polynomial")
+    return roots, NotRealRooted(f"root imaginary part {bad[i]:.3e} exceeds {tol:.1e} * {scale[i]:.3e}")
 
 
 def lambda_max(coeffs, tol: float = REAL_ROOT_TOL) -> float:
@@ -127,24 +144,38 @@ def lambda_max(coeffs, tol: float = REAL_ROOT_TOL) -> float:
 
 
 def has_common_interlacing(polys: Sequence, tol: float = REAL_ROOT_TOL) -> bool:
-    """Exact test of the common-interlacing criterion.
+    """Exact test of the common-interlacing criterion of
+    :func:`common_interlacing_by_group` on one family, which may be ragged.
 
-    Real-rooted polynomials of one degree have a common interlacer iff their
-    sorted roots interleave column by column, ``max_j r_i^(j) <= min_j
-    r_(i+1)^(j)`` for every i (Marcus-Spielman-Srivastava, Interlacing
-    Families I; Dedieu 1992). Each comparison has the slack
-    ``tol * (1 + max |root|)``. Returns False if any member is not
-    real-rooted; constant families and single members pass.
+    Raises :class:`DegreeMismatch` on members of different degrees; constant
+    families and single members pass.
     """
-    parts = [deflate_zero_roots(p) for p in polys]
-    degs = {len(c) + nzero - 1 for c, nzero in parts}
+    # the members as rows, zero-padded to the longest
+    columns = list(itertools.zip_longest(*polys, fillvalue=0.0))
+    stack = np.array(columns, dtype=float).reshape(len(columns), len(polys)).T
+    nonzero = stack != 0.0
+    degs = set(np.where(nonzero.any(axis=1), stack.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1), 0).tolist())
     if len(degs) != 1:
         raise DegreeMismatch(f"mixed degrees {sorted(degs)}")
-    if degs == {0}:
+    (deg,) = degs
+    if deg == 0:
         return True
-    try:
-        r = np.array(list(_real_roots(parts, tol)))
-    except NotRealRooted:
-        return False
-    slack = tol * (1.0 + np.abs(r).max())
-    return bool(np.all(r[:, :-1].max(axis=0) <= r[:, 1:].min(axis=0) + slack))
+    return bool(common_interlacing_by_group(real_roots(stack[:, : deg + 1], tol), [0], tol)[0])
+
+
+def common_interlacing_by_group(roots: np.ndarray, starts, tol: float) -> np.ndarray:
+    """Per group of rows of ``roots``, the stack of sorted roots that
+    :func:`real_roots` returns (group g holds the rows from ``starts[g]`` to
+    the next start), whether the group's polynomials have a common
+    interlacer.
+
+    Real-rooted polynomials of one degree have one iff their sorted roots
+    interleave column by column, ``max_j r_i^(j) <= min_j r_(i+1)^(j)`` for
+    every i (Marcus-Spielman-Srivastava, Interlacing Families I; Dedieu
+    1992). Each comparison has the slack ``tol * (1 + max |root|)`` of the
+    group. A group with a row that is not real-rooted (NaN) fails.
+    """
+    real = np.logical_and.reduceat(~np.isnan(roots).any(axis=1), starts)
+    slack = tol * (1.0 + np.maximum.reduceat(np.abs(roots).max(axis=1), starts))
+    below = np.maximum.reduceat(roots[:, :-1], starts) <= np.minimum.reduceat(roots[:, 1:], starts) + slack[:, None]
+    return real & below.all(axis=1)

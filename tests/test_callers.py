@@ -122,6 +122,12 @@ def test_one_root_rule():
         assert {caller.split(".")[0] for caller in callers(name)} == {"rpoly"}, name
 
 
+def test_roots_go_through_traced_names():
+    # the benchmark's layer trace wraps rpoly.real_roots, so the greedy's
+    # and the interlacing suite's root extraction is timed as rpoly's
+    assert {"disc._lambda_max_y", "cli.verify_interlacing"} <= callers("real_roots")
+
+
 def test_one_check_per_solver():
     # the sweeps and the single-instance commands share one check each
     def in_cli(name):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -7,12 +8,14 @@ import subprocess
 import sys
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 import matdisc
 from matdisc import cli, disc, frames, model, rpoly, witness
 from matdisc.errors import NotRealRooted
 
+from conftest import count_matrices
 from test_disc import count_sigma
 
 
@@ -206,6 +209,76 @@ def test_greedy_failure_becomes_failing_row(monkeypatch):
         assert [row["name"] for row in report["checks"]] == ["i0.greedy[forced]", "i1.greedy[forced]"]
         assert report["failed"] == 2 and not report["pass"]
     assert cli.main(["verify", "thm13", "--count", "2", "--seed", "3", "--out", os.devnull]) == 1
+
+
+def per_level_rule(trace):
+    """The two rows of ``verify_interlacing`` for one greedy trace, level by
+    level and member by member: every branch real-rooted, and every level
+    of two or more branches with a common interlacer."""
+    rooted = common = True
+    for lv in trace.levels:
+        polys = [np.array(c) for c in lv.branch_coeffs]
+        rooted = rooted and all(rpoly.is_real_rooted(p, tol=cli.REAL_ROOTED_TOL) for p in polys)
+        common = common and (len(polys) < 2 or rpoly.has_common_interlacing(polys, tol=cli.REAL_ROOTED_TOL))
+    return rooted, common
+
+
+def test_interlacing_rows_follow_the_per_level_rule(monkeypatch):
+    # rows read off one root stack per instance against the per-level rule:
+    # a complex member, a real-rooted member outside the common interlacer,
+    # and a one-point law, whose level has a single member, left alone or
+    # made complex
+    rng = np.random.default_rng(5)
+    one_point = model.DiscreteRandomVariable((0.5,), (1.0,))
+    rvs = (model.DiscreteRandomVariable.rademacher(), one_point, model.DiscreteRandomVariable((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)))
+    with_point = model.RankOneInstance(3, tuple(rng.normal(size=(3, 3))), rvs)
+    insts = cli.sweep_rank_one(5, 3) + [with_point, with_point]
+    monkeypatch.setattr(cli, "sweep_rank_one", lambda seed, count: insts[:count])
+
+    def complex_member(d):
+        return npp.polypow([1.0, 0.0, 1.0], d)  # roots +-i
+
+    def far_member(d):
+        far = 10.0 + np.arange(d)
+        return npp.polyfromroots(np.concatenate([far, -far]))
+
+    # (instance, level, member, replacement)
+    changes = {1: (0, 0, complex_member), 2: (-1, 1, far_member), 4: (1, 0, complex_member)}
+    solve = disc.greedy_interlacing_solve
+    traces = []
+
+    def altered(inst):
+        assignment, trace = solve(inst)
+        if len(traces) in changes:
+            level, member, make = changes[len(traces)]
+            levels = list(trace.levels)
+            coeffs = list(levels[level].branch_coeffs)
+            coeffs[member] = tuple(make(inst.dim))
+            levels[level] = dataclasses.replace(levels[level], branch_coeffs=tuple(coeffs))
+            trace = dataclasses.replace(trace, levels=tuple(levels))
+        traces.append(trace)
+        return assignment, trace
+
+    monkeypatch.setattr(disc, "greedy_interlacing_solve", altered)
+    report = cli.verify_interlacing(seed=5, count=len(insts))
+    assert len(traces[3].levels[1].branch_coeffs) == 1
+    want = [per_level_rule(trace) for trace in traces]
+    assert want == [(True, True), (False, False), (True, False), (True, True), (False, True)]
+    got = [row["pass"] for row in report["checks"]]
+    assert got == [flag for pair in want for flag in pair]
+
+
+def test_interlacing_work_counts(monkeypatch):
+    # each greedy level takes its roots in one eigvals call, and each
+    # instance's branch polynomials in one more
+    insts = cli.sweep_rank_one(7, 6)
+    eigvals = count_matrices(monkeypatch, "eigvals")
+    for inst in insts:
+        disc.greedy_interlacing_solve(inst)
+    assert eigvals["calls"] == sum(inst.n for inst in insts)
+    eigvals["calls"] = 0
+    assert cli.verify_interlacing(seed=7, count=6)["pass"]
+    assert eigvals["calls"] == sum(inst.n for inst in insts) + len(insts)
 
 
 @pytest.mark.parametrize(

@@ -607,7 +607,11 @@ def test_greedy_work_counts(monkeypatch):
     eigvalsh = count_matrices(monkeypatch, "eigvalsh")
     eigh = count_matrices(monkeypatch, "eigh")
     det = count_matrices(monkeypatch, "det")
+    eigvals = count_matrices(monkeypatch, "eigvals")
     disc.greedy_interlacing_solve(inst)
+    # every level takes its branch roots (level 1 the top polynomial's too)
+    # in one call
+    assert eigvals["calls"] == n
     # every level plans its own call: tails of m = 13 down to 7 variables
     # take the subset route, one eigh call for both branches each
     assert eigh["calls"] == 7 and eigh["matrices"] == 2 * 7
@@ -661,6 +665,17 @@ def test_compounds_match_determinant_minors():
                 want = det_minors(a, rows[k], cols[k])
                 assert got[k].shape == want.shape
                 assert np.abs(got[k] - want).max() <= 1e-12 * scale**k, (d, m, k)
+
+
+def test_compounds_cached_and_uncached_agree(monkeypatch):
+    # d = 4, m = 9: 1,944 multiply-adds, beyond the cache; the cached
+    # gathers give the same bits as the ones made on the way
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(2, 4, 9)) + 1j * rng.normal(size=(2, 4, 9))
+    made = disc._compounds(a, 4)
+    monkeypatch.setattr(disc, "_LAPLACE_CACHE_ENTRIES", 1 << 20)
+    cached = disc._compounds(a, 4)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(made, cached))
 
 
 def test_unitary_compounds_match_minors():

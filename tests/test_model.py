@@ -26,6 +26,13 @@ def test_rv_mean_variance():
     rv = model.DiscreteRandomVariable((-1.5, 0.5, 2.0), (0.25, 0.5, 0.25))
     assert rv.mean == pytest.approx(-1.5 * 0.25 + 0.5 * 0.5 + 2.0 * 0.25)
     assert rv.variance >= 0
+    # both are stored when the law is built, by the sums over its atoms, and
+    # stay out of its repr and its equality
+    mean = sum(p * s for p, s in zip(rv.probs, rv.support))
+    assert vars(rv)["mean"] == mean
+    assert vars(rv)["variance"] == sum(p * (s - mean) ** 2 for p, s in zip(rv.probs, rv.support))
+    assert repr(rv) == "DiscreteRandomVariable(support=(-1.5, 0.5, 2.0), probs=(0.25, 0.5, 0.25))"
+    assert rv == model.DiscreteRandomVariable((-1.5, 0.5, 2.0), (0.25, 0.5, 0.25))
 
 
 def test_rv_invariants():

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 
-from matdisc import rpoly
+from matdisc import disc, rpoly
 from matdisc.errors import DegreeMismatch, DegreeZero, NotRealRooted
 
 
@@ -53,39 +53,56 @@ def test_origin_multiplicity_is_deflated():
 
 
 def test_batched_roots_match_one_polynomial_at_a_time():
-    # two coefficient lengths (5 and 4), deflated origin roots, degree 1 and
-    # a constant left after deflation: each member's roots are numpy's own
-    # companion eigenvalues, bit for bit
+    # one stack of quartics: deflated origin roots leave reduced lengths 5,
+    # 4 and 3, degree 1 and a constant: each row's roots are numpy's own
+    # companion eigenvalues, bit for bit, and those of the row alone
     rng = np.random.default_rng(9)
-    polys = [
-        npp.polyfromroots(rng.uniform(-2, 2, size=4)),
-        npp.polymul([0.0, 0.0, 1.0], npp.polyfromroots(rng.uniform(-2, 2, size=3))),
-        [3.0, -1.5],
-        [0.0, 0.0, 2.0],
-        2.5 * npp.polyfromroots(rng.uniform(-2, 2, size=4)),
-        npp.polyfromroots(rng.uniform(-2, 2, size=3)),
+    rows = [
+        (npp.polyfromroots(rng.uniform(-2, 2, size=4)), 0),
+        (npp.polymul([0.0, 0.0, 1.0], npp.polyfromroots(rng.uniform(-2, 2, size=2))), 2),
+        (npp.polymul([0.0, 0.0, 0.0, 1.0], [3.0, -1.5]), 3),
+        (np.array([0.0, 0.0, 0.0, 0.0, 2.0]), 4),
+        (2.5 * npp.polyfromroots(rng.uniform(-2, 2, size=4)), 0),
+        (npp.polymul([0.0, 1.0], npp.polyfromroots(rng.uniform(-2, 2, size=3))), 1),
     ]
-    got = list(rpoly.iter_real_roots(polys))
-    assert len(got) == len(polys)
-    for p, roots in zip(polys, got):
-        c, nzero = rpoly.deflate_zero_roots(p)
-        want = np.sort(np.concatenate([np.zeros(nzero), np.real(npp.polyroots(c))]))
+    stack = np.array([p for p, _ in rows])
+    assert rpoly.deflate_zero_roots(stack).tolist() == [nzero for _, nzero in rows]
+    got = rpoly.real_roots(stack)
+    assert got.shape == (len(rows), 4)
+    for (p, nzero), roots in zip(rows, got):
+        want = np.sort(np.concatenate([np.zeros(nzero), np.real(npp.polyroots(p[nzero:]))]))
         assert roots.tobytes() == want.tobytes()
         assert roots.tobytes() == rpoly.real_roots(p).tobytes()
 
 
 def test_batched_roots_raise_at_the_first_failing_member():
-    # the second member is complex, the third constant and the fourth
-    # complex with other roots: the second's message is raised, after the
-    # first member's roots
-    polys = [[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [4.0], [2.0, 0.0, 1.0]]
+    # complex and constant rows of a stack come back NaN, and each raises
+    # its own exception alone; a row below the stack's degree that is not
+    # constant is refused
+    stack = np.array([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [4.0, 0.0, 0.0], [2.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    got = rpoly.real_roots(stack)
+    assert np.array_equal(got[0], [-1.0, 1.0]) and np.isnan(got[1:]).all()
+    for row, kind in zip(stack[1:], (NotRealRooted, DegreeZero, NotRealRooted, DegreeZero)):
+        with pytest.raises(kind):
+            rpoly.real_roots(row)
+    with pytest.raises(DegreeMismatch):
+        rpoly.real_roots(np.array([[-1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    # the greedy's y-roots raise at the first failing row, in member order,
+    # with the row's own message: a complex root, a constant, or a negative
+    # top y-root
+    ok, negative = [-1.0, 0.0, 1.0], [2.0, 3.0, 1.0]
+    complex_, constant = stack[1], stack[2]
     with pytest.raises(NotRealRooted) as alone:
-        rpoly.real_roots(polys[1])
-    roots = rpoly.iter_real_roots(polys)
-    assert np.array_equal(next(roots), [-1.0, 1.0])
-    with pytest.raises(NotRealRooted) as batched:
-        next(roots)
-    assert str(batched.value) == str(alone.value)
+        rpoly.real_roots(complex_)
+    for rows, message in (
+        ([ok, complex_, constant, negative], str(alone.value)),
+        ([ok, constant, complex_, negative], "degenerate partial polynomial (zero-probability branch?)"),
+        ([ok, negative, complex_, constant], "partial polynomial has a negative leading y-root"),
+    ):
+        with pytest.raises(NotRealRooted) as batched:
+            disc._lambda_max_y(np.array(rows))
+        assert str(batched.value) == message
+    assert disc._lambda_max_y(np.array([ok, [-16.0, 0.0, 1.0]])).tolist() == [1.0, 2.0]
 
 
 def test_interlacing_bounds_lambda_max():
