@@ -390,48 +390,6 @@ def _dim_tables(d: int) -> tuple:
     return rows, masks, fold
 
 
-# Multiply-adds of the Laplace steps of one (d, m, top), sum_k k C(d,k)
-# C(m,k), up to which their gather indices (two per multiply-add) are kept:
-# the square compounds of every walk point and greedy branch and the tails
-# of small instances reuse them, while a long tail's, built once per
-# evaluator, would hold megabytes.
-_LAPLACE_CACHE_ENTRIES = 1 << 10
-
-
-@functools.lru_cache(maxsize=32)
-def _laplace_cached(d: int, m: int, top: int) -> tuple:
-    """:func:`_laplace_gathers` held in tuples (read-only)."""
-    steps = tuple(tuple(step) for step in _laplace_gathers(d, m, top))
-    for step in steps:
-        for index in step:
-            index.flags.writeable = False
-    return steps
-
-
-def _laplace_gathers(d: int, m: int, top: int):
-    """The gathers of the Laplace steps of :func:`_compounds`: per k =
-    2..top, for each i < k in turn, the flat indices of the entries
-    ``a[r_i, s]`` and then those of the minors ``det a[R - {r_i}, S - {s}]``
-    in ``C_(k-1)``, each array made when it is reached.
-
-    In colex order the S with the same s = max S form one block, whose
-    S - {s} are the first ``comb(s, k-1)`` (k-1)-subsets in order, and
-    subsets come in ascending bitmask, which ranks R - {r_i}.
-    """
-    rows, masks, _ = _dim_tables(d)
-    cols = _colex_tables(m, top)
-
-    def step(k):
-        drop = np.searchsorted(masks[k - 1], masks[k][:, None] - (1 << rows[k])) * math.comb(m, k - 1)
-        last = cols[k][:, -1]
-        sub = np.arange(len(last)) - np.searchsorted(last, last)
-        for i in range(k):
-            yield rows[k][:, i, None] * m + last
-            yield drop[:, i, None] + sub
-
-    return (step(k) for k in range(2, top + 1))
-
-
 def _compounds(a: np.ndarray, top: int) -> list:
     """The compounds ``C_k(a) = (det a[..., R, S])`` of a stack ``a`` of shape
     (..., d, m) for k = 0..top, R and S the k-subsets of range(d) and
@@ -439,24 +397,28 @@ def _compounds(a: np.ndarray, top: int) -> list:
 
     ``C_0 = 1``, ``C_1 = a``, and each further one takes one Laplace step
     along the last column ``s = max S``, k multiply-adds per entry:
-    ``det a[R, S] = sum_i (-1)^(k-1+i) a[r_i, s] det a[R - {r_i}, S - {s}]``,
-    its gathers from :func:`_laplace_gathers`, cached while they are small.
+    ``det a[R, S] = sum_i (-1)^(k-1+i) a[r_i, s] det a[R - {r_i}, S - {s}]``.
+    In colex order the S with the same s form one block, whose S - {s} are
+    the first ``comb(s, k-1)`` (k-1)-subsets in order, and subsets come in
+    ascending bitmask, which ranks R - {r_i}.
     """
     d, m = a.shape[-2:]
-    small = sum(k * math.comb(d, k) * math.comb(m, k) for k in range(2, top + 1)) <= _LAPLACE_CACHE_ENTRIES
-    steps = (_laplace_cached if small else _laplace_gathers)(d, m, top)
+    rows, masks, _ = _dim_tables(d)
+    cols = _colex_tables(m, top)
     out = [np.ones(a.shape[:-2] + (1, 1), dtype=a.dtype), np.ascontiguousarray(a)][: top + 1]
     flat = out[-1].reshape(a.shape[:-2] + (-1,))
     signed = (flat, -flat)  # the entries times the sign (-1)^(k-1+i)
-    for k, step in enumerate(steps, start=2):
+    for k in range(2, top + 1):
+        drop = np.searchsorted(masks[k - 1], masks[k][:, None] - (1 << rows[k])) * math.comb(m, k - 1)
+        last = cols[k][:, -1]
+        sub = np.arange(len(last)) - np.searchsorted(last, last)
         prev = out[-1].reshape(a.shape[:-2] + (-1,))
-        indices = iter(step)  # taken one at a time, so an uncached one is freed after use
-        acc = 0
+        step = 0
         for i in range(k):
-            term = np.take(signed[(k - 1 + i) % 2], next(indices), axis=-1)
-            term *= np.take(prev, next(indices), axis=-1)
-            acc += term
-        out.append(acc)
+            term = np.take(signed[(k - 1 + i) % 2], rows[k][:, i, None] * m + last, axis=-1)
+            term *= np.take(prev, drop[:, i, None] + sub, axis=-1)
+            step += term
+        out.append(step)
     return out
 
 

@@ -7,7 +7,6 @@ Polynomials are 1-D float arrays of coefficients in ascending degree order
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -110,8 +109,6 @@ def _real_roots(stack: np.ndarray, tol: float) -> tuple:
     bad = np.zeros(count)
     for m in sorted(set(length.tolist()) - {1}):
         rows = np.flatnonzero(length == m)
-        if len(rows) == count:
-            rows = slice(None)  # every row: basic indexing is cheaper
         c = stack[rows, width - m :]
         if m == 2:
             r = -c[:, :1] / c[:, 1:]
@@ -150,17 +147,13 @@ def has_common_interlacing(polys: Sequence, tol: float = REAL_ROOT_TOL) -> bool:
     Raises :class:`DegreeMismatch` on members of different degrees; constant
     families and single members pass.
     """
-    # the members as rows, zero-padded to the longest
-    columns = list(itertools.zip_longest(*polys, fillvalue=0.0))
-    stack = np.array(columns, dtype=float).reshape(len(columns), len(polys)).T
-    nonzero = stack != 0.0
-    degs = set(np.where(nonzero.any(axis=1), stack.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1), 0).tolist())
+    cs = [trim(p) for p in polys]
+    degs = {len(c) - 1 for c in cs}
     if len(degs) != 1:
         raise DegreeMismatch(f"mixed degrees {sorted(degs)}")
-    (deg,) = degs
-    if deg == 0:
+    if degs == {0}:
         return True
-    return bool(common_interlacing_by_group(real_roots(stack[:, : deg + 1], tol), [0], tol)[0])
+    return bool(common_interlacing_by_group(real_roots(np.array(cs), tol), [0], tol)[0])
 
 
 def common_interlacing_by_group(roots: np.ndarray, starts, tol: float) -> np.ndarray:

@@ -667,17 +667,6 @@ def test_compounds_match_determinant_minors():
                 assert np.abs(got[k] - want).max() <= 1e-12 * scale**k, (d, m, k)
 
 
-def test_compounds_cached_and_uncached_agree(monkeypatch):
-    # d = 4, m = 9: 1,944 multiply-adds, beyond the cache; the cached
-    # gathers give the same bits as the ones made on the way
-    rng = np.random.default_rng(12)
-    a = rng.normal(size=(2, 4, 9)) + 1j * rng.normal(size=(2, 4, 9))
-    made = disc._compounds(a, 4)
-    monkeypatch.setattr(disc, "_LAPLACE_CACHE_ENTRIES", 1 << 20)
-    cached = disc._compounds(a, 4)
-    assert all(x.tobytes() == y.tobytes() for x, y in zip(made, cached))
-
-
 def test_unitary_compounds_match_minors():
     # every branch of the compounds (entries, Laplace steps at
     # 2 <= j <= d/2, complementary minors beyond d/2, the unit at j = d)
