@@ -478,6 +478,8 @@ COMMANDS = {
     "replay": (run_replay, "barrier walk trace for a normalized instance"),
     "frames gen": (run_frames_gen, "harmonic tight frame as an instance file"),
     "verify thm13": (verify_thm13, "three-sigma greedy sweep"),
+    "verify interlacing": (verify_interlacing, "greedy branch families: real roots and common interlacing"),
+    "verify oracles": (verify_oracles, "expected polynomials: subset-sum and operator routes agree"),
     "verify thm15": (verify_thm15, "tight-frame exact values"),
     "verify prop16": (verify_prop16, "diagonal integer lower bound"),
     "verify thm41": (verify_thm41, "barrier-walk replays"),

@@ -1,6 +1,6 @@
 """Discrepancy computation.
 
-Four routes live here:
+Four computations live here:
 
 * exhaustive minimization over all sign assignments (the ground-truth oracle),
   which takes row-norm lower bounds from two half-enumerations and builds
@@ -10,13 +10,18 @@ Four routes live here:
   the variances of the remaining variables by Cauchy-Binet subset sums
   (polynomial in n for fixed dimension, with compound matrices from Laplace
   steps) or, where that is cheaper, over the sign patterns of equal variance;
-  :func:`_expected_ypolys` is the one place that plans a route, per call,
-  and runs it,
+  :func:`_expected_ypolys` is the one place that runs one of these two
+  routes, each call planned by :func:`_plan_route`,
 * the same top-level polynomial through the differential-operator route, an
   independent oracle for small n,
 * the greedy solver that walks the interlacing family by always descending
-  into a branch whose polynomial has the smallest largest root, one engine
-  call per level.
+  into a branch whose polynomial has the smallest largest root: one engine
+  call per level until the same planner prices a third route, "leaves",
+  below the engine calls it replaces. That route enumerates the remaining
+  subtree once over the actual supports (at most ``ENUM_CAP`` leaves and
+  one eigensolve batch), folds the leaves' polynomials up the tree, and
+  every later level reads its branches off it. It is exact: the expectation
+  over the supports is the one the variances give.
 
 Plus the menu of named upper bounds and the subset-rounding wrapper.
 """
@@ -562,7 +567,7 @@ def _sign_ypolys(fixed: np.ndarray, vectors, variances) -> np.ndarray:
     return acc / 2.0 ** (m - head)
 
 
-# Seconds per unit of work of the two routes, fitted (within about 2x) to
+# Seconds per unit of work of the routes, fitted (within about 2x) to
 # timings of single calls at d <= 12 on a 2-core x86 host. The planner only
 # compares the routes' totals, so a route is misjudged only near the
 # crossover, where both cost about the same.
@@ -571,9 +576,10 @@ _SECONDS_PRODUCT = (1e-8, 1e-10)  # per entry of W or multiply-add of a Laplace 
 _SECONDS_COMPLEMENT = 6e-8  # per (mask, root) of the complement polynomials
 _SECONDS_SIGN_CALL = (8e-5, 2.3e-6)  # per call, per dimension
 _SECONDS_SIGN_MATRIX = (1.3e-7, 2.3e-9)  # per eigensolve, times d^2 and d^3
+_SECONDS_LEAF = (3.6e-5, 2e-6, 4e-7)  # per enumeration, per variable, per leaf besides its eigensolve
 
 
-def _plan_route(d: int, m: int, nb: int, symmetric: bool = False) -> str:
+def _plan_route(d: int, m: int, nb: int, symmetric: bool = False, built: bool = False, later=None) -> str:
     """Route of one engine call with tail size m and nb fixed parts.
 
     Each route has a count that must fit ``ENUM_CAP``, read at call time:
@@ -581,19 +587,31 @@ def _plan_route(d: int, m: int, nb: int, symmetric: bool = False) -> str:
     the tail plus ``C(d, k)^2`` per fixed part; "signs" the 2^m sign
     patterns per fixed part (2^(m-1) when ``symmetric``, every fixed part
     zero). Of the routes that fit, the one with the smaller estimated time
-    of this call, the tail's compounds included, is returned;
-    :class:`EnumerationTooLarge` is raised when neither fits. A call with no
-    tail variable (m = 0) takes the sign route, whose one pattern is the
-    fixed part's own spectrum. Plans are cached, keyed by the cap too: the
+    of this call is returned, the tail's compounds included unless they are
+    ``built``; :class:`EnumerationTooLarge` is raised when neither fits. A
+    call with no tail variable (m = 0) takes the sign route, whose one
+    pattern is the fixed part's own spectrum.
+
+    The greedy also passes ``later``, the (m, nb) of each later level, and
+    may be told "leaves": enumerate the subtree's leaves once, the product
+    of the levels' nb, and read this level and every later one off it
+    (:func:`_leaf_tree`). That route is priced by its leaf count against
+    this call and the cheapest finish of the later levels, and offered only
+    while its leaves fit ``ENUM_CAP`` and one eigensolve batch
+    (``_SIGN_BATCH``). A level's leaves number at least 2^m, the sign
+    count, so the route never takes an enumeration the sign route would
+    refuse. Plans are cached, keyed by the cap and the batch too: the
     barrier walk plans every batch of points it evaluates.
     """
-    return _cached_plan(d, m, nb, ENUM_CAP, symmetric)
+    return _cached_plan(d, m, nb, ENUM_CAP, symmetric, built, later, _SIGN_BATCH)
 
 
-@functools.lru_cache(maxsize=4096)
-def _cached_plan(d: int, m: int, nb: int, limit: int, symmetric: bool) -> str:
+def _engine_seconds(d: int, m: int, nb: int, limit: int, symmetric: bool, built: bool) -> dict:
+    """The estimated seconds of one engine call on each route whose count
+    fits ``limit``, subsets first; :class:`EnumerationTooLarge` when none
+    fits."""
     if not m:
-        return "signs"
+        return {"signs": _SECONDS_SIGN_CALL[0] + _SECONDS_SIGN_CALL[1] * d + nb * _sign_matrix_seconds(d)}
     ks = range(1, min(d, m) + 1)
     counts = {
         "subsets": sum(math.comb(m, k) * math.comb(d, k) + nb * math.comb(d, k) ** 2 for k in ks),
@@ -605,18 +623,44 @@ def _cached_plan(d: int, m: int, nb: int, limit: int, symmetric: bool) -> str:
     entries = sum(math.comb(d, k) * math.comb(m, k) for k in ks)
     products = sum(math.comb(d, k) ** 2 * math.comb(m, k) for k in ks)
     compound = sum(math.comb(d, k) ** 2 * k for k in ks if 1 < k <= d // 2)
-    tail = sum(math.comb(m, k) * math.comb(d, k) * k for k in ks if k > 1)  # the tail's Laplace steps
+    tail = 0 if built else sum(math.comb(m, k) * math.comb(d, k) * k for k in ks if k > 1)  # its Laplace steps
     seconds = {
         "subsets": _SECONDS_SUBSET_CALL[0]
         + _SECONDS_SUBSET_CALL[1] * len(ks)
         + nb * (_SECONDS_PRODUCT[0] * (compound + entries) + _SECONDS_PRODUCT[1] * products)
         + nb * _SECONDS_COMPLEMENT * (d << d)
         + _SECONDS_PRODUCT[0] * tail,
-        "signs": _SECONDS_SIGN_CALL[0]
-        + _SECONDS_SIGN_CALL[1] * d
-        + nb * counts["signs"] * (_SECONDS_SIGN_MATRIX[0] * d * d + _SECONDS_SIGN_MATRIX[1] * d**3),
+        "signs": _SECONDS_SIGN_CALL[0] + _SECONDS_SIGN_CALL[1] * d + nb * counts["signs"] * _sign_matrix_seconds(d),
     }
-    return min(fits, key=seconds.get)
+    return {route: seconds[route] for route in fits}
+
+
+def _sign_matrix_seconds(d: int) -> float:
+    return _SECONDS_SIGN_MATRIX[0] * d * d + _SECONDS_SIGN_MATRIX[1] * d**3
+
+
+def _leaf_seconds(d: int, leaves: int, depth: int) -> float:
+    """The estimated seconds of :func:`_leaf_tree` on ``leaves`` leaves of
+    ``depth`` variables."""
+    return _SECONDS_LEAF[0] + _SECONDS_LEAF[1] * depth + leaves * (_SECONDS_LEAF[2] + _sign_matrix_seconds(d))
+
+
+@functools.lru_cache(maxsize=4096)
+def _cached_plan(d: int, m: int, nb: int, limit: int, symmetric: bool, built: bool, later, batch: int) -> str:
+    seconds = _engine_seconds(d, m, nb, limit, symmetric, built)
+    if later is None or nb * math.prod(b for _, b in later) > min(limit, batch):
+        return min(seconds, key=seconds.get)
+    # the cheapest finish after this level: at each later level, its engine
+    # call (its tail built) and the cheapest finish after it, or the leaves
+    # of its subtree
+    finish, count = 0.0, 1
+    for depth, (m_j, nb_j) in enumerate(reversed(later), 1):
+        count *= nb_j
+        engine = min(_engine_seconds(d, m_j, nb_j, limit, False, True).values())
+        finish = min(engine + finish, _leaf_seconds(d, count, depth))
+    total = {route: value + finish for route, value in seconds.items()}
+    total["leaves"] = _leaf_seconds(d, nb * count, len(later) + 1)
+    return min(total, key=total.get)
 
 
 def _expected_ypolys(fixed, vectors, variances, tail=None) -> tuple:
@@ -628,8 +672,9 @@ def _expected_ypolys(fixed, vectors, variances, tail=None) -> tuple:
     variances enter. Two exact routes compute it, Cauchy-Binet subset sums
     (:func:`_subset_ypolys`, polynomial in m for fixed d) and sign patterns
     (:func:`_sign_ypolys`, exponential in m, cheap for small m or large d);
-    :func:`_plan_route` picks one for this call under ``ENUM_CAP``. This is
-    the only place that picks and runs a route.
+    :func:`_plan_route` picks one for this call under ``ENUM_CAP``, and
+    charges the tail's compounds only when ``tail`` is not handed back. This
+    is the only place that runs an engine route.
 
     Returns ascending y-coefficients, shape (B, d+1), and the tail: the
     :func:`_tail_terms` of the variables, built by the first subset-route
@@ -640,7 +685,7 @@ def _expected_ypolys(fixed, vectors, variances, tail=None) -> tuple:
     fixed = np.asarray(fixed, dtype=complex)
     nb, d = fixed.shape[0], fixed.shape[1]
     m = len(variances)
-    if _plan_route(d, m, nb, not fixed.any()) == "signs":
+    if _plan_route(d, m, nb, not fixed.any(), tail is not None) == "signs":
         return _sign_ypolys(fixed, vectors, variances), tail
     if tail is None:
         tail = _tail_terms(np.asarray(vectors, dtype=complex).reshape(m, d), variances)
@@ -813,6 +858,32 @@ def _lambda_max_y(ypolys: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(top < 0.0, 0.0, top))
 
 
+def _leaf_tree(fixed, dev, sizes, flat, prob) -> list:
+    """The leaf route: the expected y-polynomials of every node of the
+    subtree of the variables ``dev``, ``sizes``, ``flat`` and ``prob`` below
+    the fixed part ``fixed``, from one enumeration of its leaves.
+
+    Each leaf's deviation matrix is its coefficient row times the flat terms
+    (:func:`_deviations`, as brute force builds them) plus ``fixed``, and its
+    y-polynomial ``prod_j (y - mu_j^2)`` comes from its spectrum, at most
+    ``_SIGN_BATCH`` matrices per eigensolve. A node's polynomial is the
+    probability-weighted sum of its children's, one contraction per depth.
+    Entry j has shape ``sizes[:j + 1] + (d + 1,)``: the nodes below the
+    first j + 1 variables, each conditioned on its path, not weighted by it.
+    """
+    d = fixed.shape[-1]
+    count = math.prod(sizes)
+    leaves = np.empty((count, d + 1))
+    for start in range(0, count, _SIGN_BATCH):
+        idx = np.arange(start, min(start + _SIGN_BATCH, count))
+        mu = np.linalg.eigvalsh(_deviations(dev, sizes, flat, d, idx) + fixed)
+        leaves[idx] = _monic_from_roots_batch(mu * mu)
+    tree = [leaves.reshape(tuple(sizes) + (d + 1,))]
+    for j in range(len(sizes) - 1, 0, -1):
+        tree.append(prob[j, : sizes[j]] @ tree[-1])
+    return tree[::-1]
+
+
 GREEDY_TIE_RTOL = 1e-12
 
 
@@ -820,14 +891,17 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     """Descend the interlacing family, minimizing the largest branch root.
 
     At level k every outcome t in the k-th support gets its partial expected
-    polynomial evaluated, all branches of a level in one call of
-    :func:`_expected_ypolys` on their fixed parts, and the greedy fixes a
-    minimizer of the largest root. Each level's call plans its own route
-    under ``ENUM_CAP``. The tail keeps only its :func:`_live` variables, as
-    :func:`expected_charpoly` and the walk's evaluator do, and goes to the
-    engine last variable first, so every level's tail is a prefix of the
-    reversed live list, and the compounds that the first subset-route level
-    builds serve every later one.
+    polynomial evaluated, all branches of a level at once, and the greedy
+    fixes a minimizer of the largest root. Each level asks
+    :func:`_plan_route` for its route under ``ENUM_CAP``: one call of
+    :func:`_expected_ypolys` on the branches' fixed parts, or, once the
+    remaining subtree is small enough, "leaves": :func:`_leaf_tree`
+    enumerates the subtree once, and this level and every later one read
+    their branch rows off it. The engine's tail keeps only its
+    :func:`_live` variables, as :func:`expected_charpoly` and the walk's
+    evaluator do, and goes to the engine last variable first, so every
+    level's tail is a prefix of the reversed live list, and the compounds
+    that the first subset-route level builds serve every later one.
     Roots within ``GREEDY_TIE_RTOL`` relative of the minimum count as tied
     and the smallest support index among them wins, so exactly symmetric
     levels (Rademacher ones) do not leave the choice to roundoff. The final
@@ -841,7 +915,9 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     vectors = np.array(inst.vectors)
     variances = _variances(inst)
     live = np.array(_live(inst.vectors, variances)[::-1], dtype=np.int64)
-    tail = None
+    # per level, the size of its engine call's tail and its branch count
+    calls = tuple((int(np.count_nonzero(live > k)), int(sizes[k])) for k in range(inst.n))
+    tail = tree = None
     prefix: list = []
     levels = []
     parent_lam = None
@@ -850,12 +926,19 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     flat = terms.reshape(inst.n, -1)
     for k in range(inst.n):
         chosen = (np.arange(k), prefix)
-        # np.tensordot(dev[chosen], terms[:k], axes=(0, 0)), less its overhead
-        fixed = np.dot(dev[chosen][None], flat[:k]).reshape(terms.shape[1:])
         weights = float(np.prod(prob[chosen])) * prob[k, : sizes[k]]
-        branches = fixed[None] + dev[k, : sizes[k], None, None] * terms[k][None]
-        rest = live[: np.count_nonzero(live > k)]
-        polys, tail = _expected_ypolys(branches, vectors[rest], variances[rest], tail)
+        if tree is None:
+            # np.tensordot(dev[chosen], terms[:k], axes=(0, 0)), less its overhead
+            fixed = np.dot(dev[chosen][None], flat[:k]).reshape(terms.shape[1:])
+            branches = fixed[None] + dev[k, : sizes[k], None, None] * terms[k][None]
+            rest = live[: calls[k][0]]
+            built = tail is not None
+            if _plan_route(inst.dim, len(rest), len(branches), not branches.any(), built, calls[k + 1 :]) == "leaves":
+                tree, root = _leaf_tree(fixed, dev[k:], sizes[k:].tolist(), flat[k:], prob[k:]), k
+        if tree is None:
+            polys, tail = _expected_ypolys(branches, vectors[rest], variances[rest], tail)
+        else:
+            polys = tree[k - root][tuple(prefix[root:])]
         polys = weights[:, None] * polys
         # at level 1 the top polynomial goes first, in the same call
         lams = _lambda_max_y(np.concatenate([polys.sum(axis=0)[None], polys]) if k == 0 else polys)

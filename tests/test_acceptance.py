@@ -94,6 +94,8 @@ def test_criterion_10_subset_rounding():
 def test_criterion_11_determinism(tmp_path):
     jobs = [
         (["verify", "thm13", "--count", "8", "--seed", "5"], "thm13"),
+        (["verify", "interlacing", "--count", "8", "--seed", "5"], "interlacing"),
+        (["verify", "oracles", "--count", "8", "--seed", "5"], "oracles"),
         (["verify", "schatten", "--count", "4", "--seed", "5"], "schatten"),
         (["verify", "lyapunov", "--count", "6", "--seed", "5"], "lyapunov"),
         (["verify", "prop16"], "prop16"),

@@ -11,10 +11,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "matdisc"
 
-# Public entry points with no caller in the package: the suite of
-# acceptance criterion 02 runs only from the tests.
-ALLOWED = {"cli.verify_oracles"}
-
 
 def definitions(tree):
     """Names of every module-level function and class and every method not
@@ -64,7 +60,7 @@ def test_every_definition_has_a_caller():
         for path, tree in trees.items()
         if path.parent == PACKAGE
         for name in definitions(tree)
-        if name not in used and f"{path.stem}.{name}" not in ALLOWED
+        if name not in used
     ]
     assert uncalled == []
 

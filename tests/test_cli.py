@@ -130,8 +130,10 @@ def test_flags_a_command_does_not_read_exit_two(capsys):
         ("solve", "--instance", FIXTURE): ("--seed", "--count", "--n", "--d"),
         ("replay", "--instance", FIXTURE): ("--seed", "--threads", "--count", "--n", "--d"),
         ("frames", "gen"): ("--seed", "--threads", "--count"),
-        # the 10 (suite, flag) pairs a suite does not read, and --d
+        # the 12 (suite, flag) pairs a suite does not read, and --d
         ("verify", "thm13"): ("--n",),
+        ("verify", "interlacing"): ("--n",),
+        ("verify", "oracles"): ("--n",),
         ("verify", "thm15"): ("--seed", "--count", "--n", "--d"),
         ("verify", "prop16"): ("--seed", "--count"),
         ("verify", "thm41"): ("--n",),
@@ -463,7 +465,7 @@ def test_numerical_failures_in_solve_and_replay_become_failing_rows(tmp_path, ca
     doc = json.loads(out.read_text())
     assert doc["bruteforce"]["value"] == pytest.approx(7.0 / 6.0, abs=1e-9) and "greedy" not in doc
     first = doc["checks"][0]
-    assert first["name"] == "greedy[root imaginary part 1.061e-01 exceeds 1.0e-07 * 2.475e+00]" and not first["pass"]
+    assert first["name"] == "greedy[root imaginary part 7.538e-02 exceeds 1.0e-07 * 2.441e+00]" and not first["pass"]
     assert doc["failed"] == 1 and [row["name"] for row in doc["checks"][1:]] == [
         "disc_le_three_sigma",
         "disc_le_four_sigma",

@@ -480,14 +480,35 @@ def random_prefix(rng, inst, k):
     return tuple(int(rng.integers(len(rv.support))) for rv in inst.rvs[:k])
 
 
+def pin_route(monkeypatch, name):
+    """Pin every plan to one route, whatever the planner would pick. For
+    "leaves" the greedy takes the leaf route from level 1, and the engine
+    calls that no leaf enumeration can serve keep the planner's route."""
+    plan = disc._plan_route
+
+    def pinned(d, m, nb, symmetric=False, built=False, later=None):
+        if name != "leaves":
+            return name
+        return name if later is not None else plan(d, m, nb, symmetric, built)
+
+    monkeypatch.setattr(disc, "_plan_route", pinned)
+    return name
+
+
 @pytest.fixture(params=["subsets", "signs"])
+def engine_route(request, monkeypatch):
+    """The engine pinned to one route."""
+    return pin_route(monkeypatch, request.param)
+
+
+@pytest.fixture(params=["subsets", "signs", "leaves"])
 def route(request, monkeypatch):
-    """Pin the engine to one route, whatever the planner would pick."""
-    monkeypatch.setattr(disc, "_plan_route", lambda *args, **kwargs: request.param)
-    return request.param
+    """The greedy pinned to one route: an engine route at every level, or
+    the leaf route from level 1."""
+    return pin_route(monkeypatch, request.param)
 
 
-def test_engine_matches_enumeration_every_prefix(rng, route):
+def test_engine_matches_enumeration_every_prefix(rng, engine_route):
     for d in range(1, 6):
         for n in range(1, 9):
             # two-atom laws up to n = 8, mixed two- and three-atom up to n = 6
@@ -575,6 +596,34 @@ def test_engine_zero_probability_branch(rng, route):
         disc.greedy_interlacing_solve(inst)
 
 
+def test_leaf_tree_degenerate_subtree(rng, route):
+    # a zero-probability atom, a constant law and a zero vector inside the
+    # subtree below a fixed prefix: every node of the leaf tree, weighted by
+    # its path, against the enumeration oracle; the greedy stops at the
+    # zero-probability branch on every route
+    base = random_rank_one_instance(rng, 3, 6)
+    rvs = list(base.rvs)
+    rvs[2] = model.DiscreteRandomVariable((-1.0, 0.5, 1.0), (0.5, 0.0, 0.5))
+    rvs[3] = model.DiscreteRandomVariable((0.7,), (1.0,))
+    vectors = list(base.vectors)
+    vectors[4] = np.zeros(3, dtype=complex)
+    inst = model.RankOneInstance(3, tuple(vectors), tuple(rvs))
+    terms, means, sizes, supp, prob = disc._family(inst)
+    dev = means[:, None] - supp
+    head = random_prefix(rng, inst, 1)
+    fixed = np.tensordot(dev[0, head[0]], terms[0], axes=0)
+    tree = disc._leaf_tree(fixed, dev[1:], sizes[1:].tolist(), terms[1:].reshape(inst.n - 1, -1), prob[1:])
+    assert len(tree) == inst.n - 1
+    for depth, nodes in enumerate(tree, 1):
+        assert nodes.shape == tuple(sizes[1 : depth + 1]) + (4,)
+        for path in itertools.product(*(range(s) for s in sizes[1 : depth + 1])):
+            prefix = head + path
+            weight = float(np.prod(prob[np.arange(len(prefix)), list(prefix)]))
+            assert_close_to_enum(disc._even_to_x(weight * nodes[path]), inst, prefix)
+    with pytest.raises(NotRealRooted):
+        disc.greedy_interlacing_solve(inst)
+
+
 def test_engine_small_chunks(rng, monkeypatch, route):
     # block boundaries inside every column table of the subset products and
     # every sign block: a term dropped or taken twice at a boundary shows here
@@ -612,13 +661,14 @@ def test_greedy_work_counts(monkeypatch):
     # every level takes its branch roots (level 1 the top polynomial's too)
     # in one call
     assert eigvals["calls"] == n
-    # every level plans its own call: tails of m = 13 down to 7 variables
+    # every level plans its own route: tails of m = 13 down to 8 variables
     # take the subset route, one eigh call for both branches each
-    assert eigh["calls"] == 7 and eigh["matrices"] == 2 * 7
-    # m = 6 down to 0 take the 2^m sign patterns of both branches; beyond
-    # them eigvalsh sees only the final deviation, whose norm is the
-    # reported value
-    assert eigvalsh["matrices"] == 1 + 2 * sum(2**m for m in range(7))
+    assert eigh["calls"] == 6 and eigh["matrices"] == 2 * 6
+    # the level with m = 7 takes the leaf route: one eigvalsh call on the
+    # 2^8 leaves of its subtree, off which it and the 7 later levels read
+    # their branches; beyond it eigvalsh sees only the final deviation,
+    # whose norm is the reported value
+    assert eigvalsh["calls"] == 2 and eigvalsh["matrices"] == 2**8 + 1
     # the compounds of the tail vectors and of every branch eigenbasis come
     # from Laplace steps (and complementary minors), not determinants
     assert det["matrices"] == 0
@@ -751,11 +801,12 @@ def test_one_cap_reaches_every_enumeration(monkeypatch):
 
 
 def test_greedy_dimension_close_to_n(monkeypatch):
-    # d = 9, n = 11: each level plans its own call. Tails of 10 down to 8
+    # d = 9, n = 11: each level plans its own route. Tails of 10 and 9
     # variables take the subset route, whose C(19, 9) - 1 = 92,377 tail
     # compound entries and 2 x (C(18, 9) - 1) branch entries at the first
-    # level all come from Laplace steps; tails of 7 down to 0 take the sign
-    # patterns. Neither route takes a determinant
+    # level all come from Laplace steps; the level with a tail of 8 takes
+    # the leaf route, 2^9 eigensolves for it and every later level. Neither
+    # route takes a determinant
     inst = seeded_rademacher(14, 9, 11)
     det = count_matrices(monkeypatch, "det")
     _, trace = disc.greedy_interlacing_solve(inst)
@@ -775,3 +826,20 @@ def test_greedy_tie_goes_to_smallest_index():
         lo = min(first.branch_lambda_max)
         assert max(first.branch_lambda_max) <= lo * (1.0 + disc.GREEDY_TIE_RTOL)
         assert first.chosen_index == 0
+
+
+@pytest.mark.parametrize("d, n", [(4, 12), (4, 40), (6, 30)])
+def test_top_polynomial_moment_identities(d, n):
+    # two coefficients of the top polynomial in closed form, from the
+    # variances tau_i^2 and the Gram entries g_ik = <u_i, u_k>, up to sizes
+    # that no enumeration reaches:
+    #   x^(2d-2): -sum_i tau_i^2 |u_i|^4
+    #   x^(2d-4): sum_{i<k} tau_i^2 tau_k^2 (|u_i|^2 |u_k|^2 - |g_ik|^2)^2
+    inst = random_rank_one_instance(np.random.default_rng(100 * d + n), d, n)
+    p = disc.expected_charpoly(inst)
+    u = np.array(inst.vectors)
+    tau2 = np.array([rv.variance for rv in inst.rvs])
+    sq = np.einsum("ij,ij->i", u.conj(), u).real
+    pairs = np.outer(tau2, tau2) * (np.outer(sq, sq) - np.abs(u.conj() @ u.T) ** 2) ** 2
+    for got, want in ((p[2 * d - 2], -np.sum(tau2 * sq**2)), (p[2 * d - 4], np.triu(pairs, 1).sum())):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
