@@ -10,8 +10,10 @@ Four computations live here:
   the variances of the remaining variables by Cauchy-Binet subset sums
   (polynomial in n for fixed dimension, with compound matrices from Laplace
   steps) or, where that is cheaper, over the sign patterns of equal variance;
-  :func:`_expected_ypolys` is the one place that runs one of these two
-  routes, each call planned by :func:`_plan_route`,
+  :meth:`_Tail.ypolys` is the one place that runs one of these two routes,
+  each call planned by :func:`_plan_route`. A :class:`_Tail` holds the
+  tail's vectors, variances and compounds for the greedy,
+  :func:`expected_charpoly` and the barrier walk's subset sums,
 * the same top-level polynomial through the differential-operator route, an
   independent oracle for small n,
 * the greedy solver that walks the interlacing family by always descending
@@ -446,22 +448,6 @@ def _unitary_compounds(vh: np.ndarray, top: int) -> list:
     return out
 
 
-def _tail_terms(vectors: np.ndarray, variances) -> list:
-    """Per k = 1..min(d, m), the pair of the compound ``C_k(U)`` of
-    ``U = [u_1 .. u_m]`` (the rows of ``vectors``, shape (m, d)), from
-    :func:`_compounds`, and the products ``tau_S^2`` of the variances over
-    its columns S. Index 0 holds nothing.
-
-    The columns are prefix-closed: the terms of the first m' variables are
-    the first ``comb(m', k)`` columns.
-    """
-    tau2 = np.asarray(variances, dtype=float)
-    m, d = vectors.shape
-    top = min(d, m)
-    cols = _colex_tables(m, top)
-    return [None] + [(c, tau2[cols[k]].prod(axis=1)) for k, c in enumerate(_compounds(vectors.T, top)) if k]
-
-
 def _complement_polys(lam: np.ndarray) -> np.ndarray:
     """``prod_{r not in R} (x - s lam_r)`` for every R in range(d), indexed by
     bitmask, for s = +1 and s = -1: shape (2, B, 2^d, d+1), ascending."""
@@ -479,53 +465,15 @@ def _complement_polys(lam: np.ndarray) -> np.ndarray:
     return c
 
 
-def _squared_minors(rot: np.ndarray, minors: np.ndarray, count: int, lead: int):
-    """``|det W_{R,S}|^2`` with ``C_k(W) = rot @ minors``, over the first
-    ``count`` columns S of ``minors``: yields (column slice, block), each
-    block at most ``_PRODUCT_BLOCK`` entries for ``lead`` leading rows."""
-    step = max(1, _PRODUCT_BLOCK // max(1, lead * rot.shape[-2]))
-    for start in range(0, count, step):
-        cols = slice(start, min(start + step, count))
-        w = rot @ minors[:, cols]
-        yield cols, w.real**2 + w.imag**2
-
-
-def _subset_ypolys(fixed: np.ndarray, tail: list, m: int) -> np.ndarray:
-    """The Cauchy-Binet route of :func:`_expected_ypolys`, over the first m
-    variables of ``tail``, the :func:`_tail_terms` of a variable list that
-    starts with them.
-
-    With ``F_b = V diag(lam) V*`` and ``W = V* U`` Cauchy-Binet gives
-
-        p_b(x) = sum_{|S| <= d} (-1)^|S| tau_S^2 f_S(x) g_S(x),
-        f_S = sum_{|R| = |S|} |det W_{R,S}|^2 prod_{r not in R} (x - lam_r),
-
-    and ``g_S`` the same with ``x + lam_r``. Summing over S first leaves, per
-    size k, the matrix ``H_k[R, R'] = sum_S tau_S^2 |det W_{R,S}|^2
-    |det W_{R',S}|^2`` between complement polynomials. The minors of W are
-    those of U rotated by the k-th compound of V*, ``C_k(W) = C_k(V*) C_k(U)``,
-    so each branch takes one eigendecomposition, the Laplace steps of
-    :func:`_unitary_compounds` and one small product, and no determinant.
-    """
-    nb, d = fixed.shape[0], fixed.shape[1]
-    top = min(d, m)
-
-    lam, vecs = np.linalg.eigh(fixed)
-    vh = np.swapaxes(vecs.conj(), 1, 2)
-    comp = _complement_polys(lam)
-    rows, masks, fold = _dim_tables(d)
-    rots = _unitary_compounds(vh, top)
-    gram = np.zeros((nb, d + 1, d + 1))
-    for k in range(top + 1):
-        if k == 0:
-            h = np.ones((nb, 1, 1))
-        else:
-            h = np.zeros((nb, len(rows[k]), len(rows[k])))
-            for cols, z in _squared_minors(rots[k], tail[k][0], math.comb(m, k), nb):
-                h += (z * tail[k][1][cols]) @ np.swapaxes(z, 1, 2)
-        term = np.swapaxes(comp[0][:, masks[k]], 1, 2) @ h @ comp[1][:, masks[k]]
-        gram += term if k % 2 == 0 else -term
-    return gram.reshape(nb, -1) @ fold
+def _complement_products(lam: np.ndarray) -> np.ndarray:
+    """``prod_{r not in R} lam_r`` for every R in range(d), indexed by
+    bitmask: shape (P, 2^d) for ``lam`` of shape (P, d)."""
+    p, d = lam.shape
+    c = np.ones((p, 1 << d))
+    for r in range(d):
+        # the masks without bit r, as a view
+        c.reshape(p, 1 << (d - 1 - r), 2, 1 << r)[:, :, 0] *= lam[:, r, None, None]
+    return c
 
 
 def _signed_sums(parts: np.ndarray) -> np.ndarray:
@@ -544,27 +492,6 @@ def _sign_blocks(parts: np.ndarray, head: int, chunk: int):
     block = parts[:head].sum(axis=0) + _signed_sums(parts[head : head + low])
     for high in _signed_sums(parts[head + low :]):
         yield block + high
-
-
-def _sign_ypolys(fixed: np.ndarray, vectors, variances) -> np.ndarray:
-    """The sign route of :func:`_expected_ypolys`.
-
-    Only the variances enter, so every ``c_i`` may be taken as a fair sign
-    times ``tau_i``: the 2^m sign patterns are summed from spectra as
-    ``prod_j (y - mu_j^2)``. When every fixed part is zero, M -> -M leaves
-    the determinant unchanged and the first sign is pinned to +1. At most
-    ``_SIGN_BATCH`` matrices go to one eigensolve call.
-    """
-    nb, d = fixed.shape[0], fixed.shape[1]
-    m = len(variances)
-    u = np.asarray(vectors, dtype=complex).reshape(m, d)
-    tw = np.sqrt(np.asarray(variances, dtype=float))[:, None, None] * model.outer_products(u)
-    head = 1 if m and not fixed.any() else 0
-    acc = np.zeros((nb, d + 1))
-    for shifts in _sign_blocks(tw, head, _SIGN_BATCH // nb):
-        mu = np.linalg.eigvalsh(fixed[:, None] + shifts[None])
-        acc += _monic_from_roots_batch((mu * mu).reshape(-1, d)).reshape(nb, -1, d + 1).sum(axis=1)
-    return acc / 2.0 ** (m - head)
 
 
 # Seconds per unit of work of the routes, fitted (within about 2x) to
@@ -663,33 +590,150 @@ def _cached_plan(d: int, m: int, nb: int, limit: int, symmetric: bool, built: bo
     return min(total, key=total.get)
 
 
-def _expected_ypolys(fixed, vectors, variances, tail=None) -> tuple:
-    """Expected ``det[x^2 I - M_b^2]`` in y = x^2, one row per fixed part.
+class _Tail:
+    """Rank-one terms ``c_i u_i u_i*``, independent mean-zero ``c_i`` of
+    variance ``tau_i^2``, behind the engine's expected polynomials
+    (:meth:`ypolys`) and the walk's subset sums (:meth:`subset_sums`). Each
+    caller builds one in the variable order whose prefixes it takes.
 
-    ``M_b = F_b + sum_i c_i u_i u_i*`` with ``fixed[b] = F_b`` Hermitian and
-    independent mean-zero ``c_i`` of variance ``variances[i]``. Both factors
-    of ``det[xI - M] det[xI + M]`` are affine in every ``c_i``, so only the
-    variances enter. Two exact routes compute it, Cauchy-Binet subset sums
-    (:func:`_subset_ypolys`, polynomial in m for fixed d) and sign patterns
-    (:func:`_sign_ypolys`, exponential in m, cheap for small m or large d);
-    :func:`_plan_route` picks one for this call under ``ENUM_CAP``, and
-    charges the tail's compounds only when ``tail`` is not handed back. This
-    is the only place that runs an engine route.
-
-    Returns ascending y-coefficients, shape (B, d+1), and the tail: the
-    :func:`_tail_terms` of the variables, built by the first subset-route
-    call. A later call on these variables or on a prefix of them hands it
-    back as ``tail`` and shares the compounds; it stays None (or as passed)
-    on the sign route.
+    It holds the vectors (rows), the variances and the sign route's terms
+    ``tw[i] = tau_i u_i u_i*``. The first subset-route call builds
+    ``terms``: per k = 1..min(d, m) the compound ``C_k(U)`` of the m vectors
+    and the products ``tau_S^2`` over its columns S, in colex order, so the
+    first ``comb(m', k)`` columns serve a prefix of m' variables.
     """
-    fixed = np.asarray(fixed, dtype=complex)
-    nb, d = fixed.shape[0], fixed.shape[1]
-    m = len(variances)
-    if _plan_route(d, m, nb, not fixed.any(), tail is not None) == "signs":
-        return _sign_ypolys(fixed, vectors, variances), tail
-    if tail is None:
-        tail = _tail_terms(np.asarray(vectors, dtype=complex).reshape(m, d), variances)
-    return _subset_ypolys(fixed, tail, m), tail
+
+    def __init__(self, vectors, variances, d: int):
+        self.vectors = np.asarray(vectors, dtype=complex).reshape(-1, d)
+        self.variances = np.asarray(variances, dtype=float)
+        self.d = d
+        self.tw = np.sqrt(self.variances)[:, None, None] * model.outer_products(self.vectors)
+        self.terms = None
+
+    def _compound_terms(self) -> list:
+        """``terms``, built on the first call."""
+        if self.terms is None:
+            top = min(self.d, len(self.variances))
+            cols = _colex_tables(len(self.variances), top)
+            compounds = _compounds(self.vectors.T, top)
+            self.terms = [None] + [(compounds[k], self.variances[cols[k]].prod(axis=1)) for k in range(1, top + 1)]
+        return self.terms
+
+    def _squared_minors(self, rot: np.ndarray, k: int, count: int, lead: int):
+        """``|det W_{R,S}|^2`` with ``C_k(W) = rot @ C_k(U)``, over the first
+        ``count`` columns S: yields (``tau_S^2``, block) pairs, each block at
+        most ``_PRODUCT_BLOCK`` entries for ``lead`` leading rows."""
+        minors, tau2 = self._compound_terms()[k]
+        step = max(1, _PRODUCT_BLOCK // max(1, lead * rot.shape[-2]))
+        for start in range(0, count, step):
+            cols = slice(start, min(start + step, count))
+            w = rot @ minors[:, cols]
+            yield tau2[cols], w.real**2 + w.imag**2
+
+    def ypolys(self, fixed, m: int) -> np.ndarray:
+        """Expected ``det[x^2 I - M_b^2]`` in y = x^2 over the first m
+        variables, one row of ascending coefficients per fixed part, shape
+        (B, d+1).
+
+        ``M_b = F_b + sum_{i < m} c_i u_i u_i*`` with ``fixed[b] = F_b``
+        Hermitian. Both factors of ``det[xI - M] det[xI + M]`` are affine in
+        every ``c_i``, so only the variances enter. Two exact routes compute
+        it, Cauchy-Binet subset sums (:meth:`_subset_ypolys`, polynomial in m
+        for fixed d) and sign patterns (:meth:`_sign_ypolys`, exponential in
+        m, cheap for small m or large d); :func:`_plan_route` picks one for
+        this call under ``ENUM_CAP``, and charges the compounds only until
+        they are built. This is the only place that runs an engine route.
+        """
+        fixed = np.asarray(fixed, dtype=complex)
+        if _plan_route(self.d, m, fixed.shape[0], not fixed.any(), self.terms is not None) == "signs":
+            return self._sign_ypolys(fixed, m)
+        return self._subset_ypolys(fixed, m)
+
+    def _subset_ypolys(self, fixed: np.ndarray, m: int) -> np.ndarray:
+        """The Cauchy-Binet route of :meth:`ypolys`.
+
+        With ``F_b = V diag(lam) V*`` and ``W = V* U`` Cauchy-Binet gives
+
+            p_b(x) = sum_{|S| <= d} (-1)^|S| tau_S^2 f_S(x) g_S(x),
+            f_S = sum_{|R| = |S|} |det W_{R,S}|^2 prod_{r not in R} (x - lam_r),
+
+        and ``g_S`` the same with ``x + lam_r``. Summing over S first leaves,
+        per size k, the matrix ``H_k[R, R'] = sum_S tau_S^2 |det W_{R,S}|^2
+        |det W_{R',S}|^2`` between complement polynomials. The minors of W
+        are those of U rotated by the k-th compound of V*,
+        ``C_k(W) = C_k(V*) C_k(U)``, so each branch takes one
+        eigendecomposition, the Laplace steps of :func:`_unitary_compounds`
+        and one small product, and no determinant.
+        """
+        nb, d = fixed.shape[0], self.d
+        top = min(d, m)
+        lam, vecs = np.linalg.eigh(fixed)
+        vh = np.swapaxes(vecs.conj(), 1, 2)
+        comp = _complement_polys(lam)
+        rows, masks, fold = _dim_tables(d)
+        rots = _unitary_compounds(vh, top)
+        gram = np.zeros((nb, d + 1, d + 1))
+        for k in range(top + 1):
+            if k == 0:
+                h = np.ones((nb, 1, 1))
+            else:
+                h = np.zeros((nb, len(rows[k]), len(rows[k])))
+                for tau2, z in self._squared_minors(rots[k], k, math.comb(m, k), nb):
+                    h += (z * tau2) @ np.swapaxes(z, 1, 2)
+            term = np.swapaxes(comp[0][:, masks[k]], 1, 2) @ h @ comp[1][:, masks[k]]
+            gram += term if k % 2 == 0 else -term
+        return gram.reshape(nb, -1) @ fold
+
+    def _sign_ypolys(self, fixed: np.ndarray, m: int) -> np.ndarray:
+        """The sign route of :meth:`ypolys`.
+
+        Only the variances enter, so every ``c_i`` may be taken as a fair
+        sign times ``tau_i``: the 2^m sign patterns are summed from spectra
+        as ``prod_j (y - mu_j^2)``. When every fixed part is zero, M -> -M
+        leaves the determinant unchanged and the first sign is pinned to +1.
+        At most ``_SIGN_BATCH`` matrices go to one eigensolve call.
+        """
+        nb, d = fixed.shape[0], self.d
+        head = 1 if m and not fixed.any() else 0
+        acc = np.zeros((nb, d + 1))
+        for shifts in _sign_blocks(self.tw[:m], head, _SIGN_BATCH // nb):
+            mu = np.linalg.eigvalsh(fixed[:, None] + shifts[None])
+            acc += _monic_from_roots_batch((mu * mu).reshape(-1, d)).reshape(nb, -1, d + 1).sum(axis=1)
+        return acc / 2.0 ** (m - head)
+
+    def subset_sums(self, k: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """The walk's ``Q_k`` (k >= 1) at points xs (P,), zs (P, m) from the
+        subset sums over the first k variables, ``sum_S (-1)^|S| tau_S^2
+        a_S^2`` (:class:`witness.QEvaluator`). Points with the same z share
+        one eigenbasis of ``W(z)``. No determinant is taken."""
+        order = np.lexsort(zs.T)
+        new = np.ones(len(zs), dtype=bool)
+        new[1:] = (zs[order[1:]] != zs[order[:-1]]).any(axis=1)
+        inv = np.empty(len(zs), dtype=np.intp)
+        inv[order] = np.cumsum(new) - 1
+        first = order[new]
+        mu, vecs = np.linalg.eigh(np.tensordot(zs[first], self.tw, axes=(1, 0)))
+        comp = _complement_products(xs[:, None] + mu[inv])
+        vh = np.swapaxes(vecs.conj(), 1, 2)
+        masks = _dim_tables(self.d)[1]
+        rots = _unitary_compounds(vh, min(self.d, k))
+        out = comp[:, 0] ** 2
+        for j in range(1, min(self.d, k) + 1):
+            count = math.comb(k, j)
+            if j == self.d:
+                # C_d(V*) = det V* has modulus 1 and R is all of range(d), so
+                # a_S = |det U_S|^2 at every point
+                minors, tau2 = self._compound_terms()[j]
+                sq = minors[0, :count].real ** 2 + minors[0, :count].imag ** 2
+                acc = (sq * sq) @ tau2[:count]
+            else:
+                lam = comp[:, masks[j]]
+                acc = np.zeros(len(xs))
+                for tau2, sq in self._squared_minors(rots[j], j, count, len(xs)):
+                    a = np.einsum("pr,prs->ps", lam, sq[inv])
+                    acc += (a * a) @ tau2
+            out += -acc if j % 2 else acc
+        return out
 
 
 def _variances(inst: model.RankOneInstance) -> np.ndarray:
@@ -711,8 +755,8 @@ def expected_charpoly(
     ``prefix`` pins the first ``k`` outcomes by support index. The result is
     the probability-weighted expectation, over the remaining outcomes, of
     ``det[x^2 I - M^2] = det[xI - M] det[xI + M]`` where
-    ``M = sum_i (E[xi_i] - eps_i) u_i u_i*``, computed from the tail's
-    variances by :func:`_expected_ypolys`. The tail keeps only its
+    ``M = sum_i (E[xi_i] - eps_i) u_i u_i*``, computed from the variances of
+    the remaining variables by :meth:`_Tail.ypolys`. The tail keeps only its
     :func:`_live` variables, as the walk's evaluator does, so the top
     polynomial fits ``ENUM_CAP`` wherever the walk does. Degree is exactly
     ``2 * dim``.
@@ -735,8 +779,8 @@ def expected_charpoly(
         fixed = np.tensordot(means[:k] - supp[np.arange(k), idx], terms[:k], axes=(0, 0))
     variances = _variances(inst)[k:]
     live = _live(inst.vectors[k:], variances)
-    ypolys, _ = _expected_ypolys(fixed[None], [inst.vectors[k + i] for i in live], variances[live])
-    return _even_to_x(weight * ypolys[0])
+    tail = _Tail([inst.vectors[k + i] for i in live], variances[live], inst.dim)
+    return _even_to_x(weight * tail.ypolys(fixed[None], len(live))[0])
 
 
 OPERATOR_MAX_N = 14
@@ -893,15 +937,15 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     At level k every outcome t in the k-th support gets its partial expected
     polynomial evaluated, all branches of a level at once, and the greedy
     fixes a minimizer of the largest root. Each level asks
-    :func:`_plan_route` for its route under ``ENUM_CAP``: one call of
-    :func:`_expected_ypolys` on the branches' fixed parts, or, once the
+    :func:`_plan_route` for its route under ``ENUM_CAP``: one
+    :meth:`_Tail.ypolys` call on the branches' fixed parts, or, once the
     remaining subtree is small enough, "leaves": :func:`_leaf_tree`
     enumerates the subtree once, and this level and every later one read
-    their branch rows off it. The engine's tail keeps only its
-    :func:`_live` variables, as :func:`expected_charpoly` and the walk's
-    evaluator do, and goes to the engine last variable first, so every
-    level's tail is a prefix of the reversed live list, and the compounds
-    that the first subset-route level builds serve every later one.
+    their branch rows off it. The greedy builds one :class:`_Tail` of the
+    :func:`_live` variables after the first, as :func:`expected_charpoly`
+    and the walk's evaluator keep only live ones, last variable first, so
+    every level's tail is a prefix of it, and the compounds that the first
+    subset-route level builds serve every later one.
     Roots within ``GREEDY_TIE_RTOL`` relative of the minimum count as tied
     and the smallest support index among them wins, so exactly symmetric
     levels (Rademacher ones) do not leave the choice to roundoff. The final
@@ -917,7 +961,9 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     live = np.array(_live(inst.vectors, variances)[::-1], dtype=np.int64)
     # per level, the size of its engine call's tail and its branch count
     calls = tuple((int(np.count_nonzero(live > k)), int(sizes[k])) for k in range(inst.n))
-    tail = tree = None
+    after = live[: calls[0][0]]  # the live variables after the first
+    tail = _Tail(vectors[after], variances[after], inst.dim)
+    tree = None
     prefix: list = []
     levels = []
     parent_lam = None
@@ -931,12 +977,11 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
             # np.tensordot(dev[chosen], terms[:k], axes=(0, 0)), less its overhead
             fixed = np.dot(dev[chosen][None], flat[:k]).reshape(terms.shape[1:])
             branches = fixed[None] + dev[k, : sizes[k], None, None] * terms[k][None]
-            rest = live[: calls[k][0]]
-            built = tail is not None
-            if _plan_route(inst.dim, len(rest), len(branches), not branches.any(), built, calls[k + 1 :]) == "leaves":
+            built = tail.terms is not None
+            if _plan_route(inst.dim, calls[k][0], len(branches), not branches.any(), built, calls[k + 1 :]) == "leaves":
                 tree, root = _leaf_tree(fixed, dev[k:], sizes[k:].tolist(), flat[k:], prob[k:]), k
         if tree is None:
-            polys, tail = _expected_ypolys(branches, vectors[rest], variances[rest], tail)
+            polys = tail.ypolys(branches, calls[k][0])
         else:
             polys = tree[k - root][tuple(prefix[root:])]
         polys = weights[:, None] * polys

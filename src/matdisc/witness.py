@@ -8,9 +8,10 @@ determinantal families.
 
 The walk's evaluator is built from a normalized rank-one instance, the one
 vector-family type. The transforms Q_k are evaluated by Cauchy-Binet subset
-sums (polynomial in k for fixed dimension, no determinant) or, where
-cheaper, from 2^(k-1) determinant pairs per point (the sign-pair identity);
-see :class:`QEvaluator`.
+sums (polynomial in k for fixed dimension, no determinant), which the
+evaluator's ``disc._Tail`` computes as it computes the greedy's expected
+polynomials, or, where cheaper, from 2^(k-1) determinant pairs per point
+(the sign-pair identity); see :class:`QEvaluator`.
 Q_k is quadratic in every coordinate, so the certification above the roots
 fits every coordinate ray exactly from Q_k at z and z +- e_j, and the
 barriers come from the same fit, the unit central difference
@@ -56,7 +57,8 @@ class QEvaluator:
     :func:`model.normalize`. It keeps the vectors v_i and the standard
     deviations tau_i of the :func:`disc._live` coordinates, nonzero variance
     and nonzero vector, since the others contribute nothing to Q and would
-    stall the shift walk at delta_i = 0. The dimension is the instance's.
+    stall the shift walk at delta_i = 0, and their ``disc._Tail``. The
+    dimension is the instance's.
 
     Two exact routes evaluate Q_k for k >= 1. The determinant is affine in
     each z_j, and for f, g affine in z_j
@@ -73,10 +75,10 @@ class QEvaluator:
 
         Q_k(x, z) = sum_{S in [k], |S| <= dim} (-1)^|S| tau_S^2 a_S^2,
 
-    the subset sums, polynomial in k for fixed dimension. The minors of W
-    are those of U rotated by the compounds of V*, all built by the Laplace
-    steps of :func:`disc._compounds`, as in :func:`disc._subset_ypolys`; the
-    sign pairs come in blocks from :func:`disc._sign_blocks`.
+    the subset sums, polynomial in k for fixed dimension, with ``tau_S^2``
+    the products of the variances. The tail computes them from its
+    compounds as it computes the engine's expected polynomials; the sign
+    pairs come in blocks from :func:`disc._sign_blocks`.
     """
 
     def __init__(self, inst: model.RankOneInstance):
@@ -86,9 +88,8 @@ class QEvaluator:
         self.taus = np.sqrt(variances[live])
         self.n = len(live)
         self.dim = inst.dim
-        outer = model.outer_products(np.reshape(self.vectors, (self.n, self.dim)))
-        self._tw = self.taus[:, None, None] * outer
-        self._tail = None  # compounds of U, built on first use by _subset_sums
+        self.tail = disc._Tail(self.vectors, variances[live], self.dim)
+        self._tw = self.tail.tw
         self.deltas = self.taus * np.array([float(np.vdot(v, v).real) for v in self.vectors])
 
     # -- evaluation --------------------------------------------------------
@@ -107,7 +108,7 @@ class QEvaluator:
         xs = np.asarray(xs, dtype=float).reshape(-1)
         zs = np.asarray(zs, dtype=float).reshape(len(xs), self.n)
         if k and disc._plan_route(self.dim, k, len(xs), symmetric=True) == "subsets":
-            return self._subset_sums(k, xs, zs)
+            return self.tail.subset_sums(k, xs, zs)
         base = xs[:, None, None] * np.eye(self.dim, dtype=complex)
         if self.n:
             base = base + np.tensordot(zs, self._tw, axes=(1, 0))
@@ -133,56 +134,6 @@ class QEvaluator:
                 dets = np.linalg.det(mats).real
                 out[s : s + step] += (dets[0] * dets[1]).sum(axis=1)
         return out * 2.0 ** (1 - k)
-
-    def _subset_sums(self, k: int, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-        """Q_k at a batch of points from the Cauchy-Binet subset sums (k >= 1).
-
-        The compound matrices of U = [v_1 .. v_n] are built once per
-        evaluator; the signed coordinates are the first k, so their subsets
-        are a colex prefix of the columns. Points with the same z share one
-        eigenbasis of W(z). No determinant is taken.
-        """
-        if self._tail is None:
-            self._tail = disc._tail_terms(np.array(self.vectors).reshape(self.n, self.dim), self.taus**2)
-        order = np.lexsort(zs.T)
-        new = np.ones(len(zs), dtype=bool)
-        new[1:] = (zs[order[1:]] != zs[order[:-1]]).any(axis=1)
-        inv = np.empty(len(zs), dtype=np.intp)
-        inv[order] = np.cumsum(new) - 1
-        first = order[new]
-        mu, vecs = np.linalg.eigh(np.tensordot(zs[first], self._tw, axes=(1, 0)))
-        comp = _complement_products(xs[:, None] + mu[inv])
-        vh = np.swapaxes(vecs.conj(), 1, 2)
-        masks = disc._dim_tables(self.dim)[1]
-        rots = disc._unitary_compounds(vh, min(self.dim, k))
-        out = comp[:, 0] ** 2
-        for j in range(1, min(self.dim, k) + 1):
-            minors, tau2 = self._tail[j]
-            count = math.comb(k, j)
-            if j == self.dim:
-                # C_d(V*) = det V* has modulus 1 and R is all of range(d), so
-                # a_S = |det U_S|^2 at every point
-                sq = minors[0, :count].real ** 2 + minors[0, :count].imag ** 2
-                acc = (sq * sq) @ tau2[:count]
-            else:
-                lam = comp[:, masks[j]]
-                acc = np.zeros(len(xs))
-                for cols, sq in disc._squared_minors(rots[j], minors, count, len(xs)):
-                    a = np.einsum("pr,prs->ps", lam, sq[inv])
-                    acc += (a * a) @ tau2[cols]
-            out += -acc if j % 2 else acc
-        return out
-
-
-def _complement_products(lam: np.ndarray) -> np.ndarray:
-    """``prod_{r not in R} lam_r`` for every R in range(d), indexed by
-    bitmask: shape (P, 2^d) for ``lam`` of shape (P, d)."""
-    p, d = lam.shape
-    c = np.ones((p, 1 << d))
-    for r in range(d):
-        # the masks without bit r, as a view
-        c.reshape(p, 1 << (d - 1 - r), 2, 1 << r)[:, :, 0] *= lam[:, r, None, None]
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@ def test_criterion_11_determinism(tmp_path):
         (["verify", "thm13", "--count", "8", "--seed", "5"], "thm13"),
         (["verify", "interlacing", "--count", "8", "--seed", "5"], "interlacing"),
         (["verify", "oracles", "--count", "8", "--seed", "5"], "oracles"),
+        (["verify", "thm41", "--count", "8", "--seed", "5"], "thm41"),
         (["verify", "schatten", "--count", "4", "--seed", "5"], "schatten"),
         (["verify", "lyapunov", "--count", "6", "--seed", "5"], "lyapunov"),
         (["verify", "prop16"], "prop16"),

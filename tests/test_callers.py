@@ -98,11 +98,12 @@ def callers(name):
 
 
 def test_one_dispatch_site():
-    # the engine is the one place that picks a route and runs it; the
-    # compounds of a tail are built only by the engine and the walk
+    # the tail's engine call is the one place that picks a route and runs
+    # it, and only disc builds compounds, for the engine and the walk alike
     for route in ("_sign_ypolys", "_subset_ypolys"):
-        assert callers(route) == {"disc._expected_ypolys"}, route
-    assert callers("_tail_terms") == {"disc._expected_ypolys", "witness.QEvaluator._subset_sums"}
+        assert callers(route) == {"disc._Tail.ypolys"}, route
+    for helper in ("_compounds", "_unitary_compounds", "_dim_tables", "_colex_tables"):
+        assert {caller.split(".")[0] for caller in callers(helper)} == {"disc"}, helper
 
 
 def test_one_evaluation_site():

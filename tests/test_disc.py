@@ -674,6 +674,38 @@ def test_greedy_work_counts(monkeypatch):
     assert det["matrices"] == 0
 
 
+def test_each_tail_builds_its_compounds_once(monkeypatch):
+    # the greedy, the walk and every expected_charpoly call build one tail
+    # each, whose compounds C_k(U) of shape (d, m) serve every prefix; the
+    # eigenbases of branches and walk points go to _compounds as 3-D stacks
+    # and are not counted
+    built = []
+    compounds = disc._compounds
+
+    def counted(a, top):
+        if a.ndim == 2:
+            built.append(a.shape)
+        return compounds(a, top)
+
+    monkeypatch.setattr(disc, "_compounds", counted)
+    pin_route(monkeypatch, "subsets")
+    disc.greedy_interlacing_solve(seeded_rademacher(14, 4, 14))
+    # the tail of the greedy is every variable after the first
+    assert built == [(4, 13)]
+    built.clear()
+    inst = seeded_rademacher(10, 4, 10)
+    assert witness.replay_barrier_walk(model.normalize(inst)).passed
+    assert built == [(4, 10)]
+    built.clear()
+    for k in (0, 3, 9):
+        disc.expected_charpoly(inst, (0,) * k)
+    assert built == [(4, 10), (4, 7), (4, 1)]
+    # a call with no tail variable builds none
+    built.clear()
+    disc.expected_charpoly(inst, (0,) * 10)
+    assert built == []
+
+
 def test_greedy_large_constant_term():
     # d = 10, n = 13: a first-level y-polynomial is monic with a constant
     # term beyond 1e14, whose leading coefficient a relative trim dropped
