@@ -362,37 +362,48 @@ _PRODUCT_BLOCK = 1 << 16
 _SIGN_BATCH = 1 << 14
 
 
-@functools.lru_cache(maxsize=16)
+# Per subset-size bound d: (m, tables) of the largest m asked for so far.
+_COLEX = {}
+
+
 def _colex_tables(m: int, d: int) -> tuple:
     """The k-subsets of range(m) in colexicographic order, for k = 0..d
-    (read-only; cached, since sweeps repeat sizes).
+    (read-only).
 
     Colex order lists the subsets of range(m') before all others for every
     m' < m, so ``tables[k][:comb(m', k)]`` are the k-subsets of range(m').
+    One table per d is kept, for the largest m asked for so far, and every
+    smaller m gets views of its prefixes: memory follows the largest problem
+    seen, not the number of sizes. A larger m replaces it, so a caller that
+    keeps a table long copies it.
     """
-    tables = [np.zeros((1, 0), dtype=np.intp)]
-    for k in range(1, d + 1):
-        prev = tables[-1]
-        blocks = [
-            np.column_stack([prev[: math.comb(j, k - 1)], np.full(math.comb(j, k - 1), j)])
-            for j in range(k - 1, m)
-        ]
-        tables.append(np.concatenate(blocks) if blocks else np.zeros((0, k), dtype=np.intp))
-    for t in tables:
-        t.flags.writeable = False
-    return tuple(tables)
+    held = _COLEX.get(d)
+    if held is None or held[0] < m:
+        tables = [np.zeros((1, 0), dtype=np.intp)]
+        for k in range(1, d + 1):
+            prev = tables[-1]
+            blocks = [
+                np.column_stack([prev[: math.comb(j, k - 1)], np.full(math.comb(j, k - 1), j)])
+                for j in range(k - 1, m)
+            ]
+            tables.append(np.concatenate(blocks) if blocks else np.zeros((0, k), dtype=np.intp))
+        for t in tables:
+            t.flags.writeable = False
+        held = _COLEX[d] = (m, tuple(tables))
+    return tuple(t[: math.comb(m, k)] for k, t in enumerate(held[1]))
 
 
 @functools.lru_cache(maxsize=None)
 def _dim_tables(d: int) -> tuple:
     """Per dimension: the colex row subsets R of range(d) for k = 0..d, their
     bitmasks, and the 0/1 matrix folding x-coefficient pairs (i, l) of a
-    product onto y = x^2 (odd powers cancel and are dropped); read-only."""
-    rows = _colex_tables(d, d)
+    product onto y = x^2 (odd powers cancel and are dropped); read-only.
+    The rows are copies, so this cache keeps no replaced colex table alive."""
+    rows = tuple(t.copy() for t in _colex_tables(d, d))
     masks = tuple((1 << t).sum(axis=1) for t in rows)
     power = np.add.outer(np.arange(d + 1), np.arange(d + 1)).reshape(-1)
     fold = (power[:, None] == 2 * np.arange(d + 1)[None, :]).astype(float)
-    for a in masks + (fold,):
+    for a in rows + masks + (fold,):
         a.flags.writeable = False
     return rows, masks, fold
 

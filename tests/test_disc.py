@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -724,6 +725,52 @@ def det_minors(a, rows, cols):
     per minor: shape (..., |rows|, |cols|)."""
     sub = a[..., rows[:, None, :, None], cols[None, :, None, :]]
     return np.linalg.det(sub)
+
+
+def test_colex_store_serves_prefixes(monkeypatch):
+    # sizes asked for in a shuffled order that grows and shrinks m: every
+    # table is the colex list, and a smaller m reads prefixes of the one
+    # stored table
+    monkeypatch.setattr(disc, "_COLEX", {})
+    grid = [(m, d) for d in range(1, 6) for m in range(13)]
+    for i in np.random.default_rng(23).permutation(len(grid)):
+        m, d = grid[i]
+        before = disc._COLEX.get(d)
+        tables = disc._colex_tables(m, d)
+        stored_m, stored = disc._COLEX[d]
+        assert stored_m == max(m, before[0] if before else m) and len(tables) == d + 1
+        if before and before[0] >= m:
+            assert disc._COLEX[d] is before  # served, not rebuilt
+        for k, t in enumerate(tables):
+            want = sorted(itertools.combinations(range(m), k), key=lambda s: s[::-1])
+            assert t.shape == (len(want), k) and [tuple(row) for row in t] == want, (m, d, k)
+            assert not t.flags.writeable
+            if stored_m > m and t.size:
+                assert np.shares_memory(t, stored[k]), (m, d, k)
+
+
+def test_colex_store_keeps_one_table(monkeypatch):
+    # subset-route engine calls at every m from 6 to 30 leave one d = 4
+    # table, the size of a fresh m = 30 one, and no cache pins a replaced one
+    monkeypatch.setattr(disc, "_COLEX", {})
+    monkeypatch.setattr(disc, "_plan_route", lambda *args, **kwargs: "subsets")
+    disc._dim_tables.cache_clear()
+    disc._dim_tables(4)  # stores the m = 4 table
+    replaced = [weakref.ref(t) for t in disc._COLEX[4][1]]
+    rng = np.random.default_rng(6)
+    for m in range(6, 31):
+        vectors = rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4))
+        tail = disc._Tail(vectors, rng.uniform(0.5, 1.5, size=m), 4)
+        assert tail.ypolys(np.zeros((1, 4, 4)), m).shape == (1, 5)
+        if m < 30:
+            replaced += [weakref.ref(t) for t in disc._COLEX[4][1]]
+    stored_m, stored = disc._COLEX[4]
+    assert stored_m == 30
+    assert sum(t.nbytes for t in stored) == sum(math.comb(30, k) * k for k in range(5)) * np.dtype(np.intp).itemsize
+    assert all(ref() is None for ref in replaced)
+    for held in disc._dim_tables(4):
+        for a in held if isinstance(held, tuple) else (held,):
+            assert not any(np.shares_memory(a, t) for t in stored)
 
 
 def test_compounds_match_determinant_minors():
