@@ -17,13 +17,12 @@ Four computations live here:
 * the same top-level polynomial through the differential-operator route, an
   independent oracle for small n,
 * the greedy solver that walks the interlacing family by always descending
-  into a branch whose polynomial has the smallest largest root: one engine
-  call per level until the same planner prices a third route, "leaves",
-  below the engine calls it replaces. That route enumerates the remaining
-  subtree once over the actual supports (at most ``ENUM_CAP`` leaves and
-  one eigensolve batch), folds the leaves' polynomials up the tree, and
-  every later level reads its branches off it. It is exact: the expectation
-  over the supports is the one the variances give.
+  into a branch whose polynomial has the smallest largest root. It takes
+  its levels in blocks: one engine call on the fixed parts of every
+  assignment of the block's variables, folded up the block, serves that
+  many levels, and a block reaching the last level enumerates the leaves
+  of the remaining subtree. It is exact: the expectation over the supports
+  is the one the variances give.
 
 Plus the menu of named upper bounds and the subset-rounding wrapper.
 """
@@ -514,45 +513,49 @@ _SECONDS_PRODUCT = (1e-8, 1e-10)  # per entry of W or multiply-add of a Laplace 
 _SECONDS_COMPLEMENT = 6e-8  # per (mask, root) of the complement polynomials
 _SECONDS_SIGN_CALL = (8e-5, 2.3e-6)  # per call, per dimension
 _SECONDS_SIGN_MATRIX = (1.3e-7, 2.3e-9)  # per eigensolve, times d^2 and d^3
-_SECONDS_LEAF = (3.6e-5, 2e-6, 4e-7)  # per enumeration, per variable, per leaf besides its eigensolve
+# per depth, per fixed part of a greedy block besides its engine call (its
+# parts and its folding, timed at d 2-12 on 1 to 16,384 parts)
+_SECONDS_BLOCK = (6.3e-6, 2.1e-7)
 
 
-def _plan_route(d: int, m: int, nb: int, symmetric: bool = False, built: bool = False, later=None) -> str:
+def _plan_route(d: int, m: int, nb: int, symmetric: bool = False, build: Optional[int] = None) -> str:
     """Route of one engine call with tail size m and nb fixed parts.
 
     Each route has a count that must fit ``ENUM_CAP``, read at call time:
     "subsets" the compound entries it builds, ``sum_k C(m, k) C(d, k)`` of
     the tail plus ``C(d, k)^2`` per fixed part; "signs" the 2^m sign
     patterns per fixed part (2^(m-1) when ``symmetric``, every fixed part
-    zero). Of the routes that fit, the one with the smaller estimated time
-    of this call is returned, the tail's compounds included unless they are
-    ``built``; :class:`EnumerationTooLarge` is raised when neither fits. A
-    call with no tail variable (m = 0) takes the sign route, whose one
-    pattern is the fixed part's own spectrum.
-
-    The greedy also passes ``later``, the (m, nb) of each later level, and
-    may be told "leaves": enumerate the subtree's leaves once, the product
-    of the levels' nb, and read this level and every later one off it
-    (:func:`_leaf_tree`). That route is priced by its leaf count against
-    this call and the cheapest finish of the later levels, and offered only
-    while its leaves fit ``ENUM_CAP`` and one eigensolve batch
-    (``_SIGN_BATCH``). A level's leaves number at least 2^m, the sign
-    count, so the route never takes an enumeration the sign route would
-    refuse. Plans are cached, keyed by the cap and the batch too: the
-    barrier walk plans every batch of points it evaluates.
+    zero). ``build`` is the number of tail vectors whose compounds the
+    subset route builds first: m when not given, 0 once they are built, and
+    the whole tail when a call reads only a prefix of a tail not yet built
+    (the greedy's first blocks), whose compounds are counted and charged in
+    full. Of the routes that fit, the one with the smaller estimated time of
+    this call is returned; :class:`EnumerationTooLarge` is raised when
+    neither fits. A call with no tail variable (m = 0) takes the sign route,
+    whose one pattern is the fixed part's own spectrum. Plans are cached,
+    keyed by the cap too: the barrier walk plans every batch of points it
+    evaluates.
     """
-    return _cached_plan(d, m, nb, ENUM_CAP, symmetric, built, later, _SIGN_BATCH)
+    return _cached_plan(d, m, nb, ENUM_CAP, symmetric, m if build is None else build)
 
 
-def _engine_seconds(d: int, m: int, nb: int, limit: int, symmetric: bool, built: bool) -> dict:
+@functools.lru_cache(maxsize=4096)
+def _cached_plan(d: int, m: int, nb: int, limit: int, symmetric: bool, build: int) -> str:
+    seconds = _engine_seconds(d, m, nb, limit, symmetric, build)
+    return min(seconds, key=seconds.get)
+
+
+def _engine_seconds(d: int, m: int, nb: int, limit: int, symmetric: bool, build: int) -> dict:
     """The estimated seconds of one engine call on each route whose count
     fits ``limit``, subsets first; :class:`EnumerationTooLarge` when none
     fits."""
     if not m:
         return {"signs": _SECONDS_SIGN_CALL[0] + _SECONDS_SIGN_CALL[1] * d + nb * _sign_matrix_seconds(d)}
     ks = range(1, min(d, m) + 1)
+    span = max(m, build)  # the tail vectors whose compounds exist after the call
     counts = {
-        "subsets": sum(math.comb(m, k) * math.comb(d, k) + nb * math.comb(d, k) ** 2 for k in ks),
+        "subsets": sum(math.comb(span, k) * math.comb(d, k) for k in range(1, min(d, span) + 1))
+        + nb * sum(math.comb(d, k) ** 2 for k in ks),
         "signs": 2 ** (m - 1 if symmetric else m),
     }
     fits = [route for route in counts if counts[route] <= limit]
@@ -561,7 +564,7 @@ def _engine_seconds(d: int, m: int, nb: int, limit: int, symmetric: bool, built:
     entries = sum(math.comb(d, k) * math.comb(m, k) for k in ks)
     products = sum(math.comb(d, k) ** 2 * math.comb(m, k) for k in ks)
     compound = sum(math.comb(d, k) ** 2 * k for k in ks if 1 < k <= d // 2)
-    tail = 0 if built else sum(math.comb(m, k) * math.comb(d, k) * k for k in ks if k > 1)  # its Laplace steps
+    tail = sum(math.comb(build, k) * math.comb(d, k) * k for k in range(2, min(d, build) + 1))  # its Laplace steps
     seconds = {
         "subsets": _SECONDS_SUBSET_CALL[0]
         + _SECONDS_SUBSET_CALL[1] * len(ks)
@@ -577,28 +580,79 @@ def _sign_matrix_seconds(d: int) -> float:
     return _SECONDS_SIGN_MATRIX[0] * d * d + _SECONDS_SIGN_MATRIX[1] * d**3
 
 
-def _leaf_seconds(d: int, leaves: int, depth: int) -> float:
-    """The estimated seconds of :func:`_leaf_tree` on ``leaves`` leaves of
-    ``depth`` variables."""
-    return _SECONDS_LEAF[0] + _SECONDS_LEAF[1] * depth + leaves * (_SECONDS_LEAF[2] + _sign_matrix_seconds(d))
+def _plan_block(d: int, levels: tuple, k: int, build: int, pin: int) -> int:
+    """Depth L of the greedy's block from level k: the number of levels
+    that one engine call serves (:func:`_block_tree`).
+
+    ``levels`` holds one (m, nb) per level of the greedy: the size of the
+    tail after it and its branch count. A block of depth L takes the product
+    of its levels' nb as fixed parts and one engine call at the m of its last
+    level. It is priced as that call plus ``_SECONDS_BLOCK`` per depth and
+    per part, and the depth is chosen against the cheapest chains of blocks
+    that finish the later levels, found by one backward pass over the levels
+    and priced with the tail built. This block's call builds ``build`` tail
+    vectors' compounds as in :func:`_plan_route`. Its first ``pin`` levels
+    may be mirror-pinned, which halves the parts it solves (not those it
+    counts).
+
+    Depth 1 is the level's own engine call and is always offered; the
+    engine raises :class:`EnumerationTooLarge` when it does not fit. A
+    deeper block is offered only while its parts fit ``ENUM_CAP`` (read at
+    call time) and one eigensolve batch (``_SIGN_BATCH``), and its
+    enumeration, the parts times 2^m, fits ``ENUM_CAP``. Each level below
+    its first with a live variable has at least two branches, so that is
+    more than 2^m of its first level, whose sign count that is: no block
+    takes an enumeration that the sign route would refuse there. A block
+    reaching the last level (m = 0) enumerates the subtree's leaves, one
+    spectrum per part.
+    """
+    return _cached_block(d, levels, k, build, pin, ENUM_CAP, _SIGN_BATCH)
 
 
 @functools.lru_cache(maxsize=4096)
-def _cached_plan(d: int, m: int, nb: int, limit: int, symmetric: bool, built: bool, later, batch: int) -> str:
-    seconds = _engine_seconds(d, m, nb, limit, symmetric, built)
-    if later is None or nb * math.prod(b for _, b in later) > min(limit, batch):
-        return min(seconds, key=seconds.get)
-    # the cheapest finish after this level: at each later level, its engine
-    # call (its tail built) and the cheapest finish after it, or the leaves
-    # of its subtree
-    finish, count = 0.0, 1
-    for depth, (m_j, nb_j) in enumerate(reversed(later), 1):
-        count *= nb_j
-        engine = min(_engine_seconds(d, m_j, nb_j, limit, False, True).values())
-        finish = min(engine + finish, _leaf_seconds(d, count, depth))
-    total = {route: value + finish for route, value in seconds.items()}
-    total["leaves"] = _leaf_seconds(d, nb * count, len(later) + 1)
+def _cached_block(d: int, levels: tuple, k: int, build: int, pin: int, limit: int, batch: int) -> int:
+    finish = _finish_seconds(d, levels, limit, batch)
+    total = {
+        L: _block_seconds(d, m, parts // (2 if L <= pin else 1), L, limit, build) + finish[k + L]
+        for L, parts, m in _blocks(levels, k, limit, batch)
+    }
     return min(total, key=total.get)
+
+
+@functools.lru_cache(maxsize=256)
+def _finish_seconds(d: int, levels: tuple, limit: int, batch: int) -> tuple:
+    """Per level j, and one past the last, the estimated seconds of the
+    cheapest chain of blocks over the levels from j on, the tail built."""
+    finish = [0.0] * (len(levels) + 1)
+    for j in range(len(levels) - 1, -1, -1):
+        finish[j] = min(
+            _block_seconds(d, m, parts, L, limit, 0) + finish[j + L] for L, parts, m in _blocks(levels, j, limit, batch)
+        )
+    return tuple(finish)
+
+
+def _blocks(levels: tuple, k: int, limit: int, batch: int):
+    """The blocks offered from level k: (depth, parts, tail size after)."""
+    parts = 1
+    for L in range(1, len(levels) - k + 1):
+        m, nb = levels[k + L - 1]
+        parts *= nb
+        if L > 1 and parts > min(limit, batch):
+            return
+        if L == 1 or parts << m <= limit:
+            yield L, parts, m
+
+
+@functools.lru_cache(maxsize=4096)
+def _block_seconds(d: int, m: int, parts: int, depth: int, limit: int, build: int) -> float:
+    """Estimated seconds of one block of ``depth`` levels and ``parts``
+    fixed parts over a tail of m; infinite when its engine call fits no
+    route."""
+    try:
+        engine = min(_engine_seconds(d, m, parts, limit, False, build).values())
+    except EnumerationTooLarge:
+        return math.inf
+    return engine + _SECONDS_BLOCK[0] * depth + _SECONDS_BLOCK[1] * parts
 
 
 class _Tail:
@@ -620,6 +674,12 @@ class _Tail:
         self.d = d
         self.tw = np.sqrt(self.variances)[:, None, None] * model.outer_products(self.vectors)
         self.terms = None
+
+    @property
+    def build(self) -> int:
+        """The number of vectors whose compounds the next subset-route call
+        builds: all of them until built, then none."""
+        return 0 if self.terms is not None else len(self.variances)
 
     def _compound_terms(self) -> list:
         """``terms``, built on the first call."""
@@ -652,11 +712,12 @@ class _Tail:
         it, Cauchy-Binet subset sums (:meth:`_subset_ypolys`, polynomial in m
         for fixed d) and sign patterns (:meth:`_sign_ypolys`, exponential in
         m, cheap for small m or large d); :func:`_plan_route` picks one for
-        this call under ``ENUM_CAP``, and charges the compounds only until
-        they are built. This is the only place that runs an engine route.
+        this call under ``ENUM_CAP``, and counts and charges the compounds of
+        the whole tail until they are built. This is the only place that runs
+        an engine route.
         """
         fixed = np.asarray(fixed, dtype=complex)
-        if _plan_route(self.d, m, fixed.shape[0], not fixed.any(), self.terms is not None) == "signs":
+        if _plan_route(self.d, m, fixed.shape[0], not fixed.any(), self.build) == "signs":
             return self._sign_ypolys(fixed, m)
         return self._subset_ypolys(fixed, m)
 
@@ -704,8 +765,11 @@ class _Tail:
         leaves the determinant unchanged and the first sign is pinned to +1.
         At most ``_SIGN_BATCH`` matrices go to one eigensolve call.
         """
+        if not m:  # the one pattern: each fixed part's own spectrum
+            mu = np.linalg.eigvalsh(fixed)
+            return _monic_from_roots_batch(mu * mu)
         nb, d = fixed.shape[0], self.d
-        head = 1 if m and not fixed.any() else 0
+        head = 0 if fixed.any() else 1
         acc = np.zeros((nb, d + 1))
         for shifts in _sign_blocks(self.tw[:m], head, _SIGN_BATCH // nb):
             mu = np.linalg.eigvalsh(fixed[:, None] + shifts[None])
@@ -913,30 +977,47 @@ def _lambda_max_y(ypolys: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(top < 0.0, 0.0, top))
 
 
-def _leaf_tree(fixed, dev, sizes, flat, prob) -> list:
-    """The leaf route: the expected y-polynomials of every node of the
-    subtree of the variables ``dev``, ``sizes``, ``flat`` and ``prob`` below
-    the fixed part ``fixed``, from one enumeration of its leaves.
+def _block_tree(tail: _Tail, fixed, dev, sizes, flat, prob, m: int, pinned: bool) -> list:
+    """One block of the greedy: the expected y-polynomials of every node of
+    the subtree of the variables ``dev``, ``sizes``, ``flat`` and ``prob``
+    below the fixed part ``fixed``, from one engine call.
 
-    Each leaf's deviation matrix is its coefficient row times the flat terms
-    (:func:`_deviations`, as brute force builds them) plus ``fixed``, and its
-    y-polynomial ``prod_j (y - mu_j^2)`` comes from its spectrum, at most
-    ``_SIGN_BATCH`` matrices per eigensolve. A node's polynomial is the
-    probability-weighted sum of its children's, one contraction per depth.
-    Entry j has shape ``sizes[:j + 1] + (d + 1,)``: the nodes below the
-    first j + 1 variables, each conditioned on its path, not weighted by it.
+    Each assignment of the block's variables is a fixed part, its
+    coefficient row times the flat terms (:func:`_deviations`, as brute
+    force builds them) plus ``fixed``, and one :meth:`_Tail.ypolys` call
+    over the tail of m variables after the block gives every part's
+    polynomial. A node's polynomial is the probability-weighted sum of its
+    children's, one contraction per depth. Entry j has shape
+    ``sizes[:j + 1] + (d + 1,)``: the nodes below the first j + 1 variables,
+    each conditioned on its path, not weighted by it.
+
+    ``pinned``: ``fixed`` is zero and every law of the block is its own
+    mirror image (``dev[j, i] = -dev[j, s - 1 - i]`` with equal
+    probabilities) with an even first support. The mirror of an assignment
+    then has the negated deviation and, in mixed-radix order, the reversed
+    index, and the tail enters only through its variances, so both have one
+    polynomial: only the first half of the parts is solved and folded, and
+    each depth's nodes are completed by reversal.
     """
     d = fixed.shape[-1]
-    count = math.prod(sizes)
-    leaves = np.empty((count, d + 1))
-    for start in range(0, count, _SIGN_BATCH):
-        idx = np.arange(start, min(start + _SIGN_BATCH, count))
-        mu = np.linalg.eigvalsh(_deviations(dev, sizes, flat, d, idx) + fixed)
-        leaves[idx] = _monic_from_roots_batch(mu * mu)
-    tree = [leaves.reshape(tuple(sizes) + (d + 1,))]
+    count = math.prod(sizes) // (2 if pinned else 1)
+    parts = _deviations(dev, sizes, flat, d, np.arange(count)) + fixed
+    tree = [tail.ypolys(parts, m).reshape((-1,) + tuple(sizes[1:]) + (d + 1,))]
     for j in range(len(sizes) - 1, 0, -1):
         tree.append(prob[j, : sizes[j]] @ tree[-1])
+    if pinned:
+        tree = [np.concatenate([t, t.reshape(-1, d + 1)[::-1].reshape(t.shape)]) for t in tree]
     return tree[::-1]
+
+
+def _mirrored(dev: np.ndarray, prob: np.ndarray, sizes: np.ndarray) -> int:
+    """The number of leading variables whose law is its own mirror image,
+    exactly: ``dev[j, i] == -dev[j, s - 1 - i]`` and ``prob[j, i] ==
+    prob[j, s - 1 - i]`` over the j-th support of size s (padded rows)."""
+    for j, (row, p, s) in enumerate(zip(dev.tolist(), prob.tolist(), sizes.tolist())):
+        if row[:s] != [-x for x in row[s - 1 :: -1]] or p[:s] != p[s - 1 :: -1]:
+            return j
+    return len(sizes)
 
 
 GREEDY_TIE_RTOL = 1e-12
@@ -947,16 +1028,19 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
 
     At level k every outcome t in the k-th support gets its partial expected
     polynomial evaluated, all branches of a level at once, and the greedy
-    fixes a minimizer of the largest root. Each level asks
-    :func:`_plan_route` for its route under ``ENUM_CAP``: one
-    :meth:`_Tail.ypolys` call on the branches' fixed parts, or, once the
-    remaining subtree is small enough, "leaves": :func:`_leaf_tree`
-    enumerates the subtree once, and this level and every later one read
-    their branch rows off it. The greedy builds one :class:`_Tail` of the
-    :func:`_live` variables after the first, as :func:`expected_charpoly`
-    and the walk's evaluator keep only live ones, last variable first, so
-    every level's tail is a prefix of it, and the compounds that the first
-    subset-route level builds serve every later one.
+    fixes a minimizer of the largest root. The levels go in blocks: at a
+    level with no block in hand, :func:`_plan_block` picks a depth L under
+    ``ENUM_CAP``, :func:`_block_tree` makes one :meth:`_Tail.ypolys` call on
+    the fixed parts of every assignment of the next L variables below the
+    chosen node and folds them up, and the next L levels read their branch
+    rows off it. Depth 1 is one engine call on the level's branches; a block
+    reaching the last level enumerates the remaining subtree's leaves, one
+    spectrum each. A block with no fixed part over mirror-symmetric laws
+    solves half its parts (:func:`_block_tree`). The greedy builds one
+    :class:`_Tail` of the :func:`_live` variables after the first, as
+    :func:`expected_charpoly` and the walk's evaluator keep only live ones,
+    last variable first, so every block's tail is a prefix of it, and the
+    compounds that the first subset-route call builds serve every later one.
     Roots within ``GREEDY_TIE_RTOL`` relative of the minimum count as tied
     and the smallest support index among them wins, so exactly symmetric
     levels (Rademacher ones) do not leave the choice to roundoff. The final
@@ -970,32 +1054,31 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     vectors = np.array(inst.vectors)
     variances = _variances(inst)
     live = np.array(_live(inst.vectors, variances)[::-1], dtype=np.int64)
-    # per level, the size of its engine call's tail and its branch count
-    calls = tuple((int(np.count_nonzero(live > k)), int(sizes[k])) for k in range(inst.n))
+    # per level, the size of the tail after it and its branch count
+    rest = len(live) - np.searchsorted(live[::-1], np.arange(inst.n), side="right")
+    calls = tuple(zip(rest.tolist(), sizes.tolist()))
     after = live[: calls[0][0]]  # the live variables after the first
     tail = _Tail(vectors[after], variances[after], inst.dim)
-    tree = None
+    dev = means[:, None] - supp
+    flat = terms.reshape(inst.n, -1)
     prefix: list = []
     levels = []
     parent_lam = None
     p_empty_lam = None
-    dev = means[:, None] - supp
-    flat = terms.reshape(inst.n, -1)
+    end = 0  # the first level past the block in hand
     for k in range(inst.n):
         chosen = (np.arange(k), prefix)
         weights = float(np.prod(prob[chosen])) * prob[k, : sizes[k]]
-        if tree is None:
+        if k == end:
             # np.tensordot(dev[chosen], terms[:k], axes=(0, 0)), less its overhead
             fixed = np.dot(dev[chosen][None], flat[:k]).reshape(terms.shape[1:])
-            branches = fixed[None] + dev[k, : sizes[k], None, None] * terms[k][None]
-            built = tail.terms is not None
-            if _plan_route(inst.dim, calls[k][0], len(branches), not branches.any(), built, calls[k + 1 :]) == "leaves":
-                tree, root = _leaf_tree(fixed, dev[k:], sizes[k:].tolist(), flat[k:], prob[k:]), k
-        if tree is None:
-            polys = tail.ypolys(branches, calls[k][0])
-        else:
-            polys = tree[k - root][tuple(prefix[root:])]
-        polys = weights[:, None] * polys
+            pin = 0 if fixed.any() or sizes[k] % 2 else _mirrored(dev[k:], prob[k:], sizes[k:])
+            depth = _plan_block(inst.dim, calls, k, tail.build, pin)
+            root, end = k, k + depth
+            tree = _block_tree(
+                tail, fixed, dev[k:end], sizes[k:end].tolist(), flat[k:end], prob[k:end], calls[end - 1][0], depth <= pin
+            )
+        polys = weights[:, None] * tree[k - root][tuple(prefix[root:])]
         # at level 1 the top polynomial goes first, in the same call
         lams = _lambda_max_y(np.concatenate([polys.sum(axis=0)[None], polys]) if k == 0 else polys)
         if k == 0:

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import linalg
+from . import _util, linalg
 from .errors import DegenerateSigma, InvariantViolation, ParseError
 
 PROB_SUM_TOL = 1e-12
@@ -229,7 +229,9 @@ def dumps_instance(inst: Instance) -> str:
         doc["kind"] = "hermitian"
         doc["matrices"] = [[[_complex_pair(z) for z in row] for row in m] for m in inst.matrices]
     doc["rvs"] = [{"support": list(rv.support), "probs": list(rv.probs)} for rv in inst.rvs]
-    return json.dumps(doc, indent=2) + "\n"
+    # every entry is finite (validated at construction), so the report
+    # writer's rejection of NaN and infinity never fires here
+    return _util.canonical_json(doc)
 
 
 def save_instance(inst: Instance, path) -> None:

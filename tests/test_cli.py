@@ -465,7 +465,7 @@ def test_numerical_failures_in_solve_and_replay_become_failing_rows(tmp_path, ca
     doc = json.loads(out.read_text())
     assert doc["bruteforce"]["value"] == pytest.approx(7.0 / 6.0, abs=1e-9) and "greedy" not in doc
     first = doc["checks"][0]
-    assert first["name"] == "greedy[root imaginary part 7.538e-02 exceeds 1.0e-07 * 2.441e+00]" and not first["pass"]
+    assert first["name"] == "greedy[root imaginary part 7.967e-02 exceeds 1.0e-07 * 2.446e+00]" and not first["pass"]
     assert doc["failed"] == 1 and [row["name"] for row in doc["checks"][1:]] == [
         "disc_le_three_sigma",
         "disc_le_four_sigma",

@@ -482,17 +482,17 @@ def random_prefix(rng, inst, k):
 
 
 def pin_route(monkeypatch, name):
-    """Pin every plan to one route, whatever the planner would pick. For
-    "leaves" the greedy takes the leaf route from level 1, and the engine
-    calls that no leaf enumeration can serve keep the planner's route."""
-    plan = disc._plan_route
-
-    def pinned(d, m, nb, symmetric=False, built=False, later=None):
-        if name != "leaves":
-            return name
-        return name if later is not None else plan(d, m, nb, symmetric, built)
-
-    monkeypatch.setattr(disc, "_plan_route", pinned)
+    """Pin every plan, whatever the planner would pick: "subsets" and
+    "signs" pin the engine's route and keep the greedy in blocks of depth 1
+    (one engine call per level); "pairs" puts the greedy in blocks of 2 and
+    "leaves" in one block from level 1, whose engine calls keep the
+    planner's route."""
+    depth = {"pairs": 2, "leaves": math.inf}
+    if name in depth:
+        monkeypatch.setattr(disc, "_plan_block", lambda d, levels, k, build, pin: min(depth[name], len(levels) - k))
+    else:
+        monkeypatch.setattr(disc, "_plan_route", lambda *args, **kwargs: name)
+        monkeypatch.setattr(disc, "_plan_block", lambda *args: 1)
     return name
 
 
@@ -502,10 +502,10 @@ def engine_route(request, monkeypatch):
     return pin_route(monkeypatch, request.param)
 
 
-@pytest.fixture(params=["subsets", "signs", "leaves"])
+@pytest.fixture(params=["subsets", "signs", "pairs", "leaves"])
 def route(request, monkeypatch):
-    """The greedy pinned to one route: an engine route at every level, or
-    the leaf route from level 1."""
+    """The greedy pinned: an engine route at every level, blocks of two
+    levels, or one block from level 1."""
     return pin_route(monkeypatch, request.param)
 
 
@@ -597,11 +597,33 @@ def test_engine_zero_probability_branch(rng, route):
         disc.greedy_interlacing_solve(inst)
 
 
-def test_leaf_tree_degenerate_subtree(rng, route):
-    # a zero-probability atom, a constant law and a zero vector inside the
-    # subtree below a fixed prefix: every node of the leaf tree, weighted by
-    # its path, against the enumeration oracle; the greedy stops at the
-    # zero-probability branch on every route
+def greedy_tail(inst):
+    """The greedy's tail, the live variables after the first, last one
+    first, and per variable the size of the tail after it."""
+    variances = disc._variances(inst)
+    live = np.array(disc._live(inst.vectors, variances)[::-1], dtype=np.int64)
+    after = live[live > 0]
+    tail = disc._Tail(np.array(inst.vectors)[after], variances[after], inst.dim)
+    return tail, [int(np.count_nonzero(live > k)) for k in range(inst.n)]
+
+
+def block_args(inst, head, depth):
+    """The arguments of :func:`disc._block_tree` for the block of ``depth``
+    variables below the prefix ``head``, unpinned."""
+    terms, means, sizes, supp, prob = disc._family(inst)
+    dev = means[:, None] - supp
+    flat = terms.reshape(inst.n, -1)
+    k = len(head)
+    fixed = np.tensordot(dev[np.arange(k), list(head)], terms[:k], axes=(0, 0))
+    block = slice(k, k + depth)
+    return fixed, dev[block], sizes[block].tolist(), flat[block], prob[block]
+
+
+def test_block_tree_degenerate_subtree(rng, route):
+    # a zero-probability atom, a constant law and a zero vector among the
+    # variables: every node of every block depth below random prefixes,
+    # weighted by its path, against the enumeration oracle; the greedy stops
+    # at the zero-probability branch on every route
     base = random_rank_one_instance(rng, 3, 6)
     rvs = list(base.rvs)
     rvs[2] = model.DiscreteRandomVariable((-1.0, 0.5, 1.0), (0.5, 0.0, 0.5))
@@ -609,20 +631,103 @@ def test_leaf_tree_degenerate_subtree(rng, route):
     vectors = list(base.vectors)
     vectors[4] = np.zeros(3, dtype=complex)
     inst = model.RankOneInstance(3, tuple(vectors), tuple(rvs))
-    terms, means, sizes, supp, prob = disc._family(inst)
-    dev = means[:, None] - supp
-    head = random_prefix(rng, inst, 1)
-    fixed = np.tensordot(dev[0, head[0]], terms[0], axes=0)
-    tree = disc._leaf_tree(fixed, dev[1:], sizes[1:].tolist(), terms[1:].reshape(inst.n - 1, -1), prob[1:])
-    assert len(tree) == inst.n - 1
-    for depth, nodes in enumerate(tree, 1):
-        assert nodes.shape == tuple(sizes[1 : depth + 1]) + (4,)
-        for path in itertools.product(*(range(s) for s in sizes[1 : depth + 1])):
-            prefix = head + path
-            weight = float(np.prod(prob[np.arange(len(prefix)), list(prefix)]))
-            assert_close_to_enum(disc._even_to_x(weight * nodes[path]), inst, prefix)
+    prob = disc._family(inst)[4]
+    tail, after = greedy_tail(inst)
+    for k in (1, 2, 4):
+        head = random_prefix(rng, inst, k)
+        for depth in range(1, inst.n - k + 1):
+            tree = disc._block_tree(tail, *block_args(inst, head, depth), after[k + depth - 1], False)
+            assert len(tree) == depth
+            sizes = [len(rv.support) for rv in inst.rvs[k : k + depth]]
+            for j, nodes in enumerate(tree, 1):
+                assert nodes.shape == tuple(sizes[:j]) + (4,)
+                for path in itertools.product(*(range(s) for s in sizes[:j])):
+                    prefix = head + path
+                    weight = float(np.prod(prob[np.arange(len(prefix)), list(prefix)]))
+                    assert_close_to_enum(disc._even_to_x(weight * nodes[path]), inst, prefix)
     with pytest.raises(NotRealRooted):
         disc.greedy_interlacing_solve(inst)
+
+
+def test_block_ends_are_the_engine_level_and_the_leaves(rng):
+    # depth 1 is the level's engine call on its branches, and a block down to
+    # the last level is every leaf's spectrum: both bit for bit
+    for d, n in ((2, 6), (3, 7), (4, 6)):
+        inst = random_rank_one_instance(rng, d, n)
+        terms, means, sizes, supp, prob = disc._family(inst)
+        tail, after = greedy_tail(inst)
+        for k in range(n):
+            head = random_prefix(rng, inst, k)
+            fixed, dev, block_sizes, flat, _ = args = block_args(inst, head, n - k)
+            branches = fixed[None] + dev[0, : block_sizes[0], None, None] * terms[k][None]
+            one = disc._block_tree(tail, *block_args(inst, head, 1), after[k], False)
+            assert np.array_equal(one[0], tail.ypolys(branches, after[k])), (d, n, k)
+            leaves = disc._block_tree(tail, *args, 0, False)[-1]
+            mats = disc._deviations(dev, block_sizes, flat, d, np.arange(math.prod(block_sizes))) + fixed
+            mu = np.linalg.eigvalsh(mats)
+            assert np.array_equal(leaves.reshape(-1, d + 1), disc._monic_from_roots_batch(mu * mu)), (d, n, k)
+
+
+def test_mirror_pinned_first_block(monkeypatch):
+    # a Rademacher family with no fixed part: the first block solves the
+    # assignments whose first sign is the first atom, 2^(L-1) parts, and its
+    # two level-1 branches come out exactly equal, at every depth
+    inst = seeded_rademacher(3, 4, 8)
+    plan = disc._plan_block
+    ypolys = disc._Tail.ypolys
+    parts = []
+
+    def counted(self, fixed, m):
+        parts.append(len(fixed))
+        return ypolys(self, fixed, m)
+
+    monkeypatch.setattr(disc._Tail, "ypolys", counted)
+    for depth in range(1, inst.n + 1):
+        parts.clear()
+        monkeypatch.setattr(disc, "_plan_block", lambda d, levels, k, build, pin: depth if k == 0 else plan(d, levels, k, build, pin))
+        _, trace = disc.greedy_interlacing_solve(inst)
+        first = trace.levels[0]
+        assert parts[0] == 2 ** (depth - 1)
+        assert first.branch_coeffs[0] == first.branch_coeffs[1] and first.chosen_index == 0
+        chosen = ()
+        for lv in trace.levels:
+            for t, coeffs in enumerate(lv.branch_coeffs):
+                assert_close_to_enum(coeffs, inst, chosen + (t,))
+            chosen += (lv.chosen_index,)
+    # every node of pinned blocks over mirror laws of even and odd support,
+    # at every depth, against the enumeration
+    laws = (
+        model.DiscreteRandomVariable((-2.0, -1.0, 1.0, 2.0), (0.125, 0.375, 0.375, 0.125)),
+        model.DiscreteRandomVariable((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25)),
+        model.DiscreteRandomVariable.rademacher(),
+        model.DiscreteRandomVariable((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25)),
+        model.DiscreteRandomVariable((0.0, 1.0), (0.25, 0.75)),
+    )
+    mixed = model.RankOneInstance(3, random_rank_one_instance(np.random.default_rng(5), 3, 5).vectors, laws)
+    terms, means, sizes, supp, prob = disc._family(mixed)
+    assert disc._mirrored(means[:, None] - supp, prob, sizes) == 4
+    tail, after = greedy_tail(mixed)
+    for depth in range(1, 5):
+        tree = disc._block_tree(tail, *block_args(mixed, (), depth), after[depth - 1], True)
+        for j, nodes in enumerate(tree, 1):
+            assert nodes.shape == tuple(sizes[:j]) + (4,)
+            for path in itertools.product(*(range(s) for s in sizes[:j])):
+                weight = float(np.prod(prob[np.arange(j), list(path)]))
+                assert_close_to_enum(disc._even_to_x(weight * nodes[path]), mixed, path)
+    # deviations that mirror with probabilities that do not: no pin, and
+    # the greedy's branches still match the enumeration
+    skewed = model.DiscreteRandomVariable((-3.0, -1.0, 1.0, 3.0), (0.25, 0.125, 0.5, 0.125))
+    lopsided = model.RankOneInstance(3, mixed.vectors, (skewed,) + laws[1:])
+    terms, means, sizes, supp, prob = disc._family(lopsided)
+    assert means[0] == 0.0 and disc._mirrored(means[:, None] - supp, prob, sizes) == 0
+    _, trace = disc.greedy_interlacing_solve(lopsided)
+    for t, coeffs in enumerate(trace.levels[0].branch_coeffs):
+        assert_close_to_enum(coeffs, lopsided, (t,))
+    # the planner's own first block is pinned too
+    monkeypatch.setattr(disc, "_plan_block", plan)
+    parts.clear()
+    disc.greedy_interlacing_solve(inst)
+    assert parts[0] == 2 ** (plan(4, tuple((7 - k, 2) for k in range(8)), 0, 7, 8) - 1)
 
 
 def test_engine_small_chunks(rng, monkeypatch, route):
@@ -662,14 +767,14 @@ def test_greedy_work_counts(monkeypatch):
     # every level takes its branch roots (level 1 the top polynomial's too)
     # in one call
     assert eigvals["calls"] == n
-    # every level plans its own route: tails of m = 13 down to 8 variables
-    # take the subset route, one eigh call for both branches each
-    assert eigh["calls"] == 6 and eigh["matrices"] == 2 * 6
-    # the level with m = 7 takes the leaf route: one eigvalsh call on the
-    # 2^8 leaves of its subtree, off which it and the 7 later levels read
-    # their branches; beyond it eigvalsh sees only the final deviation,
-    # whose norm is the reported value
-    assert eigvalsh["calls"] == 2 and eigvalsh["matrices"] == 2**8 + 1
+    # the levels go in three blocks: levels 1-5 (no fixed part, so mirror
+    # pinned: 2^4 of their 2^5 parts) on the tail of m = 9 and levels 6-9
+    # (2^4 parts) on m = 5, both on the subset route, one eigh call each
+    assert eigh["calls"] == 2 and eigh["matrices"] == 16 + 16
+    # levels 10-14 are one block down to the last level: one eigvalsh call on
+    # its 2^5 leaves; beyond it eigvalsh sees only the final deviation, whose
+    # norm is the reported value
+    assert eigvalsh["calls"] == 2 and eigvalsh["matrices"] == 2**5 + 1
     # the compounds of the tail vectors and of every branch eigenbasis come
     # from Laplace steps (and complementary minors), not determinants
     assert det["matrices"] == 0
@@ -856,6 +961,38 @@ def test_engine_cap_counts_both_routes(monkeypatch):
             assert disc._plan_route(d, 0, nb) == "signs"
 
 
+def test_greedy_refuses_before_any_eigensolve(monkeypatch):
+    # d = 6, n = 46: the first level's subset route counts the compounds of
+    # its whole tail of 45 vectors, sum_k C(45, k) C(6, k), with those of its
+    # one mirror-pinned branch, past the cap, and its 2^45 sign patterns
+    # too; no deeper block is offered, since its enumeration is 2^45 or more
+    d, n = 6, 46
+    inst = seeded_rademacher(n, d, n)
+    kernels = [count_matrices(monkeypatch, name) for name in ("eigvalsh", "eigh", "eigvals")]
+    with pytest.raises(EnumerationTooLarge) as refused:
+        disc.greedy_interlacing_solve(inst)
+    ks = range(1, d + 1)
+    assert refused.value.required == sum(math.comb(n - 1, k) * math.comb(d, k) + math.comb(d, k) ** 2 for k in ks)
+    assert refused.value.required > disc.ENUM_CAP and all(k["calls"] == 0 for k in kernels)
+
+
+def test_first_call_counts_the_whole_tail():
+    # a subset-route call on a prefix of m = 15 of a tail of 21 vectors whose
+    # compounds are not built builds them all, so it is counted for all 21:
+    # past the cap at d = 10, where its own 15 fit
+    d, m, whole, nb = 10, 15, 21, 64
+    count = sum(math.comb(m, k) * math.comb(d, k) + nb * math.comb(d, k) ** 2 for k in range(1, d + 1))
+    assert count <= disc.ENUM_CAP < sum(math.comb(whole, k) * math.comb(d, k) for k in range(1, d + 1))
+    assert disc._plan_route(d, m, nb) == disc._plan_route(d, m, nb, build=0) == "subsets"
+    assert disc._plan_route(d, m, nb, build=whole) == "signs"
+    # a tail counts its vectors until its first subset-route call builds them
+    vectors = np.random.default_rng(1).normal(size=(whole, 4))
+    tail = disc._Tail(vectors, np.ones(whole), 4)
+    assert tail.build == whole
+    tail._subset_ypolys(np.zeros((1, 4, 4)), 3)
+    assert tail.build == 0 and tail.terms[1][0].shape == (4, whole)
+
+
 def test_one_cap_reaches_every_enumeration(monkeypatch):
     # a cap of 4 is below every count of an n = 5 (or, for frames and
     # Schatten, n = 3) Rademacher family, so each path refuses
@@ -880,19 +1017,22 @@ def test_one_cap_reaches_every_enumeration(monkeypatch):
 
 
 def test_greedy_dimension_close_to_n(monkeypatch):
-    # d = 9, n = 11: each level plans its own route. Tails of 10 and 9
-    # variables take the subset route, whose C(19, 9) - 1 = 92,377 tail
-    # compound entries and 2 x (C(18, 9) - 1) branch entries at the first
-    # level all come from Laplace steps; the level with a tail of 8 takes
-    # the leaf route, 2^9 eigensolves for it and every later level. Neither
+    # d = 9, n = 11: the first nine levels are one mirror-pinned block, 2^8
+    # parts on the sign route over a tail of 2, and the last two one block
+    # of 4 leaves; with every engine call pinned to the subset route, its
+    # C(19, 9) - 1 = 92,377 tail compound entries and 2 x (C(18, 9) - 1)
+    # branch entries at the first level all come from Laplace steps. Neither
     # route takes a determinant
     inst = seeded_rademacher(14, 9, 11)
     det = count_matrices(monkeypatch, "det")
-    _, trace = disc.greedy_interlacing_solve(inst)
+    _, planned = disc.greedy_interlacing_solve(inst)
+    pin_route(monkeypatch, "subsets")
+    _, pinned = disc.greedy_interlacing_solve(inst)
     assert det["matrices"] == 0
-    assert max(lv.chosen_lambda_max - lv.parent_lambda_max for lv in trace.levels) <= 1e-9
-    assert abs(trace.final_value - trace.leaf_lambda_max) < 1e-9
-    assert trace.final_value <= 3.0 * model.sigma(inst) + 1e-9
+    for trace in (planned, pinned):
+        assert max(lv.chosen_lambda_max - lv.parent_lambda_max for lv in trace.levels) <= 1e-9
+        assert abs(trace.final_value - trace.leaf_lambda_max) < 1e-9
+        assert trace.final_value <= 3.0 * model.sigma(inst) + 1e-9
     assert_close_to_enum(disc.expected_charpoly(inst, (0, 1)), inst, (0, 1))
 
 
