@@ -530,27 +530,26 @@ def _plan_route(d: int, m: int, nb: int, symmetric: bool = False, build: Optiona
     the whole tail when a call reads only a prefix of a tail not yet built
     (the greedy's first blocks), whose compounds are counted and charged in
     full. Of the routes that fit, the one with the smaller estimated time of
-    this call is returned; :class:`EnumerationTooLarge` is raised when
-    neither fits. A call with no tail variable (m = 0) takes the sign route,
-    whose one pattern is the fixed part's own spectrum. Plans are cached,
-    keyed by the cap too: the barrier walk plans every batch of points it
-    evaluates.
+    this call (:func:`_engine_seconds`) is returned;
+    :class:`EnumerationTooLarge` is raised when neither fits. A call with no
+    tail variable (m = 0) takes the sign route, whose one pattern is the
+    fixed part's own spectrum.
     """
-    return _cached_plan(d, m, nb, ENUM_CAP, symmetric, m if build is None else build)
+    seconds = _engine_seconds(d, m, nb, ENUM_CAP, symmetric, m if build is None else build)
+    return min(seconds, key=lambda pair: pair[1])[0]
 
 
 @functools.lru_cache(maxsize=4096)
-def _cached_plan(d: int, m: int, nb: int, limit: int, symmetric: bool, build: int) -> str:
-    seconds = _engine_seconds(d, m, nb, limit, symmetric, build)
-    return min(seconds, key=seconds.get)
-
-
-def _engine_seconds(d: int, m: int, nb: int, limit: int, symmetric: bool, build: int) -> dict:
-    """The estimated seconds of one engine call on each route whose count
-    fits ``limit``, subsets first; :class:`EnumerationTooLarge` when none
-    fits."""
+def _engine_seconds(d: int, m: int, nb: int, limit: int, symmetric: bool, build: int) -> tuple:
+    """The (route, estimated seconds) of one engine call on each route whose
+    count fits ``limit``, subsets first; :class:`EnumerationTooLarge` when
+    none fits. Cached, keyed by the cap too: the barrier walk plans every
+    batch of points it evaluates, and the greedy's planner prices each
+    block."""
+    sign_call = _SECONDS_SIGN_CALL[0] + _SECONDS_SIGN_CALL[1] * d
+    matrix = _SECONDS_SIGN_MATRIX[0] * d * d + _SECONDS_SIGN_MATRIX[1] * d**3  # per eigensolve
     if not m:
-        return {"signs": _SECONDS_SIGN_CALL[0] + _SECONDS_SIGN_CALL[1] * d + nb * _sign_matrix_seconds(d)}
+        return (("signs", sign_call + nb * matrix),)
     ks = range(1, min(d, m) + 1)
     span = max(m, build)  # the tail vectors whose compounds exist after the call
     counts = {
@@ -571,68 +570,63 @@ def _engine_seconds(d: int, m: int, nb: int, limit: int, symmetric: bool, build:
         + nb * (_SECONDS_PRODUCT[0] * (compound + entries) + _SECONDS_PRODUCT[1] * products)
         + nb * _SECONDS_COMPLEMENT * (d << d)
         + _SECONDS_PRODUCT[0] * tail,
-        "signs": _SECONDS_SIGN_CALL[0] + _SECONDS_SIGN_CALL[1] * d + nb * counts["signs"] * _sign_matrix_seconds(d),
+        "signs": sign_call + nb * counts["signs"] * matrix,
     }
-    return {route: seconds[route] for route in fits}
+    return tuple((route, seconds[route]) for route in fits)
 
 
-def _sign_matrix_seconds(d: int) -> float:
-    return _SECONDS_SIGN_MATRIX[0] * d * d + _SECONDS_SIGN_MATRIX[1] * d**3
-
-
-def _plan_block(d: int, levels: tuple, k: int, build: int, pin: int) -> int:
-    """Depth L of the greedy's block from level k: the number of levels
-    that one engine call serves (:func:`_block_tree`).
+def _plan_descent(d: int, levels: tuple, pin: int) -> tuple:
+    """The depths of the greedy's blocks from level 1 on, in order: each the
+    number of levels that one engine call serves (:func:`_block_tree`).
 
     ``levels`` holds one (m, nb) per level of the greedy: the size of the
     tail after it and its branch count. A block of depth L takes the product
     of its levels' nb as fixed parts and one engine call at the m of its last
-    level. It is priced as that call plus ``_SECONDS_BLOCK`` per depth and
-    per part, and the depth is chosen against the cheapest chains of blocks
-    that finish the later levels, found by one backward pass over the levels
-    and priced with the tail built. This block's call builds ``build`` tail
-    vectors' compounds as in :func:`_plan_route`. Its first ``pin`` levels
-    may be mirror-pinned, which halves the parts it solves (not those it
-    counts).
-
-    Depth 1 is the level's own engine call and is always offered; the
-    engine raises :class:`EnumerationTooLarge` when it does not fit. A
-    deeper block is offered only while its parts fit ``ENUM_CAP`` (read at
-    call time) and one eigensolve batch (``_SIGN_BATCH``), and its
-    enumeration, the parts times 2^m, fits ``ENUM_CAP``. Each level below
-    its first with a live variable has at least two branches, so that is
-    more than 2^m of its first level, whose sign count that is: no block
-    takes an enumeration that the sign route would refuse there. A block
-    reaching the last level (m = 0) enumerates the subtree's leaves, one
-    spectrum per part.
+    level (:func:`_blocks` lists the blocks offered). It is priced as that
+    call plus ``_SECONDS_BLOCK`` per depth and per part, and one backward
+    pass over the levels finds the cheapest chain of blocks, the shallower
+    block winning a tie. The first block's call builds the compounds of the
+    whole tail, ``levels[0][0]`` vectors (:func:`_plan_route`), and its
+    first ``pin`` levels may be mirror-pinned, which halves the parts it
+    solves (not those it counts); every later block is priced with the tail
+    built and no pin. ``ENUM_CAP`` and ``_SIGN_BATCH`` are read at call
+    time.
     """
-    return _cached_block(d, levels, k, build, pin, ENUM_CAP, _SIGN_BATCH)
-
-
-@functools.lru_cache(maxsize=4096)
-def _cached_block(d: int, levels: tuple, k: int, build: int, pin: int, limit: int, batch: int) -> int:
-    finish = _finish_seconds(d, levels, limit, batch)
-    total = {
-        L: _block_seconds(d, m, parts // (2 if L <= pin else 1), L, limit, build) + finish[k + L]
-        for L, parts, m in _blocks(levels, k, limit, batch)
-    }
-    return min(total, key=total.get)
+    return _cached_descent(d, levels, pin, ENUM_CAP, _SIGN_BATCH)
 
 
 @functools.lru_cache(maxsize=256)
-def _finish_seconds(d: int, levels: tuple, limit: int, batch: int) -> tuple:
-    """Per level j, and one past the last, the estimated seconds of the
-    cheapest chain of blocks over the levels from j on, the tail built."""
-    finish = [0.0] * (len(levels) + 1)
+def _cached_descent(d: int, levels: tuple, pin: int, limit: int, batch: int) -> tuple:
+    best = [0] * len(levels)  # per level, the depth of the block that starts the cheapest chain from it
+    finish = [0.0] * (len(levels) + 1)  # and that chain's seconds
     for j in range(len(levels) - 1, -1, -1):
-        finish[j] = min(
-            _block_seconds(d, m, parts, L, limit, 0) + finish[j + L] for L, parts, m in _blocks(levels, j, limit, batch)
-        )
-    return tuple(finish)
+        build, halved = (levels[0][0], pin) if j == 0 else (0, 0)
+        total = {
+            L: _block_seconds(d, m, parts // (2 if L <= halved else 1), L, limit, build) + finish[j + L]
+            for L, parts, m in _blocks(levels, j, limit, batch)
+        }
+        best[j] = min(total, key=total.get)
+        finish[j] = total[best[j]]
+    chain, j = [], 0
+    while j < len(levels):
+        chain.append(best[j])
+        j += best[j]
+    return tuple(chain)
 
 
 def _blocks(levels: tuple, k: int, limit: int, batch: int):
-    """The blocks offered from level k: (depth, parts, tail size after)."""
+    """The blocks offered from level k: (depth, parts, tail size after).
+
+    Depth 1 is the level's own engine call and is always offered; the
+    engine raises :class:`EnumerationTooLarge` when it does not fit. A
+    deeper block is offered only while its parts fit ``limit`` and one
+    eigensolve batch (``batch``), and its enumeration, the parts times 2^m,
+    fits ``limit``. Each level below its first with a live variable has at
+    least two branches, so that is more than 2^m of its first level, whose
+    sign count that is: no block takes an enumeration that the sign route
+    would refuse there. A block reaching the last level (m = 0) enumerates
+    the subtree's leaves, one spectrum per part.
+    """
     parts = 1
     for L in range(1, len(levels) - k + 1):
         m, nb = levels[k + L - 1]
@@ -643,13 +637,12 @@ def _blocks(levels: tuple, k: int, limit: int, batch: int):
             yield L, parts, m
 
 
-@functools.lru_cache(maxsize=4096)
 def _block_seconds(d: int, m: int, parts: int, depth: int, limit: int, build: int) -> float:
     """Estimated seconds of one block of ``depth`` levels and ``parts``
     fixed parts over a tail of m; infinite when its engine call fits no
     route."""
     try:
-        engine = min(_engine_seconds(d, m, parts, limit, False, build).values())
+        engine = min(seconds for _, seconds in _engine_seconds(d, m, parts, limit, False, build))
     except EnumerationTooLarge:
         return math.inf
     return engine + _SECONDS_BLOCK[0] * depth + _SECONDS_BLOCK[1] * parts
@@ -1028,15 +1021,17 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
 
     At level k every outcome t in the k-th support gets its partial expected
     polynomial evaluated, all branches of a level at once, and the greedy
-    fixes a minimizer of the largest root. The levels go in blocks: at a
-    level with no block in hand, :func:`_plan_block` picks a depth L under
-    ``ENUM_CAP``, :func:`_block_tree` makes one :meth:`_Tail.ypolys` call on
-    the fixed parts of every assignment of the next L variables below the
-    chosen node and folds them up, and the next L levels read their branch
-    rows off it. Depth 1 is one engine call on the level's branches; a block
-    reaching the last level enumerates the remaining subtree's leaves, one
-    spectrum each. A block with no fixed part over mirror-symmetric laws
-    solves half its parts (:func:`_block_tree`). The greedy builds one
+    fixes a minimizer of the largest root. The levels go in blocks, whose
+    depths :func:`_plan_descent` plans once, before the first level, under
+    ``ENUM_CAP``. For a block of depth L, :func:`_block_tree` makes one
+    :meth:`_Tail.ypolys` call on the fixed parts of every assignment of its
+    L variables below the chosen node and folds them up, and its L levels
+    read their branch rows off it. Depth 1 is one engine call on the level's
+    branches; a block reaching the last level enumerates the remaining
+    subtree's leaves, one spectrum each. A block with no fixed part over
+    mirror-symmetric laws solves half its parts (:func:`_block_tree`): the
+    first block's pin is planned for, and a later block's is found when it
+    starts. The greedy builds one
     :class:`_Tail` of the :func:`_live` variables after the first, as
     :func:`expected_charpoly` and the walk's evaluator keep only live ones,
     last variable first, so every block's tail is a prefix of it, and the
@@ -1065,41 +1060,44 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     levels = []
     parent_lam = None
     p_empty_lam = None
-    end = 0  # the first level past the block in hand
-    for k in range(inst.n):
-        chosen = (np.arange(k), prefix)
-        weights = float(np.prod(prob[chosen])) * prob[k, : sizes[k]]
-        if k == end:
-            # np.tensordot(dev[chosen], terms[:k], axes=(0, 0)), less its overhead
-            fixed = np.dot(dev[chosen][None], flat[:k]).reshape(terms.shape[1:])
-            pin = 0 if fixed.any() or sizes[k] % 2 else _mirrored(dev[k:], prob[k:], sizes[k:])
-            depth = _plan_block(inst.dim, calls, k, tail.build, pin)
-            root, end = k, k + depth
-            tree = _block_tree(
-                tail, fixed, dev[k:end], sizes[k:end].tolist(), flat[k:end], prob[k:end], calls[end - 1][0], depth <= pin
-            )
-        polys = weights[:, None] * tree[k - root][tuple(prefix[root:])]
-        # at level 1 the top polynomial goes first, in the same call
-        lams = _lambda_max_y(np.concatenate([polys.sum(axis=0)[None], polys]) if k == 0 else polys)
-        if k == 0:
-            p_empty_lam = parent_lam = float(lams[0])
-            lams = lams[1:]
-        lo = lams.min()
-        t = int(np.flatnonzero(lams <= lo + GREEDY_TIE_RTOL * lo)[0])
-        levels.append(
-            GreedyLevel(
-                level=k + 1,
-                branch_values=tuple(supp[k, : sizes[k]].tolist()),
-                branch_lambda_max=tuple(lams.tolist()),
-                chosen_index=t,
-                chosen_value=float(supp[k, t]),
-                chosen_lambda_max=float(lams[t]),
-                parent_lambda_max=float(parent_lam),
-                branch_coeffs=tuple(map(tuple, _even_to_x(polys).tolist())),
-            )
+    # the first block's fixed part is zero
+    pin = 0 if sizes[0] % 2 else _mirrored(dev, prob, sizes)
+    start = 0
+    for depth in _plan_descent(inst.dim, calls, pin):
+        end = start + depth
+        # np.tensordot(dev[np.arange(start), prefix], terms[:start], axes=(0, 0)), less its overhead
+        fixed = np.dot(dev[np.arange(start), prefix][None], flat[:start]).reshape(terms.shape[1:])
+        block = slice(start, end)
+        if start:
+            pin = 0 if fixed.any() or sizes[start] % 2 else _mirrored(dev[block], prob[block], sizes[block])
+        tree = _block_tree(
+            tail, fixed, dev[block], sizes[block].tolist(), flat[block], prob[block], calls[end - 1][0], depth <= pin
         )
-        prefix.append(t)
-        parent_lam = float(lams[t])
+        for k in range(start, end):
+            weights = float(np.prod(prob[np.arange(k), prefix])) * prob[k, : sizes[k]]
+            polys = weights[:, None] * tree[k - start][tuple(prefix[start:])]
+            # at level 1 the top polynomial goes first, in the same call
+            lams = _lambda_max_y(np.concatenate([polys.sum(axis=0)[None], polys]) if k == 0 else polys)
+            if k == 0:
+                p_empty_lam = parent_lam = float(lams[0])
+                lams = lams[1:]
+            lo = lams.min()
+            t = int(np.flatnonzero(lams <= lo + GREEDY_TIE_RTOL * lo)[0])
+            levels.append(
+                GreedyLevel(
+                    level=k + 1,
+                    branch_values=tuple(supp[k, : sizes[k]].tolist()),
+                    branch_lambda_max=tuple(lams.tolist()),
+                    chosen_index=t,
+                    chosen_value=float(supp[k, t]),
+                    chosen_lambda_max=float(lams[t]),
+                    parent_lambda_max=float(parent_lam),
+                    branch_coeffs=tuple(map(tuple, _even_to_x(polys).tolist())),
+                )
+            )
+            prefix.append(t)
+            parent_lam = float(lams[t])
+        start = end
 
     assignment = model.SignAssignment.from_indices(prefix, inst.rvs)
     coef = means - np.array(assignment.values)

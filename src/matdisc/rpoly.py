@@ -94,7 +94,8 @@ def _real_roots(stack: np.ndarray, tol: float) -> tuple:
     companion matrices (``numpy.polynomial.polynomial.polyroots``) of each
     row less its origin roots (:func:`deflate_zero_roots`), accepted when
     every ``|imag| <= tol * (1 + max |real part|)``. The rows of one reduced
-    length go to one eigensolve, and reduced degree 1 takes the closed form.
+    length go to one eigensolve, reduced degree 1 too, whose 1 x 1
+    companion's eigenvalue is ``-c_0 / c_1``.
     A row whose leading coefficient is zero and that is not constant has
     another degree than its stack: :class:`DegreeMismatch`.
     """
@@ -110,15 +111,12 @@ def _real_roots(stack: np.ndarray, tol: float) -> tuple:
     for m in sorted(set(length.tolist()) - {1}):
         rows = np.flatnonzero(length == m)
         c = stack[rows, width - m :]
-        if m == 2:
-            r = -c[:, :1] / c[:, 1:]
-        else:
-            # numpy's companion matrix: ones below the diagonal, and the
-            # last column less the coefficients over the leading one
-            mats = np.zeros((len(c), m - 1, m - 1))
-            mats.reshape(len(c), -1)[:, m - 1 :: m] = 1.0
-            mats[:, :, -1] -= c[:, :-1] / c[:, -1:]
-            r = np.linalg.eigvals(mats)
+        # numpy's companion matrix: ones below the diagonal, and the last
+        # column less the coefficients over the leading one
+        mats = np.zeros((len(c), m - 1, m - 1))
+        mats.reshape(len(c), -1)[:, m - 1 :: m] = 1.0
+        mats[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        r = np.linalg.eigvals(mats)
         roots[rows, width - m :] = r.real
         if np.iscomplexobj(r):
             bad[rows] = np.abs(r.imag).max(axis=1)

@@ -106,6 +106,13 @@ def test_one_dispatch_site():
         assert {caller.split(".")[0] for caller in callers(helper)} == {"disc"}, helper
 
 
+def test_one_planning_site():
+    # the greedy plans its descent once, and only the planner prices engine
+    # calls: the route of one call and the blocks of the descent
+    assert callers("_plan_descent") == {"disc.greedy_interlacing_solve"}
+    assert callers("_engine_seconds") == {"disc._plan_route", "disc._block_seconds"}
+
+
 def test_one_evaluation_site():
     # every walk point is evaluated by its certification, which also
     # returns the barriers there

@@ -487,12 +487,14 @@ def pin_route(monkeypatch, name):
     (one engine call per level); "pairs" puts the greedy in blocks of 2 and
     "leaves" in one block from level 1, whose engine calls keep the
     planner's route."""
-    depth = {"pairs": 2, "leaves": math.inf}
-    if name in depth:
-        monkeypatch.setattr(disc, "_plan_block", lambda d, levels, k, build, pin: min(depth[name], len(levels) - k))
-    else:
+    chains = {
+        "pairs": lambda levels: (2,) * (len(levels) // 2) + (1,) * (len(levels) % 2),
+        "leaves": lambda levels: (len(levels),),
+    }
+    if name not in chains:
         monkeypatch.setattr(disc, "_plan_route", lambda *args, **kwargs: name)
-        monkeypatch.setattr(disc, "_plan_block", lambda *args: 1)
+    chain = chains.get(name, lambda levels: (1,) * len(levels))
+    monkeypatch.setattr(disc, "_plan_descent", lambda d, levels, pin: chain(levels))
     return name
 
 
@@ -673,7 +675,7 @@ def test_mirror_pinned_first_block(monkeypatch):
     # assignments whose first sign is the first atom, 2^(L-1) parts, and its
     # two level-1 branches come out exactly equal, at every depth
     inst = seeded_rademacher(3, 4, 8)
-    plan = disc._plan_block
+    plan = disc._plan_descent
     ypolys = disc._Tail.ypolys
     parts = []
 
@@ -684,7 +686,7 @@ def test_mirror_pinned_first_block(monkeypatch):
     monkeypatch.setattr(disc._Tail, "ypolys", counted)
     for depth in range(1, inst.n + 1):
         parts.clear()
-        monkeypatch.setattr(disc, "_plan_block", lambda d, levels, k, build, pin: depth if k == 0 else plan(d, levels, k, build, pin))
+        monkeypatch.setattr(disc, "_plan_descent", lambda d, levels, pin: (depth,) + plan(d, levels[depth:], 0))
         _, trace = disc.greedy_interlacing_solve(inst)
         first = trace.levels[0]
         assert parts[0] == 2 ** (depth - 1)
@@ -724,10 +726,10 @@ def test_mirror_pinned_first_block(monkeypatch):
     for t, coeffs in enumerate(trace.levels[0].branch_coeffs):
         assert_close_to_enum(coeffs, lopsided, (t,))
     # the planner's own first block is pinned too
-    monkeypatch.setattr(disc, "_plan_block", plan)
+    monkeypatch.setattr(disc, "_plan_descent", plan)
     parts.clear()
     disc.greedy_interlacing_solve(inst)
-    assert parts[0] == 2 ** (plan(4, tuple((7 - k, 2) for k in range(8)), 0, 7, 8) - 1)
+    assert parts[0] == 2 ** (plan(4, tuple((7 - k, 2) for k in range(8)), 8)[0] - 1)
 
 
 def test_engine_small_chunks(rng, monkeypatch, route):
@@ -778,6 +780,40 @@ def test_greedy_work_counts(monkeypatch):
     # the compounds of the tail vectors and of every branch eigenbasis come
     # from Laplace steps (and complementary minors), not determinants
     assert det["matrices"] == 0
+
+
+def test_plan_descent_chains(rng, monkeypatch):
+    # one backward pass plans every block of a greedy, each a block that
+    # _blocks offers where it starts: d = 4 Rademacher levels (mirror pinned
+    # from level 1) and three-atom ones (odd supports, no pin)
+    def rademacher(n):
+        return tuple((n - 1 - k, 2) for k in range(n))
+
+    three_atom = tuple((8 - k, 3) for k in range(9))
+    chains = (
+        (rademacher(14), 14, (5, 4, 5)),
+        (rademacher(40), 40, (1,) * 16 + (3, 3, 3, 4, 5, 6)),
+        (three_atom, 0, (3, 3, 3)),
+    )
+    for levels, pin, want in chains:
+        chain = disc._plan_descent(4, levels, pin)
+        assert chain == want
+        start = 0
+        for depth in chain:
+            assert depth in [L for L, _, _ in disc._blocks(levels, start, disc.ENUM_CAP, disc._SIGN_BATCH)]
+            start += depth
+        assert start == len(levels)
+    # a greedy plans once, before its first level
+    plan = disc._plan_descent
+    calls = []
+    monkeypatch.setattr(disc, "_plan_descent", lambda d, levels, pin: calls.append((d, levels, pin)) or plan(d, levels, pin))
+    for inst, levels, pin in (
+        (seeded_rademacher(14, 4, 14), rademacher(14), 14),
+        (random_rank_one_instance(rng, 4, 9, supports=(3,)), three_atom, 0),
+    ):
+        calls.clear()
+        disc.greedy_interlacing_solve(inst)
+        assert calls == [(4, levels, pin)]
 
 
 def test_each_tail_builds_its_compounds_once(monkeypatch):

@@ -55,7 +55,8 @@ def test_origin_multiplicity_is_deflated():
 def test_batched_roots_match_one_polynomial_at_a_time():
     # one stack of quartics: deflated origin roots leave reduced lengths 5,
     # 4 and 3, degree 1 and a constant: each row's roots are numpy's own
-    # companion eigenvalues, bit for bit, and those of the row alone
+    # (companion eigenvalues, and -c0 / c1 at degree 1), bit for bit, and
+    # those of the row alone
     rng = np.random.default_rng(9)
     rows = [
         (npp.polyfromroots(rng.uniform(-2, 2, size=4)), 0),
@@ -72,6 +73,16 @@ def test_batched_roots_match_one_polynomial_at_a_time():
     for (p, nzero), roots in zip(rows, got):
         want = np.sort(np.concatenate([np.zeros(nzero), np.real(npp.polyroots(p[nzero:]))]))
         assert roots.tobytes() == want.tobytes()
+        assert roots.tobytes() == rpoly.real_roots(p).tobytes()
+    # a stack of degree-1 rows of either sign over magnitudes e^-30 to e^30:
+    # each 1 x 1 companion's eigenvalue is -c0 / c1, bit for bit, and a row
+    # whose c0 is below DEFLATE_REL of c1 has its origin root
+    pairs = rng.choice([-1.0, 1.0], size=(1000, 2)) * np.exp(rng.uniform(-30.0, 30.0, size=(1000, 2)))
+    origin = rpoly.deflate_zero_roots(pairs)[:, None] == 1
+    assert 0 < origin.sum() < len(pairs)
+    got = rpoly.real_roots(pairs)
+    assert got.tobytes() == np.where(origin, 0.0, -pairs[:, :1] / pairs[:, 1:]).tobytes()
+    for p, roots in zip(pairs, got):
         assert roots.tobytes() == rpoly.real_roots(p).tobytes()
 
 
