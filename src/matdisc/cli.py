@@ -21,7 +21,7 @@ import numpy as np
 
 from . import disc, frames, model, rpoly, schatten, witness
 from ._util import canonical_json
-from .errors import HypothesisNotMet, MatDiscError, NotRealRooted
+from .errors import EnumerationTooLarge, HypothesisNotMet, MatDiscError, NotRealRooted
 
 
 def _row(name: str, lhs: float, rhs: float) -> dict:
@@ -54,18 +54,26 @@ def _finish(report: dict) -> dict:
 
 def random_rv(rng, size: int) -> model.DiscreteRandomVariable:
     """``size`` atoms in [-2, 2], at least 0.1 apart, with Dirichlet
-    probabilities clipped below at 0.05 and renormalized."""
-    vals = np.sort(rng.uniform(-2.0, 2.0, size=size))
-    while size > 1 and float(np.diff(vals).min()) < 0.1:
-        vals = np.sort(rng.uniform(-2.0, 2.0, size=size))
-    probs = rng.dirichlet(np.full(size, 2.0))
-    probs = np.clip(probs, 0.05, None)
-    probs = probs / probs.sum()
-    return model.DiscreteRandomVariable(tuple(vals), tuple(probs))
+    probabilities clipped below at 0.05 and renormalized.
+
+    The checks and the arithmetic run on Python floats, each operation the
+    one numpy's would round the same way: the gaps are differences of the
+    sorted atoms, and the probabilities' sum goes left to right, as numpy
+    sums fewer than eight terms."""
+    while True:
+        vals = sorted(rng.uniform(-2.0, 2.0, size=size).tolist())
+        if min((b - a for a, b in zip(vals, vals[1:])), default=math.inf) >= 0.1:
+            break
+    probs = [max(p, 0.05) for p in rng.dirichlet(np.full(size, 2.0)).tolist()]
+    total = sum(probs)
+    return model.DiscreteRandomVariable(tuple(vals), tuple(p / total for p in probs))
 
 
 def random_rank_one(rng, d: int, n: int) -> model.RankOneInstance:
-    vectors = tuple((rng.normal(size=d) + 1j * rng.normal(size=d)) / math.sqrt(2.0) for _ in range(n))
+    """n complex Gaussian vectors, each its real then its imaginary part,
+    then n laws of 2 or 3 atoms (:func:`random_rv`)."""
+    parts = rng.normal(size=(n, 2, d))
+    vectors = tuple((parts[:, 0] + 1j * parts[:, 1]) / math.sqrt(2.0))
     rvs = tuple(random_rv(rng, int(rng.integers(2, 4))) for _ in range(n))
     return model.RankOneInstance(d, vectors, rvs)
 
@@ -120,18 +128,20 @@ NORM_TOL = 1e-9
 REAL_ROOTED_TOL = 1e-6
 
 
-def _greedy_check(inst: model.RankOneInstance, brute: disc.DiscrepancyReport, prefix: str) -> tuple:
+def _greedy_check(inst: model.RankOneInstance, brute: Optional[float], sigma: float, prefix: str) -> tuple:
     """Rows brute <= greedy <= 3 sigma, leaf identity and level monotonicity,
     named after ``prefix``, and ``(assignment, trace)``; or one failing
-    ``greedy[...]`` row and ``None`` when a level's roots do not come out real."""
+    ``greedy[...]`` row and ``None`` when a level's roots do not come out real.
+    ``brute`` is the exact discrepancy, or None where brute force refused the
+    instance, which leaves out the first row."""
     try:
         assignment, trace = disc.greedy_interlacing_solve(inst)
     except NotRealRooted as exc:
         return [_flag_row(f"{prefix}greedy[{exc}]", False)], None
     worst = max(lv.chosen_lambda_max - lv.parent_lambda_max for lv in trace.levels)
-    return [
-        _row(f"{prefix}brute_le_greedy", brute.value, trace.final_value + 1e-12),
-        _row(f"{prefix}greedy_le_3sigma", trace.final_value, 3.0 * brute.sigma + NORM_TOL),
+    rows = [] if brute is None else [_row(f"{prefix}brute_le_greedy", brute, trace.final_value + 1e-12)]
+    return rows + [
+        _row(f"{prefix}greedy_le_3sigma", trace.final_value, 3.0 * sigma + NORM_TOL),
         _row(f"{prefix}leaf_identity_gap", abs(trace.final_value - trace.leaf_lambda_max), NORM_TOL),
         _row(f"{prefix}level_monotone_gap", worst, NORM_TOL),
     ], (assignment, trace)
@@ -171,7 +181,7 @@ def verify_thm13(seed: int = 0, count: int = 300, threads=None) -> dict:
     }
     for i, inst in enumerate(sweep_rank_one(seed, count)):
         brute = disc.disc_bruteforce(inst, threads=threads)
-        report["checks"] += _greedy_check(inst, brute, f"i{i}.")[0]
+        report["checks"] += _greedy_check(inst, brute.value, brute.sigma, f"i{i}.")[0]
     return _finish(report)
 
 
@@ -333,8 +343,8 @@ def verify_barrier_lemmas(seed: int = 0, count: int = 200) -> dict:
 
 def verify_schatten(seed: int = 0, count: int = 200, threads=None) -> dict:
     """Moment bounds against exact enumeration: one scan of each Rademacher
-    family for all three orders, and of each variance-at-least-one family at
-    its order p (and at p = 2 for the Frobenius row when p != 2)."""
+    family for all three orders, and one of each variance-at-least-one
+    family for its order p and, when p != 2, for the Frobenius row's p = 2."""
     rng = np.random.default_rng(seed)
     report = {"command": "verify", "suite": "schatten", "seed": seed, "count": count, "checks": []}
     rows = report["checks"]
@@ -351,11 +361,10 @@ def verify_schatten(seed: int = 0, count: int = 200, threads=None) -> dict:
         n = int(rng.integers(2, 7))
         inst = random_hermitian_instance(rng, d, n, rademacher=False)
         p = orders[i % 3]
-        rep = schatten.khintchine_bounds(inst, p, threads=threads)
-        frobenius = rep.disc_p if p == 2.0 else schatten.disc_p(inst, [2.0], threads=threads)[0]
-        rows.append(_row(f"gen{i}.frobenius", frobenius, schatten.frobenius_bound(inst) + 1e-9))
-        est, _ = rep.bounds["general_khintchine"]
-        rows.append(_row(f"gen{i}.p{int(p)}.mc", rep.disc_p, est))
+        values = schatten.disc_p(inst, [p] if p == 2.0 else [p, 2.0], threads=threads)
+        rows.append(_row(f"gen{i}.frobenius", values[-1], schatten.frobenius_bound(inst) + 1e-9))
+        est, _ = schatten.general_bound(inst, p)
+        rows.append(_row(f"gen{i}.p{int(p)}.mc", values[0], est))
     return _finish(report)
 
 
@@ -412,22 +421,37 @@ def _verify_alexandrov_full(seed: int = 0, count: int = 500) -> dict:
 
 
 def run_solve(instance: str, threads: Optional[int] = None) -> dict:
-    """``verify thm13``'s rows on one instance, then one row per menu bound."""
+    """``verify thm13``'s rows on one instance, then one row per menu bound.
+
+    Past ``disc.ENUM_CAP`` assignments brute force refuses a rank-one
+    instance, and the report records the refusal and its count in place of
+    the discrepancy. The greedy's rows that need no discrepancy stay; the
+    ``brute_le_greedy`` and ``disc_le_*`` rows are left out. A Hermitian
+    instance past the cap is an input error, as it has no other rows.
+    """
     inst = model.load_instance(instance)
     report = {"command": "solve", "instance": instance, "checks": []}
-    brute = disc.disc_bruteforce(inst, threads=threads)
     rank_one = isinstance(inst, model.RankOneInstance)
-    bounds = disc.bound_menu(inst, brute.sigma) if rank_one else {}
-    report["bruteforce"] = dict(brute.to_doc(), bounds=bounds)
+    try:
+        brute = disc.disc_bruteforce(inst, threads=threads)
+        value, sigma, doc = brute.value, brute.sigma, brute.to_doc()
+    except EnumerationTooLarge as exc:
+        if not rank_one:
+            raise
+        value, sigma = None, model.sigma(inst)
+        doc = {"refused": {"assignments": exc.required, "cap": exc.cap}, "sigma": sigma}
+    bounds = disc.bound_menu(inst, sigma) if rank_one else {}
+    report["bruteforce"] = dict(doc, bounds=bounds)
     if rank_one:
-        rows, solved = _greedy_check(inst, brute, "")
+        rows, solved = _greedy_check(inst, value, sigma, "")
         if solved:
             assignment, trace = solved
             report["greedy"] = {
                 "assignment": {"indices": list(assignment.indices), "values": list(assignment.values)},
                 "trace": trace.to_doc(),
             }
-        rows += [_row(f"disc_le_{name}", brute.value, bound + NORM_TOL) for name, bound in bounds.items()]
+        if value is not None:
+            rows += [_row(f"disc_le_{name}", value, bound + NORM_TOL) for name, bound in bounds.items()]
         report["checks"] = rows
     return _finish(report)
 

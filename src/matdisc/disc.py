@@ -29,6 +29,7 @@ Plus the menu of named upper bounds and the subset-rounding wrapper.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -59,17 +60,14 @@ NormKind = Union[str, Tuple[str, float]]
 
 
 def _family(inst):
-    """Stacked coefficient matrices (n, d, d), means, padded supports/probs."""
-    terms = model.terms(inst)
+    """Stacked coefficient matrices (n, d, d), means, support sizes, and
+    supports and probabilities padded with zeros to one width."""
+    sizes = [len(rv.support) for rv in inst.rvs]
+    pads = [(0.0,) * (max(sizes) - size) for size in sizes]
+    supp = np.array([rv.support + pad for rv, pad in zip(inst.rvs, pads)])
+    prob = np.array([rv.probs + pad for rv, pad in zip(inst.rvs, pads)])
     means = np.array([rv.mean for rv in inst.rvs])
-    sizes = np.array([len(rv.support) for rv in inst.rvs], dtype=np.int64)
-    width = sizes.max()
-    supp = np.zeros((inst.n, width))
-    prob = np.zeros((inst.n, width))
-    for j, rv in enumerate(inst.rvs):
-        supp[j, : sizes[j]] = rv.support
-        prob[j, : sizes[j]] = rv.probs
-    return terms, means, sizes, supp, prob
+    return model.terms(inst), means, np.array(sizes, dtype=np.int64), supp, prob
 
 
 def _check_cap(total: int) -> None:
@@ -958,7 +956,10 @@ def _lambda_max_y(ypolys: np.ndarray) -> np.ndarray:
     tol = rpoly.REAL_ROOT_TOL
     r = rpoly.real_roots(ypolys, tol)
     top = r[:, -1]
-    fails = np.isnan(top) | (top < -tol * (1.0 + np.abs(r).max(axis=1)))
+    if (top >= 0.0).all():  # no NaN row and no negative y-root to clamp
+        return np.sqrt(top)
+    # a sorted row's largest |root| is at one of its ends
+    fails = np.isnan(top) | (top < -tol * (1.0 + np.maximum(-r[:, 0], top)))
     if fails.any():
         i = int(fails.argmax())
         if np.isnan(top[i]):
@@ -1046,64 +1047,66 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     if not isinstance(inst, model.RankOneInstance):
         raise TypeError("the greedy solver is rank-one only")
     terms, means, sizes, supp, prob = _family(inst)
-    vectors = np.array(inst.vectors)
+    n, d = inst.n, inst.dim
+    branches = sizes.tolist()
     variances = _variances(inst)
-    live = np.array(_live(inst.vectors, variances)[::-1], dtype=np.int64)
+    live = _live(inst.vectors, variances)
     # per level, the size of the tail after it and its branch count
-    rest = len(live) - np.searchsorted(live[::-1], np.arange(inst.n), side="right")
-    calls = tuple(zip(rest.tolist(), sizes.tolist()))
-    after = live[: calls[0][0]]  # the live variables after the first
-    tail = _Tail(vectors[after], variances[after], inst.dim)
+    calls = tuple((len(live) - bisect.bisect_right(live, k), size) for k, size in enumerate(branches))
+    after = live[::-1][: calls[0][0]]  # the live variables after the first
+    tail = _Tail([inst.vectors[i] for i in after], variances[after], d)
     dev = means[:, None] - supp
-    flat = terms.reshape(inst.n, -1)
+    flat = terms.reshape(n, -1)
+    dev_rows = dev.tolist()
+    # per level so far: the chosen support index, its deviation and its probability
     prefix: list = []
+    chosen_dev: list = []
+    chosen_prob: list = []
     levels = []
-    parent_lam = None
-    p_empty_lam = None
     # the first block's fixed part is zero
-    pin = 0 if sizes[0] % 2 else _mirrored(dev, prob, sizes)
+    pin = 0 if branches[0] % 2 else _mirrored(dev, prob, sizes)
     start = 0
-    for depth in _plan_descent(inst.dim, calls, pin):
+    for depth in _plan_descent(d, calls, pin):
         end = start + depth
         # np.tensordot(dev[np.arange(start), prefix], terms[:start], axes=(0, 0)), less its overhead
-        fixed = np.dot(dev[np.arange(start), prefix][None], flat[:start]).reshape(terms.shape[1:])
+        fixed = np.dot([chosen_dev], flat[:start]).reshape(d, d)
         block = slice(start, end)
         if start:
-            pin = 0 if fixed.any() or sizes[start] % 2 else _mirrored(dev[block], prob[block], sizes[block])
-        tree = _block_tree(
-            tail, fixed, dev[block], sizes[block].tolist(), flat[block], prob[block], calls[end - 1][0], depth <= pin
-        )
+            pin = 0 if fixed.any() or branches[start] % 2 else _mirrored(dev[block], prob[block], sizes[block])
+        tree = _block_tree(tail, fixed, dev[block], branches[block], flat[block], prob[block], calls[end - 1][0], depth <= pin)
         for k in range(start, end):
-            weights = float(np.prod(prob[np.arange(k), prefix])) * prob[k, : sizes[k]]
+            support, probs = inst.rvs[k].support, inst.rvs[k].probs
+            weights = float(np.prod(chosen_prob)) * prob[k, : branches[k]]
             polys = weights[:, None] * tree[k - start][tuple(prefix[start:])]
             # at level 1 the top polynomial goes first, in the same call
-            lams = _lambda_max_y(np.concatenate([polys.sum(axis=0)[None], polys]) if k == 0 else polys)
+            lams = _lambda_max_y(np.concatenate([polys.sum(axis=0)[None], polys]) if k == 0 else polys).tolist()
             if k == 0:
-                p_empty_lam = parent_lam = float(lams[0])
-                lams = lams[1:]
-            lo = lams.min()
-            t = int(np.flatnonzero(lams <= lo + GREEDY_TIE_RTOL * lo)[0])
+                p_empty_lam = parent_lam = lams.pop(0)
+            lo = min(lams)
+            t = next(i for i, lam in enumerate(lams) if lam <= lo + GREEDY_TIE_RTOL * lo)
             levels.append(
                 GreedyLevel(
                     level=k + 1,
-                    branch_values=tuple(supp[k, : sizes[k]].tolist()),
-                    branch_lambda_max=tuple(lams.tolist()),
+                    branch_values=support,
+                    branch_lambda_max=tuple(lams),
                     chosen_index=t,
-                    chosen_value=float(supp[k, t]),
-                    chosen_lambda_max=float(lams[t]),
-                    parent_lambda_max=float(parent_lam),
+                    chosen_value=support[t],
+                    chosen_lambda_max=lams[t],
+                    parent_lambda_max=parent_lam,
                     branch_coeffs=tuple(map(tuple, _even_to_x(polys).tolist())),
                 )
             )
             prefix.append(t)
-            parent_lam = float(lams[t])
+            chosen_dev.append(dev_rows[k][t])
+            chosen_prob.append(probs[t])
+            parent_lam = lams[t]
         start = end
 
-    assignment = model.SignAssignment.from_indices(prefix, inst.rvs)
-    coef = means - np.array(assignment.values)
-    deviation = np.tensordot(coef, terms, axes=(0, 0))
-    final_value = linalg.residual_norm(deviation)
-    trace = GreedyTrace(tuple(levels), float(p_empty_lam), float(parent_lam), float(final_value))
+    # every index is in range by construction
+    assignment = model.SignAssignment(tuple(prefix), tuple(rv.support[t] for rv, t in zip(inst.rvs, prefix)))
+    # the same product as np.tensordot(means - assignment.values, terms, axes=(0, 0))
+    final_value = linalg.residual_norm(np.dot([chosen_dev], flat).reshape(d, d))
+    trace = GreedyTrace(tuple(levels), p_empty_lam, parent_lam, final_value)
     return assignment, trace
 
 

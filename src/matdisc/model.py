@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -32,8 +33,8 @@ class DiscreteRandomVariable:
     variance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        support = tuple(float(s) for s in self.support)
-        probs = tuple(float(p) for p in self.probs)
+        support = tuple(map(float, self.support))
+        probs = tuple(map(float, self.probs))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
         for name, values in (("support", support), ("probs", probs)):
@@ -45,11 +46,11 @@ class DiscreteRandomVariable:
             raise InvariantViolation("probs", "length differs from support")
         if any(b <= a for a, b in zip(support, support[1:])):
             raise InvariantViolation("support", "entries must be strictly increasing")
-        if any(p < 0 for p in probs):
+        if min(probs) < 0:
             raise InvariantViolation("probs", "negative probability")
         if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             raise InvariantViolation("probs", f"sum {sum(probs)!r} != 1")
-        mean = float(sum(p * s for p, s in zip(probs, support)))
+        mean = float(sum(map(operator.mul, probs, support)))
         try:
             variance = float(sum(p * (s - mean) ** 2 for p, s in zip(probs, support)))
         except OverflowError:  # (s - m) ** 2 on Python floats past the float range

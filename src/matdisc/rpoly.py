@@ -85,41 +85,60 @@ def real_roots(coeffs, tol: float = REAL_ROOT_TOL) -> np.ndarray:
     return roots[0]
 
 
+def _companion_eigvals(c: np.ndarray) -> np.ndarray:
+    """The eigenvalues of numpy's companion matrices of the rows of ``c``,
+    whose last coefficients are nonzero, from one eigensolve: ones below the
+    diagonal, and the last column less the coefficients over the leading
+    one (``numpy.polynomial.polynomial.polycompanion``)."""
+    count, m = c.shape
+    mats = np.zeros((count, m - 1, m - 1))
+    mats.reshape(count, -1)[:, m - 1 :: m] = 1.0
+    mats[:, :, -1] -= c[:, :-1] / c[:, -1:]
+    return np.linalg.eigvals(mats)
+
+
 def _real_roots(stack: np.ndarray, tol: float) -> tuple:
     """The sorted roots of the rows of a 2-D stack as :func:`real_roots`
     returns them, and the exception of the first row that fails (None when
     every row passes).
 
     The one root extraction of the package: the eigenvalues of numpy's
-    companion matrices (``numpy.polynomial.polynomial.polyroots``) of each
-    row less its origin roots (:func:`deflate_zero_roots`), accepted when
-    every ``|imag| <= tol * (1 + max |real part|)``. The rows of one reduced
-    length go to one eigensolve, reduced degree 1 too, whose 1 x 1
-    companion's eigenvalue is ``-c_0 / c_1``.
+    companion matrices (:func:`_companion_eigvals`) of each row less its
+    origin roots (:func:`deflate_zero_roots`), accepted when every
+    ``|imag| <= tol * (1 + max |real part|)``. A stack of full-degree rows
+    with no origin root, the common case, goes to one eigensolve as it is.
+    Otherwise the rows of one reduced length go to one eigensolve, reduced
+    degree 1 too, whose 1 x 1 companion's eigenvalue is ``-c_0 / c_1``: the
+    same matrices either way, so a row's roots do not depend on the branch.
     A row whose leading coefficient is zero and that is not constant has
     another degree than its stack: :class:`DegreeMismatch`.
     """
     count, width = stack.shape
-    # a row with a zero leading coefficient must be a constant
-    const = stack[:, -1] == 0.0 if width > 1 else np.ones(count, dtype=bool)
-    if const.any() and stack[const, 1:].any():
-        raise DegreeMismatch(f"rows of degree below {width - 1} in a stack")
-    # the coefficients left per row; a constant has no root to extract
-    length = np.where(const, 1, width - deflate_zero_roots(stack))
-    roots = np.zeros((count, width - 1))
-    bad = np.zeros(count)
-    for m in sorted(set(length.tolist()) - {1}):
-        rows = np.flatnonzero(length == m)
-        c = stack[rows, width - m :]
-        # numpy's companion matrix: ones below the diagonal, and the last
-        # column less the coefficients over the leading one
-        mats = np.zeros((len(c), m - 1, m - 1))
-        mats.reshape(len(c), -1)[:, m - 1 :: m] = 1.0
-        mats[:, :, -1] -= c[:, :-1] / c[:, -1:]
-        r = np.linalg.eigvals(mats)
-        roots[rows, width - m :] = r.real
-        if np.iscomplexobj(r):
-            bad[rows] = np.abs(r.imag).max(axis=1)
+    zeros = deflate_zero_roots(stack)
+    if width > 1 and stack[:, -1].all() and not zeros.any():
+        r = _companion_eigvals(stack)
+        if not np.iscomplexobj(r) and tol >= 0.0:
+            # eigenvalues with no imaginary part pass every tolerance >= 0
+            r.sort(axis=1)
+            return r, None
+        roots = r.real.copy()
+        bad = np.abs(r.imag).max(axis=1)
+        const = np.zeros(count, dtype=bool)
+    else:
+        # a row with a zero leading coefficient must be a constant
+        const = stack[:, -1] == 0.0 if width > 1 else np.ones(count, dtype=bool)
+        if const.any() and stack[const, 1:].any():
+            raise DegreeMismatch(f"rows of degree below {width - 1} in a stack")
+        # the coefficients left per row; a constant has no root to extract
+        length = np.where(const, 1, width - zeros)
+        roots = np.zeros((count, width - 1))
+        bad = np.zeros(count)
+        for m in sorted(set(length.tolist()) - {1}):
+            rows = np.flatnonzero(length == m)
+            r = _companion_eigvals(stack[rows, width - m :])
+            roots[rows, width - m :] = r.real
+            if np.iscomplexobj(r):
+                bad[rows] = np.abs(r.imag).max(axis=1)
     # the origin roots are zeros, which leave the largest |real part| as it is
     scale = 1.0 + np.abs(roots).max(axis=1, initial=0.0)
     fails = const | (bad > tol * scale)

@@ -112,17 +112,20 @@ def _moment_trace(inst: model.Instance, sq: np.ndarray, var_sq: np.ndarray, q: i
     return max(acc, 0.0)
 
 
-def khintchine_bounds(inst: model.Instance, p: float, threads: Optional[int] = None) -> SchattenReport:
-    """Discrepancy at the finite order p >= 2 with the general moment bound.
-
-    For even p = 2q the bound is ``sqrt((p-1)/2) * (E tr S^q)^(1/p)`` with
+def general_bound(inst: model.Instance, p: float) -> Optional[tuple]:
+    """The general moment bound at the finite order p >= 2 as an (estimate,
+    stderr) pair: at even p = 2q, ``sqrt((p-1)/2) * (E tr S^q)^(1/p)`` with
     ``S = sum_i ((xi_i - E xi_i)^2 A_i^2 + (Var[xi_i] A_i)^2)``, computed
-    exactly by :func:`_moment_trace` (stderr 0.0); at any other order it is
-    None.
+    exactly by :func:`_moment_trace` (stderr 0.0); None at any other order.
     """
+    if p % 2 != 0:
+        return None
+    z = _moment_trace(inst, *_squares(inst), int(p) // 2)
+    return (math.sqrt((p - 1.0) / 2.0) * z ** (1.0 / p), 0.0)
+
+
+def khintchine_bounds(inst: model.Instance, p: float, threads: Optional[int] = None) -> SchattenReport:
+    """Discrepancy at the finite order p >= 2 with the general moment bound
+    (:func:`general_bound`)."""
     [value] = disc_p(inst, [p], threads=threads)
-    bound = None
-    if p % 2 == 0:
-        z = _moment_trace(inst, *_squares(inst), int(p) // 2)
-        bound = (math.sqrt((p - 1.0) / 2.0) * z ** (1.0 / p), 0.0)
-    return SchattenReport(value, {"general_khintchine": bound})
+    return SchattenReport(value, {"general_khintchine": general_bound(inst, p)})

@@ -63,6 +63,73 @@ def test_solve_writes_the_bound_menu_last(tmp_path):
         assert section["bounds"] == want, name
 
 
+def test_solve_past_the_cap_keeps_the_rows_that_need_no_disc(tmp_path, capsys, monkeypatch):
+    # a d = 2, n = 25 Rademacher instance has 2^25 assignments, past
+    # ENUM_CAP: brute force refuses it, and the report records the refusal
+    # and its count in place of the discrepancy. The greedy's rows that need
+    # no discrepancy stay, and pass; brute_le_greedy and the disc_le_* rows
+    # are left out. A Hermitian instance past the cap is still an input error
+    rng = np.random.default_rng(25)
+    vectors = tuple(rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(25))
+    rvs = (model.DiscreteRandomVariable.rademacher(),) * 25
+    rank_one = model.RankOneInstance(2, vectors, rvs)
+    path = tmp_path / "past.json"
+    model.save_instance(rank_one, path)
+    out = tmp_path / "solve.json"
+    calls = count_sigma(monkeypatch)
+    assert cli.main(["solve", "--instance", str(path), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    doc = json.loads(out.read_text())
+    section = doc["bruteforce"]
+    assert list(section) == ["refused", "sigma", "bounds"]
+    assert section["refused"] == {"assignments": 2**25, "cap": disc.ENUM_CAP}
+    assert section["sigma"] == model.sigma(rank_one)
+    assert section["bounds"] == disc.bound_menu(rank_one, section["sigma"])
+    _, trace = disc.greedy_interlacing_solve(rank_one)
+    assert doc["greedy"]["trace"] == json.loads(json.dumps(trace.to_doc()))
+    assert [row["name"] for row in doc["checks"]] == ["greedy_le_3sigma", "leaf_identity_gap", "level_monotone_gap"]
+    assert doc["checks"][0]["lhs"] == trace.final_value and doc["pass"]
+    model.save_instance(model.HermitianInstance(2, tuple(model.terms(rank_one)), rvs), path)
+    assert cli.main(["solve", "--instance", str(path), "--out", str(out)]) == 2
+    assert "enumeration needs 33554432 assignments" in capsys.readouterr().err
+
+
+def _random_rv_numpy(rng, size):
+    # cli.random_rv before its checks moved to Python floats, verbatim
+    vals = np.sort(rng.uniform(-2.0, 2.0, size=size))
+    while size > 1 and float(np.diff(vals).min()) < 0.1:
+        vals = np.sort(rng.uniform(-2.0, 2.0, size=size))
+    probs = rng.dirichlet(np.full(size, 2.0))
+    probs = np.clip(probs, 0.05, None)
+    probs = probs / probs.sum()
+    return model.DiscreteRandomVariable(tuple(vals), tuple(probs))
+
+
+def _random_rank_one_numpy(rng, d, n):
+    # cli.random_rank_one before it drew every vector in one call, verbatim
+    vectors = tuple((rng.normal(size=d) + 1j * rng.normal(size=d)) / math.sqrt(2.0) for _ in range(n))
+    rvs = tuple(_random_rv_numpy(rng, int(rng.integers(2, 4))) for _ in range(n))
+    return model.RankOneInstance(d, vectors, rvs)
+
+
+def test_seeded_draws_match_their_numpy_versions():
+    # the draws consume the generator as before and give the same laws and
+    # vectors, bit for bit, over 1,000 seeds: laws of 1 to 3 atoms, and
+    # rank-one instances with d 1-5 and n 1-8
+    for seed in range(1000):
+        for size in (1, 2, 3):
+            new, old = np.random.default_rng([seed, size]), np.random.default_rng([seed, size])
+            a, b = cli.random_rv(new, size), _random_rv_numpy(old, size)
+            assert a.support == b.support and a.probs == b.probs, (seed, size)
+            assert new.bit_generator.state == old.bit_generator.state
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        d, n = 1 + seed % 5, 1 + seed % 8
+        a, b = cli.random_rank_one(new, d, n), _random_rank_one_numpy(old, d, n)
+        assert [v.tobytes() for v in a.vectors] == [v.tobytes() for v in b.vectors], seed
+        assert [(rv.support, rv.probs) for rv in a.rvs] == [(rv.support, rv.probs) for rv in b.rvs], seed
+        assert new.bit_generator.state == old.bit_generator.state
+
+
 def test_verify_prop16_single(tmp_path):
     out = tmp_path / "p16.json"
     code = cli.main(["verify", "prop16", "--n", "3", "--out", str(out)])
@@ -575,8 +642,9 @@ def test_lyapunov_bound_failure_is_a_failing_row(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_schatten_scans_each_rademacher_family_once(monkeypatch):
-    # seed 0, count 1 draws one Rademacher family and one general family at
-    # p = 2: one scan each, the Rademacher one for every order
+    # seed 0, count 2 draws two Rademacher families and two general families,
+    # at p = 2 and p = 4: one scan each, the Rademacher ones for every order
+    # and the p = 4 one for its Frobenius row's p = 2 too
     scans = []
     exact_minimum = disc.exact_minimum
 
@@ -585,8 +653,9 @@ def test_verify_schatten_scans_each_rademacher_family_once(monkeypatch):
         return exact_minimum(inst, kinds, threads)
 
     monkeypatch.setattr(disc, "exact_minimum", counting)
-    assert cli.verify_schatten(seed=0, count=1)["pass"]
-    assert scans == [(True, (("schatten", 2.0), ("schatten", 4.0), ("schatten", 6.0))), (False, (("schatten", 2.0),))]
+    assert cli.verify_schatten(seed=0, count=2)["pass"]
+    every = (("schatten", 2.0), ("schatten", 4.0), ("schatten", 6.0))
+    assert scans == [(True, every), (True, every), (False, (("schatten", 2.0),)), (False, (("schatten", 4.0), ("schatten", 2.0)))]
 
 
 def test_verify_thm15_analyzes_each_frame_once(monkeypatch):

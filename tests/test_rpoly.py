@@ -116,6 +116,48 @@ def test_batched_roots_raise_at_the_first_failing_member():
     assert disc._lambda_max_y(np.array([ok, [-16.0, 0.0, 1.0]])).tolist() == [1.0, 2.0]
 
 
+def test_full_degree_stacks_take_one_eigensolve(monkeypatch):
+    # a stack with no constant row and no origin root goes to one eigvals
+    # call as it is, with no copy: well-separated roots, a near-double root whose
+    # companion eigenvalues come out as a complex pair within the tolerance,
+    # and complex rows. Each accepted row is numpy's own roots and those of
+    # the row alone, bit for bit; the failing rows are NaN, and the stack's
+    # exception is the first failing row's own
+    rng = np.random.default_rng(17)
+    rows = [npp.polyfromroots(rng.uniform(-2, 2, size=4)) for _ in range(3)]
+    rows[1:1] = [npp.polymul([1.0, 0.0, 1.0], [2.0, -3.0, 1.0])]
+    rows += [npp.polyfromroots([0.5, 1.0, 1.0 + 1e-9, 3.0]), npp.polymul([2.0, 0.0, 1.0], [-1.0, 0.0, 1.0])]
+    stack = np.array(rows)
+    assert np.iscomplexobj(rpoly._companion_eigvals(stack[4:5]))
+    calls = []
+    companion = rpoly._companion_eigvals
+    monkeypatch.setattr(rpoly, "_companion_eigvals", lambda c: calls.append(c is stack) or companion(c))
+    got, fault = rpoly._real_roots(stack, rpoly.REAL_ROOT_TOL)
+    assert calls == [True]
+    for i, (p, roots) in enumerate(zip(rows, got)):
+        if i in (1, 5):
+            assert np.isnan(roots).all()
+            continue
+        assert roots.tobytes() == np.sort(np.real(npp.polyroots(p))).tobytes()
+        assert roots.tobytes() == rpoly.real_roots(p).tobytes()
+    with pytest.raises(NotRealRooted) as alone:
+        rpoly.real_roots(rows[1])
+    assert isinstance(fault, NotRealRooted) and str(fault) == str(alone.value)
+    # any origin root or constant row sends the stack to the grouped branch,
+    # which copies each group's rows, and the other rows' roots and the
+    # first failing row's exception do not change
+    for extra, alone_roots in (
+        (npp.polymul([0.0, 1.0], npp.polyfromroots([1.0, 2.0, 3.0])), [0.0, 1.0, 2.0, 3.0]),
+        (np.array([3.0, 0.0, 0.0, 0.0, 0.0]), [np.nan] * 4),
+    ):
+        calls.clear()
+        stack = np.vstack([np.array(rows), extra])
+        again, again_fault = rpoly._real_roots(stack, rpoly.REAL_ROOT_TOL)
+        assert calls and not any(calls)
+        assert again[:-1].tobytes() == got.tobytes() and str(again_fault) == str(fault)
+        assert np.allclose(again[-1], alone_roots, atol=1e-12, equal_nan=True)
+
+
 def test_interlacing_bounds_lambda_max():
     rng = np.random.default_rng(3)
     for _ in range(10):
