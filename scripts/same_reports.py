@@ -13,6 +13,8 @@ Run it from each checkout with its own DIR, then compare the two with
 * ``solve`` on the ``perfbench`` scale generators' d = 4 files, Rademacher
   n = 14 (generator key (s, 0)) and three-atom n = 9 (key (s, 1)), for five
   seeds s;
+* ``solve`` on a d = 3, n = 10 instance whose every law is (-1, 0, 1)
+  with probabilities (1/4, 1/2, 1/4), an odd mirror-symmetric support;
 * ``frames gen --n 14 --d 12`` and ``solve`` on that frame, whose greedy
   row fails;
 * ``replay`` on a d = 4, n = 26 Rademacher instance.
@@ -42,6 +44,7 @@ from workloads import (  # noqa: E402
     SCALE_D,
     SCALE_RADEMACHER_N,
     SCALE_THREE_ATOM_N,
+    _complex_vectors,
     _rng,
     rademacher_instance,
     three_atom_instance,
@@ -59,6 +62,8 @@ def _instances() -> dict:
     for s in SCALE_SEEDS:
         out[f"scale-{s}-0"] = rademacher_instance(_rng(s, 0), SCALE_D, SCALE_RADEMACHER_N)
         out[f"scale-{s}-1"] = three_atom_instance(_rng(s, 1), SCALE_D, SCALE_THREE_ATOM_N)
+    odd = model.DiscreteRandomVariable((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25))
+    out["odd-mirror-d3-n10"] = model.RankOneInstance(3, _complex_vectors(_rng(7, 10), 3, 10), (odd,) * 10)
     out["rademacher-d4-n26"] = rademacher_instance(_rng(5, 26), 4, 26)
     return out
 
@@ -71,6 +76,7 @@ def _commands() -> list:
             runs.append((f"verify-{suite}-s{seed}", ["verify", suite, "--seed", str(seed), "--count", "1"]))
     for s in SCALE_SEEDS:
         runs += [(f"solve-scale-{s}-{kind}", ["solve", "--instance", f"scale-{s}-{kind}.instance.json"]) for kind in (0, 1)]
+    runs.append(("solve-odd-mirror-d3-n10", ["solve", "--instance", "odd-mirror-d3-n10.instance.json"]))
     runs.append(("frames-gen-n14-d12", ["frames", "gen", "--n", "14", "--d", "12", "--out", "frame-n14-d12.instance.json"]))
     runs.append(("solve-frame-n14-d12", ["solve", "--instance", "frame-n14-d12.instance.json"]))
     runs.append(("replay-rademacher-d4-n26", ["replay", "--instance", "rademacher-d4-n26.instance.json"]))

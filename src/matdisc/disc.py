@@ -573,7 +573,7 @@ def _engine_seconds(d: int, m: int, nb: int, limit: int, symmetric: bool, build:
     return tuple((route, seconds[route]) for route in fits)
 
 
-def _plan_descent(d: int, levels: tuple, pin: int) -> tuple:
+def _plan_descent(d: int, levels: tuple) -> tuple:
     """The depths of the greedy's blocks from level 1 on, in order: each the
     number of levels that one engine call serves (:func:`_block_tree`).
 
@@ -584,23 +584,23 @@ def _plan_descent(d: int, levels: tuple, pin: int) -> tuple:
     call plus ``_SECONDS_BLOCK`` per depth and per part, and one backward
     pass over the levels finds the cheapest chain of blocks, the shallower
     block winning a tie. The first block's call builds the compounds of the
-    whole tail, ``levels[0][0]`` vectors (:func:`_plan_route`), and its
-    first ``pin`` levels may be mirror-pinned, which halves the parts it
-    solves (not those it counts); every later block is priced with the tail
-    built and no pin. ``ENUM_CAP`` and ``_SIGN_BATCH`` are read at call
-    time.
+    whole tail, ``levels[0][0]`` vectors (:func:`_plan_route`); every later
+    block is priced with the tail built. Every block is priced for all its
+    parts, including one whose parts the engine halves by their mirror
+    symmetry (:meth:`_Tail.ypolys`). ``ENUM_CAP`` and ``_SIGN_BATCH`` are
+    read at call time.
     """
-    return _cached_descent(d, levels, pin, ENUM_CAP, _SIGN_BATCH)
+    return _cached_descent(d, levels, ENUM_CAP, _SIGN_BATCH)
 
 
 @functools.lru_cache(maxsize=256)
-def _cached_descent(d: int, levels: tuple, pin: int, limit: int, batch: int) -> tuple:
+def _cached_descent(d: int, levels: tuple, limit: int, batch: int) -> tuple:
     best = [0] * len(levels)  # per level, the depth of the block that starts the cheapest chain from it
     finish = [0.0] * (len(levels) + 1)  # and that chain's seconds
     for j in range(len(levels) - 1, -1, -1):
-        build, halved = (levels[0][0], pin) if j == 0 else (0, 0)
+        build = levels[0][0] if j == 0 else 0
         total = {
-            L: _block_seconds(d, m, parts // (2 if L <= halved else 1), L, limit, build) + finish[j + L]
+            L: _block_seconds(d, m, parts, L, limit, build) + finish[j + L]
             for L, parts, m in _blocks(levels, j, limit, batch)
         }
         best[j] = min(total, key=total.get)
@@ -706,11 +706,23 @@ class _Tail:
         this call under ``ENUM_CAP``, and counts and charges the compounds of
         the whole tail until they are built. This is the only place that runs
         an engine route.
+
+        Negating a part leaves its polynomial unchanged: ``det[x^2 I -
+        M^2]`` is even in M, and -c has the variances of c. So when B > 1
+        parts come in negated pairs, ``fixed[::-1] == -fixed`` exactly, only
+        the first ceil(B/2) are solved and their rows are mirrored onto the
+        rest; a zero part is its own negation, and the sign route pins its
+        first sign. This is the only place that uses the symmetry.
         """
         fixed = np.asarray(fixed, dtype=complex)
-        if _plan_route(self.d, m, fixed.shape[0], not fixed.any(), self.build) == "signs":
-            return self._sign_ypolys(fixed, m)
-        return self._subset_ypolys(fixed, m)
+        nb = len(fixed)
+        mirrored = nb > 1 and bool((fixed[::-1] == -fixed).all())
+        solved = fixed[: (nb + 1) // 2] if mirrored else fixed
+        if _plan_route(self.d, m, len(solved), not solved.any(), self.build) == "signs":
+            rows = self._sign_ypolys(solved, m)
+        else:
+            rows = self._subset_ypolys(solved, m)
+        return np.concatenate([rows, rows[: nb // 2][::-1]]) if mirrored else rows
 
     def _subset_ypolys(self, fixed: np.ndarray, m: int) -> np.ndarray:
         """The Cauchy-Binet route of :meth:`ypolys`.
@@ -849,9 +861,6 @@ def expected_charpoly(
     return _even_to_x(weight * tail.ypolys(fixed[None], len(live))[0])
 
 
-OPERATOR_MAX_N = 14
-
-
 def _monic_from_roots_batch(r: np.ndarray) -> np.ndarray:
     """prod_j (x - r_j) per row, ascending coefficients, shape (b, d+1)."""
     b, d = r.shape
@@ -877,10 +886,9 @@ def expected_charpoly_operator(inst: model.RankOneInstance) -> np.ndarray:
     factor expanded exactly from the spectrum of its grid matrix. The grid is
     built ``_SIGN_BATCH`` points at a time from their linear indices (variable
     0 slowest, each base-3 digit minus one), so memory does not grow with
-    3^n. Refuses beyond ``OPERATOR_MAX_N`` variables.
+    3^n. Refuses beyond ``ENUM_CAP`` grid points, read at call time.
     """
-    if inst.n > OPERATOR_MAX_N:
-        raise EnumerationTooLarge(3**inst.n, 3**OPERATOR_MAX_N)
+    _check_cap(3**inst.n)
     d, n = inst.dim, inst.n
     taus = np.array([math.sqrt(rv.variance) for rv in inst.rvs])
     tw = taus[:, None, None] * model.outer_products(inst.vectors)
@@ -971,7 +979,7 @@ def _lambda_max_y(ypolys: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(top < 0.0, 0.0, top))
 
 
-def _block_tree(tail: _Tail, fixed, dev, sizes, flat, prob, m: int, pinned: bool) -> list:
+def _block_tree(tail: _Tail, fixed, dev, sizes, flat, prob, m: int) -> list:
     """One block of the greedy: the expected y-polynomials of every node of
     the subtree of the variables ``dev``, ``sizes``, ``flat`` and ``prob``
     below the fixed part ``fixed``, from one engine call.
@@ -980,38 +988,20 @@ def _block_tree(tail: _Tail, fixed, dev, sizes, flat, prob, m: int, pinned: bool
     coefficient row times the flat terms (:func:`_deviations`, as brute
     force builds them) plus ``fixed``, and one :meth:`_Tail.ypolys` call
     over the tail of m variables after the block gives every part's
-    polynomial. A node's polynomial is the probability-weighted sum of its
-    children's, one contraction per depth. Entry j has shape
-    ``sizes[:j + 1] + (d + 1,)``: the nodes below the first j + 1 variables,
-    each conditioned on its path, not weighted by it.
-
-    ``pinned``: ``fixed`` is zero and every law of the block is its own
-    mirror image (``dev[j, i] = -dev[j, s - 1 - i]`` with equal
-    probabilities) with an even first support. The mirror of an assignment
-    then has the negated deviation and, in mixed-radix order, the reversed
-    index, and the tail enters only through its variances, so both have one
-    polynomial: only the first half of the parts is solved and folded, and
-    each depth's nodes are completed by reversal.
+    polynomial. When ``fixed`` is zero and every law's deviations are their
+    own mirror image, the mirror of an assignment has the negated part and
+    the reversed index, and the engine solves only half of them. A node's
+    polynomial is the probability-weighted sum of its children's, one
+    contraction per depth. Entry j has shape ``sizes[:j + 1] + (d + 1,)``:
+    the nodes below the first j + 1 variables, each conditioned on its
+    path, not weighted by it.
     """
     d = fixed.shape[-1]
-    count = math.prod(sizes) // (2 if pinned else 1)
-    parts = _deviations(dev, sizes, flat, d, np.arange(count)) + fixed
-    tree = [tail.ypolys(parts, m).reshape((-1,) + tuple(sizes[1:]) + (d + 1,))]
+    parts = _deviations(dev, sizes, flat, d, np.arange(math.prod(sizes))) + fixed
+    tree = [tail.ypolys(parts, m).reshape(tuple(sizes) + (d + 1,))]
     for j in range(len(sizes) - 1, 0, -1):
         tree.append(prob[j, : sizes[j]] @ tree[-1])
-    if pinned:
-        tree = [np.concatenate([t, t.reshape(-1, d + 1)[::-1].reshape(t.shape)]) for t in tree]
     return tree[::-1]
-
-
-def _mirrored(dev: np.ndarray, prob: np.ndarray, sizes: np.ndarray) -> int:
-    """The number of leading variables whose law is its own mirror image,
-    exactly: ``dev[j, i] == -dev[j, s - 1 - i]`` and ``prob[j, i] ==
-    prob[j, s - 1 - i]`` over the j-th support of size s (padded rows)."""
-    for j, (row, p, s) in enumerate(zip(dev.tolist(), prob.tolist(), sizes.tolist())):
-        if row[:s] != [-x for x in row[s - 1 :: -1]] or p[:s] != p[s - 1 :: -1]:
-            return j
-    return len(sizes)
 
 
 GREEDY_TIE_RTOL = 1e-12
@@ -1029,11 +1019,11 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     L variables below the chosen node and folds them up, and its L levels
     read their branch rows off it. Depth 1 is one engine call on the level's
     branches; a block reaching the last level enumerates the remaining
-    subtree's leaves, one spectrum each. A block with no fixed part over
-    mirror-symmetric laws solves half its parts (:func:`_block_tree`): the
-    first block's pin is planned for, and a later block's is found when it
-    starts. The greedy builds one
-    :class:`_Tail` of the :func:`_live` variables after the first, as
+    subtree's leaves, one spectrum each. The engine solves half the parts
+    of a block whose parts come in negated pairs (:meth:`_Tail.ypolys`), as
+    those of a block with no fixed part over mirror laws do; the plan prices
+    every block whole. The greedy builds one :class:`_Tail` of the
+    :func:`_live` variables after the first, as
     :func:`expected_charpoly` and the walk's evaluator keep only live ones,
     last variable first, so every block's tail is a prefix of it, and the
     compounds that the first subset-route call builds serve every later one.
@@ -1063,17 +1053,13 @@ def greedy_interlacing_solve(inst: model.RankOneInstance) -> Tuple[model.SignAss
     chosen_dev: list = []
     chosen_prob: list = []
     levels = []
-    # the first block's fixed part is zero
-    pin = 0 if branches[0] % 2 else _mirrored(dev, prob, sizes)
     start = 0
-    for depth in _plan_descent(d, calls, pin):
+    for depth in _plan_descent(d, calls):
         end = start + depth
         # np.tensordot(dev[np.arange(start), prefix], terms[:start], axes=(0, 0)), less its overhead
         fixed = np.dot([chosen_dev], flat[:start]).reshape(d, d)
         block = slice(start, end)
-        if start:
-            pin = 0 if fixed.any() or branches[start] % 2 else _mirrored(dev[block], prob[block], sizes[block])
-        tree = _block_tree(tail, fixed, dev[block], branches[block], flat[block], prob[block], calls[end - 1][0], depth <= pin)
+        tree = _block_tree(tail, fixed, dev[block], branches[block], flat[block], prob[block], calls[end - 1][0])
         for k in range(start, end):
             support, probs = inst.rvs[k].support, inst.rvs[k].probs
             weights = float(np.prod(chosen_prob)) * prob[k, : branches[k]]

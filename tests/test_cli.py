@@ -16,7 +16,7 @@ from matdisc import cli, disc, frames, model, rpoly, witness
 from matdisc.errors import NotRealRooted
 
 from conftest import count_matrices
-from test_disc import count_sigma
+from test_disc import count_sigma, seeded_rademacher
 
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "mb3.json")
@@ -480,6 +480,26 @@ def test_python_m_cli_writes_only_the_report_and_errors(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error:"), missing.stderr
     passing = run("verify", "prop16", "--n", "1")
     assert passing.returncode == 0 and passing.stderr == ""
+
+
+def test_solve_report_same_on_one_and_two_blas_threads(tmp_path):
+    # the engine solves half of the parts that come in negated pairs, which
+    # it sees only when the GEMM of their deviations rounds each pair to
+    # exact negatives: the d = 4, n = 14 Rademacher greedy, whose first block
+    # is such a block, writes the same report on one and on two BLAS threads
+    path = tmp_path / "rademacher.json"
+    model.save_instance(seeded_rademacher(14, 4, 14), path)
+    src = os.path.dirname(os.path.dirname(matdisc.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = tmp_path / f"solve-{threads}.json"
+        command = [sys.executable, "-m", "matdisc.cli", "solve", "--instance", str(path), "--out", str(out)]
+        done = subprocess.run(command, capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_alexandrov_command(tmp_path):

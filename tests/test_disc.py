@@ -9,7 +9,7 @@ import pytest
 from matdisc import _util, cli, disc, frames, linalg, model, rpoly, schatten, witness
 from matdisc.errors import EnumerationTooLarge, NotRealRooted, PreconditionViolated
 
-from conftest import count_matrices, random_rank_one_instance, random_unitary
+from conftest import count_matrices, random_hermitian, random_rank_one_instance, random_unitary
 from test_model import mercedes_benz
 
 
@@ -353,9 +353,13 @@ def test_operator_route_bounded_memory(rng):
 
 
 def test_operator_route_cap():
-    inst = rademacher_instance([np.array([1.0, 0.0])] * 15)
-    with pytest.raises(EnumerationTooLarge):
+    # the 3^16 grid points are past ENUM_CAP = 2^24, refused before any
+    # eigensolve
+    inst = rademacher_instance([np.array([1.0, 0.0])] * 16)
+    assert 3**16 > disc.ENUM_CAP
+    with pytest.raises(EnumerationTooLarge) as refused:
         disc.expected_charpoly_operator(inst)
+    assert refused.value.required == 3**16
 
 
 def test_greedy_trivial():
@@ -494,7 +498,7 @@ def pin_route(monkeypatch, name):
     if name not in chains:
         monkeypatch.setattr(disc, "_plan_route", lambda *args, **kwargs: name)
     chain = chains.get(name, lambda levels: (1,) * len(levels))
-    monkeypatch.setattr(disc, "_plan_descent", lambda d, levels, pin: chain(levels))
+    monkeypatch.setattr(disc, "_plan_descent", lambda d, levels: chain(levels))
     return name
 
 
@@ -611,7 +615,7 @@ def greedy_tail(inst):
 
 def block_args(inst, head, depth):
     """The arguments of :func:`disc._block_tree` for the block of ``depth``
-    variables below the prefix ``head``, unpinned."""
+    variables below the prefix ``head``."""
     terms, means, sizes, supp, prob = disc._family(inst)
     dev = means[:, None] - supp
     flat = terms.reshape(inst.n, -1)
@@ -638,7 +642,7 @@ def test_block_tree_degenerate_subtree(rng, route):
     for k in (1, 2, 4):
         head = random_prefix(rng, inst, k)
         for depth in range(1, inst.n - k + 1):
-            tree = disc._block_tree(tail, *block_args(inst, head, depth), after[k + depth - 1], False)
+            tree = disc._block_tree(tail, *block_args(inst, head, depth), after[k + depth - 1])
             assert len(tree) == depth
             sizes = [len(rv.support) for rv in inst.rvs[k : k + depth]]
             for j, nodes in enumerate(tree, 1):
@@ -662,74 +666,112 @@ def test_block_ends_are_the_engine_level_and_the_leaves(rng):
             head = random_prefix(rng, inst, k)
             fixed, dev, block_sizes, flat, _ = args = block_args(inst, head, n - k)
             branches = fixed[None] + dev[0, : block_sizes[0], None, None] * terms[k][None]
-            one = disc._block_tree(tail, *block_args(inst, head, 1), after[k], False)
+            one = disc._block_tree(tail, *block_args(inst, head, 1), after[k])
             assert np.array_equal(one[0], tail.ypolys(branches, after[k])), (d, n, k)
-            leaves = disc._block_tree(tail, *args, 0, False)[-1]
+            leaves = disc._block_tree(tail, *args, 0)[-1]
             mats = disc._deviations(dev, block_sizes, flat, d, np.arange(math.prod(block_sizes))) + fixed
             mu = np.linalg.eigvalsh(mats)
             assert np.array_equal(leaves.reshape(-1, d + 1), disc._monic_from_roots_batch(mu * mu)), (d, n, k)
 
 
-def test_mirror_pinned_first_block(monkeypatch):
-    # a Rademacher family with no fixed part: the first block solves the
-    # assignments whose first sign is the first atom, 2^(L-1) parts, and its
-    # two level-1 branches come out exactly equal, at every depth
+ROUTE_METHODS = {"subsets": "_subset_ypolys", "signs": "_sign_ypolys"}
+
+
+def count_route_parts(monkeypatch):
+    """The number of fixed parts of each call of either engine route, in
+    order."""
+    sent = []
+    for name in ROUTE_METHODS.values():
+        method = getattr(disc._Tail, name)
+        monkeypatch.setattr(disc._Tail, name, lambda self, fixed, m, method=method: sent.append(len(fixed)) or method(self, fixed, m))
+    return sent
+
+
+def test_engine_halves_negated_pairs(rng, monkeypatch, engine_route):
+    # parts in negated pairs, fixed[::-1] == -fixed exactly, with B even and
+    # with B odd around a zero middle part: the route solves ceil(B/2) of
+    # them, the rows are the unhalved ones and they mirror exactly
+    d, m = 3, 5
+    tail = disc._Tail(rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d)), rng.uniform(0.5, 2.0, size=m), d)
+    solve = getattr(disc._Tail, ROUTE_METHODS[engine_route])
+    sent = count_route_parts(monkeypatch)
+    half = np.array([random_hermitian(rng, d) for _ in range(3)])
+    for parts in (np.concatenate([half, -half[::-1]]), np.concatenate([half, np.zeros((1, d, d)), -half[::-1]])):
+        sent.clear()
+        got = tail.ypolys(parts, m)
+        assert sent == [(len(parts) + 1) // 2]
+        want = solve(tail, parts, m)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got, got[::-1])
+        # one entry one ulp off: no pairs, every part solved
+        off = parts.copy()
+        off[-1, 0, 0] = np.nextafter(off[-1, 0, 0].real, np.inf)
+        sent.clear()
+        assert np.abs(tail.ypolys(off, m) - want).max() <= 1e-12 * np.abs(want).max()
+        assert sent == [len(parts)]
+
+
+def test_greedy_halves_mirror_blocks(monkeypatch):
+    # a Rademacher family with no fixed part: a first block of depth L sends
+    # the assignments whose first sign is the first atom, 2^(L-1) parts, to
+    # the engine, and its two level-1 branches come out exactly equal
     inst = seeded_rademacher(3, 4, 8)
     plan = disc._plan_descent
-    ypolys = disc._Tail.ypolys
-    parts = []
-
-    def counted(self, fixed, m):
-        parts.append(len(fixed))
-        return ypolys(self, fixed, m)
-
-    monkeypatch.setattr(disc._Tail, "ypolys", counted)
+    sent = count_route_parts(monkeypatch)
     for depth in range(1, inst.n + 1):
-        parts.clear()
-        monkeypatch.setattr(disc, "_plan_descent", lambda d, levels, pin: (depth,) + plan(d, levels[depth:], 0))
+        sent.clear()
+        monkeypatch.setattr(disc, "_plan_descent", lambda d, levels: (depth,) + plan(d, levels[depth:]))
         _, trace = disc.greedy_interlacing_solve(inst)
         first = trace.levels[0]
-        assert parts[0] == 2 ** (depth - 1)
+        assert sent[0] == 2 ** (depth - 1)
         assert first.branch_coeffs[0] == first.branch_coeffs[1] and first.chosen_index == 0
         chosen = ()
         for lv in trace.levels:
             for t, coeffs in enumerate(lv.branch_coeffs):
                 assert_close_to_enum(coeffs, inst, chosen + (t,))
             chosen += (lv.chosen_index,)
-    # every node of pinned blocks over mirror laws of even and odd support,
-    # at every depth, against the enumeration
+    monkeypatch.setattr(disc, "_plan_descent", plan)
+    # laws (-1, 0, 1), (1/4, 1/2, 1/4): the planner's first block of L
+    # levels sends (3^L + 1) / 2 parts, the zero one among them, and every
+    # branch matches the enumeration
+    odd = model.DiscreteRandomVariable((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25))
+    inst = model.RankOneInstance(3, random_rank_one_instance(np.random.default_rng(7), 3, 7).vectors, (odd,) * 7)
+    sent.clear()
+    _, trace = disc.greedy_interlacing_solve(inst)
+    first = plan(3, tuple((6 - k, 3) for k in range(7)))[0]
+    assert sent[0] == (3**first + 1) // 2
+    chosen = ()
+    for lv in trace.levels:
+        for t, coeffs in enumerate(lv.branch_coeffs):
+            assert_close_to_enum(coeffs, inst, chosen + (t,))
+        chosen += (lv.chosen_index,)
+    # every node of blocks over mirror laws of even and odd support, at every
+    # depth, against the enumeration (the last law does not mirror), also
+    # with deviations that mirror under probabilities that do not: a part's
+    # row does not see the block's probabilities, so the parts pair up
     laws = (
         model.DiscreteRandomVariable((-2.0, -1.0, 1.0, 2.0), (0.125, 0.375, 0.375, 0.125)),
-        model.DiscreteRandomVariable((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25)),
+        odd,
         model.DiscreteRandomVariable.rademacher(),
-        model.DiscreteRandomVariable((-1.0, 0.0, 1.0), (0.25, 0.5, 0.25)),
+        odd,
         model.DiscreteRandomVariable((0.0, 1.0), (0.25, 0.75)),
     )
-    mixed = model.RankOneInstance(3, random_rank_one_instance(np.random.default_rng(5), 3, 5).vectors, laws)
-    terms, means, sizes, supp, prob = disc._family(mixed)
-    assert disc._mirrored(means[:, None] - supp, prob, sizes) == 4
-    tail, after = greedy_tail(mixed)
-    for depth in range(1, 5):
-        tree = disc._block_tree(tail, *block_args(mixed, (), depth), after[depth - 1], True)
-        for j, nodes in enumerate(tree, 1):
-            assert nodes.shape == tuple(sizes[:j]) + (4,)
-            for path in itertools.product(*(range(s) for s in sizes[:j])):
-                weight = float(np.prod(prob[np.arange(j), list(path)]))
-                assert_close_to_enum(disc._even_to_x(weight * nodes[path]), mixed, path)
-    # deviations that mirror with probabilities that do not: no pin, and
-    # the greedy's branches still match the enumeration
     skewed = model.DiscreteRandomVariable((-3.0, -1.0, 1.0, 3.0), (0.25, 0.125, 0.5, 0.125))
-    lopsided = model.RankOneInstance(3, mixed.vectors, (skewed,) + laws[1:])
-    terms, means, sizes, supp, prob = disc._family(lopsided)
-    assert means[0] == 0.0 and disc._mirrored(means[:, None] - supp, prob, sizes) == 0
-    _, trace = disc.greedy_interlacing_solve(lopsided)
-    for t, coeffs in enumerate(trace.levels[0].branch_coeffs):
-        assert_close_to_enum(coeffs, lopsided, (t,))
-    # the planner's own first block is pinned too
-    monkeypatch.setattr(disc, "_plan_descent", plan)
-    parts.clear()
-    disc.greedy_interlacing_solve(inst)
-    assert parts[0] == 2 ** (plan(4, tuple((7 - k, 2) for k in range(8)), 8)[0] - 1)
+    vectors = random_rank_one_instance(np.random.default_rng(5), 3, 5).vectors
+    for first in (laws[0], skewed):
+        mixed = model.RankOneInstance(3, vectors, (first,) + laws[1:])
+        terms, means, sizes, supp, prob = disc._family(mixed)
+        assert means[0] == 0.0
+        tail, after = greedy_tail(mixed)
+        for depth in range(1, 5):
+            sent.clear()
+            tree = disc._block_tree(tail, *block_args(mixed, (), depth), after[depth - 1])
+            assert sent == [(math.prod(sizes[:depth]) + 1) // 2]
+            for j, nodes in enumerate(tree, 1):
+                assert nodes.shape == tuple(sizes[:j]) + (4,)
+                for path in itertools.product(*(range(s) for s in sizes[:j])):
+                    weight = float(np.prod(prob[np.arange(j), list(path)]))
+                    assert_close_to_enum(disc._even_to_x(weight * nodes[path]), mixed, path)
 
 
 def test_engine_small_chunks(rng, monkeypatch, route):
@@ -769,14 +811,15 @@ def test_greedy_work_counts(monkeypatch):
     # every level takes its branch roots (level 1 the top polynomial's too)
     # in one call
     assert eigvals["calls"] == n
-    # the levels go in three blocks: levels 1-5 (no fixed part, so mirror
-    # pinned: 2^4 of their 2^5 parts) on the tail of m = 9 and levels 6-9
-    # (2^4 parts) on m = 5, both on the subset route, one eigh call each
-    assert eigh["calls"] == 2 and eigh["matrices"] == 16 + 16
-    # levels 10-14 are one block down to the last level: one eigvalsh call on
-    # its 2^5 leaves; beyond it eigvalsh sees only the final deviation, whose
+    # the levels go in three blocks: levels 1-4 (no fixed part, so their 2^4
+    # parts come in negated pairs and the engine solves 2^3) on the tail of
+    # m = 10 and levels 5-8 (2^4 parts) on m = 6, both on the subset route,
+    # one eigh call each
+    assert eigh["calls"] == 2 and eigh["matrices"] == 8 + 16
+    # levels 9-14 are one block down to the last level: one eigvalsh call on
+    # its 2^6 leaves; beyond it eigvalsh sees only the final deviation, whose
     # norm is the reported value
-    assert eigvalsh["calls"] == 2 and eigvalsh["matrices"] == 2**5 + 1
+    assert eigvalsh["calls"] == 2 and eigvalsh["matrices"] == 2**6 + 1
     # the compounds of the tail vectors and of every branch eigenbasis come
     # from Laplace steps (and complementary minors), not determinants
     assert det["matrices"] == 0
@@ -784,19 +827,19 @@ def test_greedy_work_counts(monkeypatch):
 
 def test_plan_descent_chains(rng, monkeypatch):
     # one backward pass plans every block of a greedy, each a block that
-    # _blocks offers where it starts: d = 4 Rademacher levels (mirror pinned
-    # from level 1) and three-atom ones (odd supports, no pin)
+    # _blocks offers where it starts: d = 4 Rademacher levels and three-atom
+    # ones, every block priced for all its parts
     def rademacher(n):
         return tuple((n - 1 - k, 2) for k in range(n))
 
     three_atom = tuple((8 - k, 3) for k in range(9))
     chains = (
-        (rademacher(14), 14, (5, 4, 5)),
-        (rademacher(40), 40, (1,) * 16 + (3, 3, 3, 4, 5, 6)),
-        (three_atom, 0, (3, 3, 3)),
+        (rademacher(14), (4, 4, 6)),
+        (rademacher(40), (1,) * 16 + (3, 3, 3, 4, 5, 6)),
+        (three_atom, (3, 3, 3)),
     )
-    for levels, pin, want in chains:
-        chain = disc._plan_descent(4, levels, pin)
+    for levels, want in chains:
+        chain = disc._plan_descent(4, levels)
         assert chain == want
         start = 0
         for depth in chain:
@@ -806,14 +849,14 @@ def test_plan_descent_chains(rng, monkeypatch):
     # a greedy plans once, before its first level
     plan = disc._plan_descent
     calls = []
-    monkeypatch.setattr(disc, "_plan_descent", lambda d, levels, pin: calls.append((d, levels, pin)) or plan(d, levels, pin))
-    for inst, levels, pin in (
-        (seeded_rademacher(14, 4, 14), rademacher(14), 14),
-        (random_rank_one_instance(rng, 4, 9, supports=(3,)), three_atom, 0),
+    monkeypatch.setattr(disc, "_plan_descent", lambda d, levels: calls.append((d, levels)) or plan(d, levels))
+    for inst, levels in (
+        (seeded_rademacher(14, 4, 14), rademacher(14)),
+        (random_rank_one_instance(rng, 4, 9, supports=(3,)), three_atom),
     ):
         calls.clear()
         disc.greedy_interlacing_solve(inst)
-        assert calls == [(4, levels, pin)]
+        assert calls == [(4, levels)]
 
 
 def test_each_tail_builds_its_compounds_once(monkeypatch):
@@ -999,9 +1042,10 @@ def test_engine_cap_counts_both_routes(monkeypatch):
 
 def test_greedy_refuses_before_any_eigensolve(monkeypatch):
     # d = 6, n = 46: the first level's subset route counts the compounds of
-    # its whole tail of 45 vectors, sum_k C(45, k) C(6, k), with those of its
-    # one mirror-pinned branch, past the cap, and its 2^45 sign patterns
-    # too; no deeper block is offered, since its enumeration is 2^45 or more
+    # its whole tail of 45 vectors, sum_k C(45, k) C(6, k), with those of the
+    # one branch of its negated pair that it solves, past the cap, and its
+    # 2^45 sign patterns too; no deeper block is offered, since its
+    # enumeration is 2^45 or more
     d, n = 6, 46
     inst = seeded_rademacher(n, d, n)
     kernels = [count_matrices(monkeypatch, name) for name in ("eigvalsh", "eigh", "eigvals")]
@@ -1045,6 +1089,8 @@ def test_one_cap_reaches_every_enumeration(monkeypatch):
         schatten.disc_p(herm, [2.0])
     with pytest.raises(EnumerationTooLarge):
         frames.verify_untf_disc(frames.harmonic_untf(3, 2))
+    with pytest.raises(EnumerationTooLarge):
+        disc.expected_charpoly_operator(inst)
     # the 8 sign patterns fit a cap of 10, the 4^3 = 64 words of p = 6 do not
     monkeypatch.setattr(disc, "ENUM_CAP", 10)
     assert schatten.disc_p(herm, [6.0])[0] >= 0.0
@@ -1053,12 +1099,12 @@ def test_one_cap_reaches_every_enumeration(monkeypatch):
 
 
 def test_greedy_dimension_close_to_n(monkeypatch):
-    # d = 9, n = 11: the first nine levels are one mirror-pinned block, 2^8
-    # parts on the sign route over a tail of 2, and the last two one block
-    # of 4 leaves; with every engine call pinned to the subset route, its
-    # C(19, 9) - 1 = 92,377 tail compound entries and 2 x (C(18, 9) - 1)
-    # branch entries at the first level all come from Laplace steps. Neither
-    # route takes a determinant
+    # d = 9, n = 11: the first two levels are one block, whose 4 parts come
+    # in negated pairs, 2 of them solved on the subset route over a tail of
+    # 9, and the last nine one block of 2^9 leaves; with every engine call
+    # pinned to the subset route, its C(19, 9) - 1 = 92,377 tail compound
+    # entries and the C(18, 9) - 1 entries of the one first-level branch it
+    # solves all come from Laplace steps. Neither route takes a determinant
     inst = seeded_rademacher(14, 9, 11)
     det = count_matrices(monkeypatch, "det")
     _, planned = disc.greedy_interlacing_solve(inst)

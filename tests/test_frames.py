@@ -6,6 +6,8 @@ import pytest
 from matdisc import disc, frames, linalg, model
 from matdisc.errors import InvalidShape, PreconditionViolated, TooLarge
 
+from conftest import count_matrices
+
 
 def rademacher_frame(d, vectors):
     return model.RankOneInstance(d, tuple(vectors), tuple(model.DiscreteRandomVariable.rademacher() for _ in vectors))
@@ -64,6 +66,20 @@ def test_verify_untf_large_pair():
     res = frames.verify_untf_disc(frames.harmonic_untf(9, 5))
     assert res["all_patterns_constant"]
     assert res["value"] == pytest.approx(9.0 / 5.0, abs=1e-9)
+
+
+def test_verify_untf_in_sign_blocks(monkeypatch):
+    # the 2^9 patterns reach the eigensolver at most disc._SIGN_BATCH at a
+    # time, each once, and give the verdict and the value of one batch
+    frame = frames.harmonic_untf(9, 5)
+    whole = frames.verify_untf_disc(frame)
+    monkeypatch.setattr(disc, "_SIGN_BATCH", 8)
+    eigvalsh = count_matrices(monkeypatch, "eigvalsh")
+    res = frames.verify_untf_disc(frame)
+    # besides the patterns, the gate takes two norms
+    assert eigvalsh["largest"] == 8 and eigvalsh["matrices"] == 2**9 + 2
+    assert res["all_patterns_constant"] and res["sigma_sq"] == whole["sigma_sq"]
+    assert res["value"] == pytest.approx(whole["value"], rel=1e-12)
 
 
 def test_verify_untf_rejects_out_of_range():
