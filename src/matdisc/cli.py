@@ -14,6 +14,7 @@ import functools
 import inspect
 import io
 import math
+import operator
 import sys
 from typing import Optional
 
@@ -58,14 +59,20 @@ def random_rv(rng, size: int) -> model.DiscreteRandomVariable:
 
     The checks and the arithmetic run on Python floats, each operation the
     one numpy's would round the same way: the gaps are differences of the
-    sorted atoms, and the probabilities' sum goes left to right, as numpy
-    sums fewer than eight terms."""
+    sorted atoms. The Dirichlet law is ``Generator.dirichlet``'s for all
+    parameters 2: its gamma draws, their left-to-right sum, one reciprocal
+    and one product per draw. The clipped probabilities' sum also goes left
+    to right, as numpy sums fewer than eight terms. Both sums are
+    ``functools.reduce`` additions, since ``sum`` compensates its rounding
+    from Python 3.12 on."""
     while True:
         vals = sorted(rng.uniform(-2.0, 2.0, size=size).tolist())
         if min((b - a for a, b in zip(vals, vals[1:])), default=math.inf) >= 0.1:
             break
-    probs = [max(p, 0.05) for p in rng.dirichlet(np.full(size, 2.0)).tolist()]
-    total = sum(probs)
+    gammas = rng.standard_gamma(2.0, size).tolist()
+    scale = 1.0 / functools.reduce(operator.add, gammas)
+    probs = [max(g * scale, 0.05) for g in gammas]
+    total = functools.reduce(operator.add, probs)
     return model.DiscreteRandomVariable(tuple(vals), tuple(p / total for p in probs))
 
 

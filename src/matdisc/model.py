@@ -213,23 +213,23 @@ def normalize(inst: RankOneInstance) -> RankOneInstance:
 # JSON persistence.
 #
 # Canonical serialization: UTF-8, keys in schema order, numbers in Python's
-# shortest round-trip decimal form, two-space indent, trailing newline.
+# shortest round-trip decimal form, two-space indent, trailing newline. The
+# text is ``_util.canonical_json``'s: the bytes of
+# ``json.dumps(doc, indent=2, allow_nan=False)`` plus a newline.
 # ---------------------------------------------------------------------------
-
-
-def _complex_pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
 
 
 def dumps_instance(inst: Instance) -> str:
     doc: dict = {"dim": inst.dim}
     if isinstance(inst, RankOneInstance):
         doc["kind"] = "rank_one"
-        doc["vectors"] = [[_complex_pair(z) for z in v] for v in inst.vectors]
+        key, parts = "vectors", np.array(inst.vectors)
     else:
         doc["kind"] = "hermitian"
-        doc["matrices"] = [[[_complex_pair(z) for z in row] for row in m] for m in inst.matrices]
-    doc["rvs"] = [{"support": list(rv.support), "probs": list(rv.probs)} for rv in inst.rvs]
+        key, parts = "matrices", np.array(inst.matrices)
+    # each complex entry as its [re, im] pair of Python floats
+    doc[key] = np.stack([parts.real, parts.imag], -1).tolist()
+    doc["rvs"] = [{"support": rv.support, "probs": rv.probs} for rv in inst.rvs]
     # every entry is finite (validated at construction), so the report
     # writer's rejection of NaN and infinity never fires here
     return _util.canonical_json(doc)

@@ -132,6 +132,20 @@ def test_roots_go_through_traced_names():
     assert {"disc._lambda_max_y", "cli.verify_interlacing"} <= callers("real_roots")
 
 
+def test_one_json_writer():
+    # reports and instance files share _util.canonical_json; no call in the
+    # package renders indented JSON another way
+    indented = [
+        f"{path.stem}:{node.lineno}"
+        for path, tree in parsed_sources().items()
+        if path.parent == PACKAGE
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert indented == []
+    assert callers("canonical_json") == {"cli.report_bytes", "model.dumps_instance"}
+
+
 def test_one_check_per_solver():
     # the sweeps and the single-instance commands share one check each
     def in_cli(name):

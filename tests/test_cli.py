@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import matdisc
 from matdisc import cli, disc, frames, model, rpoly, witness
+from matdisc._util import canonical_json
 from matdisc.errors import NotRealRooted
 
 from conftest import count_matrices
@@ -156,6 +158,116 @@ def test_report_determinism_across_threads_and_reruns(tmp_path):
     assert cli.main(["verify", "thm13", "--count", "6", "--seed", "11", "--threads", "1", "--out", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def _json_dumps(doc):
+    # the writer canonical_json replaced, verbatim
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+_CHARS = "az09 \"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001d538"
+
+
+def _random_str(rng):
+    return "".join(rng.choice(list(_CHARS), size=int(rng.integers(0, 6))))
+
+
+def _random_doc(rng, depth=0):
+    """A seeded JSON document of builtin types, tuples and np.float64."""
+    kind = int(rng.integers(0, 11 if depth < 4 else 7))
+    if kind == 0:
+        return _random_str(rng)
+    if kind == 1:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.choice([1, 2**40]))
+    if kind == 2:
+        x = float(np.frombuffer(rng.bytes(8), dtype=np.float64)[0])
+        return x if math.isfinite(x) else float(rng.normal())
+    if kind == 3:
+        return bool(rng.integers(0, 2))
+    if kind == 4:
+        return None
+    if kind == 5:
+        return np.float64(rng.normal() * 10.0 ** int(rng.integers(-30, 30)))
+    if kind == 6:
+        return [float(x) for x in rng.normal(size=int(rng.integers(0, 5)))]
+    items = [_random_doc(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))]
+    if kind == 7:
+        return items
+    if kind == 8:
+        return tuple(items)
+    return {f"{i}{_random_str(rng)}": x for i, x in enumerate(items)}
+
+
+def test_canonical_json_is_json_dumps_indent_two():
+    edges = [
+        {}, [], (), "", {"a": {}, "b": [], "c": [[], {}, ()]}, [[[]]],
+        "quote \" slash \\ newline \n tab \t nul \x00 \u00e9 \u2028 \U0001d538",
+        -0.0, 5e-324, 1e22, 1e-300, -1e300, 2**70, -(2**70), 0, True, False, None,
+        np.float64(0.1), [np.float64(-0.0), 1.5], (1.0, 2.0), [1.0, 2, True, None, "x"],
+        {"\u00e9\n": [0.5, -0.0], "nested": {"x": (5e-324, 1e22)}},
+    ]
+    for doc in edges:
+        assert canonical_json(doc) == _json_dumps(doc), doc
+    rng = np.random.default_rng(20261022)
+    for _ in range(500):
+        doc = _random_doc(rng)
+        assert canonical_json(doc) == _json_dumps(doc), doc
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_canonical_json_refuses_non_finite_floats(bad):
+    for doc in (bad, [bad], [1.0, bad], {"x": bad}, [[0.5], {"y": [bad, "z"]}]):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            _json_dumps(doc)
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            canonical_json(doc)
+
+
+@pytest.mark.parametrize("bad", [{1.0}, np.int64(3), np.bool_(True), b"x", 1j])
+def test_canonical_json_refuses_non_json_types(bad):
+    for doc in (bad, [bad], [1.0, bad], {"x": bad}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json_dumps(doc)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            canonical_json(doc)
+    with pytest.raises(TypeError, match="keys must be str"):
+        canonical_json({1: 0.5})
+
+
+def test_every_report_kind_renders_as_json_dumps(tmp_path):
+    reports = [
+        cli.verify_thm13(seed=3, count=2),
+        cli.verify_interlacing(seed=3, count=2),
+        cli.verify_thm41(seed=3, count=2),
+        cli.verify_schatten(seed=3, count=2),
+        cli.verify_lyapunov(seed=3, count=2),
+        cli.verify_oracles(seed=3, count=2),
+        cli.verify_thm15(),
+        cli.verify_prop16(),
+        cli._verify_alexandrov_full(seed=3, count=2),
+        cli.run_solve(FIXTURE),
+        cli.run_replay(FIXTURE),
+        cli.run_frames_gen(5, 3, str(tmp_path / "frame.json")),
+    ]
+    assert {r.get("suite", r["command"]) for r in reports} == {
+        *(command.split()[-1] for command in cli.COMMANDS if command.startswith("verify")),
+        "solve", "replay", "frames gen",
+    }
+    for report in reports:
+        assert cli.report_bytes(report) == _json_dumps(report).encode("utf-8"), report["command"]
+
+
+def test_canonical_json_leaves_no_reference_cycle():
+    # a recursive closure would be a cycle per call, freed only by the
+    # cyclic collector; the module-level writer leaves nothing for it
+    doc = {"a": [[0.5, -1.0], {"b": (1, "c", None)}], "d": [[[]]]}
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_json(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_replay_command(tmp_path):

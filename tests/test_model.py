@@ -154,6 +154,41 @@ def test_json_hermitian_round_trip(rng, tmp_path):
     assert model.dumps_instance(loaded) == path.read_text()
 
 
+def _dumps_instance_old(inst):
+    # model.dumps_instance before it rendered from stacked arrays, verbatim
+    def _complex_pair(z):
+        return [float(np.real(z)), float(np.imag(z))]
+
+    doc = {"dim": inst.dim}
+    if isinstance(inst, model.RankOneInstance):
+        doc["kind"] = "rank_one"
+        doc["vectors"] = [[_complex_pair(z) for z in v] for v in inst.vectors]
+    else:
+        doc["kind"] = "hermitian"
+        doc["matrices"] = [[[_complex_pair(z) for z in row] for row in m] for m in inst.matrices]
+    doc["rvs"] = [{"support": list(rv.support), "probs": list(rv.probs)} for rv in inst.rvs]
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def test_dumps_instance_matches_the_per_entry_document():
+    rng = np.random.default_rng(20261022)
+    insts = [random_rank_one_instance(rng, 1 + k % 5, 1 + k % 6) for k in range(30)]
+    insts += [cli.random_hermitian_instance(rng, 1 + k % 4, 1 + k % 5, k % 2 == 0) for k in range(20)]
+    # signed zeros, tiny and large entries, and a point law at 1e300 (an
+    # entry of 1e300 would square past the float range and be refused)
+    point = model.DiscreteRandomVariable((1e300,), (1.0,))
+    edge = np.array([complex(-0.0, 1e-300), complex(1e150, -0.0), complex(-1e-300, 1e150)])
+    insts.append(model.RankOneInstance(1, (edge[:1],), (point,)))
+    insts.append(model.RankOneInstance(3, (edge, -edge), (point, model.DiscreteRandomVariable.rademacher())))
+    mat = np.array([[-0.0, 1e-300 + 1e150j], [1e-300 - 1e150j, 1e150]])
+    insts.append(model.HermitianInstance(1, (np.array([[-0.0]]),), (point,)))
+    insts.append(model.HermitianInstance(2, (mat, -mat), (point, point)))
+    for inst in insts:
+        assert model.dumps_instance(inst) == _dumps_instance_old(inst)
+    text = model.dumps_instance(insts[-3])
+    assert all(f"{x!r}," in text for x in (-0.0, 1e-300, -1e-300, 1e150)) and "1e+300" in text
+
+
 def test_json_bad_probs_is_invariant_violation():
     doc = {
         "dim": 1,
